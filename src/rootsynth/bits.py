@@ -49,9 +49,3 @@ def pack_lsb(bits: Iterable[int]) -> int:
         value |= b << i
     return value
 
-
-def trailing_zeros(value: int) -> int:
-    """Index of the lowest set bit; value must be positive."""
-    if value <= 0:
-        raise ValueError(f"expected a positive integer, got {value}")
-    return (value & -value).bit_length() - 1

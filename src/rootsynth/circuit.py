@@ -12,12 +12,19 @@ gate kinds are supported, each with quantum cost 1:
 Circuits are immutable values; every operation returns a new circuit. Two
 circuits are equal when they have the same width and gate sequence (the
 free-text label is presentation metadata and excluded from comparison).
+
+A circuit of 2^(n+1) gates holds only O(n^2) distinct ones. The generators
+and parsers reuse one Gate object per distinct gate, so validation, adjoint
+and the writers do their work once per distinct object (see distinct_gates).
 """
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, Sequence, TypeVar
+
+_T = TypeVar("_T")
 
 
 class GateKind(Enum):
@@ -84,6 +91,22 @@ def not_gate(line: int) -> Gate:
     return Gate(GateKind.NOT, target=line)
 
 
+def distinct_gates(gates: Sequence[Gate]) -> dict[int, Gate]:
+    """Each distinct gate object of `gates` under its id(), in order of first use.
+
+    Identity, not equality, keys the table: hashing a Gate runs the
+    Python-level Enum.__hash__ for every gate, which costs more than the
+    per-gate work the table saves.
+    """
+    return dict(zip(map(id, gates), gates))
+
+
+def map_distinct(fn: Callable[[Gate], _T], gates: Sequence[Gate]) -> list[_T]:
+    """[fn(g) for g in gates], calling fn once per distinct gate object."""
+    table = {key: fn(g) for key, g in distinct_gates(gates).items()}
+    return list(map(table.__getitem__, map(id, gates)))
+
+
 @dataclass(frozen=True)
 class GateCensus:
     """Per-kind gate counts of a circuit."""
@@ -113,8 +136,10 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_controls < 1:
             raise ValueError(f"need at least one control line, got {self.n_controls}")
+        if self.label and self.label.splitlines() != [self.label]:
+            raise ValueError(f"label must be a single line, got {self.label!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in self.gates:
+        for g in distinct_gates(self.gates).values():
             self._check_gate(g)
 
     def _check_gate(self, g: Gate) -> None:
@@ -154,7 +179,7 @@ class Circuit:
 
     def adjoint(self) -> "Circuit":
         """Inverse circuit: gates reversed, each root direction negated."""
-        return dataclasses.replace(self, gates=tuple(g.adjoint() for g in reversed(self.gates)))
+        return dataclasses.replace(self, gates=tuple(map_distinct(Gate.adjoint, self.gates[::-1])))
 
     def census(self) -> GateCensus:
         feyn = roots = adjs = nots = 0

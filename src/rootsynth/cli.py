@@ -11,6 +11,7 @@ from pathlib import Path
 from .bits import format_bits, parse_bitstring
 from .simulate import NonClassical, classical_output, exponent_simulate
 from .synth import (
+    MAX_N,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -34,7 +35,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a circuit and write its document")
     p.add_argument("family", choices=_SYNTH_FAMILIES)
-    p.add_argument("--n", type=int, required=True, help="number of control lines")
+    p.add_argument(
+        "--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}"
+    )
     p.add_argument("--activation", help="activation bitstring a1..an (default all ones)")
     p.add_argument("--out", help="output path (default stdout)")
 

@@ -21,14 +21,21 @@ for control input a. Direct synthesis requires a nonzero a; the all-zero
 case is served by synth_zero_polarity, which forces every controlled gate
 to the plain root so the target output becomes t xor OR(c1..cn), plus an
 optional inverter to fire on the all-zero vector only.
+
+Every generator accepts at most MAX_N controls. A circuit over n controls
+holds at most n(n-1)/2 + 2n + 1 distinct gates, so each generator builds
+those once, in a table, and only looks one up per gate of the circuit.
 """
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import Iterable, Literal, Sequence
 
-from .bits import Bits, as_bits, format_bits, trailing_zeros
+from .bits import Bits, as_bits, format_bits, pack_lsb
 from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, not_gate
+
+MAX_N = 20
+"""Most controls a generator accepts; an n-control circuit has about 2^(n+1) gates."""
 
 AlphaVector = Bits
 ActivationVector = Bits
@@ -89,9 +96,18 @@ def activation_from_polarity(polarity: Iterable[int]) -> ActivationVector:
     return tuple(1 - b for b in as_bits(polarity))
 
 
+def _check_n(n: int, least: int = 1) -> None:
+    if n < least:
+        raise ValueError(f"need n >= {least}, got {n}")
+    if n > MAX_N:
+        raise ValueError(
+            f"n = {n} is above the limit of {MAX_N} controls "
+            f"(the circuit would have about 2^{n + 1} gates)"
+        )
+
+
 def _resolve_activation(n: int, activation: Sequence[int] | None) -> ActivationVector:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     if activation is None:
         return all_ones(n)
     act = as_bits(activation, length=n)
@@ -110,28 +126,56 @@ def _target_gate(kappa: int, direction: int, control: int, target: int) -> Gate:
     return controlled_root(kappa, direction, control, target)
 
 
+_GateTable = tuple[dict[tuple[int, int], Gate], dict[tuple[int, int], Gate]]
+
+
+def _gate_table(n: int) -> _GateTable:
+    """Every gate the n-control generators place, each built and validated once.
+
+    Feynman gates between control lines are keyed by (control, target),
+    target-line gates by (control line, direction).
+    """
+    kappa = 1 << (n - 1)
+    cnots = {(c, t): feynman(c, t) for t in range(2, n + 1) for c in range(1, t)}
+    roots = {(b, d): _target_gate(kappa, d, b, n + 1) for b in range(1, n + 1) for d in (1, -1)}
+    return cnots, roots
+
+
+def _bit_reversal_gates(n: int, act: int | None, table: _GateTable) -> list[Gate]:
+    """Gate list of the bit-reversal construction over n controls.
+
+    The k-th controlled gate (k = 1..2^n-1) sits on control line b = highest
+    set bit of k and is driven by the bit-reversal coefficients of k; within
+    block b, one Feynman gate per step folds the prefix parity of a lower
+    line into line b, stepping the driving function through the block in
+    bit-reversal order. The gate is the root (+1) when the driving function
+    is 1 on the activation vector packed LSB-first into `act`, i.e. when
+    k & act has odd parity, and the adjoint root otherwise; act None makes
+    every controlled gate the plain root. Each gate comes from `table`.
+    """
+    cnots, roots = table
+    gates: list[Gate] = []
+    for k in range(1, 1 << n):
+        b = k.bit_length()
+        j = k ^ (1 << (b - 1))
+        if j:
+            gates.append(cnots[(j & -j).bit_length(), b])
+        gates.append(roots[b, 1 if act is None or (k & act).bit_count() & 1 else -1])
+    return gates
+
+
 def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     """Peres circuit over n + 1 lines firing on `activation` (default all-ones).
 
     Control output i is the prefix parity c1 xor ... xor ci; the target
-    output is t xor [c = activation]. The k-th controlled gate (k = 1..2^n-1)
-    sits on control line b = highest set bit of k and is driven by the
-    bit-reversal coefficients of k; within block b, one Feynman gate per step
-    folds the prefix parity of a lower line into line b, stepping the driving
-    function through the block in bit-reversal order. Quantum cost is
+    output is t xor [c = activation]. The gates follow the bit-reversal
+    construction, with the k-th controlled gate driven by
+    bit_reversal_alpha(k, n) and directed by gate_direction. Quantum cost is
     2^(n+1) - n - 2: 2^n - 1 controlled gates, n of them driven directly,
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
     act = _resolve_activation(n, activation)
-    kappa = 1 << (n - 1)
-    gates: list[Gate] = []
-    for k in range(1, 1 << n):
-        b = k.bit_length()
-        j = k - (1 << (b - 1))
-        if j > 0:
-            gates.append(feynman(trailing_zeros(j) + 1, b))
-        direction = gate_direction(bit_reversal_alpha(k, n), act)
-        gates.append(_target_gate(kappa, direction, b, n + 1))
+    gates = _bit_reversal_gates(n, pack_lsb(act), _gate_table(n))
     return Circuit(n, tuple(gates), label=f"peres n={n} a={format_bits(act)}")
 
 
@@ -152,15 +196,17 @@ def converter_peres_to_toffoli(n: int) -> Circuit:
 
 
 def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
-    """Toffoli circuit: synth_peres followed by the reversed converter.
+    """Toffoli circuit: the synth_peres gates followed by the reversed converter.
 
     All control outputs equal the control inputs; the target output is
     t xor [c = activation]. Quantum cost (2^(n+1) - n - 2) + (n - 1)
     = 2^(n+1) - 3.
     """
     act = _resolve_activation(n, activation)
-    c = synth_peres(n, act).compose(converter_peres_to_toffoli(n))
-    return replace(c, label=f"toffoli n={n} a={format_bits(act)}")
+    table = _gate_table(n)
+    gates = _bit_reversal_gates(n, pack_lsb(act), table)
+    gates += (table[0][i, i + 1] for i in range(n - 1, 0, -1))  # converter_peres_to_toffoli
+    return Circuit(n, tuple(gates), label=f"toffoli n={n} a={format_bits(act)}")
 
 
 def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -173,22 +219,19 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     gate, and each subset conditions one root gate on the target. The control
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    _check_n(n, least=2)
     act = _resolve_activation(n, activation)
-    kappa = 1 << (n - 1)
+    a = pack_lsb(act)
+    cnots, roots = _gate_table(n)
     gates: list[Gate] = []
     prev = 0
     for k in range(1, 1 << n):
         g = k ^ (k >> 1)
+        top = g.bit_length()
         if k > 1:
-            top, prev_top = g.bit_length(), prev.bit_length()
-            if top > prev_top:
-                gates.append(feynman(prev_top, top))
-            else:
-                gates.append(feynman((g ^ prev).bit_length(), top))
-        direction = gate_direction(bit_reversal_alpha(g, n), act)
-        gates.append(controlled_root(kappa, direction, g.bit_length(), n + 1))
+            prev_top = prev.bit_length()
+            gates.append(cnots[prev_top if top > prev_top else (g ^ prev).bit_length(), top])
+        gates.append(roots[top, 1 if (g & a).bit_count() & 1 else -1])
         prev = g
     return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
@@ -209,18 +252,10 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     the all-zero control vector. Control outputs are prefix parities in
     both modes.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     if mode not in ("or-gate", "and-complemented"):
         raise ValueError(f"unknown mode {mode!r}")
-    kappa = 1 << (n - 1)
-    gates: list[Gate] = []
-    for k in range(1, 1 << n):
-        b = k.bit_length()
-        j = k - (1 << (b - 1))
-        if j > 0:
-            gates.append(feynman(trailing_zeros(j) + 1, b))
-        gates.append(_target_gate(kappa, 1, b, n + 1))
+    gates = _bit_reversal_gates(n, None, _gate_table(n))
     if mode == "and-complemented":
         gates.append(not_gate(n + 1))
     return Circuit(n, tuple(gates), label=f"{mode} n={n}")

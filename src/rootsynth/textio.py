@@ -12,16 +12,21 @@ Text format, one directive or gate per line, `#` starts a comment:
 
 Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
 <target>` and `not <line>`. A JSON mirror of the same schema is accepted on
-input for files ending in .json.
+input for files ending in .json; every number in it must be a JSON integer.
+
+A generated circuit repeats a few distinct gates many times, so each reader
+and writer formats or checks each distinct gate once and looks it up for
+every repeat.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
 from .bits import format_bits
-from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, not_gate
+from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, map_distinct, not_gate
 
 FORMAT_HEADER = "circuit v1"
 
@@ -52,25 +57,22 @@ def serialize(circuit: Circuit, alphas: Sequence[Sequence[int]] | None = None) -
     the conditional target-line gates) each such gate line gets an
     informational `# alpha <bits>` comment; comments are ignored on parse.
     """
-    notes: dict[int, str] = {}
+    body = map_distinct(_gate_line, circuit.gates)
     if alphas is not None:
-        if len(alphas) != len(circuit.target_gates()):
+        slots = [
+            i for i, g in enumerate(circuit.gates)
+            if g.target == circuit.target_line and g.kind is not GateKind.NOT
+        ]
+        if len(alphas) != len(slots):
             raise ValueError(
-                f"alpha assignment has {len(alphas)} entries "
-                f"for {len(circuit.target_gates())} target gates"
+                f"alpha assignment has {len(alphas)} entries for {len(slots)} target gates"
             )
-        slot = iter(alphas)
-        for i, g in enumerate(circuit.gates):
-            if g.target == circuit.target_line and g.kind is not GateKind.NOT:
-                notes[i] = format_bits(next(slot))
+        for i, alpha in zip(slots, alphas):
+            body[i] += f"  # alpha {format_bits(alpha)}"
     lines = [FORMAT_HEADER, f"width {circuit.width}", f"controls {circuit.n_controls}"]
-    if circuit.label:
+    if circuit.label.strip():  # parse strips a label; a blank one has no line
         lines.append(f"label {circuit.label}")
-    for i, g in enumerate(circuit.gates):
-        line = _gate_line(g)
-        if i in notes:
-            line += f"  # alpha {notes[i]}"
-        lines.append(line)
+    lines += body
     return "\n".join(lines) + "\n"
 
 
@@ -117,11 +119,17 @@ def _parse_gate(fields: list[str], width: int, line_no: int) -> Gate:
 
 
 def parse(text: str) -> Circuit:
-    """Parse a text circuit document back into a Circuit."""
+    """Parse a text circuit document back into a Circuit.
+
+    The first occurrence of each distinct gate line goes through every
+    check; a repeat of it, which can only follow the width and controls
+    directives, reuses the Gate parsed there.
+    """
     width: int | None = None
     controls: int | None = None
     label = ""
     gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -132,6 +140,10 @@ def parse(text: str) -> Circuit:
             continue
         if "#" in stripped:
             stripped = stripped[: stripped.index("#")].strip()
+        g = parsed.get(stripped)
+        if g is not None:
+            gates.append(g)
+            continue
         if not stripped:
             continue
         if not saw_header:
@@ -156,7 +168,8 @@ def parse(text: str) -> Circuit:
         elif word in ("cnot", "croot", "not"):
             if width is None or controls is None:
                 raise ParseError("gate line before width/controls directives", line_no)
-            gates.append(_parse_gate(fields, width, line_no))
+            g = parsed[stripped] = _parse_gate(fields, width, line_no)
+            gates.append(g)
         else:
             raise ParseError(f"unknown directive {word!r}", line_no)
     if not saw_header:
@@ -173,32 +186,93 @@ def parse(text: str) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
+def _gate_record(g: Gate) -> dict[str, int | str]:
+    if g.kind is GateKind.FEYNMAN:
+        return {"gate": "cnot", "control": g.control, "target": g.target}
+    if g.kind is GateKind.ROOT:
+        return {
+            "gate": "croot",
+            "kappa": g.kappa,
+            "direction": g.direction,
+            "control": g.control,
+            "target": g.target,
+        }
+    return {"gate": "not", "line": g.target}
+
+
 def serialize_json(circuit: Circuit) -> str:
-    """JSON mirror of the text schema."""
-    gates: list[dict] = []
-    for g in circuit.gates:
-        if g.kind is GateKind.FEYNMAN:
-            gates.append({"gate": "cnot", "control": g.control, "target": g.target})
-        elif g.kind is GateKind.ROOT:
-            gates.append(
-                {
-                    "gate": "croot",
-                    "kappa": g.kappa,
-                    "direction": g.direction,
-                    "control": g.control,
-                    "target": g.target,
-                }
-            )
-        else:
-            gates.append({"gate": "not", "line": g.target})
-    doc = {
+    """JSON mirror of the text schema, on one line."""
+    doc = json.dumps({
         "format": FORMAT_HEADER,
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": gates,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+        "gates": [],
+    })
+    # Encode each distinct gate record once and splice the list into the
+    # trailing '[]}': the same text json.dumps writes for the whole document.
+    records = map_distinct(lambda g: json.dumps(_gate_record(g)), circuit.gates)
+    return doc[:-2] + ", ".join(records) + "]}\n"
+
+
+# Each gate name with its gate function and record fields, in argument order.
+_RECORD_FIELDS = {
+    "cnot": (feynman, ("control", "target")),
+    "croot": (controlled_root, ("kappa", "direction", "control", "target")),
+    "not": (not_gate, ("line",)),
+}
+# Value types of a valid gate record: its gate name and integers.
+_RECORD_TYPES = {str, int}
+
+
+def _json_int(value: object, what: str) -> int:
+    # bool is a subclass of int, and true == 1 == 1.0: only an exact int passes.
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _record_gate(entry: object) -> Gate:
+    if not isinstance(entry, dict):
+        raise ParseError("malformed gate entry")
+    name = entry.get("gate")
+    if not isinstance(name, str) or name not in _RECORD_FIELDS:
+        raise ParseError(f"unknown gate {name!r}")
+    build, fields = _RECORD_FIELDS[name]
+    missing = [f for f in fields if f not in entry]
+    if missing:
+        raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(missing)}")
+    args = [_json_int(entry[f], f) for f in fields]
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
+def _record_gates(entries: list) -> list[Gate]:
+    """The gate of every record, each distinct record checked and built once.
+
+    Records are keyed by their contents only when every value in the list
+    is a string or an integer, so that records comparing equal are
+    identical: no true, 1.0 or "1" can stand in for a stored 1. Otherwise
+    each record is checked on its own.
+    """
+    try:
+        clean = set(map(type, chain.from_iterable(map(dict.values, entries)))) <= _RECORD_TYPES
+    except TypeError:  # an entry is not a JSON object
+        clean = False
+    built: dict = {}
+    gates: list[Gate] = []
+    for index, entry in enumerate(entries):
+        key = tuple(entry.items()) if clean else index
+        g = built.get(key)
+        if g is None:
+            try:
+                g = built[key] = _record_gate(entry)
+            except ParseError as exc:
+                raise ParseError(f"gate {index}: {exc}") from None
+        gates.append(g)
+    return gates
 
 
 def parse_json(text: str) -> Circuit:
@@ -209,38 +283,16 @@ def parse_json(text: str) -> Circuit:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT_HEADER:
         raise ParseError(f"expected a document with format {FORMAT_HEADER!r}")
-    try:
-        controls = int(doc["controls"])
-        width = int(doc["width"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or malformed width/controls") from None
+    if "controls" not in doc or "width" not in doc:
+        raise ParseError("missing width/controls")
+    controls = _json_int(doc["controls"], "controls")
+    width = _json_int(doc["width"], "width")
     if width != controls + 1:
         raise ParseError(f"width {width} does not match controls {controls} + 1")
-    gates: list[Gate] = []
-    try:
-        for entry in doc.get("gates", []):
-            name = entry.get("gate")
-            if name == "cnot":
-                gates.append(feynman(int(entry["control"]), int(entry["target"])))
-            elif name == "croot":
-                gates.append(
-                    controlled_root(
-                        int(entry["kappa"]),
-                        int(entry["direction"]),
-                        int(entry["control"]),
-                        int(entry["target"]),
-                    )
-                )
-            elif name == "not":
-                gates.append(not_gate(int(entry["line"])))
-            else:
-                raise ParseError(f"unknown gate {name!r}")
-    except (KeyError, TypeError, AttributeError):
-        raise ParseError("malformed gate entry") from None
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc)) from None
+    entries = doc.get("gates", [])
+    if not isinstance(entries, list):
+        raise ParseError("gates must be a list of gate records")
+    gates = _record_gates(entries)
     try:
         return Circuit(controls, tuple(gates), label=str(doc.get("label", "")))
     except ValueError as exc:

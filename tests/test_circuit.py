@@ -7,7 +7,9 @@ from rootsynth.circuit import (
     GateCensus,
     GateKind,
     controlled_root,
+    distinct_gates,
     feynman,
+    map_distinct,
     not_gate,
 )
 from rootsynth.synth import synth_barenco_toffoli, synth_peres, synth_toffoli
@@ -183,3 +185,40 @@ def test_label_excluded_from_equality():
     a = Circuit(2, (feynman(1, 2),), label="x")
     b = Circuit(2, (feynman(1, 2),), label="y")
     assert a == b
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\r\nb", "trailing\n", "a\u2028b"], ids=repr)
+def test_label_must_be_one_line(label):
+    with pytest.raises(ValueError, match="label must be a single line"):
+        Circuit(2, label=label)
+    with pytest.raises(ValueError, match="label must be a single line"):
+        dataclasses.replace(synth_peres(2), label=label)
+
+
+class TestDistinctGateObjects:
+    def test_a_repeated_object_is_checked(self):
+        bad = feynman(1, 4)
+        with pytest.raises(ValueError, match="line 4 out of range for width 3"):
+            Circuit(2, (feynman(1, 2),) * 100 + (bad,) * 100)
+
+    def test_the_first_bad_gate_in_order_is_reported(self):
+        first, second = not_gate(5), feynman(1, 4)
+        with pytest.raises(ValueError, match="line 5 out of range"):
+            Circuit(2, (feynman(1, 2), first, second, first))
+
+    def test_census_counts_shared_and_equal_copies(self):
+        root = controlled_root(2, -1, 1, 3)
+        c = Circuit(2, (root,) * 5 + (controlled_root(2, -1, 1, 3), not_gate(3), not_gate(3)))
+        assert c.census() == GateCensus(adjoint_count=6, not_count=2)
+
+    def test_adjoint_keeps_one_object_per_distinct_gate(self):
+        c = synth_toffoli(6)
+        adj = c.adjoint()
+        assert len(distinct_gates(adj.gates)) == len(distinct_gates(c.gates))
+        assert adj.gates == tuple(g.adjoint() for g in reversed(c.gates))
+
+    def test_map_distinct_calls_once_per_object(self):
+        a, b = feynman(1, 2), feynman(1, 2)
+        calls = []
+        assert map_distinct(lambda g: calls.append(g) or len(calls), [a, b, a, a, b]) == [1, 2, 1, 1, 2]
+        assert calls == [a, b] and calls[0] is a and calls[1] is b

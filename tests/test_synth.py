@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from rootsynth import synth
 from rootsynth.bits import index_to_bits
-from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
+from rootsynth.circuit import Circuit, GateKind, controlled_root, distinct_gates, feynman, not_gate
 from rootsynth.synth import (
+    MAX_N,
     ZeroActivationError,
     activation_from_polarity,
     all_ones,
@@ -367,3 +369,107 @@ def test_compose_keeps_left_label():
     c = synth_peres(3)
     relabeled = dataclasses.replace(c, label="x")
     assert relabeled.compose(Circuit(3)).label == "x"
+
+
+FAMILIES = ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
+
+
+def generate(family, n, activation):
+    if family == "peres":
+        return synth_peres(n, activation)
+    if family == "toffoli":
+        return synth_toffoli(n, activation)
+    if family == "barenco":
+        return synth_barenco_toffoli(n, activation)
+    return synth_zero_polarity(n, family)
+
+
+def reference_gates(family, n, activation):
+    """The generators written as one loop step per gate, as first specified.
+
+    Each direction comes from gate_direction on the gate's coefficient
+    vector; activation None stands for the zero-polarity families, whose
+    controlled gates are all plain roots.
+    """
+    kappa = 1 << (n - 1)
+
+    def target_gate(alpha, control):
+        if kappa == 1:
+            return feynman(control, n + 1)
+        direction = 1 if activation is None else gate_direction(alpha, activation)
+        return controlled_root(kappa, direction, control, n + 1)
+
+    gates = []
+    if family == "barenco":
+        prev = 0
+        for k in range(1, 1 << n):
+            g = k ^ (k >> 1)
+            if k > 1:
+                top, prev_top = g.bit_length(), prev.bit_length()
+                changed = prev_top if top > prev_top else (g ^ prev).bit_length()
+                gates.append(feynman(changed, top))
+            gates.append(target_gate(bit_reversal_alpha(g, n), g.bit_length()))
+            prev = g
+        return gates
+    for k in range(1, 1 << n):
+        b = k.bit_length()
+        j = k - (1 << (b - 1))
+        if j > 0:
+            lowest = 0
+            while not (j >> lowest) & 1:
+                lowest += 1
+            gates.append(feynman(lowest + 1, b))
+        gates.append(target_gate(bit_reversal_alpha(k, n), b))
+    if family == "toffoli":
+        gates += [feynman(i, i + 1) for i in range(n - 1, 0, -1)]
+    if family == "and-complemented":
+        gates.append(not_gate(n + 1))
+    return gates
+
+
+def reference_activations(family, n):
+    if family in ("or-gate", "and-complemented"):
+        return [None]
+    if n <= 4:
+        return nonzero_activations(n)
+    rng = random.Random(1000 + n)
+    return [all_ones(n)] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("family", FAMILIES)
+def test_generators_match_the_per_gate_reference(family, n):
+    if family == "barenco" and n == 1:
+        return
+    alphas = barenco_alpha_table(n) if family == "barenco" else alpha_table(n)
+    for act in reference_activations(family, n):
+        c = generate(family, n, act)
+        assert c.gates == tuple(reference_gates(family, n, act))
+        slots = c.target_gates()
+        assert len(slots) == len(alphas)
+        for g, alpha in zip(slots, alphas):
+            if g.kind is GateKind.ROOT:
+                assert g.direction == (1 if act is None else gate_direction(alpha, act))
+        assert len(distinct_gates(c.gates)) <= n * (n - 1) // 2 + 2 * n + 1
+
+
+class Built(Exception):
+    pass
+
+
+def refuse_to_build(n):
+    raise Built(n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+class TestMaxN:
+    def test_above_the_limit_is_rejected_before_any_gate_is_built(self, monkeypatch, family):
+        monkeypatch.setattr(synth, "_gate_table", refuse_to_build)
+        for n in (MAX_N + 1, 40, 1000):
+            with pytest.raises(ValueError, match=f"n = {n} is above the limit of {MAX_N} controls"):
+                generate(family, n, None)
+
+    def test_the_limit_itself_is_accepted(self, monkeypatch, family):
+        monkeypatch.setattr(synth, "_gate_table", refuse_to_build)
+        with pytest.raises(Built):
+            generate(family, MAX_N, None)
