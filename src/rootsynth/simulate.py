@@ -8,16 +8,25 @@ kappa-th root of NOT, so it suffices to track the net power mod 2*kappa.
 The root is the principal one (eigenvalues 1 and exp(i*pi/kappa)), whose
 kappa-th power is NOT exactly, so both executors agree with no residual
 phase.
+
+In a layered circuit every control line holds a GF(2) linear form of the
+control inputs (the mask of inputs it XORs), and every gate on the target
+line adds its power to the coefficient f[m] of the mask m it reads. The net
+power on control vector c is the sum of f[m] over the masks of odd parity
+on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
+being the Walsh-Hadamard transform. exponent_simulate compiles a circuit
+into that form once and answers each input by lookup.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import defaultdict
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index, index_to_bits, pack_lsb
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, Gate, GateKind, distinct_gates
 
 DENSE_WIDTH_LIMIT = 7
 
@@ -131,11 +140,129 @@ class NonClassical:
     kappa: int
 
 
-def _common_kappa(circuit: Circuit) -> int:
-    kappas = {g.kappa for g in circuit.gates if g.kind is GateKind.ROOT}
+def _common_kappa(gates: Iterable[Gate]) -> int:
+    kappas = {g.kappa for g in gates if g.kind is GateKind.ROOT}
     if len(kappas) > 1:
         raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
     return kappas.pop() if kappas else 1
+
+
+@dataclass(frozen=True)
+class _LinearForm:
+    """A layered circuit as GF(2) linear forms of its control inputs.
+
+    Control vectors are ints with line 1 as the most significant of n bits.
+    masks[i] is the set of inputs whose XOR line i+1 ends up holding.
+    coefficients maps each mask a target gate read to the root power it
+    adds when that parity is 1; table, when built, holds the net power
+    mod 2*kappa for every control vector.
+    """
+
+    masks: tuple[int, ...]
+    coefficients: dict[int, int]
+    table: np.ndarray | None
+    flips: int
+    kappa: int
+
+    def exponent(self, c: int) -> int:
+        if self.table is not None:
+            return int(self.table[c])
+        total = sum(f for m, f in self.coefficients.items() if (m & c).bit_count() & 1)
+        return total % (2 * self.kappa)
+
+
+def _root_power_table(coefficients: dict[int, int], n: int, kappa: int) -> np.ndarray:
+    """E(c) = sum of f[m] * <m, c> mod 2*kappa for all 2^n control vectors c.
+
+    With <m, c> = (1 - (-1)^|m & c|) / 2, E = (sum(f) - WHT(f)) / 2, where
+    WHT is the Walsh-Hadamard transform (one butterfly per input bit; Fino
+    and Algazi, IEEE Trans. Computers 1976). It runs in uint64, whose
+    wrap-around is arithmetic mod 2^64; the halving leaves E exact mod 2^63,
+    which 2*kappa divides for kappa <= 2^62.
+    """
+    modulus = 2 * kappa
+    f = np.zeros(1 << n, dtype=np.uint64)
+    f[list(coefficients)] = [v % modulus for v in coefficients.values()]
+    h = f
+    for bit in range(n):
+        pairs = h.reshape(-1, 2, 1 << bit)
+        h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+    return ((f.sum() - h.reshape(-1)) >> np.uint64(1)) & np.uint64(modulus - 1)
+
+
+# Above this root order the uint64 transform is no longer exact.
+_MAX_TABLE_KAPPA = 1 << 62
+
+
+def _step(g: Gate, n: int, kappa: int) -> tuple[int, int | None, int]:
+    """One gate as (source line, destination line or None, power added), 0-based.
+
+    A destination line takes the XOR of the source's mask; None adds the
+    power to the coefficient of the source's mask. Line n is a constant-0
+    line, so NOT gates add to the empty mask, which counts them.
+    """
+    w = n + 1
+    if g.kind is GateKind.FEYNMAN:
+        if g.control == w:
+            raise UnsupportedShapeError("Feynman gate reads the target line")
+        if g.target == w:
+            return g.control - 1, None, kappa
+        return g.control - 1, g.target - 1, 0
+    if g.kind is GateKind.ROOT:
+        if g.target != w or g.control == w:
+            raise UnsupportedShapeError("controlled root must drive the target line")
+        return g.control - 1, None, g.direction
+    if g.target != w:
+        raise UnsupportedShapeError("NOT gate off the target line")
+    return n, None, 1
+
+
+def _linear_form(circuit: Circuit) -> _LinearForm:
+    """Check the layered shape and walk the gates once into a _LinearForm.
+
+    The shape checks run once per distinct gate, in order of first use, so
+    the first offending gate raises as it would in a gate-by-gate walk. The
+    table is left for _form_of to add.
+    """
+    n = circuit.n_controls
+    distinct = distinct_gates(circuit.gates)
+    kappa = _common_kappa(distinct.values())
+    steps = {key: _step(g, n, kappa) for key, g in distinct.items()}
+    masks = [1 << (n - 1 - i) for i in range(n)] + [0]
+    coefficients: defaultdict[int, int] = defaultdict(int)
+    for source, dest, power in map(steps.__getitem__, map(id, circuit.gates)):
+        if dest is None:
+            coefficients[masks[source]] += power
+        else:
+            masks[dest] ^= masks[source]
+    flips = coefficients.pop(0, 0) & 1
+    return _LinearForm(tuple(masks[:n]), coefficients, None, flips, kappa)
+
+
+# The last circuit exponent_simulate saw and its linear form. Holding the
+# circuit keeps its id from being reused, so the `is` test cannot be fooled.
+_last_form: tuple[Circuit | None, _LinearForm | None] = (None, None)
+
+
+def _form_of(circuit: Circuit) -> _LinearForm:
+    """The linear form of `circuit`, kept for the next call.
+
+    A first call walks the gates. The next call on the same circuit object
+    adds the root-power table, when the table has no more entries than the
+    circuit has gates: it then costs less than the walk, and a wide circuit
+    with few gates never allocates 2^n entries.
+    """
+    global _last_form
+    last, form = _last_form
+    n = circuit.n_controls
+    if last is not circuit:
+        form = _linear_form(circuit)
+    elif form.table is None and 1 << n <= len(circuit.gates) and form.kappa <= _MAX_TABLE_KAPPA:
+        form = replace(form, table=_root_power_table(form.coefficients, n, form.kappa))
+    else:
+        return form
+    _last_form = (circuit, form)
+    return form
 
 
 def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
@@ -144,34 +271,24 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
     Layered means: Feynman gates combine control lines (or drive the target
     line, which is exact because NOT is the kappa-th power of the root), all
     controlled roots share one kappa and target the target line, and NOT
-    gates act on the target line only. Each active root adds its direction
-    to the exponent, accumulated mod 2*kappa. The input target bit does not
-    influence the result; see classical_output.
+    gates act on the target line only. Each control line then carries a
+    GF(2) linear form of the inputs, and each active root adds its
+    direction to the exponent, accumulated mod 2*kappa. The input target bit
+    does not influence the result; see classical_output.
+
+    The circuit is compiled into its linear form: the final mask of each
+    control line and, from a Walsh-Hadamard transform, the net root power
+    of every control vector. The form of the last circuit object passed in
+    is kept, so repeated calls on one circuit cost O(n) each after the
+    first two; a circuit with fewer than 2^n gates sums its coefficients
+    on each call instead. A call on another circuit walks its gates once,
+    as every call did before; circuits that alternate keep paying that walk.
     """
     bits = as_bits(input_bits, length=circuit.width)
-    w = circuit.target_line
-    kappa = _common_kappa(circuit)
-    modulus = 2 * kappa
-    controls = list(bits[: circuit.n_controls])
-    exponent = 0
-    flips = 0
-    for g in circuit.gates:
-        if g.kind is GateKind.FEYNMAN:
-            if g.control == w:
-                raise UnsupportedShapeError("Feynman gate reads the target line")
-            if g.target == w:
-                exponent = (exponent + kappa * controls[g.control - 1]) % modulus
-            else:
-                controls[g.target - 1] ^= controls[g.control - 1]
-        elif g.kind is GateKind.ROOT:
-            if g.target != w or g.control == w:
-                raise UnsupportedShapeError("controlled root must drive the target line")
-            exponent = (exponent + g.direction * controls[g.control - 1]) % modulus
-        else:
-            if g.target != w:
-                raise UnsupportedShapeError("NOT gate off the target line")
-            flips ^= 1
-    return SimState(tuple(controls), exponent, flips, kappa)
+    form = _form_of(circuit)
+    c = bits_to_index(bits[: circuit.n_controls])
+    controls = tuple((m & c).bit_count() & 1 for m in form.masks)
+    return SimState(controls, form.exponent(c), form.flips, form.kappa)
 
 
 def classical_output(sim: SimState, t: int) -> Bits | NonClassical:

@@ -8,7 +8,6 @@ form on the other.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,11 +24,6 @@ from .simulate import (
 )
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
-
-DEFAULT_SAMPLES = 1000
-DEFAULT_SEED = 611
-
-_DENSE_CHECK_WIDTH = 6
 
 
 @dataclass(frozen=True)
@@ -100,45 +94,39 @@ def check_equivalence(
     circuit: Circuit,
     spec: GateFamilySpec,
     *,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
     check_dense: bool = False,
 ) -> EquivalenceReport:
-    """Compare a layered circuit against the family oracle.
+    """Compare a layered circuit against the family oracle on every input.
 
-    Exhaustive over all 2^(n+1) basis inputs when n <= 5 or when that many
-    inputs fit the sample budget; otherwise a seeded sample of `samples`
-    inputs. A reported counterexample is the lexicographically smallest
-    failing input among those checked. With check_dense, widths up to 6 are
-    additionally required to produce the oracle's permutation matrix via
-    the dense executor.
+    All 2^(n+1) basis inputs are checked in index order, line 1 most
+    significant, each by one exponent_simulate call against spec_output.
+    exponent_simulate compiles the circuit into its linear form once, so an
+    input costs O(n). The first failing input is reported, which makes the
+    counterexample the lexicographically smallest one. With check_dense,
+    the dense executor must also produce the oracle's permutation matrix;
+    it raises WidthLimitError, before any input is checked, for widths
+    above DENSE_WIDTH_LIMIT.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     w = circuit.width
     space = 1 << w
-    if spec.n <= 5 or space <= samples:
-        indices = range(space)
-    else:
-        rng = random.Random(seed)
-        indices = sorted(rng.randrange(space) for _ in range(samples))
-    checked = 0
-    for x in indices:
+    unitary = dense_unitary(circuit) if check_dense else None
+    for x in range(space):
         bits = index_to_bits(x, w)
-        checked += 1
         sim = exponent_simulate(circuit, bits)
         actual = classical_output(sim, bits[-1])
         expected = spec_output(spec, bits)
         if isinstance(actual, NonClassical) or actual != expected:
-            return EquivalenceReport(False, checked, bits, expected, actual)
-    if check_dense and w <= _DENSE_CHECK_WIDTH:
-        perm = permutation_from_unitary(dense_unitary(circuit))
+            return EquivalenceReport(False, x + 1, bits, expected, actual)
+    if unitary is not None:
+        perm = permutation_from_unitary(unitary)
         for x in range(space):
             bits = index_to_bits(x, w)
             want = bits_to_index(spec_output(spec, bits))
             if perm is None or perm[x] != want:
-                return EquivalenceReport(False, checked, bits, spec_output(spec, bits), None)
-    return EquivalenceReport(True, checked)
+                return EquivalenceReport(False, space, bits, spec_output(spec, bits), None)
+    return EquivalenceReport(True, space)
 
 
 def activation_set(circuit: Circuit) -> set[Bits]:

@@ -74,6 +74,17 @@ def test_synth_writes_a_file_that_verifies(files, capsys):
     assert "pass (32 inputs checked)" in capsys.readouterr().out
 
 
+def test_verify_checks_every_input_at_n10(tmp_path, capsys):
+    path = tmp_path / "toffoli10.txt"
+    assert cli.main(["synth", "toffoli", "--n", "10", "--out", str(path)]) == 0
+    argv = ["verify", "--circuit", str(path), "--family", "toffoli", "--n", "10"]
+    assert cli.main(argv) == 0
+    assert "pass (2048 inputs checked)" in capsys.readouterr().out
+    # Built for 1111111111, checked as 1111111110: a sampled check passed it.
+    assert cli.main(argv + ["--activation", "1111111110"]) == 1
+    assert "counterexample: input 11111111100 expected 11111111101" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["peres", "toffoli", "barenco", "orgate", "andzero"])
 @pytest.mark.parametrize("n", [MAX_N + 1, 40])
 def test_n_above_the_limit_exits_2_before_building(monkeypatch, capsys, family, n):

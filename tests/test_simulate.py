@@ -1,11 +1,15 @@
+import random
+
 import numpy as np
 import pytest
 
-from rootsynth.bits import bits_to_index, index_to_bits
-from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
+from rootsynth import simulate
+from rootsynth.bits import as_bits, bits_to_index, index_to_bits
+from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import (
     NOT_MATRIX,
     NonClassical,
+    SimState,
     UnsupportedShapeError,
     WidthLimitError,
     classical_output,
@@ -276,3 +280,153 @@ class TestNetRootExponent:
             c = index_to_bits(cidx, n)
             sim = exponent_simulate(circuit, c + (0,))
             assert sim.exponent == net_root_exponent(a, c) % (2 * sim.kappa)
+
+
+def reference_exponent_simulate(circuit, input_bits):
+    """The gate-by-gate walk exponent_simulate replaced, kept as the reference."""
+    bits = as_bits(input_bits, length=circuit.width)
+    w = circuit.target_line
+    kappas = {g.kappa for g in circuit.gates if g.kind is GateKind.ROOT}
+    if len(kappas) > 1:
+        raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
+    kappa = kappas.pop() if kappas else 1
+    modulus = 2 * kappa
+    controls = list(bits[: circuit.n_controls])
+    exponent = 0
+    flips = 0
+    for g in circuit.gates:
+        if g.kind is GateKind.FEYNMAN:
+            if g.control == w:
+                raise UnsupportedShapeError("Feynman gate reads the target line")
+            if g.target == w:
+                exponent = (exponent + kappa * controls[g.control - 1]) % modulus
+            else:
+                controls[g.target - 1] ^= controls[g.control - 1]
+        elif g.kind is GateKind.ROOT:
+            if g.target != w or g.control == w:
+                raise UnsupportedShapeError("controlled root must drive the target line")
+            exponent = (exponent + g.direction * controls[g.control - 1]) % modulus
+        else:
+            if g.target != w:
+                raise UnsupportedShapeError("NOT gate off the target line")
+            flips ^= 1
+    return SimState(tuple(controls), exponent, flips, kappa)
+
+
+def outcome(simulator, circuit, bits):
+    try:
+        return simulator(circuit, bits)
+    except UnsupportedShapeError as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_reference(circuit, inputs):
+    for bits in inputs:
+        want = outcome(reference_exponent_simulate, circuit, bits)
+        assert outcome(exponent_simulate, circuit, bits) == want, (circuit, bits)
+
+
+def every_input(circuit):
+    return [index_to_bits(x, circuit.width) for x in range(1 << circuit.width)]
+
+
+FAMILY_BUILDERS = {
+    "peres": lambda n, a: synth_peres(n, a),
+    "toffoli": lambda n, a: synth_toffoli(n, a),
+    "barenco": lambda n, a: synth_barenco_toffoli(n, a),
+    "or-gate": lambda n, a: synth_zero_polarity(n, "or-gate"),
+    "and-complemented": lambda n, a: synth_zero_polarity(n, "and-complemented"),
+    "toffoli-to-peres": lambda n, a: converter_toffoli_to_peres(n),
+    "peres-to-toffoli": lambda n, a: converter_peres_to_toffoli(n),
+}
+
+
+def random_layered_circuit(rng, n, kappa, size):
+    """Gates of every layered kind: Feynman ladders, Feynman and roots on the target, NOT."""
+    w = n + 1
+    gates = []
+    for _ in range(size):
+        kind = rng.randrange(4)
+        line = rng.randrange(1, w)
+        if kind == 0 and n > 1:
+            gates.append(feynman(line, rng.choice([x for x in range(1, w) if x != line])))
+        elif kind == 1:
+            gates.append(feynman(line, w))
+        elif kind == 2:
+            gates.append(controlled_root(kappa, rng.choice((1, -1)), line, w))
+        else:
+            gates.append(not_gate(w))
+    return gates
+
+
+def break_shape(rng, n, kappa, gates):
+    """Insert one gate that leaves the layered shape."""
+    w = n + 1
+    line = rng.randrange(1, w)
+    other = line % n + 1
+    bad = rng.choice([
+        controlled_root(kappa * 2, 1, line, w),  # mixed root orders
+        feynman(w, line),  # Feynman gate reading the target
+        controlled_root(kappa, 1, w, line),  # root off the target line
+        not_gate(line),  # NOT off the target line
+    ] + ([controlled_root(kappa, -1, line, other)] if n > 1 else []))  # root between controls
+    gates.insert(rng.randrange(len(gates) + 1), bad)
+    return gates
+
+
+class TestLinearFormMatchesReference:
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9) if (f, n) != ("barenco", 1)],
+    )
+    def test_every_family_on_every_input(self, family, n):
+        rng = random.Random(31 * n + len(family))
+        activation = index_to_bits(rng.randrange(1, 1 << n), n)
+        circuit = FAMILY_BUILDERS[family](n, activation)
+        assert_matches_reference(circuit, every_input(circuit))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_circuits_including_rejected_shapes(self, seed):
+        rng = random.Random(seed)
+        for _ in range(10):
+            n = rng.randrange(1, 6)
+            kappa = 1 << rng.randrange(0, n + 1)
+            gates = random_layered_circuit(rng, n, kappa, rng.randrange(0, 4 << n))
+            if rng.random() < 0.4:
+                gates = break_shape(rng, n, kappa, gates)
+            circuit = Circuit(n, gates)
+            assert_matches_reference(circuit, every_input(circuit))
+
+    @pytest.mark.parametrize("kappa", [1 << 62, 1 << 63, 1 << 70])
+    def test_root_orders_beyond_machine_words(self, kappa):
+        rng = random.Random(kappa.bit_length())
+        circuit = Circuit(3, random_layered_circuit(rng, 3, kappa, 40))
+        assert_matches_reference(circuit, every_input(circuit))
+
+    def test_wide_circuit_with_few_gates_builds_no_table(self):
+        n = 40
+        circuit = Circuit(n, random_layered_circuit(random.Random(5), n, 1 << 39, 60))
+        rng = random.Random(6)
+        inputs = [tuple(rng.randrange(2) for _ in range(n + 1)) for _ in range(20)]
+        assert_matches_reference(circuit, inputs)
+        assert simulate._last_form[0] is circuit and simulate._last_form[1].table is None
+
+    def test_alternating_circuits(self):
+        a, b = synth_peres(4, (1, 0, 1, 1)), synth_toffoli(4, (0, 1, 1, 0))
+        for bits in every_input(a):
+            for circuit in (a, b):
+                assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits)
+
+    def test_truth_table_compiles_the_circuit_once(self, monkeypatch):
+        calls = []
+        original = simulate._linear_form
+
+        def counting(circuit):
+            calls.append(circuit)
+            return original(circuit)
+
+        monkeypatch.setattr(simulate, "_linear_form", counting)
+        circuit = synth_toffoli(6, (1, 0, 0, 1, 1, 0))
+        tt = truth_table(circuit)
+        assert calls == [circuit]
+        assert tt.permutation == oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0)))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from rootsynth.bits import index_to_bits
-from rootsynth.circuit import Circuit, controlled_root, feynman
-from rootsynth.simulate import NonClassical
+from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
+from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, WidthLimitError
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
@@ -133,11 +135,11 @@ class TestCheckEquivalence:
         )
         assert report.ok
 
-    def test_sampled_mode_is_deterministic(self):
+    def test_repeated_check_gives_the_same_report(self):
         c = synth_peres(6)
         spec = GateFamilySpec("toffoli", 6)
-        first = check_equivalence(c, spec, samples=64)
-        second = check_equivalence(c, spec, samples=64)
+        first = check_equivalence(c, spec)
+        second = check_equivalence(c, spec)
         assert not first.ok
         assert first == second
 
@@ -145,6 +147,34 @@ class TestCheckEquivalence:
         report = check_equivalence(synth_peres(6), GateFamilySpec("peres", 6))
         assert report.ok
         assert report.inputs_checked == 1 << 7
+
+    def test_wrong_activation_at_n10_is_caught(self):
+        # A sampled check of 1000 inputs passed this circuit.
+        activation = (1,) * 9 + (0,)
+        report = check_equivalence(synth_toffoli(10), GateFamilySpec("toffoli", 10, activation))
+        assert not report.ok
+        assert report.counterexample == activation + (0,)
+        assert report.inputs_checked == 2 * int("1111111110", 2) + 1
+
+    def test_every_input_is_checked_at_n10(self):
+        report = check_equivalence(synth_peres(10, (0, 1) * 5), GateFamilySpec("peres", 10, (0, 1) * 5))
+        assert report.ok
+        assert report.inputs_checked == 1 << 11
+
+    def test_dense_cross_check_runs_up_to_the_dense_limit(self):
+        n = DENSE_WIDTH_LIMIT - 1
+        activation = (1, 0) * (n // 2) + (1,) * (n % 2)
+        report = check_equivalence(
+            synth_toffoli(n, activation), GateFamilySpec("toffoli", n, activation), check_dense=True
+        )
+        assert report.ok
+        assert report.inputs_checked == 1 << DENSE_WIDTH_LIMIT
+
+    def test_dense_cross_check_beyond_the_dense_limit_raises(self):
+        n = DENSE_WIDTH_LIMIT
+        with pytest.raises(WidthLimitError):
+            check_equivalence(synth_peres(n), GateFamilySpec("peres", n), check_dense=True)
+        assert check_equivalence(synth_peres(n), GateFamilySpec("peres", n)).ok
 
 
 class TestActivationSet:
@@ -186,3 +216,38 @@ class TestPermutationHelpers:
         s = GateFamilySpec("peres", 2)
         perm = oracle_permutation(s)
         assert perm[6] == 5  # (1,1,0) -> (1,0,1)
+
+
+def single_gate_mutants(circuit):
+    """Drop a gate, flip a root's direction, or move a control to another control line."""
+    n, gates = circuit.n_controls, circuit.gates
+    for i, g in enumerate(gates):
+        replacements = [()]
+        if g.kind is GateKind.ROOT:
+            replacements.append((g.adjoint(),))
+        if g.control is not None:
+            replacements += [
+                (dataclasses.replace(g, control=line),)
+                for line in range(1, n + 1)
+                if line not in (g.control, g.target)
+            ]
+        for new in replacements:
+            yield Circuit(n, gates[:i] + new + gates[i + 1 :])
+
+
+MUTATED = [(n, a) for n in range(1, 5) for a in nonzero_activations(n)] + [
+    (5, (1, 0, 1, 1, 0)),
+    (6, (0, 1, 1, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("family, make", [("peres", synth_peres), ("toffoli", synth_toffoli)])
+@pytest.mark.parametrize("n, activation", MUTATED, ids=["".join(map(str, a)) for _, a in MUTATED])
+def test_every_single_gate_mutant_fails(family, make, n, activation):
+    spec = GateFamilySpec(family, n, activation)
+    circuit = make(n, activation)
+    assert check_equivalence(circuit, spec).ok
+    mutants = list(single_gate_mutants(circuit))
+    assert len(mutants) >= len(circuit)
+    survivors = [m for m in mutants if check_equivalence(m, spec).ok]
+    assert survivors == []
