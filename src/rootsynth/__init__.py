@@ -41,12 +41,8 @@ from .synth import (
     ZeroActivationError,
     activation_from_polarity,
     all_ones,
-    alpha_table,
-    barenco_alpha_table,
-    bit_reversal_alpha,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
-    gate_direction,
     iterative_polarity_flip,
     polarity_from_activation,
     synth_barenco_toffoli,

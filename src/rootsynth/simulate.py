@@ -217,12 +217,14 @@ def _step(g: Gate, n: int, kappa: int) -> tuple[int, int | None, int]:
     return n, None, 1
 
 
-def _linear_form(circuit: Circuit) -> _LinearForm:
-    """Check the layered shape and walk the gates once into a _LinearForm.
+def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int], int]:
+    """Check the layered shape and run each line's mask through the gates once.
 
-    The shape checks run once per distinct gate, in order of first use, so
-    the first offending gate raises as it would in a gate-by-gate walk. The
-    table is left for _form_of to add.
+    Returns the final mask of each control line, the coefficient of each
+    mask a target-line gate read, the mask each target-line gate reads in
+    circuit order (its driving function; 0 for a NOT gate), and kappa. The
+    shape checks run once per distinct gate, in order of first use, so the
+    first offending gate raises as it would in a gate-by-gate walk.
     """
     n = circuit.n_controls
     distinct = distinct_gates(circuit.gates)
@@ -230,13 +232,21 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     steps = {key: _step(g, n, kappa) for key, g in distinct.items()}
     masks = [1 << (n - 1 - i) for i in range(n)] + [0]
     coefficients: defaultdict[int, int] = defaultdict(int)
+    reads: list[int] = []
     for source, dest, power in map(steps.__getitem__, map(id, circuit.gates)):
         if dest is None:
+            reads.append(masks[source])
             coefficients[masks[source]] += power
         else:
             masks[dest] ^= masks[source]
+    return masks[:n], coefficients, reads, kappa
+
+
+def _linear_form(circuit: Circuit) -> _LinearForm:
+    """The circuit's _LinearForm, without the table, which _form_of adds."""
+    masks, coefficients, _, kappa = _walk(circuit)
     flips = coefficients.pop(0, 0) & 1
-    return _LinearForm(tuple(masks[:n]), coefficients, None, flips, kappa)
+    return _LinearForm(tuple(masks), coefficients, None, flips, kappa)
 
 
 # The last circuit exponent_simulate saw and its linear form. Holding the
@@ -341,11 +351,13 @@ def truth_table(circuit: Circuit) -> TruthTableResult:
 def net_root_exponent(activation: Sequence[int], controls: Sequence[int]) -> int:
     """Signed root count over all nonzero driving functions, by enumeration.
 
-    Sums gate_direction(alpha, activation) * <alpha, controls> mod 2 over
-    every nonzero coefficient vector alpha. For nonzero activation a this
-    equals 2^(n-1) when controls = a and 0 otherwise: the cascade of active
-    roots and adjoints cancels except on the activation vector, where it
-    amounts to the kappa-th power of the root, i.e. NOT.
+    Sums d(alpha) * <alpha, controls> mod 2 over every nonzero coefficient
+    vector alpha, where the direction d(alpha) is +1 when the driving
+    function alpha is 1 on the activation vector and -1 otherwise. For
+    nonzero activation a this equals 2^(n-1) when controls = a and 0
+    otherwise: the cascade of active roots and adjoints cancels except on
+    the activation vector, where it amounts to the kappa-th power of the
+    root, i.e. NOT.
     """
     act = as_bits(activation)
     ctl = as_bits(controls, length=len(act))

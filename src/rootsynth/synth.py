@@ -2,19 +2,26 @@
 
 All constructions share one scheme. A gate with n controls uses the
 kappa-th root of NOT with kappa = 2^(n-1) as its elementary controlled
-operation. Every nonzero coefficient vector alpha = (a1..an) names a driving
-function a1*c1 xor ... xor an*cn; the circuit prepares each driving function
-on a control line with Feynman gates and lets it condition one root (or
-adjoint root) on the target line. Choosing the root direction per alpha
-makes the net power of the root equal kappa exactly on one activation
-vector, i.e. the target is negated only there.
+operation. Every nonzero coefficient vector alpha = (alpha1..alphan) names
+a driving function alpha1*c1 xor ... xor alphan*cn; the circuit prepares
+each driving function on a control line with Feynman gates and lets it
+condition one root (or adjoint root) on the target line. A gate is the
+root when its driving function is 1 on the activation vector a, i.e. when
+alpha and a share an odd number of ones, and the adjoint root otherwise.
+This makes the net power of the root equal kappa exactly on a, so the
+target is negated only there.
 
-The main generator orders the driving functions by the bit-reversal coding
-of 1..2^n-1 (alpha_i = bit i-1 of k), which groups them into blocks sharing
-a highest control line and leaves prefix parities c1 xor ... xor ci on the
-control lines. The baseline generator orders them by a binary-reflected
-Gray code, which restores the control lines instead. Converter circuits of
-n-1 Feynman gates translate between the two output conventions.
+The main generator takes the driving functions in bit-reversal order: the
+k-th of them, k = 1..2^n-1, has alpha_i = bit i-1 of k. This groups them
+into blocks sharing a highest control line and leaves prefix parities
+c1 xor ... xor ci on the control lines. The baseline generator orders them
+by a binary-reflected Gray code, which restores the control lines instead.
+Converter circuits of n-1 Feynman gates translate between the two output
+conventions.
+
+The mask each target-line gate reads, which the exponent simulator derives
+from the Feynman gates before it, is that gate's alpha;
+iterative_polarity_flip reads the alphas from there.
 
 Activation vectors: a circuit "fires on a" when its target flips exactly
 for control input a. Direct synthesis requires a nonzero a; the all-zero
@@ -32,12 +39,12 @@ from dataclasses import replace
 from typing import Iterable, Literal, Sequence
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
-from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, not_gate
+from .circuit import Circuit, Gate, controlled_root, feynman, map_distinct, not_gate
+from .simulate import _walk
 
 MAX_N = 20
 """Most controls a generator accepts; an n-control circuit has about 2^(n+1) gates."""
 
-AlphaVector = Bits
 ActivationVector = Bits
 PolarityVector = Bits
 
@@ -46,41 +53,6 @@ ZeroPolarityMode = Literal["or-gate", "and-complemented"]
 
 class ZeroActivationError(ValueError):
     """Raised when direct synthesis is asked to fire on the all-zero vector."""
-
-
-def bit_reversal_alpha(k: int, n: int) -> AlphaVector:
-    """Coefficient vector of the k-th driving function, LSB-first.
-
-    alpha_i is bit i-1 of k, so k = 1, 2, 3 read as (1,0..), (0,1,0..),
-    (1,1,0..): the natural numbers in bit-reversal order over n positions.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 1 <= k <= (1 << n) - 1:
-        raise ValueError(f"k must be in 1..{(1 << n) - 1}, got {k}")
-    return tuple((k >> i) & 1 for i in range(n))
-
-
-def alpha_table(n: int) -> list[AlphaVector]:
-    """All 2^n - 1 coefficient vectors in bit-reversal order.
-
-    This is exactly the per-gate assignment of synth_peres: entry k-1 drives
-    the k-th controlled gate. Row i is 0 on the first half and 1 on the
-    second half of its block structure; in particular row n is 1 exactly for
-    k >= 2^(n-1).
-    """
-    return [bit_reversal_alpha(k, n) for k in range(1, 1 << n)]
-
-
-def gate_direction(alpha: Sequence[int], activation: Sequence[int]) -> int:
-    """+1 (root) when the driving function is 1 on the activation vector, else -1.
-
-    For the all-ones activation this is the parity rule: odd Hamming weight
-    of alpha gives the root, even weight its adjoint.
-    """
-    a = as_bits(alpha)
-    act = as_bits(activation, length=len(a))
-    return 1 if sum(x * y for x, y in zip(a, act)) % 2 == 1 else -1
 
 
 def all_ones(n: int) -> ActivationVector:
@@ -169,8 +141,9 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
 
     Control output i is the prefix parity c1 xor ... xor ci; the target
     output is t xor [c = activation]. The gates follow the bit-reversal
-    construction, with the k-th controlled gate driven by
-    bit_reversal_alpha(k, n) and directed by gate_direction. Quantum cost is
+    construction: the k-th controlled gate is driven by the function whose
+    alpha_i is bit i-1 of k, and it is the root when that function is 1 on
+    the activation vector, the adjoint root otherwise. Quantum cost is
     2^(n+1) - n - 2: 2^n - 1 controlled gates, n of them driven directly,
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
@@ -236,13 +209,6 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 
-def barenco_alpha_table(n: int) -> list[AlphaVector]:
-    """Per-gate coefficient vectors of synth_barenco_toffoli, in circuit order."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return [bit_reversal_alpha(k ^ (k >> 1), n) for k in range(1, 1 << n)]
-
-
 def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     """Peres structure with every controlled gate forced to the plain root.
 
@@ -261,32 +227,28 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     return Circuit(n, tuple(gates), label=f"{mode} n={n}")
 
 
-def iterative_polarity_flip(circuit: Circuit, alphas: Sequence[AlphaVector], i: int) -> Circuit:
-    """Complement control i of a synthesized circuit by swapping gate directions.
+def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
+    """Complement control i of a layered circuit by swapping gate directions.
 
-    `alphas` is the per-gate coefficient assignment of the generator that
-    produced `circuit` (alpha_table for synth_peres and synth_zero_polarity,
-    barenco_alpha_table for the baseline), aligned with the conditional
-    target-line gates in circuit order. Every root whose coefficient vector
-    has alpha_i = 1 is replaced by its adjoint and vice versa; the result
-    equals synthesizing with bit i of the activation vector complemented.
-    Flipping the same i twice restores the circuit.
+    Each gate on the target line is driven by the function its control line
+    holds when the gate runs, the XOR of the inputs c_j whose alpha_j is 1.
+    Every such gate whose driving function contains c_i (alpha_i = 1)
+    becomes its adjoint: a root turns into the adjoint root and back. Since
+    a gate is the root exactly when alpha and the activation vector share an
+    odd number of ones, complementing bit i of the activation vector swaps
+    the direction of exactly these gates, so the result equals synthesizing
+    with that bit complemented. Flipping the same i twice restores the
+    circuit. Raises UnsupportedShapeError when the circuit is not layered.
     """
     n = circuit.n_controls
     if not 1 <= i <= n:
         raise ValueError(f"control index {i} out of range 1..{n}")
-    slots = circuit.target_gates()
-    if len(alphas) != len(slots):
-        raise ValueError(
-            f"alpha assignment has {len(alphas)} entries "
-            f"for {len(slots)} conditional target gates"
-        )
-    table = [as_bits(a, length=n) for a in alphas]
-    flipped = iter(
-        g.adjoint() if a[i - 1] == 1 else g for g, a in zip(slots, table)
-    )
+    bit = 1 << (n - i)  # masks hold line 1 in their highest bit
+    # One read per target-line gate, consumed only for those gates.
+    reads = iter(_walk(circuit)[2])
+    w = circuit.target_line
     gates = tuple(
-        next(flipped) if g.target == circuit.target_line and g.kind is not GateKind.NOT else g
-        for g in circuit.gates
+        a if g.target == w and next(reads) & bit else g
+        for g, a in zip(circuit.gates, map_distinct(Gate.adjoint, circuit.gates))
     )
     return replace(circuit, gates=gates)

@@ -11,7 +11,9 @@ Text format, one directive or gate per line, `#` starts a comment:
     not 3
 
 Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
-<target>` and `not <line>`. A JSON mirror of the same schema is accepted on
+<target>` and `not <line>`; their numbers are an optional sign and ASCII
+digits. A `label` line holds the label verbatim after `label `, a `#` and
+outer spaces included. A JSON mirror of the same schema is accepted on
 input for files ending in .json; every number in it must be a JSON integer.
 
 A generated circuit repeats a few distinct gates many times, so each reader
@@ -21,11 +23,10 @@ every repeat.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
 
-from .bits import format_bits
 from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, map_distinct, not_gate
 
 FORMAT_HEADER = "circuit v1"
@@ -50,37 +51,23 @@ def _gate_line(g: Gate) -> str:
     return f"not {g.target}"
 
 
-def serialize(circuit: Circuit, alphas: Sequence[Sequence[int]] | None = None) -> str:
-    """Render a circuit document; deterministic, ends with a newline.
-
-    When `alphas` is given (the per-gate coefficient assignment, aligned with
-    the conditional target-line gates) each such gate line gets an
-    informational `# alpha <bits>` comment; comments are ignored on parse.
-    """
-    body = map_distinct(_gate_line, circuit.gates)
-    if alphas is not None:
-        slots = [
-            i for i, g in enumerate(circuit.gates)
-            if g.target == circuit.target_line and g.kind is not GateKind.NOT
-        ]
-        if len(alphas) != len(slots):
-            raise ValueError(
-                f"alpha assignment has {len(alphas)} entries for {len(slots)} target gates"
-            )
-        for i, alpha in zip(slots, alphas):
-            body[i] += f"  # alpha {format_bits(alpha)}"
+def serialize(circuit: Circuit) -> str:
+    """Render a circuit document; deterministic, ends with a newline."""
     lines = [FORMAT_HEADER, f"width {circuit.width}", f"controls {circuit.n_controls}"]
-    if circuit.label.strip():  # parse strips a label; a blank one has no line
+    if circuit.label.strip():  # a blank label's line would strip to a bare `label`
         lines.append(f"label {circuit.label}")
-    lines += body
+    lines += map_distinct(_gate_line, circuit.gates)
     return "\n".join(lines) + "\n"
 
 
+# An optional sign and ASCII digits: int() would also take '1_0' and '١'.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_field(word: str, what: str, line_no: int) -> int:
-    try:
-        return int(word)
-    except ValueError:
-        raise ParseError(f"{what} must be an integer, got {word!r}", line_no) from None
+    if _INTEGER.fullmatch(word) is None:
+        raise ParseError(f"{what} must be an integer, got {word!r}", line_no)
+    return int(word)
 
 
 def _parse_gate(fields: list[str], width: int, line_no: int) -> Gate:
@@ -136,7 +123,7 @@ def parse(text: str) -> Circuit:
         if stripped.startswith("label "):
             if not saw_header:
                 raise ParseError(f"expected {FORMAT_HEADER!r} before directives", line_no)
-            label = stripped[len("label "):].strip()
+            label = raw.lstrip()[len("label "):]
             continue
         if "#" in stripped:
             stripped = stripped[: stripped.index("#")].strip()

@@ -2,21 +2,29 @@ import dataclasses
 import random
 
 import pytest
+from alpha_tables import (
+    ACTIVATED,
+    FAMILIES,
+    alpha_table,
+    bit_reversal_alpha,
+    driving_alphas,
+    family_alphas,
+    gate_direction,
+    generate,
+    table_driven_flip,
+)
 
 from rootsynth import synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, distinct_gates, feynman, not_gate
+from rootsynth.simulate import UnsupportedShapeError
 from rootsynth.synth import (
     MAX_N,
     ZeroActivationError,
     activation_from_polarity,
     all_ones,
-    alpha_table,
-    barenco_alpha_table,
-    bit_reversal_alpha,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
-    gate_direction,
     iterative_polarity_flip,
     polarity_from_activation,
     synth_barenco_toffoli,
@@ -49,12 +57,14 @@ class TestBitReversalAlpha:
             bit_reversal_alpha(k, 2)
 
 
-class TestAlphaTable:
+class TestDrivingFunctions:
+    """The driving function of each target gate, derived from the circuit."""
+
     def test_two_controls(self):
-        assert alpha_table(2) == [(1, 0), (0, 1), (1, 1)]
+        assert driving_alphas(synth_peres(2)) == [(1, 0), (0, 1), (1, 1)]
 
     def test_three_controls(self):
-        assert alpha_table(3) == [
+        assert driving_alphas(synth_peres(3)) == [
             (1, 0, 0),
             (0, 1, 0),
             (1, 1, 0),
@@ -65,14 +75,14 @@ class TestAlphaTable:
         ]
 
     def test_last_row_marks_second_half(self):
-        table = alpha_table(4)
+        table = driving_alphas(synth_peres(4))
         for k, alpha in enumerate(table, start=1):
             assert alpha[3] == (1 if k >= 8 else 0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_blocks_repeat_earlier_patterns(self, n):
         # Entry k + 2^(b-1) restates entry k on the first b-1 coordinates.
-        table = alpha_table(n)
+        table = driving_alphas(synth_peres(n))
         for b in range(2, n + 1):
             half = 1 << (b - 1)
             for k in range(1, half):
@@ -265,9 +275,9 @@ class TestBarenco:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_alpha_sequence_is_a_gray_code(self, n):
-        table = barenco_alpha_table(n)
+        table = driving_alphas(synth_barenco_toffoli(n))
         assert len(table) == 2**n - 1
-        assert sorted(table) == sorted(alpha_table(n))
+        assert sorted(table) == sorted(driving_alphas(synth_peres(n)))
         assert sum(table[0]) == 1
         for prev, cur in zip(table, table[1:]):
             assert sum(p ^ c for p, c in zip(prev, cur)) == 1
@@ -320,43 +330,65 @@ class TestZeroPolarity:
 class TestIterativePolarityFlip:
     def test_flip_last_control(self):
         n = 3
-        flipped = iterative_polarity_flip(synth_peres(n), alpha_table(n), n)
+        flipped = iterative_polarity_flip(synth_peres(n), n)
         assert flipped == synth_peres(n, (1, 1, 0))
 
     def test_double_flip_restores(self):
         n = 4
-        table = alpha_table(n)
         c = synth_peres(n)
-        assert iterative_polarity_flip(iterative_polarity_flip(c, table, 2), table, 2) == c
+        assert iterative_polarity_flip(iterative_polarity_flip(c, 2), 2) == c
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_reaches_every_activation(self, n):
-        table = alpha_table(n)
         for a in nonzero_activations(n):
             c = synth_peres(n)
             for i in range(1, n + 1):
                 if a[i - 1] == 0:
-                    c = iterative_polarity_flip(c, table, i)
+                    c = iterative_polarity_flip(c, i)
             assert c == synth_peres(n, a)
 
     def test_applies_to_barenco(self):
         n = 3
-        flipped = iterative_polarity_flip(synth_barenco_toffoli(n), barenco_alpha_table(n), 1)
+        flipped = iterative_polarity_flip(synth_barenco_toffoli(n), 1)
         assert flipped == synth_barenco_toffoli(n, (0, 1, 1))
 
     def test_rejects_bad_index(self):
         with pytest.raises(ValueError):
-            iterative_polarity_flip(synth_peres(2), alpha_table(2), 3)
+            iterative_polarity_flip(synth_peres(2), 3)
 
-    def test_rejects_misaligned_table(self):
-        with pytest.raises(ValueError):
-            iterative_polarity_flip(synth_peres(3), alpha_table(2), 1)
+    def test_rejects_a_circuit_that_is_not_layered(self):
+        c = Circuit(2, (controlled_root(2, 1, 1, 3), feynman(3, 2)))
+        with pytest.raises(UnsupportedShapeError, match="Feynman gate reads the target line"):
+            iterative_polarity_flip(c, 1)
 
     def test_preserves_wiring(self):
         n = 4
-        flipped = iterative_polarity_flip(synth_peres(n), alpha_table(n), 3)
+        flipped = iterative_polarity_flip(synth_peres(n), 3)
         original = synth_peres(n)
         assert [g.lines for g in flipped.gates] == [g.lines for g in original.gates]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("family", ACTIVATED)
+    def test_equals_resynthesis_with_the_bit_complemented(self, family, n):
+        if family == "barenco" and n == 1:
+            return
+        for a in nonzero_activations(n):
+            c = generate(family, n, a)
+            for i in range(1, n + 1):
+                b = a[: i - 1] + (1 - a[i - 1],) + a[i:]
+                if any(b):
+                    assert iterative_polarity_flip(c, i) == generate(family, n, b)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_the_table_driven_flip(self, family, n):
+        if family == "barenco" and n == 1:
+            return
+        alphas = family_alphas(family, n)
+        for a in nonzero_activations(n) if family in ACTIVATED else [None]:
+            c = generate(family, n, a)
+            for i in range(1, n + 1):
+                assert iterative_polarity_flip(c, i) == table_driven_flip(c, alphas, i)
 
 
 def test_generated_labels_name_the_construction():
@@ -369,19 +401,6 @@ def test_compose_keeps_left_label():
     c = synth_peres(3)
     relabeled = dataclasses.replace(c, label="x")
     assert relabeled.compose(Circuit(3)).label == "x"
-
-
-FAMILIES = ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
-
-
-def generate(family, n, activation):
-    if family == "peres":
-        return synth_peres(n, activation)
-    if family == "toffoli":
-        return synth_toffoli(n, activation)
-    if family == "barenco":
-        return synth_barenco_toffoli(n, activation)
-    return synth_zero_polarity(n, family)
 
 
 def reference_gates(family, n, activation):
@@ -441,10 +460,11 @@ def reference_activations(family, n):
 def test_generators_match_the_per_gate_reference(family, n):
     if family == "barenco" and n == 1:
         return
-    alphas = barenco_alpha_table(n) if family == "barenco" else alpha_table(n)
+    alphas = family_alphas(family, n)
     for act in reference_activations(family, n):
         c = generate(family, n, act)
         assert c.gates == tuple(reference_gates(family, n, act))
+        assert driving_alphas(c) == alphas
         slots = c.target_gates()
         assert len(slots) == len(alphas)
         for g, alpha in zip(slots, alphas):

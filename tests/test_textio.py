@@ -6,8 +6,6 @@ import pytest
 
 from rootsynth.circuit import Circuit, controlled_root, distinct_gates, feynman, not_gate
 from rootsynth.synth import (
-    alpha_table,
-    barenco_alpha_table,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -28,31 +26,27 @@ def mixed_activation(n):
 
 
 def family_circuit(family, n):
-    """A generated circuit and the alpha assignment of its target gates."""
     act = mixed_activation(n)
     if family == "peres":
-        return synth_peres(n, act), alpha_table(n)
+        return synth_peres(n, act)
     if family == "toffoli":
-        return synth_toffoli(n, act), alpha_table(n)
+        return synth_toffoli(n, act)
     if family == "barenco":
-        return synth_barenco_toffoli(n, act), barenco_alpha_table(n)
-    return synth_zero_polarity(n, family), alpha_table(n)
+        return synth_barenco_toffoli(n, act)
+    return synth_zero_polarity(n, family)
 
 
 class TestRoundTrips:
     @pytest.mark.parametrize("family,n", FAMILY_CASES)
-    @pytest.mark.parametrize("with_alphas", [False, True], ids=["plain", "alpha-comments"])
-    def test_text(self, family, n, with_alphas):
-        c, alphas = family_circuit(family, n)
-        text = serialize(c, alphas if with_alphas else None)
-        assert text.count("# alpha") == (len(alphas) if with_alphas else 0)
-        back = parse(text)
+    def test_text(self, family, n):
+        c = family_circuit(family, n)
+        back = parse(serialize(c))
         assert back == c
         assert back.label == c.label
 
     @pytest.mark.parametrize("family,n", FAMILY_CASES)
     def test_json(self, family, n):
-        c, _ = family_circuit(family, n)
+        c = family_circuit(family, n)
         back = parse_json(serialize_json(c))
         assert back == c
         assert back.label == c.label
@@ -70,18 +64,18 @@ class TestRoundTrips:
         assert "label" not in text
         assert parse(text) == c
 
-    def test_label_keeps_hash_and_loses_outer_spaces(self):
+    def test_label_keeps_hash_and_outer_spaces(self):
         c = dataclasses.replace(synth_peres(2), label="  run #3  ")
-        assert parse(serialize(c)).label == "run #3"
+        assert parse(serialize(c)).label == "  run #3  "
         assert parse_json(serialize_json(c)).label == "  run #3  "
 
 
 class TestDistinctGates:
     @pytest.mark.parametrize("family,n", [(f, 6) for f in ("peres", "toffoli", "barenco", "and-complemented")])
     def test_readers_build_each_distinct_gate_once(self, family, n):
-        c, alphas = family_circuit(family, n)
+        c = family_circuit(family, n)
         bound = n * (n - 1) // 2 + 2 * n + 1
-        for back in (parse(serialize(c)), parse(serialize(c, alphas)), parse_json(serialize_json(c))):
+        for back in (parse(serialize(c)), parse_json(serialize_json(c))):
             assert len(distinct_gates(back.gates)) == len(set(back.gates)) <= bound
 
     def test_json_is_one_line_of_the_whole_document(self):
@@ -117,6 +111,10 @@ BAD_GATE_LINES = [
     ("not 0", "target line 0 must be >= 1"),
     ("not 5", "line 5 out of range for width 4"),
     ("toffoli 1 2 3", "unknown directive 'toffoli'"),
+    ("cnot \u0661 2", "control must be an integer, got '\u0661'"),
+    ("cnot 1 \uff12", "target must be an integer, got '\uff12'"),
+    ("croot 0_4 +1 1 4", "kappa must be an integer, got '0_4'"),
+    ("not 1_0", "line must be an integer, got '1_0'"),
 ]
 
 
@@ -164,6 +162,13 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse("\n".join(lines))
         assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    @pytest.mark.parametrize("directive", ["width", "controls"])
+    def test_directive_integers_are_ascii_digits(self, directive, value):
+        with pytest.raises(ParseError) as info:
+            parse(f"circuit v1\n{directive} {value}\n")
+        assert str(info.value) == f"line 2: {directive} must be an integer, got {value!r}"
 
     @pytest.mark.parametrize(
         "text,message",
