@@ -31,8 +31,6 @@ from .simulate import (
     classical_output,
     dense_unitary,
     exponent_simulate,
-    net_all_root_exponent,
-    net_root_exponent,
     permutation_from_unitary,
     root_of_not,
     truth_table,

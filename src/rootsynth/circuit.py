@@ -11,7 +11,8 @@ gate kinds are supported, each with quantum cost 1:
 
 Circuits are immutable values; every operation returns a new circuit. Two
 circuits are equal when they have the same width and gate sequence (the
-free-text label is presentation metadata and excluded from comparison).
+free-text label is presentation metadata and excluded from comparison; a
+label of only whitespace is stored as the empty label).
 
 A circuit of 2^(n+1) gates holds only O(n^2) distinct ones. The generators
 and parsers reuse one Gate object per distinct gate, so validation, adjoint
@@ -138,6 +139,9 @@ class Circuit:
             raise ValueError(f"need at least one control line, got {self.n_controls}")
         if self.label and self.label.splitlines() != [self.label]:
             raise ValueError(f"label must be a single line, got {self.label!r}")
+        if not self.label.strip():
+            # One rule for both file formats: text has no line for a blank label.
+            object.__setattr__(self, "label", "")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in distinct_gates(self.gates).values():
             self._check_gate(g)
@@ -193,14 +197,3 @@ class Circuit:
             else:
                 adjs += 1
         return GateCensus(feyn, roots, adjs, nots)
-
-    def target_gates(self) -> tuple[Gate, ...]:
-        """Conditional gates driving the target line, in circuit order.
-
-        These are the controlled-root slots of the generated circuits; for a
-        single control the kappa = 1 root degenerates to a plain Feynman gate
-        and still counts as one slot. Unconditional NOT gates are excluded.
-        """
-        return tuple(
-            g for g in self.gates if g.target == self.target_line and g.kind is not GateKind.NOT
-        )

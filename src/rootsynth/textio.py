@@ -54,7 +54,7 @@ def _gate_line(g: Gate) -> str:
 def serialize(circuit: Circuit) -> str:
     """Render a circuit document; deterministic, ends with a newline."""
     lines = [FORMAT_HEADER, f"width {circuit.width}", f"controls {circuit.n_controls}"]
-    if circuit.label.strip():  # a blank label's line would strip to a bare `label`
+    if circuit.label:
         lines.append(f"label {circuit.label}")
     lines += map_distinct(_gate_line, circuit.gates)
     return "\n".join(lines) + "\n"

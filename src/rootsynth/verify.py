@@ -103,7 +103,8 @@ def check_equivalence(
     exponent_simulate compiles the circuit into its linear form once, so an
     input costs O(n). The first failing input is reported, which makes the
     counterexample the lexicographically smallest one. With check_dense,
-    the dense executor must also produce the oracle's permutation matrix;
+    the dense executor must also produce the oracle's permutation matrix,
+    whose columns are compared with the oracle outputs in one array compare;
     it raises WidthLimitError, before any input is checked, for widths
     above DENSE_WIDTH_LIMIT.
     """
@@ -112,6 +113,7 @@ def check_equivalence(
     w = circuit.width
     space = 1 << w
     unitary = dense_unitary(circuit) if check_dense else None
+    wanted = np.empty(space, dtype=np.int64) if check_dense else None
     for x in range(space):
         bits = index_to_bits(x, w)
         sim = exponent_simulate(circuit, bits)
@@ -119,13 +121,14 @@ def check_equivalence(
         expected = spec_output(spec, bits)
         if isinstance(actual, NonClassical) or actual != expected:
             return EquivalenceReport(False, x + 1, bits, expected, actual)
-    if unitary is not None:
+        if check_dense:
+            wanted[x] = bits_to_index(expected)
+    if check_dense:
         perm = permutation_from_unitary(unitary)
-        for x in range(space):
-            bits = index_to_bits(x, w)
-            want = bits_to_index(spec_output(spec, bits))
-            if perm is None or perm[x] != want:
-                return EquivalenceReport(False, space, bits, spec_output(spec, bits), None)
+        failing = [0] if perm is None else np.flatnonzero(np.array(perm) != wanted)
+        if len(failing):
+            x = int(failing[0])
+            return EquivalenceReport(False, space, index_to_bits(x, w), index_to_bits(int(wanted[x]), w), None)
     return EquivalenceReport(True, space)
 
 

@@ -60,6 +60,18 @@ def gate_direction(alpha, activation):
     return 1 if sum(x * y for x, y in zip(a, act)) % 2 == 1 else -1
 
 
+def target_gates(circuit):
+    """Conditional gates driving the target line, in circuit order.
+
+    These are the controlled-root slots of the generated circuits; for a
+    single control the kappa = 1 root degenerates to a plain Feynman gate
+    and still counts as one slot. Unconditional NOT gates are excluded.
+    """
+    return tuple(
+        g for g in circuit.gates if g.target == circuit.target_line and g.kind is not GateKind.NOT
+    )
+
+
 def driving_alphas(circuit):
     """The derived driving function of each target gate, as an LSB-first alpha.
 
@@ -73,7 +85,7 @@ def driving_alphas(circuit):
 def table_driven_flip(circuit, alphas, i):
     """The flip as it took the alpha table: adjoint every slot whose alpha has alpha_i = 1."""
     n = circuit.n_controls
-    slots = circuit.target_gates()
+    slots = target_gates(circuit)
     if len(alphas) != len(slots):
         raise ValueError(f"alpha assignment has {len(alphas)} entries for {len(slots)} target gates")
     flipped = iter(g.adjoint() if as_bits(a, length=n)[i - 1] == 1 else g for g, a in zip(slots, alphas))

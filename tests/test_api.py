@@ -43,8 +43,6 @@ PUBLIC_NAMES = [
     "index_to_bits",
     "iterative_polarity_flip",
     "load_circuit",
-    "net_all_root_exponent",
-    "net_root_exponent",
     "not_gate",
     "oracle_permutation",
     "parse",
@@ -78,5 +76,5 @@ def test_public_names():
          "import json, rootsynth; print(json.dumps(sorted(k for k in vars(rootsynth) if not k.startswith('_'))))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
     ).stdout
-    assert len(PUBLIC_NAMES) == 57
+    assert len(PUBLIC_NAMES) == 55
     assert json.loads(names) == PUBLIC_NAMES

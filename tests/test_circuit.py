@@ -1,6 +1,7 @@
 import dataclasses
 
 import pytest
+from alpha_tables import target_gates
 
 from rootsynth.circuit import (
     Circuit,
@@ -164,13 +165,13 @@ class TestCensus:
 
     def test_target_gates_are_the_controlled_slots(self):
         c = synth_peres(3)
-        slots = c.target_gates()
+        slots = target_gates(c)
         assert len(slots) == 7
         assert all(g.kind is GateKind.ROOT for g in slots)
 
     def test_target_gates_degenerate_single_control(self):
         # At n = 1 the kappa = 1 root is a plain Feynman but still one slot.
-        slots = synth_peres(1).target_gates()
+        slots = target_gates(synth_peres(1))
         assert len(slots) == 1
         assert slots[0].kind is GateKind.FEYNMAN
 

@@ -15,8 +15,6 @@ from rootsynth.simulate import (
     classical_output,
     dense_unitary,
     exponent_simulate,
-    net_all_root_exponent,
-    net_root_exponent,
     permutation_from_unitary,
     root_of_not,
     truth_table,
@@ -96,10 +94,10 @@ class TestDenseUnitary:
 
     def test_width_limit(self):
         with pytest.raises(WidthLimitError):
-            dense_unitary(Circuit(7))
+            dense_unitary(Circuit(9))
 
     def test_width_limit_override(self):
-        assert dense_unitary(Circuit(7), max_width=8).shape == (256, 256)
+        assert dense_unitary(Circuit(9), max_width=10).shape == (1024, 1024)
 
 
 class TestPermutationFromUnitary:
@@ -112,6 +110,9 @@ class TestPermutationFromUnitary:
 
     def test_rejects_phase(self):
         assert permutation_from_unitary(-np.eye(2)) is None
+
+    def test_rejects_two_columns_on_one_row(self):
+        assert permutation_from_unitary(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
 
 
 class TestExponentSimulate:
@@ -250,6 +251,33 @@ class TestDenseAgreesWithExponent:
         for c in (synth_peres(n), synth_toffoli(n), synth_barenco_toffoli(n)):
             tt = truth_table(c.compose(c.adjoint()))
             assert tt.permutation == tuple(range(1 << (n + 1)))
+
+
+def net_root_exponent(activation, controls):
+    """Signed root count over all nonzero driving functions, by enumeration.
+
+    Sums d(alpha) * <alpha, controls> mod 2 over every nonzero coefficient
+    vector alpha, where the direction d(alpha) is +1 when the driving
+    function alpha is 1 on the activation vector and -1 otherwise. For
+    nonzero activation a this equals 2^(n-1) when controls = a and 0
+    otherwise: the cascade of active roots and adjoints cancels except on
+    the activation vector, where it amounts to the kappa-th power of the
+    root, i.e. NOT.
+    """
+    act = as_bits(activation)
+    a_int, c_int = bits_to_index(act), bits_to_index(as_bits(controls, length=len(act)))
+    total = 0
+    for alpha in range(1, 1 << len(act)):
+        direction = 1 if (alpha & a_int).bit_count() & 1 else -1
+        total += direction * ((alpha & c_int).bit_count() & 1)
+    return total
+
+
+def net_all_root_exponent(controls):
+    """Same sum with every direction +1: 2^(n-1) on any nonzero input, else 0."""
+    ctl = as_bits(controls)
+    c_int = bits_to_index(ctl)
+    return sum((alpha & c_int).bit_count() & 1 for alpha in range(1, 1 << len(ctl)))
 
 
 class TestNetRootExponent:
@@ -430,3 +458,117 @@ class TestLinearFormMatchesReference:
         tt = truth_table(circuit)
         assert calls == [circuit]
         assert tt.permutation == oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0)))
+
+
+def reference_gate_unitary(g, width):
+    """The full 2^width matrix of one gate, built entry by entry."""
+    dim = 1 << width
+    u = np.zeros((dim, dim), dtype=complex)
+    tmask = 1 << (width - g.target)
+    if g.kind is GateKind.NOT:
+        for x in range(dim):
+            u[x ^ tmask, x] = 1.0
+        return u
+    cmask = 1 << (width - g.control)
+    if g.kind is GateKind.FEYNMAN:
+        for x in range(dim):
+            u[x ^ tmask if x & cmask else x, x] = 1.0
+        return u
+    v = root_of_not(g.kappa)
+    if g.direction == -1:
+        v = v.conj().T
+    for x in range(dim):
+        if not x & cmask:
+            u[x, x] = 1.0
+        else:
+            bt = 1 if x & tmask else 0
+            u[x & ~tmask, x] = v[0, bt]
+            u[x | tmask, x] = v[1, bt]
+    return u
+
+
+def reference_dense_unitary(circuit):
+    """The per-gate matrix product dense_unitary replaced, kept as the reference."""
+    u = np.eye(1 << circuit.width, dtype=complex)
+    for g in circuit.gates:
+        u = reference_gate_unitary(g, circuit.width) @ u
+    return u
+
+
+def random_general_circuit(rng, n, size):
+    """Gates of every kind on any lines, with each shape the layered executor rejects.
+
+    Besides `size` random gates it holds a NOT on a control line, a root
+    that targets a control line, a Feynman gate that reads the target line
+    and roots of two orders.
+    """
+    w = n + 1
+
+    def root(control, target):
+        return controlled_root(1 << rng.randrange(0, 5), rng.choice((1, -1)), control, target)
+
+    gates = []
+    for _ in range(size):
+        kind = rng.randrange(3)
+        if kind == 0:
+            gates.append(feynman(*rng.sample(range(1, w + 1), 2)))
+        elif kind == 1:
+            gates.append(root(*rng.sample(range(1, w + 1), 2)))
+        else:
+            gates.append(not_gate(rng.randrange(1, w + 1)))
+    line = rng.randrange(1, w)
+    for g in (not_gate(line), root(w, line), feynman(w, line),
+              controlled_root(2, 1, line, w), controlled_root(4, -1, line, w)):
+        gates.insert(rng.randrange(len(gates) + 1), g)
+    return Circuit(n, gates)
+
+
+def classical_permutation_matrix(circuit):
+    """The 0/1 matrix of a circuit of Feynman and NOT gates, by running each basis input."""
+    w = circuit.width
+    m = np.zeros((1 << w, 1 << w))
+    for x in range(1 << w):
+        bits = list(index_to_bits(x, w))
+        for g in circuit.gates:
+            bits[g.target - 1] ^= 1 if g.kind is GateKind.NOT else bits[g.control - 1]
+        m[bits_to_index(bits), x] = 1.0
+    return m
+
+
+def assert_matches_dense_reference(circuit):
+    assert np.max(np.abs(dense_unitary(circuit) - reference_dense_unitary(circuit))) < 1e-12
+
+
+class TestDenseMatchesReference:
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 5) if (f, n) != ("barenco", 1)],
+    )
+    def test_every_family_and_activation(self, family, n):
+        activations = [index_to_bits(a, n) for a in range(1, 1 << n)]
+        if family not in ("peres", "toffoli", "barenco"):
+            activations = activations[:1]
+        for a in activations:
+            assert_matches_dense_reference(FAMILY_BUILDERS[family](n, a))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_circuits_off_the_layered_shape(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 6):
+            circuit = random_general_circuit(rng, n, rng.randrange(0, 6 * n))
+            with pytest.raises(UnsupportedShapeError):
+                exponent_simulate(circuit, (0,) * circuit.width)
+            assert_matches_dense_reference(circuit)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_feynman_and_not_circuits_give_an_exact_permutation_matrix(self, seed):
+        rng = random.Random(seed)
+        for n in range(1, 6):
+            w = n + 1
+            gates = [
+                not_gate(rng.randrange(1, w + 1)) if rng.random() < 0.3
+                else feynman(*rng.sample(range(1, w + 1), 2))
+                for _ in range(rng.randrange(0, 8 * w))
+            ]
+            circuit = Circuit(n, gates)
+            assert np.array_equal(dense_unitary(circuit), classical_permutation_matrix(circuit))

@@ -64,6 +64,10 @@ class TestRoundTrips:
         assert "label" not in text
         assert parse(text) == c
 
+    def test_blank_label_round_trips_as_empty_in_json(self):
+        c = dataclasses.replace(synth_peres(2), label="   ")
+        assert parse_json(serialize_json(c)).label == ""
+
     def test_label_keeps_hash_and_outer_spaces(self):
         c = dataclasses.replace(synth_peres(2), label="  run #3  ")
         assert parse(serialize(c)).label == "  run #3  "

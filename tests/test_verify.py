@@ -1,11 +1,19 @@
 import dataclasses
+import random
 
 import numpy as np
 import pytest
 
+from rootsynth import verify
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, WidthLimitError
+from rootsynth.simulate import (
+    DENSE_WIDTH_LIMIT,
+    NonClassical,
+    WidthLimitError,
+    dense_unitary,
+    permutation_from_unitary,
+)
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
@@ -14,6 +22,7 @@ from rootsynth.synth import (
     synth_zero_polarity,
 )
 from rootsynth.verify import (
+    EquivalenceReport,
     GateFamilySpec,
     activation_set,
     check_equivalence,
@@ -161,6 +170,27 @@ class TestCheckEquivalence:
         assert report.ok
         assert report.inputs_checked == 1 << 11
 
+    @pytest.mark.parametrize(
+        "unitary, counterexample, expected",
+        [
+            ("superposition", (0, 0, 0, 0), (0, 0, 0, 0)),
+            ("swapped", (0, 1, 0, 1), (0, 1, 1, 1)),
+            ("phase", (0, 0, 0, 0), (0, 0, 0, 0)),
+        ],
+    )
+    def test_dense_disagreement_reports_the_smallest_input(self, monkeypatch, unitary, counterexample, expected):
+        spec = GateFamilySpec("peres", 3, (0, 1, 1))
+        perm = list(oracle_permutation(spec))
+        perm[5], perm[11] = perm[11], perm[5]
+        fake = {
+            "superposition": np.full((16, 16), 0.25),
+            "swapped": permutation_matrix(perm),
+            "phase": -permutation_matrix(oracle_permutation(spec)),
+        }[unitary]
+        monkeypatch.setattr(verify, "dense_unitary", lambda circuit: fake)
+        report = check_equivalence(synth_peres(3, (0, 1, 1)), spec, check_dense=True)
+        assert report == EquivalenceReport(False, 16, counterexample, expected, None)
+
     def test_dense_cross_check_runs_up_to_the_dense_limit(self):
         n = DENSE_WIDTH_LIMIT - 1
         activation = (1, 0) * (n // 2) + (1,) * (n % 2)
@@ -251,3 +281,15 @@ def test_every_single_gate_mutant_fails(family, make, n, activation):
     assert len(mutants) >= len(circuit)
     survivors = [m for m in mutants if check_equivalence(m, spec).ok]
     assert survivors == []
+
+
+@pytest.mark.parametrize("family, make", [("peres", synth_peres), ("toffoli", synth_toffoli)])
+@pytest.mark.parametrize("n, count", [(7, 12), (8, 3)])
+def test_dense_route_rejects_sampled_mutants(family, make, n, count):
+    rng = random.Random(f"{family}{n}")
+    activation = index_to_bits(rng.randrange(1, 1 << n), n)
+    circuit = make(n, activation)
+    want = oracle_permutation(GateFamilySpec(family, n, activation))
+    assert permutation_from_unitary(dense_unitary(circuit)) == want
+    for mutant in rng.sample(list(single_gate_mutants(circuit)), count):
+        assert permutation_from_unitary(dense_unitary(mutant)) != want
