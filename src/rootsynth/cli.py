@@ -17,7 +17,7 @@ from .synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
-from .textio import load_circuit, render_ascii, serialize
+from .textio import load_circuit, render_ascii, serialize, serialize_json
 from .verify import GateFamilySpec, check_equivalence
 
 _SYNTH_FAMILIES = ("peres", "toffoli", "barenco", "orgate", "andzero")
@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}"
     )
     p.add_argument("--activation", help="activation bitstring a1..an (default all ones)")
-    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--out", help="output path, JSON if it ends in .json (default: text to stdout)")
 
     p = sub.add_parser("verify", help="check a circuit file against a family oracle")
     p.add_argument("--circuit", required=True)
@@ -76,11 +76,13 @@ def _synthesize(args: argparse.Namespace):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    text = serialize(_synthesize(args))
+    circuit = _synthesize(args)
     if args.out:
-        Path(args.out).write_text(text)
+        # The writer follows the suffix, as load_circuit's reader does.
+        out = Path(args.out)
+        out.write_text(serialize_json(circuit) if out.suffix == ".json" else serialize(circuit))
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(serialize(circuit))
     return 0
 
 

@@ -76,6 +76,12 @@ def _gate_halves(g: Gate, width: int) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
+def check_dense_width(width: int, max_width: int = DENSE_WIDTH_LIMIT) -> None:
+    """Raise WidthLimitError if dense_unitary would refuse this width."""
+    if width > max_width:
+        raise WidthLimitError(f"width {width} exceeds the dense limit of {max_width} lines")
+
+
 def dense_unitary(circuit: Circuit, max_width: int = DENSE_WIDTH_LIMIT) -> np.ndarray:
     """Product of the gate unitaries in circuit order.
 
@@ -91,8 +97,7 @@ def dense_unitary(circuit: Circuit, max_width: int = DENSE_WIDTH_LIMIT) -> np.nd
     line is accepted; the circuit need not be layered.
     """
     width = circuit.width
-    if width > max_width:
-        raise WidthLimitError(f"width {width} exceeds the dense limit of {max_width} lines")
+    check_dense_width(width, max_width)
     dim = 1 << width
     u = np.eye(dim, dtype=complex)
     tensor = u.reshape((2,) * width + (dim,))

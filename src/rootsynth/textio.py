@@ -13,8 +13,23 @@ Text format, one directive or gate per line, `#` starts a comment:
 Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
 <target>` and `not <line>`; their numbers are an optional sign and ASCII
 digits. A `label` line holds the label verbatim after `label `, a `#` and
-outer spaces included. A JSON mirror of the same schema is accepted on
-input for files ending in .json; every number in it must be a JSON integer.
+outer spaces included.
+
+Files ending in .json hold the same schema as one JSON object, and every
+number in it must be a JSON integer. The writer emits format "circuit v2":
+"gates" is a table holding each distinct gate record once, in order of
+first use, and "sequence" lists one index into that table per gate, in
+circuit order:
+
+    {"format": "circuit v2", "width": 3, "controls": 2, "label": "",
+     "gates": [{"gate": "cnot", "control": 1, "target": 2},
+               {"gate": "not", "line": 3}],
+     "sequence": [0, 1, 0]}
+
+A generated circuit of about 2^(n+1) gates holds only O(n^2) distinct
+ones, so the table keeps the document small and its reader decodes one
+integer, not one record, per gate. Format "circuit v1", with one record
+per gate in "gates" and no "sequence", is still read.
 
 A generated circuit repeats a few distinct gates many times, so each reader
 and writer formats or checks each distinct gate once and looks it up for
@@ -30,6 +45,8 @@ from pathlib import Path
 from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, map_distinct, not_gate
 
 FORMAT_HEADER = "circuit v1"
+# The format serialize_json writes; parse_json also reads FORMAT_HEADER.
+JSON_FORMAT = "circuit v2"
 
 
 class ParseError(ValueError):
@@ -188,18 +205,24 @@ def _gate_record(g: Gate) -> dict[str, int | str]:
 
 
 def serialize_json(circuit: Circuit) -> str:
-    """JSON mirror of the text schema, on one line."""
+    """The circuit as a format circuit v2 JSON document, on one line.
+
+    Equal gates share one record: each distinct gate object is keyed by
+    value once, so the per-gate work is one lookup by id.
+    """
+    slots: dict[Gate, str] = {}
+    sequence = map_distinct(lambda g: slots.setdefault(g, str(len(slots))), circuit.gates)
     doc = json.dumps({
-        "format": FORMAT_HEADER,
+        "format": JSON_FORMAT,
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": [],
+        "gates": [_gate_record(g) for g in slots],
+        "sequence": [],
     })
-    # Encode each distinct gate record once and splice the list into the
-    # trailing '[]}': the same text json.dumps writes for the whole document.
-    records = map_distinct(lambda g: json.dumps(_gate_record(g)), circuit.gates)
-    return doc[:-2] + ", ".join(records) + "]}\n"
+    # json.dumps writes a list of ints as their decimal forms joined by ", ":
+    # splice the joined index strings into the trailing '[]}'.
+    return doc[:-2] + ", ".join(sequence) + "]}\n"
 
 
 # Each gate name with its gate function and record fields, in argument order.
@@ -262,26 +285,63 @@ def _record_gates(entries: list) -> list[Gate]:
     return gates
 
 
+def _sequence_gates(doc: dict, table: list[Gate], width: int) -> list[Gate]:
+    """The table's gate at each index of a v2 document's "sequence".
+
+    Every record must fit the width, whether the sequence uses it or not.
+    """
+    for index, g in enumerate(table):
+        if max(g.lines) > width:
+            raise ParseError(f"gate {index}: line {max(g.lines)} out of range for width {width}")
+    if "sequence" not in doc:
+        raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
+    sequence = doc["sequence"]
+    if not isinstance(sequence, list):
+        raise ParseError("sequence must be a list of gate indices")
+    # true and 1.0 index a list like 1, and -1 counts from its end: only
+    # exact ints from 0 to len(table) - 1 pass.
+    size = len(table)
+    exact = set(map(type, sequence)) <= {int}
+    if not exact or sequence and not 0 <= min(sequence) <= max(sequence) < size:
+        for position, value in enumerate(sequence):
+            try:
+                if not 0 <= _json_int(value, "index") < size:
+                    raise ParseError(f"index {value} out of range for {size} gate records")
+            except ParseError as exc:
+                raise ParseError(f"sequence {position}: {exc}") from None
+    return list(map(table.__getitem__, sequence))
+
+
 def parse_json(text: str) -> Circuit:
-    """Parse the JSON mirror format."""
+    """Parse a JSON circuit document of format circuit v2 or circuit v1.
+
+    Both check and build the records of "gates" alike; a v2 document then
+    takes its gates from that table through "sequence".
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_HEADER:
-        raise ParseError(f"expected a document with format {FORMAT_HEADER!r}")
+    version = doc.get("format") if isinstance(doc, dict) else None
+    if version not in (JSON_FORMAT, FORMAT_HEADER):
+        raise ParseError(f"expected a document with format {JSON_FORMAT!r} or {FORMAT_HEADER!r}")
     if "controls" not in doc or "width" not in doc:
         raise ParseError("missing width/controls")
     controls = _json_int(doc["controls"], "controls")
     width = _json_int(doc["width"], "width")
     if width != controls + 1:
         raise ParseError(f"width {width} does not match controls {controls} + 1")
+    label = doc.get("label", "")
+    if not isinstance(label, str):
+        raise ParseError(f"label must be a string, got {json.dumps(label)}")
     entries = doc.get("gates", [])
     if not isinstance(entries, list):
         raise ParseError("gates must be a list of gate records")
     gates = _record_gates(entries)
+    if version == JSON_FORMAT:
+        gates = _sequence_gates(doc, gates, width)
     try:
-        return Circuit(controls, tuple(gates), label=str(doc.get("label", "")))
+        return Circuit(controls, tuple(gates), label=label)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

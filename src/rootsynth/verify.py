@@ -17,6 +17,7 @@ from .bits import Bits, as_bits, bits_to_index, index_to_bits
 from .circuit import Circuit
 from .simulate import (
     NonClassical,
+    check_dense_width,
     classical_output,
     dense_unitary,
     exponent_simulate,
@@ -106,13 +107,15 @@ def check_equivalence(
     the dense executor must also produce the oracle's permutation matrix,
     whose columns are compared with the oracle outputs in one array compare;
     it raises WidthLimitError, before any input is checked, for widths
-    above DENSE_WIDTH_LIMIT.
+    above DENSE_WIDTH_LIMIT, and builds the unitary only once every input
+    has passed the exponent check.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     w = circuit.width
+    if check_dense:
+        check_dense_width(w)
     space = 1 << w
-    unitary = dense_unitary(circuit) if check_dense else None
     wanted = np.empty(space, dtype=np.int64) if check_dense else None
     for x in range(space):
         bits = index_to_bits(x, w)
@@ -124,7 +127,8 @@ def check_equivalence(
         if check_dense:
             wanted[x] = bits_to_index(expected)
     if check_dense:
-        perm = permutation_from_unitary(unitary)
+        # Built only now, so a circuit the exponent pass rejects never pays for it.
+        perm = permutation_from_unitary(dense_unitary(circuit))
         failing = [0] if perm is None else np.flatnonzero(np.array(perm) != wanted)
         if len(failing):
             x = int(failing[0])

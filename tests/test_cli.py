@@ -2,11 +2,13 @@
 
 Only verify can fail a check, so only verify has a case for exit code 1.
 """
+from pathlib import Path
+
 import pytest
 
 from rootsynth import cli, synth
 from rootsynth.synth import MAX_N, synth_peres, synth_toffoli
-from rootsynth.textio import serialize, serialize_json
+from rootsynth.textio import parse_json, serialize, serialize_json
 
 
 @pytest.fixture
@@ -72,6 +74,16 @@ def test_synth_writes_a_file_that_verifies(files, capsys):
     argv = ["verify", "--circuit", out, "--family", "peres", "--n", "4", "--activation", "0110"]
     assert cli.main(argv) == 0
     assert "pass (32 inputs checked)" in capsys.readouterr().out
+
+
+def test_synth_to_a_json_path_writes_json(tmp_path, capsys):
+    out = str(tmp_path / "c.json")
+    assert cli.main(["synth", "peres", "--n", "2", "--out", out]) == 0
+    assert parse_json(Path(out).read_text()) == synth_peres(2)
+    assert cli.main(["verify", "--circuit", out, "--family", "peres", "--n", "2"]) == 0
+    assert cli.main(["cost", "--circuit", out]) == 0
+    shown = capsys.readouterr().out
+    assert "pass (8 inputs checked)" in shown and "quantum cost: 4" in shown
 
 
 def test_verify_checks_every_input_at_n10(tmp_path, capsys):

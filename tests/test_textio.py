@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import pytest
 
+from rootsynth import cli
 from rootsynth.circuit import Circuit, controlled_root, distinct_gates, feynman, not_gate
 from rootsynth.synth import (
     synth_barenco_toffoli,
@@ -270,3 +272,126 @@ class TestParseJsonIntegers:
     def test_document_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_json(text)
+
+
+class TestParseJsonLabel:
+    @pytest.mark.parametrize("value", [None, 5, True, [1], {"a": 1}], ids=repr)
+    @pytest.mark.parametrize("version", ["circuit v1", "circuit v2"])
+    def test_label_must_be_a_string(self, version, value):
+        with pytest.raises(ParseError) as info:
+            parse_json(json_doc([], format=version, sequence=[], label=value))
+        assert str(info.value) == f"label must be a string, got {json.dumps(value)}"
+
+    def test_missing_label_is_empty(self):
+        doc = json.loads(json_doc([GOOD_RECORDS[0]]))
+        del doc["label"]
+        assert parse_json(json.dumps(doc)) == Circuit(3, [feynman(1, 2)])
+
+
+def v2_doc(records, sequence, **fields):
+    return json_doc(records, format="circuit v2", sequence=sequence, **fields)
+
+
+class TestJsonV2:
+    def test_writer_emits_each_distinct_record_once_in_order_of_first_use(self):
+        cnot, root = feynman(1, 2), controlled_root(4, -1, 2, 4)
+        # Equal copies of one gate share its record.
+        gates = [root, cnot, dataclasses.replace(root), not_gate(4), dataclasses.replace(cnot), root]
+        doc = json.loads(serialize_json(Circuit(3, gates)))
+        assert doc["format"] == "circuit v2"
+        assert doc["gates"] == [GOOD_RECORDS[1], GOOD_RECORDS[0], GOOD_RECORDS[2]]
+        assert doc["sequence"] == [0, 1, 0, 2, 1, 0]
+
+    def test_generated_circuit_holds_few_records(self):
+        c = synth_peres(12)
+        doc = json.loads(serialize_json(c))
+        assert len(doc["sequence"]) == len(c.gates) == 8178
+        assert len(doc["gates"]) == len(set(c.gates)) == 89
+        assert parse_json(serialize_json(c)) == c
+
+    def test_sequence_maps_the_table_in_circuit_order(self):
+        c = parse_json(v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2]))
+        cnot, root, inv = feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4)
+        assert c.gates == (inv, cnot, cnot, root, inv)
+
+    @pytest.mark.parametrize(
+        "sequence,message",
+        [
+            ("missing", "circuit v2 takes a sequence of gate indices; missing sequence"),
+            ({"0": 1}, "sequence must be a list of gate indices"),
+            (None, "sequence must be a list of gate indices"),
+            ([0, 1, True], "sequence 2: index must be an integer, got true"),
+            ([0, 1.0], "sequence 1: index must be an integer, got 1.0"),
+            ([0, "1", 1.0], 'sequence 1: index must be an integer, got "1"'),
+            ([0, 2, -1, 7], "sequence 2: index -1 out of range for 3 gate records"),
+            ([0, 3], "sequence 1: index 3 out of range for 3 gate records"),
+            ([0] * 3000 + [3] + [True], "sequence 3000: index 3 out of range for 3 gate records"),
+        ],
+        ids=["missing", "object", "null", "true", "float", "string", "negative", "len-gates", "after-thousands"],
+    )
+    def test_bad_sequences(self, sequence, message):
+        text = v2_doc(GOOD_RECORDS, sequence)
+        if sequence == "missing":
+            doc = json.loads(text)
+            del doc["sequence"]
+            text = json.dumps(doc)
+        with pytest.raises(ParseError) as info:
+            parse_json(text)
+        assert str(info.value) == message
+
+    def test_empty_table_takes_only_an_empty_sequence(self):
+        assert parse_json(v2_doc([], [])) == Circuit(3)
+        with pytest.raises(ParseError, match="^sequence 0: index 0 out of range for 0 gate records$"):
+            parse_json(v2_doc([], [0]))
+
+    @pytest.mark.parametrize(
+        "records,message",
+        [
+            (GOOD_RECORDS + [{"gate": "cnot", "control": True, "target": 2}],
+             "gate 3: control must be an integer, got true"),
+            (GOOD_RECORDS + [dict(GOOD_RECORDS[0], target=1.0)], "gate 3: target must be an integer, got 1.0"),
+            (GOOD_RECORDS + [{"gate": "swap"}], "gate 3: unknown gate 'swap'"),
+            (GOOD_RECORDS + [{"gate": "not", "line": 9}], "gate 3: line 9 out of range for width 4"),
+            ([dict(GOOD_RECORDS[0], control=5)] + GOOD_RECORDS, "gate 0: line 5 out of range for width 4"),
+        ],
+    )
+    def test_every_record_is_checked_used_or_not(self, records, message):
+        with pytest.raises(ParseError) as info:
+            parse_json(v2_doc(records, [0, 1, 2]))
+        assert str(info.value) == message
+
+    def test_duplicate_records_build_equal_gates(self):
+        records = GOOD_RECORDS + [dict(GOOD_RECORDS[0]), dict(GOOD_RECORDS[0])]
+        c = parse_json(v2_doc(records, [3, 0, 4]))
+        assert c.gates == (feynman(1, 2),) * 3
+
+    def test_sequence_is_ignored_by_v1(self):
+        c = parse_json(json_doc(GOOD_RECORDS, sequence=[True, -1]))
+        assert c.gates == (feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4))
+
+
+V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
+
+
+class TestJsonV1Fixture:
+    """A document written by the circuit v1 writer, kept as a file."""
+
+    expected = synth_peres(5, (1, 0, 1, 1, 0))
+
+    def test_fixture_is_v1(self):
+        doc = json.loads(V1_FIXTURE.read_text())
+        assert doc["format"] == "circuit v1" and "sequence" not in doc
+        assert len(doc["gates"]) == len(self.expected.gates)
+
+    def test_parse_json_reads_it(self):
+        c = parse_json(V1_FIXTURE.read_text())
+        assert c == self.expected
+        assert c.label == self.expected.label
+
+    def test_load_circuit_reads_it(self):
+        assert load_circuit(V1_FIXTURE) == self.expected
+
+    def test_cli_verifies_it(self, capsys):
+        argv = ["verify", "--circuit", str(V1_FIXTURE), "--family", "peres", "--n", "5", "--activation", "10110"]
+        assert cli.main(argv) == 0
+        assert "pass (64 inputs checked)" in capsys.readouterr().out

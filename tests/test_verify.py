@@ -200,11 +200,31 @@ class TestCheckEquivalence:
         assert report.ok
         assert report.inputs_checked == 1 << DENSE_WIDTH_LIMIT
 
-    def test_dense_cross_check_beyond_the_dense_limit_raises(self):
+    def test_dense_cross_check_beyond_the_dense_limit_raises(self, monkeypatch):
         n = DENSE_WIDTH_LIMIT
+        c, spec = synth_peres(n), GateFamilySpec("peres", n)
+        assert check_equivalence(c, spec).ok
+
+        def refuse(*args):
+            raise AssertionError("an input was checked")
+
+        monkeypatch.setattr(verify, "exponent_simulate", refuse)
         with pytest.raises(WidthLimitError):
-            check_equivalence(synth_peres(n), GateFamilySpec("peres", n), check_dense=True)
-        assert check_equivalence(synth_peres(n), GateFamilySpec("peres", n)).ok
+            check_equivalence(c, spec, check_dense=True)
+
+    @pytest.mark.parametrize("activation,calls", [((1, 1, 1, 1, 1, 1, 1, 0), 0), ((1,) * 8, 1)])
+    def test_dense_unitary_is_built_only_after_the_exponent_pass(self, monkeypatch, activation, calls):
+        built = []
+
+        def counting(circuit):
+            built.append(circuit)
+            return dense_unitary(circuit)
+
+        monkeypatch.setattr(verify, "dense_unitary", counting)
+        spec = GateFamilySpec("toffoli", 8, activation)
+        report = check_equivalence(synth_toffoli(8), spec, check_dense=True)
+        assert report == check_equivalence(synth_toffoli(8), spec)
+        assert len(built) == calls
 
 
 class TestActivationSet:
