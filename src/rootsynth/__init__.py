@@ -25,24 +25,19 @@ from .simulate import (
     DENSE_WIDTH_LIMIT,
     NonClassical,
     SimState,
-    TruthTableResult,
     UnsupportedShapeError,
     WidthLimitError,
     classical_output,
     dense_unitary,
     exponent_simulate,
     permutation_from_unitary,
-    root_of_not,
     truth_table,
 )
 from .synth import (
     ZeroActivationError,
-    activation_from_polarity,
-    all_ones,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
     iterative_polarity_flip,
-    polarity_from_activation,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -62,8 +57,6 @@ from .verify import (
     GateFamilySpec,
     activation_set,
     check_equivalence,
-    oracle_permutation,
-    permutation_matrix,
     spec_output,
 )
 

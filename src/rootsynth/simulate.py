@@ -25,7 +25,7 @@ into that form once and answers each input by lookup.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -76,13 +76,13 @@ def _gate_halves(g: Gate, width: int) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
-def check_dense_width(width: int, max_width: int = DENSE_WIDTH_LIMIT) -> None:
+def check_dense_width(width: int) -> None:
     """Raise WidthLimitError if dense_unitary would refuse this width."""
-    if width > max_width:
-        raise WidthLimitError(f"width {width} exceeds the dense limit of {max_width} lines")
+    if width > DENSE_WIDTH_LIMIT:
+        raise WidthLimitError(f"width {width} exceeds the dense limit of {DENSE_WIDTH_LIMIT} lines")
 
 
-def dense_unitary(circuit: Circuit, max_width: int = DENSE_WIDTH_LIMIT) -> np.ndarray:
+def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in circuit order.
 
     Basis states are indexed with line 1 as the most significant bit, so
@@ -97,7 +97,7 @@ def dense_unitary(circuit: Circuit, max_width: int = DENSE_WIDTH_LIMIT) -> np.nd
     line is accepted; the circuit need not be layered.
     """
     width = circuit.width
-    check_dense_width(width, max_width)
+    check_dense_width(width)
     dim = 1 << width
     u = np.eye(dim, dtype=complex)
     tensor = u.reshape((2,) * width + (dim,))
@@ -129,18 +129,22 @@ def dense_unitary(circuit: Circuit, max_width: int = DENSE_WIDTH_LIMIT) -> np.nd
     return u
 
 
-def permutation_from_unitary(u: np.ndarray, tol: float = 1e-9) -> tuple[int, ...] | None:
+# How far an entry of a unitary may be from 0 or 1 in a permutation matrix.
+_PERMUTATION_TOL = 1e-9
+
+
+def permutation_from_unitary(u: np.ndarray) -> tuple[int, ...] | None:
     """Extract the permutation of a 0/1 permutation matrix, or None.
 
-    Requires every column to be elementwise within tol of a basis vector
-    with entry exactly 1 (a global phase would fail the check), and the
-    columns to reach distinct rows.
+    Requires every column to be elementwise within _PERMUTATION_TOL of a
+    basis vector with entry exactly 1 (a global phase would fail the
+    check), and the columns to reach distinct rows.
     """
     columns = np.arange(u.shape[0])
     perm = np.argmax(np.abs(u), axis=0)
     p = np.zeros(u.shape)
     p[perm, columns] = 1.0
-    if np.max(np.abs(u - p)) > tol or not np.array_equal(np.sort(perm), columns):
+    if np.max(np.abs(u - p)) > _PERMUTATION_TOL or not np.array_equal(np.sort(perm), columns):
         return None
     return tuple(perm.tolist())
 
@@ -270,10 +274,19 @@ def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int]
 
 
 def _linear_form(circuit: Circuit) -> _LinearForm:
-    """The circuit's _LinearForm, without the table, which _form_of adds."""
+    """The circuit's _LinearForm.
+
+    The root-power table is built when it has no more entries than the
+    circuit has gates: it then costs less than the walk, and a wide circuit
+    with few gates never allocates 2^n entries.
+    """
     masks, coefficients, _, kappa = _walk(circuit)
     flips = coefficients.pop(0, 0) & 1
-    return _LinearForm(tuple(masks), coefficients, None, flips, kappa)
+    n = circuit.n_controls
+    table = None
+    if 1 << n <= len(circuit.gates) and kappa <= _MAX_TABLE_KAPPA:
+        table = _root_power_table(coefficients, n, kappa)
+    return _LinearForm(tuple(masks), coefficients, table, flips, kappa)
 
 
 # The last circuit exponent_simulate saw and its linear form. Holding the
@@ -282,23 +295,12 @@ _last_form: tuple[Circuit | None, _LinearForm | None] = (None, None)
 
 
 def _form_of(circuit: Circuit) -> _LinearForm:
-    """The linear form of `circuit`, kept for the next call.
-
-    A first call walks the gates. The next call on the same circuit object
-    adds the root-power table, when the table has no more entries than the
-    circuit has gates: it then costs less than the walk, and a wide circuit
-    with few gates never allocates 2^n entries.
-    """
+    """The linear form of `circuit`, kept for the next call."""
     global _last_form
     last, form = _last_form
-    n = circuit.n_controls
     if last is not circuit:
         form = _linear_form(circuit)
-    elif form.table is None and 1 << n <= len(circuit.gates) and form.kappa <= _MAX_TABLE_KAPPA:
-        form = replace(form, table=_root_power_table(form.coefficients, n, form.kappa))
-    else:
-        return form
-    _last_form = (circuit, form)
+        _last_form = (circuit, form)
     return form
 
 
@@ -317,8 +319,8 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
     control line and, from a Walsh-Hadamard transform, the net root power
     of every control vector. The form of the last circuit object passed in
     is kept, so repeated calls on one circuit cost O(n) each after the
-    first two; a circuit with fewer than 2^n gates sums its coefficients
-    on each call instead. A call on another circuit walks its gates once,
+    first; a circuit with fewer than 2^n gates sums its coefficients on
+    each call instead. A call on another circuit walks its gates once,
     as every call did before; circuits that alternate keep paying that walk.
     """
     bits = as_bits(input_bits, length=circuit.width)

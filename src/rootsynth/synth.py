@@ -36,7 +36,7 @@ those once, in a table, and only looks one up per gate of the circuit.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
 from .circuit import Circuit, Gate, controlled_root, feynman, map_distinct, not_gate
@@ -46,26 +46,12 @@ MAX_N = 20
 """Most controls a generator accepts; an n-control circuit has about 2^(n+1) gates."""
 
 ActivationVector = Bits
-PolarityVector = Bits
 
 ZeroPolarityMode = Literal["or-gate", "and-complemented"]
 
 
 class ZeroActivationError(ValueError):
     """Raised when direct synthesis is asked to fire on the all-zero vector."""
-
-
-def all_ones(n: int) -> ActivationVector:
-    return (1,) * n
-
-
-def polarity_from_activation(activation: Iterable[int]) -> PolarityVector:
-    """Bitwise complement: the gate fires where every control equals a_i = p_i xor 1."""
-    return tuple(1 - b for b in as_bits(activation))
-
-
-def activation_from_polarity(polarity: Iterable[int]) -> ActivationVector:
-    return tuple(1 - b for b in as_bits(polarity))
 
 
 def _check_n(n: int, least: int = 1) -> None:
@@ -81,7 +67,7 @@ def _check_n(n: int, least: int = 1) -> None:
 def _resolve_activation(n: int, activation: Sequence[int] | None) -> ActivationVector:
     _check_n(n)
     if activation is None:
-        return all_ones(n)
+        return (1,) * n
     act = as_bits(activation, length=n)
     if not any(act):
         raise ZeroActivationError(

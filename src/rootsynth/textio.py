@@ -15,6 +15,10 @@ Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
 digits. A `label` line holds the label verbatim after `label `, a `#` and
 outer spaces included.
 
+Both formats read and write a gate through one table of gate names and
+their fields in argument order; a text line writes the fields in that
+order, a JSON record names each one.
+
 Files ending in .json hold the same schema as one JSON object, and every
 number in it must be a JSON integer. The writer emits format "circuit v2":
 "gates" is a table holding each distinct gate record once, in order of
@@ -48,6 +52,17 @@ FORMAT_HEADER = "circuit v1"
 # The format serialize_json writes; parse_json also reads FORMAT_HEADER.
 JSON_FORMAT = "circuit v2"
 
+# Each gate name, which is its GateKind's value, with its gate function and
+# fields, in argument order. A field is the Gate attribute of its name; a
+# NOT gate's line is its target.
+_GATES = {
+    "cnot": (feynman, ("control", "target")),
+    "croot": (controlled_root, ("kappa", "direction", "control", "target")),
+    "not": (not_gate, ("line",)),
+}
+# The text format writes a direction signed, and reads 1 as +1.
+_DIRECTIONS = {"+1": 1, "1": 1, "-1": -1}
+
 
 class ParseError(ValueError):
     """Malformed circuit document; carries the 1-based line number if known."""
@@ -59,13 +74,15 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
+def _gate_fields(g: Gate) -> tuple[str, dict[str, int]]:
+    """A gate's name and its field values by name, in the gate table's order."""
+    name = g.kind.value
+    return name, {f: g.target if f == "line" else getattr(g, f) for f in _GATES[name][1]}
+
+
 def _gate_line(g: Gate) -> str:
-    if g.kind is GateKind.FEYNMAN:
-        return f"cnot {g.control} {g.target}"
-    if g.kind is GateKind.ROOT:
-        sign = "+1" if g.direction == 1 else "-1"
-        return f"croot {g.kappa} {sign} {g.control} {g.target}"
-    return f"not {g.target}"
+    name, fields = _gate_fields(g)
+    return " ".join([name, *(f"{v:+d}" if f == "direction" else str(v) for f, v in fields.items())])
 
 
 def serialize(circuit: Circuit) -> str:
@@ -87,34 +104,19 @@ def _int_field(word: str, what: str, line_no: int) -> int:
     return int(word)
 
 
-def _parse_gate(fields: list[str], width: int, line_no: int) -> Gate:
-    name = fields[0]
+def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
+    name, values = words[0], words[1:]
+    build, fields = _GATES[name]
+    if len(values) != len(fields):
+        usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
+        raise ParseError(f"{name} takes {usage}", line_no)
+    given = dict(zip(fields, values))
+    if "direction" in given and given["direction"] not in _DIRECTIONS:
+        raise ParseError(f"direction must be +1 or -1, got {given['direction']!r}", line_no)
+    args = [_DIRECTIONS[v] if f == "direction" else _int_field(v, f, line_no) for f, v in given.items()]
     try:
-        if name == "cnot":
-            if len(fields) != 3:
-                raise ParseError("cnot takes <control> <target>", line_no)
-            g = feynman(
-                _int_field(fields[1], "control", line_no),
-                _int_field(fields[2], "target", line_no),
-            )
-        elif name == "croot":
-            if len(fields) != 5:
-                raise ParseError("croot takes <kappa> <+1|-1> <control> <target>", line_no)
-            if fields[2] not in ("+1", "-1", "1"):
-                raise ParseError(f"direction must be +1 or -1, got {fields[2]!r}", line_no)
-            g = controlled_root(
-                _int_field(fields[1], "kappa", line_no),
-                1 if fields[2] in ("+1", "1") else -1,
-                _int_field(fields[3], "control", line_no),
-                _int_field(fields[4], "target", line_no),
-            )
-        else:
-            if len(fields) != 2:
-                raise ParseError("not takes <line>", line_no)
-            g = not_gate(_int_field(fields[1], "line", line_no))
+        g = build(*args)
     except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
         raise ParseError(str(exc), line_no) from None
     for line in g.lines:
         if not 1 <= line <= width:
@@ -169,7 +171,7 @@ def parse(text: str) -> Circuit:
                 if controls is not None:
                     raise ParseError("duplicate controls directive", line_no)
                 controls = value
-        elif word in ("cnot", "croot", "not"):
+        elif word in _GATES:
             if width is None or controls is None:
                 raise ParseError("gate line before width/controls directives", line_no)
             g = parsed[stripped] = _parse_gate(fields, width, line_no)
@@ -190,20 +192,6 @@ def parse(text: str) -> Circuit:
         raise ParseError(str(exc)) from None
 
 
-def _gate_record(g: Gate) -> dict[str, int | str]:
-    if g.kind is GateKind.FEYNMAN:
-        return {"gate": "cnot", "control": g.control, "target": g.target}
-    if g.kind is GateKind.ROOT:
-        return {
-            "gate": "croot",
-            "kappa": g.kappa,
-            "direction": g.direction,
-            "control": g.control,
-            "target": g.target,
-        }
-    return {"gate": "not", "line": g.target}
-
-
 def serialize_json(circuit: Circuit) -> str:
     """The circuit as a format circuit v2 JSON document, on one line.
 
@@ -217,7 +205,7 @@ def serialize_json(circuit: Circuit) -> str:
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": [_gate_record(g) for g in slots],
+        "gates": [{"gate": name, **fields} for name, fields in map(_gate_fields, slots)],
         "sequence": [],
     })
     # json.dumps writes a list of ints as their decimal forms joined by ", ":
@@ -225,12 +213,6 @@ def serialize_json(circuit: Circuit) -> str:
     return doc[:-2] + ", ".join(sequence) + "]}\n"
 
 
-# Each gate name with its gate function and record fields, in argument order.
-_RECORD_FIELDS = {
-    "cnot": (feynman, ("control", "target")),
-    "croot": (controlled_root, ("kappa", "direction", "control", "target")),
-    "not": (not_gate, ("line",)),
-}
 # Value types of a valid gate record: its gate name and integers.
 _RECORD_TYPES = {str, int}
 
@@ -246,9 +228,9 @@ def _record_gate(entry: object) -> Gate:
     if not isinstance(entry, dict):
         raise ParseError("malformed gate entry")
     name = entry.get("gate")
-    if not isinstance(name, str) or name not in _RECORD_FIELDS:
+    if not isinstance(name, str) or name not in _GATES:
         raise ParseError(f"unknown gate {name!r}")
-    build, fields = _RECORD_FIELDS[name]
+    build, fields = _GATES[name]
     missing = [f for f in fields if f not in entry]
     if missing:
         raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(missing)}")

@@ -22,6 +22,7 @@ from .simulate import (
     dense_unitary,
     exponent_simulate,
     permutation_from_unitary,
+    truth_table,
 )
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
@@ -139,27 +140,8 @@ def check_equivalence(
 def activation_set(circuit: Circuit) -> set[Bits]:
     """Control vectors on which the circuit flips its target bit."""
     n = circuit.n_controls
-    fires: set[Bits] = set()
-    for cidx in range(1 << n):
-        cbits = index_to_bits(cidx, n)
-        sim = exponent_simulate(circuit, cbits + (0,))
-        if not sim.is_classical:
-            raise ValueError(f"non-classical target for control vector {cbits}")
-        if sim.target_flips ^ (1 if sim.exponent == sim.kappa else 0):
-            fires.add(cbits)
-    return fires
-
-
-def oracle_permutation(spec: GateFamilySpec) -> tuple[int, ...]:
-    """spec_output as a permutation of basis-state indices."""
-    w = spec.n + 1
-    return tuple(bits_to_index(spec_output(spec, index_to_bits(x, w))) for x in range(1 << w))
-
-
-def permutation_matrix(perm: Sequence[int]) -> np.ndarray:
-    """0/1 matrix sending basis column x to row perm[x]."""
-    dim = len(perm)
-    m = np.zeros((dim, dim))
-    for x, y in enumerate(perm):
-        m[y, x] = 1.0
-    return m
+    table = truth_table(circuit)
+    if not table.is_classical:
+        raise ValueError(f"non-classical target for control vector {table.non_classical[0][:n]}")
+    # Output index c << 1 is the image of (c, t = 0); its low bit is the target.
+    return {index_to_bits(c, n) for c in range(1 << n) if table.permutation[c << 1] & 1}

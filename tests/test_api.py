@@ -20,13 +20,10 @@ PUBLIC_NAMES = [
     "NonClassical",
     "ParseError",
     "SimState",
-    "TruthTableResult",
     "UnsupportedShapeError",
     "WidthLimitError",
     "ZeroActivationError",
-    "activation_from_polarity",
     "activation_set",
-    "all_ones",
     "as_bits",
     "bits",
     "bits_to_index",
@@ -44,15 +41,11 @@ PUBLIC_NAMES = [
     "iterative_polarity_flip",
     "load_circuit",
     "not_gate",
-    "oracle_permutation",
     "parse",
     "parse_bitstring",
     "parse_json",
     "permutation_from_unitary",
-    "permutation_matrix",
-    "polarity_from_activation",
     "render_ascii",
-    "root_of_not",
     "serialize",
     "serialize_json",
     "simulate",
@@ -76,5 +69,5 @@ def test_public_names():
          "import json, rootsynth; print(json.dumps(sorted(k for k in vars(rootsynth) if not k.startswith('_'))))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
     ).stdout
-    assert len(PUBLIC_NAMES) == 55
+    assert len(PUBLIC_NAMES) == 48
     assert json.loads(names) == PUBLIC_NAMES

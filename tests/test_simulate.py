@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from references import oracle_permutation
 
 from rootsynth import simulate
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
@@ -27,7 +28,7 @@ from rootsynth.synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
-from rootsynth.verify import GateFamilySpec, oracle_permutation
+from rootsynth.verify import GateFamilySpec
 
 
 def repeated_power(m, k):
@@ -95,9 +96,6 @@ class TestDenseUnitary:
     def test_width_limit(self):
         with pytest.raises(WidthLimitError):
             dense_unitary(Circuit(9))
-
-    def test_width_limit_override(self):
-        assert dense_unitary(Circuit(9), max_width=10).shape == (1024, 1024)
 
 
 class TestPermutationFromUnitary:

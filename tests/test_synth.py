@@ -22,12 +22,9 @@ from rootsynth.simulate import UnsupportedShapeError
 from rootsynth.synth import (
     MAX_N,
     ZeroActivationError,
-    activation_from_polarity,
-    all_ones,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
     iterative_polarity_flip,
-    polarity_from_activation,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -47,7 +44,7 @@ class TestBitReversalAlpha:
 
     def test_top_of_range_is_all_ones(self):
         for n in range(1, 7):
-            assert bit_reversal_alpha((1 << n) - 1, n) == all_ones(n)
+            assert bit_reversal_alpha((1 << n) - 1, n) == (1,) * n
 
     def test_lsb_first_reading(self):
         assert bit_reversal_alpha(4, 3) == (0, 0, 1)
@@ -102,7 +99,7 @@ class TestGateDirection:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_hamming_weight_rule(self, n):
-        ones = all_ones(n)
+        ones = (1,) * n
         for alpha in alpha_table(n):
             want = 1 if sum(alpha) % 2 == 1 else -1
             assert gate_direction(alpha, ones) == want
@@ -110,17 +107,6 @@ class TestGateDirection:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gate_direction((1, 0), (1, 0, 1))
-
-
-class TestPolarityVectors:
-    def test_complement_relation(self):
-        assert polarity_from_activation((1, 1, 0)) == (0, 0, 1)
-        assert activation_from_polarity((0, 0, 1)) == (1, 1, 0)
-
-    @pytest.mark.parametrize("n", [1, 3, 5])
-    def test_round_trip(self, n):
-        for a in nonzero_activations(n):
-            assert activation_from_polarity(polarity_from_activation(a)) == a
 
 
 class TestSynthPeres:
@@ -453,7 +439,7 @@ def reference_activations(family, n):
     if n <= 4:
         return nonzero_activations(n)
     rng = random.Random(1000 + n)
-    return [all_ones(n)] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4)]
+    return [(1,) * n] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4)]
 
 
 @pytest.mark.parametrize("n", range(1, 9))

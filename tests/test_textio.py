@@ -395,3 +395,34 @@ class TestJsonV1Fixture:
         argv = ["verify", "--circuit", str(V1_FIXTURE), "--family", "peres", "--n", "5", "--activation", "10110"]
         assert cli.main(argv) == 0
         assert "pass (64 inputs checked)" in capsys.readouterr().out
+
+
+GOLDEN_TEXT = Path(__file__).parent / "data" / "mixed-3.txt"
+GOLDEN_JSON = Path(__file__).parent / "data" / "mixed-3.json"
+
+
+class TestGoldenDocuments:
+    """Both writers' exact bytes for a circuit of every gate kind, kept as files."""
+
+    circuit = Circuit(3, (
+        controlled_root(4, 1, 1, 4),
+        feynman(1, 2),
+        controlled_root(4, -1, 2, 4),
+        not_gate(2),
+        feynman(3, 1),
+        controlled_root(4, 1, 1, 4),
+        not_gate(4),
+        controlled_root(4, -1, 2, 4),
+    ), label="  mixed #1  ")
+
+    def test_serialize_writes_the_text_file(self):
+        assert serialize(self.circuit).encode() == GOLDEN_TEXT.read_bytes()
+
+    def test_serialize_json_writes_the_json_file(self):
+        assert serialize_json(self.circuit).encode() == GOLDEN_JSON.read_bytes()
+
+    @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON], ids=["text", "json"])
+    def test_reader_gives_the_circuit_back(self, path):
+        c = load_circuit(path)
+        assert c == self.circuit
+        assert c.label == "  mixed #1  "

@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from references import oracle_permutation, permutation_matrix
 
 from rootsynth import verify
 from rootsynth.bits import index_to_bits
@@ -26,8 +27,6 @@ from rootsynth.verify import (
     GateFamilySpec,
     activation_set,
     check_equivalence,
-    oracle_permutation,
-    permutation_matrix,
     spec_output,
 )
 
