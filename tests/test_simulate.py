@@ -8,11 +8,13 @@ from rootsynth import simulate
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import (
+    DENSE_WIDTH_LIMIT,
     NOT_MATRIX,
     NonClassical,
     SimState,
     UnsupportedShapeError,
     WidthLimitError,
+    check_dense_width,
     classical_output,
     dense_unitary,
     exponent_simulate,
@@ -96,6 +98,11 @@ class TestDenseUnitary:
     def test_width_limit(self):
         with pytest.raises(WidthLimitError):
             dense_unitary(Circuit(9))
+
+    def test_width_limit_is_inclusive(self):
+        check_dense_width(DENSE_WIDTH_LIMIT)
+        with pytest.raises(WidthLimitError, match=f"width {DENSE_WIDTH_LIMIT + 1} exceeds"):
+            check_dense_width(DENSE_WIDTH_LIMIT + 1)
 
 
 class TestPermutationFromUnitary:
@@ -436,6 +443,13 @@ class TestLinearFormMatchesReference:
         inputs = [tuple(rng.randrange(2) for _ in range(n + 1)) for _ in range(20)]
         assert_matches_reference(circuit, inputs)
         assert simulate._last_form[0] is circuit and simulate._last_form[1].table is None
+
+    def test_first_call_builds_the_table(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_last_form", (None, None))
+        circuit = Circuit(3, random_layered_circuit(random.Random(7), 3, 8, 40))
+        bits = (1, 0, 1, 0)
+        assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits)
+        assert simulate._last_form[0] is circuit and simulate._last_form[1].table is not None
 
     def test_alternating_circuits(self):
         a, b = synth_peres(4, (1, 0, 1, 1)), synth_toffoli(4, (0, 1, 1, 0))

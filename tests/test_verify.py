@@ -247,6 +247,11 @@ class TestActivationSet:
         with pytest.raises(ValueError):
             activation_set(c)
 
+    def test_non_classical_names_the_first_control_vector(self):
+        c = Circuit(2, (controlled_root(2, 1, 2, 3), controlled_root(2, 1, 1, 3)))
+        with pytest.raises(ValueError, match=r"non-classical target for control vector \(0, 1\)"):
+            activation_set(c)
+
     def test_feynman_ladder_never_fires(self):
         from rootsynth.synth import converter_toffoli_to_peres
 
