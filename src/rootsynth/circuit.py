@@ -104,8 +104,9 @@ def distinct_gates(gates: Sequence[Gate]) -> dict[int, Gate]:
 
 def map_distinct(fn: Callable[[Gate], _T], gates: Sequence[Gate]) -> list[_T]:
     """[fn(g) for g in gates], calling fn once per distinct gate object."""
-    table = {key: fn(g) for key, g in distinct_gates(gates).items()}
-    return list(map(table.__getitem__, map(id, gates)))
+    ids = list(map(id, gates))
+    table = {key: fn(g) for key, g in dict(zip(ids, gates)).items()}
+    return list(map(table.__getitem__, ids))
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
+    if args.max_n > MAX_N:
+        raise ValueError(f"--max-n {args.max_n} is above the limit of {MAX_N} controls")
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
     for n in range(1, args.max_n + 1):
         peres = 2 ** (n + 1) - n - 2

@@ -19,8 +19,8 @@ control inputs (the mask of inputs it XORs), and every gate on the target
 line adds its power to the coefficient f[m] of the mask m it reads. The net
 power on control vector c is the sum of f[m] over the masks of odd parity
 on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
-being the Walsh-Hadamard transform. exponent_simulate compiles a circuit
-into that form once and answers each input by lookup.
+being the Walsh-Hadamard transform, exact for every kappa. exponent_simulate
+and truth_table read one input or all of them from that compiled form.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_to_index, index_to_bits
+from .bits import Bits, as_bits, bits_to_index
 from .circuit import Circuit, Gate, GateKind, distinct_gates, map_distinct
 
 # A Toffoli circuit takes about 0.3 s at width 9 and 2.4 s at width 10 (one
@@ -207,22 +207,21 @@ def _root_power_table(coefficients: dict[int, int], n: int, kappa: int) -> np.nd
 
     With <m, c> = (1 - (-1)^|m & c|) / 2, E = (sum(f) - WHT(f)) / 2, where
     WHT is the Walsh-Hadamard transform (one butterfly per input bit; Fino
-    and Algazi, IEEE Trans. Computers 1976). It runs in uint64, whose
-    wrap-around is arithmetic mod 2^64; the halving leaves E exact mod 2^63,
-    which 2*kappa divides for kappa <= 2^62.
+    and Algazi, IEEE Trans. Computers 1976). E is exact for every kappa: up
+    to kappa = 2^62 the transform runs in uint64, whose wrap-around is
+    arithmetic mod 2^64, and the halving leaves E exact mod 2^63, which
+    2*kappa divides; above that it runs on Python ints.
     """
     modulus = 2 * kappa
-    f = np.zeros(1 << n, dtype=np.uint64)
+    dtype = np.uint64 if kappa <= 1 << 62 else object
+    f = np.zeros(1 << n, dtype=dtype)
     f[list(coefficients)] = [v % modulus for v in coefficients.values()]
     h = f
     for bit in range(n):
         pairs = h.reshape(-1, 2, 1 << bit)
         h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
-    return ((f.sum() - h.reshape(-1)) >> np.uint64(1)) & np.uint64(modulus - 1)
-
-
-# Above this root order the uint64 transform is no longer exact.
-_MAX_TABLE_KAPPA = 1 << 62
+    one, low_bits = np.array([1, modulus - 1], dtype=dtype)
+    return ((f.sum() - h.reshape(-1)) >> one) & low_bits
 
 
 def _step(g: Gate, n: int, kappa: int) -> tuple[int, int | None, int]:
@@ -283,9 +282,7 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     masks, coefficients, _, kappa = _walk(circuit)
     flips = coefficients.pop(0, 0) & 1
     n = circuit.n_controls
-    table = None
-    if 1 << n <= len(circuit.gates) and kappa <= _MAX_TABLE_KAPPA:
-        table = _root_power_table(coefficients, n, kappa)
+    table = _root_power_table(coefficients, n, kappa) if 1 << n <= len(circuit.gates) else None
     return _LinearForm(tuple(masks), coefficients, table, flips, kappa)
 
 
@@ -320,8 +317,7 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
     of every control vector. The form of the last circuit object passed in
     is kept, so repeated calls on one circuit cost O(n) each after the
     first; a circuit with fewer than 2^n gates sums its coefficients on
-    each call instead. A call on another circuit walks its gates once,
-    as every call did before; circuits that alternate keep paying that walk.
+    each call instead. Circuits that alternate walk their gates each call.
     """
     bits = as_bits(input_bits, length=circuit.width)
     form = _form_of(circuit)
@@ -359,19 +355,22 @@ class TruthTableResult:
 
 
 def truth_table(circuit: Circuit) -> TruthTableResult:
-    """Exponent-simulate every basis input of a layered circuit."""
+    """Every basis input of a layered circuit, read from its linear form.
+
+    Outputs are GF(2)-linear in the inputs, so doubling from the target line
+    up, XOR-ing in each control line's column of the final masks, gives all
+    2^w; the root-power table then sets the target as classical_output does.
+    """
     n, w = circuit.n_controls, circuit.width
-    perm: list[int] = [0] * (1 << w)
-    bad: list[Bits] = []
-    for cidx in range(1 << n):
-        cbits = index_to_bits(cidx, n)
-        sim = exponent_simulate(circuit, cbits + (0,))
-        for t in (0, 1):
-            out = classical_output(sim, t)
-            if isinstance(out, NonClassical):
-                bad.append(cbits + (t,))
-            else:
-                perm[(cidx << 1) | t] = bits_to_index(out)
-    if bad:
-        return TruthTableResult(w, None, tuple(bad))
-    return TruthTableResult(w, tuple(perm))
+    form = _form_of(circuit)
+    table = form.table if form.table is not None else _root_power_table(form.coefficients, n, form.kappa)
+    outputs = np.arange(2)
+    for bit in range(n):
+        column = sum(2 << (n - 1 - i) for i, m in enumerate(form.masks) if m >> bit & 1)
+        outputs = np.concatenate((outputs, outputs ^ column))
+    flipped = np.repeat(table == form.kappa, 2)
+    bad = np.flatnonzero(~flipped & np.repeat(table != 0, 2))
+    if bad.size:
+        bits = bad[:, None] >> np.arange(w - 1, -1, -1) & 1
+        return TruthTableResult(w, None, tuple(map(tuple, bits.tolist())))
+    return TruthTableResult(w, tuple((outputs ^ (flipped ^ bool(form.flips))).tolist()))

@@ -133,7 +133,7 @@ def parse(text: str) -> Circuit:
     """
     width: int | None = None
     controls: int | None = None
-    label = ""
+    label: str | None = None
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}
     saw_header = False
@@ -142,6 +142,8 @@ def parse(text: str) -> Circuit:
         if stripped.startswith("label "):
             if not saw_header:
                 raise ParseError(f"expected {FORMAT_HEADER!r} before directives", line_no)
+            if label is not None:
+                raise ParseError("duplicate label directive", line_no)
             label = raw.lstrip()[len("label "):]
             continue
         if "#" in stripped:
@@ -187,7 +189,7 @@ def parse(text: str) -> Circuit:
     if width != controls + 1:
         raise ParseError(f"width {width} does not match controls {controls} + 1")
     try:
-        return Circuit(controls, tuple(gates), label=label)
+        return Circuit(controls, tuple(gates), label=label or "")
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

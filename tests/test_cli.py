@@ -48,6 +48,7 @@ CASES = [
     (["simulate", "--circuit", "{toffoli}", "--input", "101"], 2, "expected 4 bits"),
     (["table", "--max-n", "3"], 0, "  3         11         13           7          4"),
     (["table", "--max-n", "0"], 2, "--max-n must be >= 1"),
+    (["table", "--max-n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["frobnicate"], 2, "invalid choice"),
 ]
 

@@ -12,6 +12,7 @@ from rootsynth.simulate import (
     NOT_MATRIX,
     NonClassical,
     SimState,
+    TruthTableResult,
     UnsupportedShapeError,
     WidthLimitError,
     check_dense_width,
@@ -346,9 +347,9 @@ def reference_exponent_simulate(circuit, input_bits):
     return SimState(tuple(controls), exponent, flips, kappa)
 
 
-def outcome(simulator, circuit, bits):
+def outcome(simulator, circuit, *args):
     try:
-        return simulator(circuit, bits)
+        return simulator(circuit, *args)
     except UnsupportedShapeError as exc:
         return type(exc), str(exc)
 
@@ -392,6 +393,18 @@ def random_layered_circuit(rng, n, kappa, size):
     return gates
 
 
+def random_circuits(seed):
+    """Ten seeded circuits of up to 5 controls; about 4 in 10 leave the layered shape."""
+    rng = random.Random(seed)
+    for _ in range(10):
+        n = rng.randrange(1, 6)
+        kappa = 1 << rng.randrange(0, n + 1)
+        gates = random_layered_circuit(rng, n, kappa, rng.randrange(0, 4 << n))
+        if rng.random() < 0.4:
+            gates = break_shape(rng, n, kappa, gates)
+        yield Circuit(n, gates)
+
+
 def break_shape(rng, n, kappa, gates):
     """Insert one gate that leaves the layered shape."""
     w = n + 1
@@ -420,14 +433,7 @@ class TestLinearFormMatchesReference:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_circuits_including_rejected_shapes(self, seed):
-        rng = random.Random(seed)
-        for _ in range(10):
-            n = rng.randrange(1, 6)
-            kappa = 1 << rng.randrange(0, n + 1)
-            gates = random_layered_circuit(rng, n, kappa, rng.randrange(0, 4 << n))
-            if rng.random() < 0.4:
-                gates = break_shape(rng, n, kappa, gates)
-            circuit = Circuit(n, gates)
+        for circuit in random_circuits(seed):
             assert_matches_reference(circuit, every_input(circuit))
 
     @pytest.mark.parametrize("kappa", [1 << 62, 1 << 63, 1 << 70])
@@ -470,6 +476,93 @@ class TestLinearFormMatchesReference:
         tt = truth_table(circuit)
         assert calls == [circuit]
         assert tt.permutation == oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0)))
+
+
+def reference_truth_table(circuit):
+    """The per-input loop truth_table replaced, kept as the reference."""
+    n, w = circuit.n_controls, circuit.width
+    perm = [0] * (1 << w)
+    bad = []
+    for cidx in range(1 << n):
+        cbits = index_to_bits(cidx, n)
+        sim = exponent_simulate(circuit, cbits + (0,))
+        for t in (0, 1):
+            out = classical_output(sim, t)
+            if isinstance(out, NonClassical):
+                bad.append(cbits + (t,))
+            else:
+                perm[(cidx << 1) | t] = bits_to_index(out)
+    if bad:
+        return TruthTableResult(w, None, tuple(bad))
+    return TruthTableResult(w, tuple(perm))
+
+
+def assert_table_matches_reference(circuit):
+    """Same result, or the same exception type and message; returns the result."""
+    want = outcome(reference_truth_table, circuit)
+    got = outcome(truth_table, circuit)
+    assert got == want, circuit
+    return got
+
+
+class TestTruthTableMatchesReference:
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9) if (f, n) != ("barenco", 1)],
+    )
+    def test_every_family(self, family, n):
+        rng = random.Random(31 * n + len(family))
+        activation = index_to_bits(rng.randrange(1, 1 << n), n)
+        assert assert_table_matches_reference(FAMILY_BUILDERS[family](n, activation)).is_classical
+
+    def test_random_circuits_including_rejected_and_non_classical(self):
+        kinds = {"raises": 0, "non-classical": 0, "classical": 0}
+        for seed in range(40):
+            for circuit in random_circuits(seed):
+                got = assert_table_matches_reference(circuit)
+                if not isinstance(got, TruthTableResult):
+                    kinds["raises"] += 1
+                else:
+                    kinds["classical" if got.is_classical else "non-classical"] += 1
+        assert sum(kinds.values()) == 400 and min(kinds.values()) >= 50, kinds
+
+    @pytest.mark.parametrize("kappa", [1 << 62, 1 << 63, 1 << 70])
+    def test_root_orders_beyond_machine_words(self, kappa):
+        rng = random.Random(kappa.bit_length())
+        assert_table_matches_reference(Circuit(3, random_layered_circuit(rng, 3, kappa, 40)))
+
+    def test_root_order_beyond_uint64_builds_a_table(self):
+        circuit = Circuit(3, random_layered_circuit(random.Random(8), 3, 1 << 70, 40))
+        table = simulate._linear_form(circuit).table
+        assert table is not None
+        want = [reference_exponent_simulate(circuit, index_to_bits(c, 3) + (0,)).exponent for c in range(8)]
+        assert table.tolist() == want
+
+    def test_form_without_a_table(self):
+        n = 9
+        circuit = Circuit(n, random_layered_circuit(random.Random(9), n, 1 << 8, 300))
+        assert_table_matches_reference(circuit)
+        assert simulate._last_form[0] is circuit and simulate._last_form[1].table is None
+
+    def test_non_classical_inputs_in_input_order(self):
+        w = 4
+        gates = [controlled_root(4, 1, 1, w), feynman(2, 3), controlled_root(4, -1, 3, w), not_gate(w)]
+        circuit = Circuit(3, gates)
+        got = assert_table_matches_reference(circuit)
+        # E(c) = c1 - (c2 xor c3) mod 8 is 1 or 7 where c1 = not (c2 xor c3).
+        spoiled = [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)]
+        assert got.non_classical == tuple(c + (t,) for c in spoiled for t in (0, 1))
+
+    def test_makes_no_exponent_simulate_call(self, monkeypatch):
+        calls = []
+
+        def counting(circuit, bits):
+            calls.append(bits)
+            return exponent_simulate(circuit, bits)
+
+        monkeypatch.setattr(simulate, "exponent_simulate", counting)
+        tt = truth_table(synth_peres(5, (1, 0, 1, 1, 0)))
+        assert calls == [] and tt.permutation == oracle_permutation(GateFamilySpec("peres", 5, (1, 0, 1, 1, 0)))
 
 
 def reference_gate_unitary(g, width):

@@ -162,6 +162,7 @@ class TestParseErrors:
             (["circuit v1", "width 3", "controls 2", "controls 2"], 4),
             (["circuit v1", "width three"], 2),
             (["label x", "circuit v1"], 1),
+            (["circuit v1", "label a", "label b"], 3),
         ],
     )
     def test_bad_directive_lines(self, lines, line_no):
