@@ -30,7 +30,6 @@ from .simulate import (
     classical_output,
     dense_unitary,
     exponent_simulate,
-    permutation_from_unitary,
     truth_table,
 )
 from .synth import (

@@ -7,13 +7,17 @@ Bits = tuple[int, ...]
 
 
 def as_bits(values: Iterable[int], length: int | None = None) -> Bits:
-    """Normalize to a tuple of 0/1 ints, optionally enforcing a length."""
-    bits = tuple(int(v) for v in values)
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"expected a binary vector, got {bits}")
-    if length is not None and len(bits) != length:
-        raise ValueError(f"expected {length} bits, got {len(bits)}")
-    return bits
+    """Normalize to a tuple of 0/1 ints, optionally enforcing a length.
+
+    Each value must equal 0 or 1 (True, 1.0 and numpy ints do), so 0.5 or
+    "1" is rejected rather than truncated.
+    """
+    values = tuple(values)
+    if not {0, 1}.issuperset(values):
+        raise ValueError(f"expected a binary vector, got {values}")
+    if length is not None and len(values) != length:
+        raise ValueError(f"expected {length} bits, got {len(values)}")
+    return tuple(map(int, values))
 
 
 def parse_bitstring(text: str) -> Bits:

@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a circuit file against a family oracle")
     p.add_argument("--circuit", required=True)
     p.add_argument("--family", required=True, choices=_VERIFY_FAMILIES)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}")
     p.add_argument("--activation")
 
     p = sub.add_parser("cost", help="print quantum cost and gate census")
@@ -87,6 +87,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.n > MAX_N:
+        raise ValueError(f"--n {args.n} is above the limit of {MAX_N} controls")
     circuit = load_circuit(args.circuit)
     activation = parse_bitstring(args.activation) if args.activation else None
     spec = GateFamilySpec(_FAMILY_ALIASES.get(args.family, args.family), args.n, activation)

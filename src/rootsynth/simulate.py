@@ -76,12 +76,6 @@ def _gate_halves(g: Gate, width: int) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
-def check_dense_width(width: int) -> None:
-    """Raise WidthLimitError if dense_unitary would refuse this width."""
-    if width > DENSE_WIDTH_LIMIT:
-        raise WidthLimitError(f"width {width} exceeds the dense limit of {DENSE_WIDTH_LIMIT} lines")
-
-
 def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in circuit order.
 
@@ -97,7 +91,8 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     line is accepted; the circuit need not be layered.
     """
     width = circuit.width
-    check_dense_width(width)
+    if width > DENSE_WIDTH_LIMIT:
+        raise WidthLimitError(f"width {width} exceeds the dense limit of {DENSE_WIDTH_LIMIT} lines")
     dim = 1 << width
     u = np.eye(dim, dtype=complex)
     tensor = u.reshape((2,) * width + (dim,))
@@ -127,26 +122,6 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
             lo -= d
             hi += d
     return u
-
-
-# How far an entry of a unitary may be from 0 or 1 in a permutation matrix.
-_PERMUTATION_TOL = 1e-9
-
-
-def permutation_from_unitary(u: np.ndarray) -> tuple[int, ...] | None:
-    """Extract the permutation of a 0/1 permutation matrix, or None.
-
-    Requires every column to be elementwise within _PERMUTATION_TOL of a
-    basis vector with entry exactly 1 (a global phase would fail the
-    check), and the columns to reach distinct rows.
-    """
-    columns = np.arange(u.shape[0])
-    perm = np.argmax(np.abs(u), axis=0)
-    p = np.zeros(u.shape)
-    p[perm, columns] = 1.0
-    if np.max(np.abs(u - p)) > _PERMUTATION_TOL or not np.array_equal(np.sort(perm), columns):
-        return None
-    return tuple(perm.tolist())
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def parse_json(text: str) -> Circuit:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     version = doc.get("format") if isinstance(doc, dict) else None
     if version not in (JSON_FORMAT, FORMAT_HEADER):

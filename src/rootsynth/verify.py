@@ -3,27 +3,17 @@
 spec_output states the intended input/output behavior of each gate family
 directly from its definition, independently of any circuit, so checking a
 circuit against it is a genuine two-route comparison: exponent simulation
-(optionally cross-checked by the dense executor) on one side, the closed
-form on the other.
+on one side, the closed form on the other. The tests and the dense-small
+benchmark compare the dense executor with the same oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .bits import Bits, as_bits, bits_to_index, index_to_bits
+from .bits import Bits, as_bits, index_to_bits
 from .circuit import Circuit
-from .simulate import (
-    NonClassical,
-    check_dense_width,
-    classical_output,
-    dense_unitary,
-    exponent_simulate,
-    permutation_from_unitary,
-    truth_table,
-)
+from .simulate import NonClassical, classical_output, exponent_simulate, truth_table
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
 
@@ -92,48 +82,26 @@ class EquivalenceReport:
         return self.ok
 
 
-def check_equivalence(
-    circuit: Circuit,
-    spec: GateFamilySpec,
-    *,
-    check_dense: bool = False,
-) -> EquivalenceReport:
+def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceReport:
     """Compare a layered circuit against the family oracle on every input.
 
     All 2^(n+1) basis inputs are checked in index order, line 1 most
     significant, each by one exponent_simulate call against spec_output.
     exponent_simulate compiles the circuit into its linear form once, so an
     input costs O(n). The first failing input is reported, which makes the
-    counterexample the lexicographically smallest one. With check_dense,
-    the dense executor must also produce the oracle's permutation matrix,
-    whose columns are compared with the oracle outputs in one array compare;
-    it raises WidthLimitError, before any input is checked, for widths
-    above DENSE_WIDTH_LIMIT, and builds the unitary only once every input
-    has passed the exponent check.
+    counterexample the lexicographically smallest one.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     w = circuit.width
-    if check_dense:
-        check_dense_width(w)
     space = 1 << w
-    wanted = np.empty(space, dtype=np.int64) if check_dense else None
     for x in range(space):
         bits = index_to_bits(x, w)
         sim = exponent_simulate(circuit, bits)
         actual = classical_output(sim, bits[-1])
         expected = spec_output(spec, bits)
-        if isinstance(actual, NonClassical) or actual != expected:
+        if actual != expected:
             return EquivalenceReport(False, x + 1, bits, expected, actual)
-        if check_dense:
-            wanted[x] = bits_to_index(expected)
-    if check_dense:
-        # Built only now, so a circuit the exponent pass rejects never pays for it.
-        perm = permutation_from_unitary(dense_unitary(circuit))
-        failing = [0] if perm is None else np.flatnonzero(np.array(perm) != wanted)
-        if len(failing):
-            x = int(failing[0])
-            return EquivalenceReport(False, space, index_to_bits(x, w), index_to_bits(int(wanted[x]), w), None)
     return EquivalenceReport(True, space)
 
 

@@ -2,11 +2,13 @@
 
 oracle_permutation tabulates spec_output, the closed form of each gate
 family, as a permutation of basis-state indices; permutation_matrix turns a
-permutation into the 0/1 unitary the dense executor should produce.
+permutation into the 0/1 unitary the dense executor should produce, and
+dense_matches compares the two.
 """
 import numpy as np
 
 from rootsynth.bits import bits_to_index, index_to_bits
+from rootsynth.simulate import dense_unitary
 from rootsynth.verify import GateFamilySpec, spec_output
 
 
@@ -23,3 +25,8 @@ def permutation_matrix(perm) -> np.ndarray:
     for x, y in enumerate(perm):
         m[y, x] = 1.0
     return m
+
+
+def dense_matches(circuit, perm) -> bool:
+    """Whether the dense executor gives exactly the permutation matrix of perm."""
+    return np.allclose(dense_unitary(circuit), permutation_matrix(perm), rtol=0, atol=1e-9)

@@ -1,4 +1,5 @@
 """The public names of the rootsynth package, whose count the roadmap tracks."""
+import inspect
 import json
 import os
 import subprocess
@@ -44,7 +45,6 @@ PUBLIC_NAMES = [
     "parse",
     "parse_bitstring",
     "parse_json",
-    "permutation_from_unitary",
     "render_ascii",
     "serialize",
     "serialize_json",
@@ -69,5 +69,49 @@ def test_public_names():
          "import json, rootsynth; print(json.dumps(sorted(k for k in vars(rootsynth) if not k.startswith('_'))))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
     ).stdout
-    assert len(PUBLIC_NAMES) == 48
+    assert len(PUBLIC_NAMES) == 47
     assert json.loads(names) == PUBLIC_NAMES
+
+
+# Each public function with its parameters that have defaults; a new knob
+# shows up here as a diff.
+FUNCTION_OPTIONS = {
+    "activation_set": (),
+    "as_bits": ("length",),
+    "bits_to_index": (),
+    "check_equivalence": (),
+    "classical_output": (),
+    "controlled_root": (),
+    "converter_peres_to_toffoli": (),
+    "converter_toffoli_to_peres": (),
+    "dense_unitary": (),
+    "exponent_simulate": (),
+    "feynman": (),
+    "format_bits": (),
+    "index_to_bits": (),
+    "iterative_polarity_flip": (),
+    "load_circuit": (),
+    "not_gate": (),
+    "parse": (),
+    "parse_bitstring": (),
+    "parse_json": (),
+    "render_ascii": (),
+    "serialize": (),
+    "serialize_json": (),
+    "spec_output": (),
+    "synth_barenco_toffoli": ("activation",),
+    "synth_peres": ("activation",),
+    "synth_toffoli": ("activation",),
+    "synth_zero_polarity": ("mode",),
+    "truth_table": (),
+}
+
+
+def test_public_function_options():
+    functions = {name: getattr(rootsynth, name) for name in PUBLIC_NAMES}
+    options = {
+        name: tuple(p.name for p in inspect.signature(f).parameters.values() if p.default is not p.empty)
+        for name, f in functions.items()
+        if inspect.isfunction(f)
+    }
+    assert options == FUNCTION_OPTIONS

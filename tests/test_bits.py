@@ -1,0 +1,41 @@
+"""as_bits accepts values equal to 0 or 1 and rejects everything else."""
+import numpy as np
+import pytest
+
+from rootsynth.bits import as_bits
+from rootsynth.circuit import Circuit
+from rootsynth.simulate import exponent_simulate
+from rootsynth.synth import synth_peres
+from rootsynth.verify import GateFamilySpec
+
+ACCEPTED = [
+    ((True, False), (1, 0)),
+    ((1.0, 0.0), (1, 0)),
+    ((np.int64(0), np.int64(1)), (0, 1)),
+    (np.array([1, 0, 1]), (1, 0, 1)),
+]
+
+REJECTED = [0.5, 1.9, "1", 2, -1]
+
+
+@pytest.mark.parametrize("values, bits", ACCEPTED)
+def test_values_equal_to_a_bit_pass(values, bits):
+    out = as_bits(values)
+    assert out == bits
+    assert all(type(b) is int for b in out)
+
+
+@pytest.mark.parametrize("value", REJECTED)
+def test_other_values_are_rejected_not_truncated(value):
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        as_bits((1, value, 0))
+
+
+@pytest.mark.parametrize("value", REJECTED)
+def test_callers_reject_a_non_bit(value):
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        synth_peres(3, (value, 1, 1))
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        GateFamilySpec("peres", 2, (value, 0))
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        exponent_simulate(Circuit(2), (1, value, 0))

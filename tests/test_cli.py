@@ -18,11 +18,13 @@ def files(tmp_path):
         "wrong": tmp_path / "wrong.txt",
         "json": tmp_path / "peres.json",
         "broken": tmp_path / "broken.txt",
+        "deep": tmp_path / "deep.json",
     }
     paths["toffoli"].write_text(serialize(synth_toffoli(3, (1, 0, 1))))
     paths["wrong"].write_text(serialize(synth_toffoli(3, (1, 1, 1))))
     paths["json"].write_text(serialize_json(synth_peres(2)))
     paths["broken"].write_text("circuit v1\nwidth 4\ncontrols 3\ncnot 1 9\n")
+    paths["deep"].write_text("[" * 100_000)
     paths["missing"] = tmp_path / "missing.txt"
     return {name: str(path) for name, path in paths.items()}
 
@@ -40,6 +42,8 @@ CASES = [
     (["verify", "--circuit", "{wrong}", "--family", "toffoli", "--n", "3", "--activation", "101"], 1, "counterexample: input 1010"),
     (["verify", "--circuit", "{toffoli}", "--family", "toffoli", "--n", "4"], 2, "control count mismatch"),
     (["verify", "--circuit", "{broken}", "--family", "toffoli", "--n", "3"], 2, "line 4: line 9 out of range"),
+    (["verify", "--circuit", "{deep}", "--family", "toffoli", "--n", "3"], 2, "invalid JSON"),
+    (["verify", "--circuit", "{missing}", "--family", "toffoli", "--n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["cost", "--circuit", "{toffoli}"], 0, "quantum cost: 13"),
     (["cost", "--circuit", "{missing}"], 2, "No such file"),
     (["draw", "--circuit", "{json}"], 0, "[V2]"),

@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from references import oracle_permutation
+from references import dense_matches, oracle_permutation
 
 from rootsynth import simulate
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
@@ -15,11 +15,9 @@ from rootsynth.simulate import (
     TruthTableResult,
     UnsupportedShapeError,
     WidthLimitError,
-    check_dense_width,
     classical_output,
     dense_unitary,
     exponent_simulate,
-    permutation_from_unitary,
     root_of_not,
     truth_table,
 )
@@ -87,9 +85,7 @@ class TestDenseUnitary:
         assert np.array_equal(u, want)
 
     def test_peres_two_controls_matches_function_table(self):
-        u = dense_unitary(synth_peres(2))
-        perm = permutation_from_unitary(u)
-        assert perm == oracle_permutation(GateFamilySpec("peres", 2))
+        assert dense_matches(synth_peres(2), oracle_permutation(GateFamilySpec("peres", 2)))
 
     def test_adjoint_pair_cancels(self):
         c = synth_peres(3, (0, 1, 1))
@@ -101,24 +97,9 @@ class TestDenseUnitary:
             dense_unitary(Circuit(9))
 
     def test_width_limit_is_inclusive(self):
-        check_dense_width(DENSE_WIDTH_LIMIT)
+        assert dense_unitary(Circuit(DENSE_WIDTH_LIMIT - 1)).shape == (1 << DENSE_WIDTH_LIMIT,) * 2
         with pytest.raises(WidthLimitError, match=f"width {DENSE_WIDTH_LIMIT + 1} exceeds"):
-            check_dense_width(DENSE_WIDTH_LIMIT + 1)
-
-
-class TestPermutationFromUnitary:
-    def test_identity(self):
-        assert permutation_from_unitary(np.eye(4)) == (0, 1, 2, 3)
-
-    def test_rejects_superposition(self):
-        h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
-        assert permutation_from_unitary(h) is None
-
-    def test_rejects_phase(self):
-        assert permutation_from_unitary(-np.eye(2)) is None
-
-    def test_rejects_two_columns_on_one_row(self):
-        assert permutation_from_unitary(np.array([[1.0, 1.0], [0.0, 0.0]])) is None
+            dense_unitary(Circuit(DENSE_WIDTH_LIMIT))
 
 
 class TestExponentSimulate:
@@ -250,7 +231,7 @@ class TestDenseAgreesWithExponent:
         c = make()
         tt = truth_table(c)
         assert tt.is_classical
-        assert permutation_from_unitary(dense_unitary(c)) == tt.permutation
+        assert dense_matches(c, tt.permutation)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjoint_composition_is_identity(self, n):

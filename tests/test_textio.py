@@ -264,6 +264,7 @@ class TestParseJsonIntegers:
         "text,message",
         [
             ("{", "invalid JSON"),
+            ("[" * 100_000, "invalid JSON"),
             ("[]", "expected a document with format"),
             ('{"format": "circuit v1", "width": 3}', "missing width/controls"),
             (json_doc([], width=5), "width 5 does not match controls 3 + 1"),

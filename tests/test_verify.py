@@ -3,18 +3,12 @@ import random
 
 import numpy as np
 import pytest
-from references import oracle_permutation, permutation_matrix
+import references
+from references import dense_matches, oracle_permutation, permutation_matrix
 
-from rootsynth import verify
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import (
-    DENSE_WIDTH_LIMIT,
-    NonClassical,
-    WidthLimitError,
-    dense_unitary,
-    permutation_from_unitary,
-)
+from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
@@ -127,21 +121,16 @@ class TestCheckEquivalence:
     def test_non_classical_reported(self):
         c = Circuit(1, (controlled_root(2, 1, 1, 2),))
         report = check_equivalence(c, GateFamilySpec("peres", 1, (1,)))
-        assert not report.ok
-        assert report.counterexample == (1, 0)
-        assert isinstance(report.actual, NonClassical)
+        assert report == EquivalenceReport(False, 3, (1, 0), (1, 1), NonClassical(1, 2))
 
     def test_control_count_mismatch(self):
         with pytest.raises(ValueError):
             check_equivalence(synth_peres(3), GateFamilySpec("peres", 2))
 
     def test_dense_cross_check(self):
-        report = check_equivalence(
-            synth_peres(3, (0, 1, 1)),
-            GateFamilySpec("peres", 3, (0, 1, 1)),
-            check_dense=True,
-        )
-        assert report.ok
+        c, spec = synth_peres(3, (0, 1, 1)), GateFamilySpec("peres", 3, (0, 1, 1))
+        assert check_equivalence(c, spec).ok
+        assert dense_matches(c, oracle_permutation(spec))
 
     def test_repeated_check_gives_the_same_report(self):
         c = synth_peres(6)
@@ -160,70 +149,37 @@ class TestCheckEquivalence:
         # A sampled check of 1000 inputs passed this circuit.
         activation = (1,) * 9 + (0,)
         report = check_equivalence(synth_toffoli(10), GateFamilySpec("toffoli", 10, activation))
-        assert not report.ok
-        assert report.counterexample == activation + (0,)
-        assert report.inputs_checked == 2 * int("1111111110", 2) + 1
+        assert report == EquivalenceReport(
+            False, 2 * int("1111111110", 2) + 1, activation + (0,), activation + (1,), activation + (0,)
+        )
 
     def test_every_input_is_checked_at_n10(self):
         report = check_equivalence(synth_peres(10, (0, 1) * 5), GateFamilySpec("peres", 10, (0, 1) * 5))
         assert report.ok
         assert report.inputs_checked == 1 << 11
 
-    @pytest.mark.parametrize(
-        "unitary, counterexample, expected",
-        [
-            ("superposition", (0, 0, 0, 0), (0, 0, 0, 0)),
-            ("swapped", (0, 1, 0, 1), (0, 1, 1, 1)),
-            ("phase", (0, 0, 0, 0), (0, 0, 0, 0)),
-        ],
-    )
-    def test_dense_disagreement_reports_the_smallest_input(self, monkeypatch, unitary, counterexample, expected):
+    @pytest.mark.parametrize("unitary", ["superposition", "phase", "swapped"])
+    def test_dense_check_rejects_a_wrong_unitary(self, monkeypatch, unitary):
         spec = GateFamilySpec("peres", 3, (0, 1, 1))
-        perm = list(oracle_permutation(spec))
+        want = oracle_permutation(spec)
+        perm = list(want)
         perm[5], perm[11] = perm[11], perm[5]
         fake = {
             "superposition": np.full((16, 16), 0.25),
+            "phase": -permutation_matrix(want),
             "swapped": permutation_matrix(perm),
-            "phase": -permutation_matrix(oracle_permutation(spec)),
         }[unitary]
-        monkeypatch.setattr(verify, "dense_unitary", lambda circuit: fake)
-        report = check_equivalence(synth_peres(3, (0, 1, 1)), spec, check_dense=True)
-        assert report == EquivalenceReport(False, 16, counterexample, expected, None)
+        monkeypatch.setattr(references, "dense_unitary", lambda circuit: fake)
+        assert not dense_matches(synth_peres(3, (0, 1, 1)), want)
 
     def test_dense_cross_check_runs_up_to_the_dense_limit(self):
         n = DENSE_WIDTH_LIMIT - 1
         activation = (1, 0) * (n // 2) + (1,) * (n % 2)
-        report = check_equivalence(
-            synth_toffoli(n, activation), GateFamilySpec("toffoli", n, activation), check_dense=True
-        )
+        c, spec = synth_toffoli(n, activation), GateFamilySpec("toffoli", n, activation)
+        report = check_equivalence(c, spec)
         assert report.ok
         assert report.inputs_checked == 1 << DENSE_WIDTH_LIMIT
-
-    def test_dense_cross_check_beyond_the_dense_limit_raises(self, monkeypatch):
-        n = DENSE_WIDTH_LIMIT
-        c, spec = synth_peres(n), GateFamilySpec("peres", n)
-        assert check_equivalence(c, spec).ok
-
-        def refuse(*args):
-            raise AssertionError("an input was checked")
-
-        monkeypatch.setattr(verify, "exponent_simulate", refuse)
-        with pytest.raises(WidthLimitError):
-            check_equivalence(c, spec, check_dense=True)
-
-    @pytest.mark.parametrize("activation,calls", [((1, 1, 1, 1, 1, 1, 1, 0), 0), ((1,) * 8, 1)])
-    def test_dense_unitary_is_built_only_after_the_exponent_pass(self, monkeypatch, activation, calls):
-        built = []
-
-        def counting(circuit):
-            built.append(circuit)
-            return dense_unitary(circuit)
-
-        monkeypatch.setattr(verify, "dense_unitary", counting)
-        spec = GateFamilySpec("toffoli", 8, activation)
-        report = check_equivalence(synth_toffoli(8), spec, check_dense=True)
-        assert report == check_equivalence(synth_toffoli(8), spec)
-        assert len(built) == calls
+        assert dense_matches(c, oracle_permutation(spec))
 
 
 class TestActivationSet:
@@ -314,6 +270,6 @@ def test_dense_route_rejects_sampled_mutants(family, make, n, count):
     activation = index_to_bits(rng.randrange(1, 1 << n), n)
     circuit = make(n, activation)
     want = oracle_permutation(GateFamilySpec(family, n, activation))
-    assert permutation_from_unitary(dense_unitary(circuit)) == want
+    assert dense_matches(circuit, want)
     for mutant in rng.sample(list(single_gate_mutants(circuit)), count):
-        assert permutation_from_unitary(dense_unitary(mutant)) != want
+        assert not dense_matches(mutant, want)
