@@ -5,13 +5,7 @@ any number of binary controls and any mixed-polarity activation vector,
 accounts their quantum cost, and verifies every construction against an
 independent functional oracle by exact simulation.
 """
-from .bits import (
-    as_bits,
-    bits_to_index,
-    format_bits,
-    index_to_bits,
-    parse_bitstring,
-)
+from .bits import as_bits, format_bits, parse_bitstring
 from .circuit import (
     Circuit,
     Gate,
@@ -24,10 +18,8 @@ from .circuit import (
 from .simulate import (
     DENSE_WIDTH_LIMIT,
     NonClassical,
-    SimState,
     UnsupportedShapeError,
     WidthLimitError,
-    classical_output,
     dense_unitary,
     exponent_simulate,
     truth_table,

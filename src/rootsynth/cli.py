@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .bits import format_bits, parse_bitstring
-from .simulate import NonClassical, classical_output, exponent_simulate
+from .simulate import NonClassical, exponent_simulate
 from .synth import (
     MAX_N,
     synth_barenco_toffoli,
@@ -123,8 +123,7 @@ def _cmd_draw(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     circuit = load_circuit(args.circuit)
-    bits = parse_bitstring(args.input)
-    out = classical_output(exponent_simulate(circuit, bits), bits[-1])
+    out = exponent_simulate(circuit, parse_bitstring(args.input))
     if isinstance(out, NonClassical):
         print(f"non-classical (root exponent {out.exponent} mod {2 * out.kappa})")
     else:

@@ -20,7 +20,8 @@ line adds its power to the coefficient f[m] of the mask m it reads. The net
 power on control vector c is the sum of f[m] over the masks of odd parity
 on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
 being the Walsh-Hadamard transform, exact for every kappa. exponent_simulate
-and truth_table read one input or all of them from that compiled form.
+returns one input's output and truth_table every input's, both read from
+that compiled form.
 """
 from __future__ import annotations
 
@@ -37,6 +38,9 @@ from .circuit import Circuit, Gate, GateKind, distinct_gates, map_distinct
 # core of a 2-CPU Xeon box): twice the gates, each touching 4x the memory.
 DENSE_WIDTH_LIMIT = 9
 
+MAX_N = 20
+"""Most controls a generator, truth_table or check_equivalence accepts (2^n work)."""
+
 NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -45,7 +49,8 @@ class UnsupportedShapeError(ValueError):
 
 
 class WidthLimitError(ValueError):
-    """Circuit is too wide for the dense executor."""
+    """Circuit is too wide: above DENSE_WIDTH_LIMIT lines for the dense
+    executor, or above MAX_N controls for a call that covers every input."""
 
 
 def root_of_not(kappa: int) -> np.ndarray:
@@ -122,20 +127,6 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
             lo -= d
             hi += d
     return u
-
-
-@dataclass(frozen=True)
-class SimState:
-    """Classical control bits plus the net root power on the target line."""
-
-    control_bits: Bits
-    exponent: int
-    target_flips: int
-    kappa: int
-
-    @property
-    def is_classical(self) -> bool:
-        return self.exponent % self.kappa == 0
 
 
 @dataclass(frozen=True)
@@ -276,16 +267,19 @@ def _form_of(circuit: Circuit) -> _LinearForm:
     return form
 
 
-def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
-    """Run a basis input through a layered circuit.
+def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | NonClassical:
+    """Output of a layered circuit on one basis input, or a NonClassical marker.
 
     Layered means: Feynman gates combine control lines (or drive the target
     line, which is exact because NOT is the kappa-th power of the root), all
     controlled roots share one kappa and target the target line, and NOT
     gates act on the target line only. Each control line then carries a
     GF(2) linear form of the inputs, and each active root adds its
-    direction to the exponent, accumulated mod 2*kappa. The input target bit
-    does not influence the result; see classical_output.
+    direction to the exponent, accumulated mod 2*kappa. The net target
+    operator is V^exponent (times NOT per target flip); it is classical
+    exactly when the exponent is 0 or kappa mod 2*kappa, flipping the
+    target in the latter case, and otherwise the result is
+    NonClassical(exponent, kappa).
 
     The circuit is compiled into its linear form: the final mask of each
     control line and, from a Walsh-Hadamard transform, the net root power
@@ -297,23 +291,17 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> SimState:
     bits = as_bits(input_bits, length=circuit.width)
     form = _form_of(circuit)
     c = bits_to_index(bits[: circuit.n_controls])
+    exponent = form.exponent(c)
+    if exponent % form.kappa:
+        return NonClassical(exponent, form.kappa)
     controls = tuple((m & c).bit_count() & 1 for m in form.masks)
-    return SimState(controls, form.exponent(c), form.flips, form.kappa)
+    return controls + (bits[-1] ^ form.flips ^ (exponent == form.kappa),)
 
 
-def classical_output(sim: SimState, t: int) -> Bits | NonClassical:
-    """Full output vector for input target bit t, or a NonClassical marker.
-
-    The net target operator is V^exponent (times NOT per target flip); it is
-    classical exactly when the exponent is 0 or kappa mod 2*kappa, flipping
-    the target in the latter case.
-    """
-    if t not in (0, 1):
-        raise ValueError(f"target bit must be 0 or 1, got {t}")
-    if not sim.is_classical:
-        return NonClassical(sim.exponent, sim.kappa)
-    flip = sim.target_flips ^ (1 if sim.exponent == sim.kappa else 0)
-    return sim.control_bits + (t ^ flip,)
+def _check_controls(n: int) -> None:
+    """Refuse a call that covers all 2^n control vectors when n > MAX_N."""
+    if n > MAX_N:
+        raise WidthLimitError(f"n = {n} is above the limit of {MAX_N} controls")
 
 
 @dataclass(frozen=True)
@@ -334,9 +322,11 @@ def truth_table(circuit: Circuit) -> TruthTableResult:
 
     Outputs are GF(2)-linear in the inputs, so doubling from the target line
     up, XOR-ing in each control line's column of the final masks, gives all
-    2^w; the root-power table then sets the target as classical_output does.
+    2^w; the root-power table then sets the target as exponent_simulate
+    does. Raises WidthLimitError above MAX_N controls, before any work.
     """
     n, w = circuit.n_controls, circuit.width
+    _check_controls(n)
     form = _form_of(circuit)
     table = form.table if form.table is not None else _root_power_table(form.coefficients, n, form.kappa)
     outputs = np.arange(2)

@@ -11,13 +11,13 @@ alpha and a share an odd number of ones, and the adjoint root otherwise.
 This makes the net power of the root equal kappa exactly on a, so the
 target is negated only there.
 
-The main generator takes the driving functions in bit-reversal order: the
-k-th of them, k = 1..2^n-1, has alpha_i = bit i-1 of k. This groups them
-into blocks sharing a highest control line and leaves prefix parities
-c1 xor ... xor ci on the control lines. The baseline generator orders them
-by a binary-reflected Gray code, which restores the control lines instead.
-Converter circuits of n-1 Feynman gates translate between the two output
-conventions.
+One emitter places the gates of every generator; only the order of the
+driving functions differs. The bit-reversal order (the k-th, k = 1..2^n-1,
+has alpha_i = bit i-1 of k) groups them into blocks sharing a highest
+control line and leaves prefix parities c1 xor ... xor ci on the control
+lines. The baseline generator takes a binary-reflected Gray code, which
+restores the control lines instead. Converter circuits of n-1 Feynman
+gates translate between the two output conventions.
 
 The mask each target-line gate reads, which the exponent simulator derives
 from the Feynman gates before it, is that gate's alpha;
@@ -36,14 +36,11 @@ those once, in a table, and only looks one up per gate of the circuit.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
 from .circuit import Circuit, Gate, controlled_root, feynman, map_distinct, not_gate
-from .simulate import _walk
-
-MAX_N = 20
-"""Most controls a generator accepts; an n-control circuit has about 2^(n+1) gates."""
+from .simulate import MAX_N, _walk
 
 ActivationVector = Bits
 
@@ -99,26 +96,28 @@ def _gate_table(n: int) -> _GateTable:
     return cnots, roots
 
 
-def _bit_reversal_gates(n: int, act: int | None, table: _GateTable) -> list[Gate]:
-    """Gate list of the bit-reversal construction over n controls.
+def _emit(n: int, order: Iterable[int], act: int | None, table: _GateTable) -> list[Gate]:
+    """One controlled gate per driving function alpha in `order`, on line b = top bit of alpha.
 
-    The k-th controlled gate (k = 1..2^n-1) sits on control line b = highest
-    set bit of k and is driven by the bit-reversal coefficients of k; within
-    block b, one Feynman gate per step folds the prefix parity of a lower
-    line into line b, stepping the driving function through the block in
-    bit-reversal order. The gate is the root (+1) when the driving function
-    is 1 on the activation vector packed LSB-first into `act`, i.e. when
-    k & act has odd parity, and the adjoint root otherwise; act None makes
-    every controlled gate the plain root. Each gate comes from `table`.
+    held[b] is the mask (bit i-1 for c_i) line b holds, first c_b, and
+    line_of its inverse. If line b does not hold alpha yet, one Feynman gate
+    folds in the line holding alpha ^ held[b]: a finished prefix parity in
+    bit-reversal order, a single control in Gray-code order. The gate is the
+    root (+1) when alpha & act has odd parity, act being the activation
+    vector packed LSB-first, and the adjoint root otherwise; act None makes
+    every gate the root. Each gate comes from `table`.
     """
     cnots, roots = table
+    held = [0] + [1 << i for i in range(n)]
+    line_of = {1 << i: i + 1 for i in range(n)}
     gates: list[Gate] = []
-    for k in range(1, 1 << n):
-        b = k.bit_length()
-        j = k ^ (1 << (b - 1))
-        if j:
-            gates.append(cnots[(j & -j).bit_length(), b])
-        gates.append(roots[b, 1 if act is None or (k & act).bit_count() & 1 else -1])
+    for alpha in order:
+        b = alpha.bit_length()
+        if held[b] != alpha:
+            gates.append(cnots[line_of[alpha ^ held[b]], b])
+            del line_of[held[b]]
+            held[b], line_of[alpha] = alpha, b
+        gates.append(roots[b, 1 if act is None or (alpha & act).bit_count() & 1 else -1])
     return gates
 
 
@@ -134,22 +133,20 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
     act = _resolve_activation(n, activation)
-    gates = _bit_reversal_gates(n, pack_lsb(act), _gate_table(n))
+    gates = _emit(n, range(1, 1 << n), pack_lsb(act), _gate_table(n))
     return Circuit(n, tuple(gates), label=f"peres n={n} a={format_bits(act)}")
 
 
 def converter_toffoli_to_peres(n: int) -> Circuit:
     """Feynman ladder mapping raw controls (c1..cn) to prefix parities; cost n - 1."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     gates = tuple(feynman(i, i + 1) for i in range(1, n))
     return Circuit(n, gates, label=f"toffoli-to-peres n={n}")
 
 
 def converter_peres_to_toffoli(n: int) -> Circuit:
     """The reversed ladder: prefix parities back to raw controls; cost n - 1."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
+    _check_n(n)
     gates = tuple(feynman(i, i + 1) for i in range(n - 1, 0, -1))
     return Circuit(n, gates, label=f"peres-to-toffoli n={n}")
 
@@ -163,7 +160,7 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     """
     act = _resolve_activation(n, activation)
     table = _gate_table(n)
-    gates = _bit_reversal_gates(n, pack_lsb(act), table)
+    gates = _emit(n, range(1, 1 << n), pack_lsb(act), table)
     gates += (table[0][i, i + 1] for i in range(n - 1, 0, -1))  # converter_peres_to_toffoli
     return Circuit(n, tuple(gates), label=f"toffoli n={n} a={format_bits(act)}")
 
@@ -180,18 +177,8 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     """
     _check_n(n, least=2)
     act = _resolve_activation(n, activation)
-    a = pack_lsb(act)
-    cnots, roots = _gate_table(n)
-    gates: list[Gate] = []
-    prev = 0
-    for k in range(1, 1 << n):
-        g = k ^ (k >> 1)
-        top = g.bit_length()
-        if k > 1:
-            prev_top = prev.bit_length()
-            gates.append(cnots[prev_top if top > prev_top else (g ^ prev).bit_length(), top])
-        gates.append(roots[top, 1 if (g & a).bit_count() & 1 else -1])
-        prev = g
+    gray = (k ^ (k >> 1) for k in range(1, 1 << n))
+    gates = _emit(n, gray, pack_lsb(act), _gate_table(n))
     return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 
@@ -207,7 +194,7 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     _check_n(n)
     if mode not in ("or-gate", "and-complemented"):
         raise ValueError(f"unknown mode {mode!r}")
-    gates = _bit_reversal_gates(n, None, _gate_table(n))
+    gates = _emit(n, range(1, 1 << n), None, _gate_table(n))
     if mode == "and-complemented":
         gates.append(not_gate(n + 1))
     return Circuit(n, tuple(gates), label=f"{mode} n={n}")

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .bits import Bits, as_bits, index_to_bits
 from .circuit import Circuit
-from .simulate import NonClassical, classical_output, exponent_simulate, truth_table
+from .simulate import NonClassical, _check_controls, exponent_simulate, truth_table
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
 
@@ -86,19 +86,21 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     """Compare a layered circuit against the family oracle on every input.
 
     All 2^(n+1) basis inputs are checked in index order, line 1 most
-    significant, each by one exponent_simulate call against spec_output.
-    exponent_simulate compiles the circuit into its linear form once, so an
-    input costs O(n). The first failing input is reported, which makes the
-    counterexample the lexicographically smallest one.
+    significant, each by one exponent_simulate call, whose output is
+    compared with spec_output's. exponent_simulate compiles the circuit
+    into its linear form once, so an input costs O(n). The first failing
+    input is reported, which makes the counterexample the lexicographically
+    smallest one. Raises WidthLimitError above MAX_N controls, before any
+    input is checked.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
+    _check_controls(spec.n)
     w = circuit.width
     space = 1 << w
     for x in range(space):
         bits = index_to_bits(x, w)
-        sim = exponent_simulate(circuit, bits)
-        actual = classical_output(sim, bits[-1])
+        actual = exponent_simulate(circuit, bits)
         expected = spec_output(spec, bits)
         if actual != expected:
             return EquivalenceReport(False, x + 1, bits, expected, actual)

@@ -20,17 +20,14 @@ PUBLIC_NAMES = [
     "GateKind",
     "NonClassical",
     "ParseError",
-    "SimState",
     "UnsupportedShapeError",
     "WidthLimitError",
     "ZeroActivationError",
     "activation_set",
     "as_bits",
     "bits",
-    "bits_to_index",
     "check_equivalence",
     "circuit",
-    "classical_output",
     "controlled_root",
     "converter_peres_to_toffoli",
     "converter_toffoli_to_peres",
@@ -38,7 +35,6 @@ PUBLIC_NAMES = [
     "exponent_simulate",
     "feynman",
     "format_bits",
-    "index_to_bits",
     "iterative_polarity_flip",
     "load_circuit",
     "not_gate",
@@ -69,7 +65,7 @@ def test_public_names():
          "import json, rootsynth; print(json.dumps(sorted(k for k in vars(rootsynth) if not k.startswith('_'))))"],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": SRC},
     ).stdout
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 43
     assert json.loads(names) == PUBLIC_NAMES
 
 
@@ -78,9 +74,7 @@ def test_public_names():
 FUNCTION_OPTIONS = {
     "activation_set": (),
     "as_bits": ("length",),
-    "bits_to_index": (),
     "check_equivalence": (),
-    "classical_output": (),
     "controlled_root": (),
     "converter_peres_to_toffoli": (),
     "converter_toffoli_to_peres": (),
@@ -88,7 +82,6 @@ FUNCTION_OPTIONS = {
     "exponent_simulate": (),
     "feynman": (),
     "format_bits": (),
-    "index_to_bits": (),
     "iterative_polarity_flip": (),
     "load_circuit": (),
     "not_gate": (),

@@ -19,12 +19,14 @@ def files(tmp_path):
         "json": tmp_path / "peres.json",
         "broken": tmp_path / "broken.txt",
         "deep": tmp_path / "deep.json",
+        "halfroot": tmp_path / "halfroot.txt",
     }
     paths["toffoli"].write_text(serialize(synth_toffoli(3, (1, 0, 1))))
     paths["wrong"].write_text(serialize(synth_toffoli(3, (1, 1, 1))))
     paths["json"].write_text(serialize_json(synth_peres(2)))
     paths["broken"].write_text("circuit v1\nwidth 4\ncontrols 3\ncnot 1 9\n")
     paths["deep"].write_text("[" * 100_000)
+    paths["halfroot"].write_text("circuit v1\nwidth 2\ncontrols 1\ncroot 2 +1 1 2\n")
     paths["missing"] = tmp_path / "missing.txt"
     return {name: str(path) for name, path in paths.items()}
 
@@ -54,6 +56,7 @@ CASES = [
     (["table", "--max-n", "0"], 2, "--max-n must be >= 1"),
     (["table", "--max-n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["frobnicate"], 2, "invalid choice"),
+    (["simulate", "--circuit", "{halfroot}", "--input", "10"], 0, "non-classical (root exponent 1 mod 4)"),
 ]
 
 

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 from references import dense_matches, oracle_permutation
 
-from rootsynth import simulate
+from rootsynth import simulate, verify
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import (
     DENSE_WIDTH_LIMIT,
+    MAX_N,
     NOT_MATRIX,
     NonClassical,
-    SimState,
     TruthTableResult,
     UnsupportedShapeError,
     WidthLimitError,
-    classical_output,
     dense_unitary,
     exponent_simulate,
     root_of_not,
@@ -29,7 +28,8 @@ from rootsynth.synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
-from rootsynth.verify import GateFamilySpec
+from rootsynth.textio import load_circuit, serialize
+from rootsynth.verify import GateFamilySpec, activation_set, check_equivalence
 
 
 def repeated_power(m, k):
@@ -104,32 +104,27 @@ class TestDenseUnitary:
 
 class TestExponentSimulate:
     def test_four_controls_all_active_reaches_kappa(self):
-        c = synth_peres(4)
-        sim = exponent_simulate(c, (1, 1, 1, 1, 0))
-        assert sim.kappa == 8
-        assert sim.exponent == 8
+        # Exponent kappa = 8 negates the target; prefix parities on the controls.
+        assert exponent_simulate(synth_peres(4), (1, 1, 1, 1, 0)) == (1, 0, 1, 0, 1)
 
     def test_one_inactive_control_cancels(self):
-        sim = exponent_simulate(synth_peres(4), (1, 1, 1, 0, 0))
-        assert sim.exponent == 0
+        assert exponent_simulate(synth_peres(4), (1, 1, 1, 0, 0)) == (1, 0, 1, 1, 0)
 
     def test_mixed_polarity_activation(self):
         c = synth_peres(2, (1, 0))
-        exponents = {}
+        targets = {}
         for cidx in range(4):
             cbits = index_to_bits(cidx, 2)
-            exponents[cbits] = exponent_simulate(c, cbits + (0,)).exponent
-        assert exponents == {(0, 0): 0, (0, 1): 0, (1, 0): 2, (1, 1): 0}
+            targets[cbits] = exponent_simulate(c, cbits + (0,))[-1]
+        assert targets == {(0, 0): 0, (0, 1): 0, (1, 0): 1, (1, 1): 0}
 
     def test_prefix_parities_on_control_lines(self):
-        sim = exponent_simulate(synth_peres(3), (1, 1, 1, 0))
-        assert sim.control_bits == (1, 0, 1)
+        assert exponent_simulate(synth_peres(3), (1, 1, 1, 0)) == (1, 0, 1, 1)
 
     def test_not_gates_toggle_flips(self):
+        # Exponent 0 leaves the target to the one NOT gate.
         c = synth_zero_polarity(2, "and-complemented")
-        sim = exponent_simulate(c, (0, 0, 0))
-        assert sim.target_flips == 1
-        assert sim.exponent == 0
+        assert exponent_simulate(c, (0, 0, 0)) == (0, 0, 1)
 
     def test_input_length_checked(self):
         with pytest.raises(ValueError):
@@ -158,30 +153,27 @@ class TestExponentSimulate:
     def test_feynman_driving_target_counts_as_full_power(self):
         # The n = 1 construction conditions NOT itself on the control.
         c = synth_peres(1)
-        assert exponent_simulate(c, (1, 0)).exponent == 1
-        assert exponent_simulate(c, (0, 0)).exponent == 0
+        assert exponent_simulate(c, (1, 0)) == (1, 1)
+        assert exponent_simulate(c, (0, 0)) == (0, 0)
 
 
 class TestClassicalOutput:
     def test_exponent_kappa_negates_target(self):
-        sim = exponent_simulate(synth_peres(2), (1, 1, 0))
-        assert classical_output(sim, 0) == (1, 0, 1)
-        assert classical_output(sim, 1) == (1, 0, 0)
+        c = synth_peres(2)
+        assert exponent_simulate(c, (1, 1, 0)) == (1, 0, 1)
+        assert exponent_simulate(c, (1, 1, 1)) == (1, 0, 0)
 
     def test_exponent_zero_passes_target(self):
-        sim = exponent_simulate(synth_peres(2), (1, 0, 0))
-        assert classical_output(sim, 0) == (1, 1, 0)
+        assert exponent_simulate(synth_peres(2), (1, 0, 0)) == (1, 1, 0)
 
     def test_partial_power_is_non_classical(self):
         c = Circuit(1, (controlled_root(2, 1, 1, 2),))
-        out = classical_output(exponent_simulate(c, (1, 0)), 0)
-        assert isinstance(out, NonClassical)
-        assert out.exponent == 1
+        for t in (0, 1):
+            assert exponent_simulate(c, (1, t)) == NonClassical(1, 2)
 
     def test_rejects_bad_target_bit(self):
-        sim = exponent_simulate(synth_peres(2), (1, 1, 0))
         with pytest.raises(ValueError):
-            classical_output(sim, 2)
+            exponent_simulate(synth_peres(2), (1, 1, 2))
 
 
 class TestTruthTable:
@@ -291,15 +283,16 @@ class TestNetRootExponent:
     def test_matches_circuit_exponent(self, n):
         a = index_to_bits((1 << n) - 2, n)  # 1...10
         circuit = synth_peres(n, a)
+        form = simulate._linear_form(circuit)
         for cidx in range(1 << n):
             c = index_to_bits(cidx, n)
-            sim = exponent_simulate(circuit, c + (0,))
-            assert sim.exponent == net_root_exponent(a, c) % (2 * sim.kappa)
+            want = net_root_exponent(a, c) % (2 * form.kappa)
+            assert form.exponent(cidx) == want
+            assert exponent_simulate(circuit, c + (0,))[-1] == want // form.kappa
 
 
-def reference_exponent_simulate(circuit, input_bits):
-    """The gate-by-gate walk exponent_simulate replaced, kept as the reference."""
-    bits = as_bits(input_bits, length=circuit.width)
+def reference_walk(circuit, bits):
+    """The gate-by-gate walk: (control bits, exponent mod 2*kappa, target flips, kappa)."""
     w = circuit.target_line
     kappas = {g.kappa for g in circuit.gates if g.kind is GateKind.ROOT}
     if len(kappas) > 1:
@@ -325,7 +318,16 @@ def reference_exponent_simulate(circuit, input_bits):
             if g.target != w:
                 raise UnsupportedShapeError("NOT gate off the target line")
             flips ^= 1
-    return SimState(tuple(controls), exponent, flips, kappa)
+    return tuple(controls), exponent, flips, kappa
+
+
+def reference_exponent_simulate(circuit, input_bits):
+    """The gate-by-gate walk exponent_simulate replaced, then the target rule."""
+    bits = as_bits(input_bits, length=circuit.width)
+    controls, exponent, flips, kappa = reference_walk(circuit, bits)
+    if exponent % kappa:
+        return NonClassical(exponent, kappa)
+    return controls + ((bits[-1] + flips + exponent // kappa) % 2,)
 
 
 def outcome(simulator, circuit, *args):
@@ -431,6 +433,32 @@ class TestLinearFormMatchesReference:
         assert_matches_reference(circuit, inputs)
         assert simulate._last_form[0] is circuit and simulate._last_form[1].table is None
 
+    def test_calls_over_every_input_refuse_more_than_max_n_controls(self, tmp_path, monkeypatch):
+        n = 40
+        path = tmp_path / "wide.txt"
+        path.write_text(serialize(Circuit(n, random_layered_circuit(random.Random(5), n, 1 << 39, 60))))
+        circuit = load_circuit(str(path))
+
+        def refuse(*args):
+            raise AssertionError("work began before the width check")
+
+        with monkeypatch.context() as m:
+            for module, name in ((simulate, "_linear_form"), (simulate, "_root_power_table"),
+                                 (verify, "exponent_simulate")):
+                m.setattr(module, name, refuse)
+            for call in (truth_table, activation_set, lambda c: check_equivalence(c, GateFamilySpec("toffoli", n))):
+                with pytest.raises(WidthLimitError, match=f"n = {n} is above the limit of {MAX_N} controls"):
+                    call(circuit)
+        bits = (1, 0) * 20 + (1,)
+        assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits)
+
+    def test_the_control_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_N", 3)
+        assert truth_table(synth_toffoli(3)).is_classical
+        assert check_equivalence(synth_toffoli(3), GateFamilySpec("toffoli", 3)).ok
+        with pytest.raises(WidthLimitError, match="n = 4 is above the limit of 3 controls"):
+            truth_table(synth_toffoli(4))
+
     def test_first_call_builds_the_table(self, monkeypatch):
         monkeypatch.setattr(simulate, "_last_form", (None, None))
         circuit = Circuit(3, random_layered_circuit(random.Random(7), 3, 8, 40))
@@ -461,18 +489,16 @@ class TestLinearFormMatchesReference:
 
 def reference_truth_table(circuit):
     """The per-input loop truth_table replaced, kept as the reference."""
-    n, w = circuit.n_controls, circuit.width
+    w = circuit.width
     perm = [0] * (1 << w)
     bad = []
-    for cidx in range(1 << n):
-        cbits = index_to_bits(cidx, n)
-        sim = exponent_simulate(circuit, cbits + (0,))
-        for t in (0, 1):
-            out = classical_output(sim, t)
-            if isinstance(out, NonClassical):
-                bad.append(cbits + (t,))
-            else:
-                perm[(cidx << 1) | t] = bits_to_index(out)
+    for x in range(1 << w):
+        bits = index_to_bits(x, w)
+        out = exponent_simulate(circuit, bits)
+        if isinstance(out, NonClassical):
+            bad.append(bits)
+        else:
+            perm[x] = bits_to_index(out)
     if bad:
         return TruthTableResult(w, None, tuple(bad))
     return TruthTableResult(w, tuple(perm))
@@ -516,7 +542,7 @@ class TestTruthTableMatchesReference:
         circuit = Circuit(3, random_layered_circuit(random.Random(8), 3, 1 << 70, 40))
         table = simulate._linear_form(circuit).table
         assert table is not None
-        want = [reference_exponent_simulate(circuit, index_to_bits(c, 3) + (0,)).exponent for c in range(8)]
+        want = [reference_walk(circuit, index_to_bits(c, 3) + (0,))[1] for c in range(8)]
         assert table.tolist() == want
 
     def test_form_without_a_table(self):

@@ -206,8 +206,7 @@ class TestConverters:
     def test_prefix_parity_mapping(self):
         from rootsynth.simulate import exponent_simulate
 
-        sim = exponent_simulate(converter_toffoli_to_peres(3), (1, 1, 1, 0))
-        assert sim.control_bits == (1, 0, 1)
+        assert exponent_simulate(converter_toffoli_to_peres(3), (1, 1, 1, 0)) == (1, 0, 1, 0)
 
     def test_mutual_inverse_structure(self):
         n = 4
@@ -217,6 +216,15 @@ class TestConverters:
     def test_rejects_zero_controls(self):
         with pytest.raises(ValueError):
             converter_toffoli_to_peres(0)
+
+    @pytest.mark.parametrize("converter", [converter_toffoli_to_peres, converter_peres_to_toffoli])
+    @pytest.mark.parametrize(
+        "n, message",
+        [(0, "need n >= 1, got 0"), (MAX_N + 1, f"n = {MAX_N + 1} is above the limit of {MAX_N} controls")],
+    )
+    def test_n_is_bounded_as_for_the_generators(self, converter, n, message):
+        with pytest.raises(ValueError, match=message):
+            converter(n)
 
 
 class TestSynthToffoli:
@@ -276,7 +284,7 @@ class TestBarenco:
         c = synth_barenco_toffoli(n)
         for cidx in range(1 << n):
             cbits = index_to_bits(cidx, n)
-            assert exponent_simulate(c, cbits + (0,)).control_bits == cbits
+            assert exponent_simulate(c, cbits + (0,))[:n] == cbits
 
     def test_rejects_single_control(self):
         with pytest.raises(ValueError):
@@ -290,20 +298,20 @@ class TestZeroPolarity:
         assert c.quantum_cost == 11
 
     def test_or_gate_behavior(self):
-        from rootsynth.simulate import classical_output, exponent_simulate
+        from rootsynth.simulate import exponent_simulate
 
         c = synth_zero_polarity(2, "or-gate")
         for t in (0, 1):
-            assert classical_output(exponent_simulate(c, (0, 0, t)), t)[-1] == t
-        assert classical_output(exponent_simulate(c, (1, 0, 0)), 0)[-1] == 1
+            assert exponent_simulate(c, (0, 0, t))[-1] == t
+        assert exponent_simulate(c, (1, 0, 0))[-1] == 1
 
     def test_and_complemented_behavior(self):
-        from rootsynth.simulate import classical_output, exponent_simulate
+        from rootsynth.simulate import exponent_simulate
 
         c = synth_zero_polarity(2, "and-complemented")
         assert c.census().not_count == 1
-        assert classical_output(exponent_simulate(c, (0, 0, 0)), 0)[-1] == 1
-        assert classical_output(exponent_simulate(c, (1, 0, 0)), 0)[-1] == 0
+        assert exponent_simulate(c, (0, 0, 0))[-1] == 1
+        assert exponent_simulate(c, (1, 0, 0))[-1] == 0
 
     def test_single_control(self):
         assert synth_zero_polarity(1, "or-gate").gates == (feynman(1, 2),)
@@ -442,7 +450,7 @@ def reference_activations(family, n):
     return [(1,) * n] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4)]
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 11))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generators_match_the_per_gate_reference(family, n):
     if family == "barenco" and n == 1:
