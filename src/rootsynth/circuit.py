@@ -14,13 +14,18 @@ circuits are equal when they have the same width and gate sequence (the
 free-text label is presentation metadata and excluded from comparison; a
 label of only whitespace is stored as the empty label).
 
-A circuit of 2^(n+1) gates holds only O(n^2) distinct ones. The generators
-and parsers reuse one Gate object per distinct gate, so validation, adjoint
-and the writers do their work once per distinct object (see distinct_gates).
+Gates are hash-consed (Filliatre and Conchon, "Type-Safe Modular
+Hash-Consing", 2006), so comparing and hashing them is by identity, at C
+speed. A circuit of 2^(n+1) gates holds only O(n^2) distinct ones, so
+validation, census, adjoint and the writers work once per distinct gate.
 """
 from __future__ import annotations
 
 import dataclasses
+import operator
+import threading
+import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence, TypeVar
@@ -38,9 +43,19 @@ def _is_power_of_two(value: int) -> bool:
     return value >= 1 and value & (value - 1) == 0
 
 
-@dataclass(frozen=True)
+# The one live Gate of each value, under its fields; a Gate enters once its checks pass.
+_interned: weakref.WeakValueDictionary[tuple, "Gate"] = weakref.WeakValueDictionary()
+_intern_lock = threading.Lock()
+
+
+# init=False: __new__ sets the fields, and object.__init__ ignores the arguments.
+@dataclass(frozen=True, eq=False, init=False)
 class Gate:
-    """One elementary gate; build via feynman(), controlled_root(), not_gate()."""
+    """One elementary gate; build via feynman(), controlled_root(), not_gate().
+
+    Each gate value has one object, so equality is identity; Gate(...),
+    dataclasses.replace, copy and pickle all return that object.
+    """
 
     kind: GateKind
     target: int
@@ -48,24 +63,44 @@ class Gate:
     kappa: int = 1
     direction: int = 1
 
-    def __post_init__(self) -> None:
-        if self.target < 1:
-            raise ValueError(f"target line {self.target} must be >= 1")
-        if self.kind is GateKind.NOT:
-            if self.control is not None:
+    def __new__(cls, kind: GateKind, target: int, control: int | None = None,
+                kappa: int = 1, direction: int = 1) -> "Gate":
+        if not isinstance(kind, GateKind):
+            raise ValueError(f"kind must be a GateKind, got {kind!r}")
+        try:  # True and numpy integers are stored as int; 1.0 and "1" are refused
+            target, kappa, direction = map(operator.index, (target, kappa, direction))
+            control = None if control is None else operator.index(control)
+        except TypeError:
+            fields = f"target {target!r}, control {control!r}, kappa {kappa!r}, direction {direction!r}"
+            raise ValueError(f"gate fields must be integers, got {fields}") from None
+        if target < 1:
+            raise ValueError(f"target line {target} must be >= 1")
+        if kind is GateKind.NOT:
+            if control is not None:
                 raise ValueError("a NOT gate acts on a single line")
         else:
-            if self.control is None or self.control < 1:
-                raise ValueError(f"control line {self.control} must be >= 1")
-            if self.control == self.target:
-                raise ValueError(f"control and target coincide on line {self.target}")
-        if self.kind is GateKind.ROOT:
-            if not _is_power_of_two(self.kappa):
-                raise ValueError(f"kappa must be a power of two >= 1, got {self.kappa}")
-            if self.direction not in (1, -1):
-                raise ValueError(f"direction must be +1 or -1, got {self.direction}")
-        elif self.kappa != 1 or self.direction != 1:
+            if control is None or control < 1:
+                raise ValueError(f"control line {control} must be >= 1")
+            if control == target:
+                raise ValueError(f"control and target coincide on line {target}")
+        if kind is GateKind.ROOT:
+            if not _is_power_of_two(kappa):
+                raise ValueError(f"kappa must be a power of two >= 1, got {kappa}")
+            if direction not in (1, -1):
+                raise ValueError(f"direction must be +1 or -1, got {direction}")
+        elif kappa != 1 or direction != 1:
             raise ValueError(f"kappa/direction only apply to {GateKind.ROOT}")
+        key = (kind, target, control, kappa, direction)
+        g = _interned.get(key)
+        if g is None:
+            new = object.__new__(cls)
+            vars(new).update(zip(("kind", "target", "control", "kappa", "direction"), key))
+            with _intern_lock:
+                g = _interned.setdefault(key, new)
+        return g
+
+    def __reduce__(self) -> tuple:
+        return Gate, (self.kind, self.target, self.control, self.kappa, self.direction)
 
     @property
     def lines(self) -> tuple[int, ...]:
@@ -92,21 +127,10 @@ def not_gate(line: int) -> Gate:
     return Gate(GateKind.NOT, target=line)
 
 
-def distinct_gates(gates: Sequence[Gate]) -> dict[int, Gate]:
-    """Each distinct gate object of `gates` under its id(), in order of first use.
-
-    Identity, not equality, keys the table: hashing a Gate runs the
-    Python-level Enum.__hash__ for every gate, which costs more than the
-    per-gate work the table saves.
-    """
-    return dict(zip(map(id, gates), gates))
-
-
 def map_distinct(fn: Callable[[Gate], _T], gates: Sequence[Gate]) -> list[_T]:
-    """[fn(g) for g in gates], calling fn once per distinct gate object."""
-    ids = list(map(id, gates))
-    table = {key: fn(g) for key, g in dict(zip(ids, gates)).items()}
-    return list(map(table.__getitem__, ids))
+    """[fn(g) for g in gates], calling fn once per distinct gate."""
+    table = {g: fn(g) for g in dict.fromkeys(gates)}
+    return list(map(table.__getitem__, gates))
 
 
 @dataclass(frozen=True)
@@ -144,7 +168,9 @@ class Circuit:
             # One rule for both file formats: text has no line for a blank label.
             object.__setattr__(self, "label", "")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in distinct_gates(self.gates).values():
+        for g in dict.fromkeys(self.gates):
+            if not isinstance(g, Gate):
+                raise ValueError(f"gate {self.gates.index(g)} is {g!r}, not a Gate")
             self._check_gate(g)
 
     def _check_gate(self, g: Gate) -> None:
@@ -188,13 +214,13 @@ class Circuit:
 
     def census(self) -> GateCensus:
         feyn = roots = adjs = nots = 0
-        for g in self.gates:
+        for g, count in Counter(self.gates).items():
             if g.kind is GateKind.FEYNMAN:
-                feyn += 1
+                feyn += count
             elif g.kind is GateKind.NOT:
-                nots += 1
+                nots += count
             elif g.direction == 1:
-                roots += 1
+                roots += count
             else:
-                adjs += 1
+                adjs += count
         return GateCensus(feyn, roots, adjs, nots)

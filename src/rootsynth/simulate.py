@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index
-from .circuit import Circuit, Gate, GateKind, distinct_gates, map_distinct
+from .circuit import Circuit, Gate, GateKind, map_distinct
 
 # A Toffoli circuit takes about 0.3 s at width 9 and 2.4 s at width 10 (one
 # core of a 2-CPU Xeon box): twice the gates, each touching 4x the memory.
@@ -223,13 +223,13 @@ def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int]
     first offending gate raises as it would in a gate-by-gate walk.
     """
     n = circuit.n_controls
-    distinct = distinct_gates(circuit.gates)
-    kappa = _common_kappa(distinct.values())
-    steps = {key: _step(g, n, kappa) for key, g in distinct.items()}
+    distinct = dict.fromkeys(circuit.gates)
+    kappa = _common_kappa(distinct)
+    steps = {g: _step(g, n, kappa) for g in distinct}
     masks = [1 << (n - 1 - i) for i in range(n)] + [0]
     coefficients: defaultdict[int, int] = defaultdict(int)
     reads: list[int] = []
-    for source, dest, power in map(steps.__getitem__, map(id, circuit.gates)):
+    for source, dest, power in map(steps.__getitem__, circuit.gates):
         if dest is None:
             reads.append(masks[source])
             coefficients[masks[source]] += power

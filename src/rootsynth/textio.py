@@ -37,7 +37,8 @@ per gate in "gates" and no "sequence", is still read.
 
 A generated circuit repeats a few distinct gates many times, so each reader
 and writer formats or checks each distinct gate once and looks it up for
-every repeat.
+every repeat. Equal gates are one object (see circuit.Gate), so a writer
+keys its table by gate, and the text reader by the raw gate line.
 """
 from __future__ import annotations
 
@@ -105,15 +106,16 @@ def _int_field(word: str, what: str, line_no: int) -> int:
 
 
 def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
-    name, values = words[0], words[1:]
+    name = words[0]
     build, fields = _GATES[name]
-    if len(values) != len(fields):
+    if len(words) != len(fields) + 1:
         usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
         raise ParseError(f"{name} takes {usage}", line_no)
-    given = dict(zip(fields, values))
-    if "direction" in given and given["direction"] not in _DIRECTIONS:
-        raise ParseError(f"direction must be +1 or -1, got {given['direction']!r}", line_no)
-    args = [_DIRECTIONS[v] if f == "direction" else _int_field(v, f, line_no) for f, v in given.items()]
+    args = []
+    for f, word in zip(fields, words[1:]):
+        if f == "direction" and word not in _DIRECTIONS:
+            raise ParseError(f"direction must be +1 or -1, got {word!r}", line_no)
+        args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f, line_no))
     try:
         g = build(*args)
     except ValueError as exc:
@@ -127,9 +129,9 @@ def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
 def parse(text: str) -> Circuit:
     """Parse a text circuit document back into a Circuit.
 
-    The first occurrence of each distinct gate line goes through every
-    check; a repeat of it, which can only follow the width and controls
-    directives, reuses the Gate parsed there.
+    The first occurrence of each distinct raw gate line goes through every
+    check; a repeat of it, which can only follow the directives that made
+    the first one valid, reuses the Gate parsed there.
     """
     width: int | None = None
     controls: int | None = None
@@ -138,6 +140,10 @@ def parse(text: str) -> Circuit:
     parsed: dict[str, Gate] = {}
     saw_header = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
+        g = parsed.get(raw)
+        if g is not None:
+            gates.append(g)
+            continue
         stripped = raw.strip()
         if stripped.startswith("label "):
             if not saw_header:
@@ -148,10 +154,6 @@ def parse(text: str) -> Circuit:
             continue
         if "#" in stripped:
             stripped = stripped[: stripped.index("#")].strip()
-        g = parsed.get(stripped)
-        if g is not None:
-            gates.append(g)
-            continue
         if not stripped:
             continue
         if not saw_header:
@@ -176,7 +178,7 @@ def parse(text: str) -> Circuit:
         elif word in _GATES:
             if width is None or controls is None:
                 raise ParseError("gate line before width/controls directives", line_no)
-            g = parsed[stripped] = _parse_gate(fields, width, line_no)
+            g = parsed[raw] = _parse_gate(fields, width, line_no)
             gates.append(g)
         else:
             raise ParseError(f"unknown directive {word!r}", line_no)
@@ -197,11 +199,10 @@ def parse(text: str) -> Circuit:
 def serialize_json(circuit: Circuit) -> str:
     """The circuit as a format circuit v2 JSON document, on one line.
 
-    Equal gates share one record: each distinct gate object is keyed by
-    value once, so the per-gate work is one lookup by id.
+    Equal gates share one record, numbered in order of first use.
     """
-    slots: dict[Gate, str] = {}
-    sequence = map_distinct(lambda g: slots.setdefault(g, str(len(slots))), circuit.gates)
+    slots = {g: str(i) for i, g in enumerate(dict.fromkeys(circuit.gates))}
+    sequence = map(slots.__getitem__, circuit.gates)
     doc = json.dumps({
         "format": JSON_FORMAT,
         "width": circuit.width,

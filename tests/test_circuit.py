@@ -1,14 +1,20 @@
+import copy
 import dataclasses
+import pickle
+import sys
+import threading
 
+import numpy as np
 import pytest
-from alpha_tables import target_gates
+from alpha_tables import FAMILIES, generate, target_gates
 
+from rootsynth import circuit
 from rootsynth.circuit import (
     Circuit,
+    Gate,
     GateCensus,
     GateKind,
     controlled_root,
-    distinct_gates,
     feynman,
     map_distinct,
     not_gate,
@@ -39,6 +45,11 @@ class TestConstruction:
         assert isinstance(c.gates, tuple)
         assert c == Circuit(2, (feynman(1, 2),))
 
+    @pytest.mark.parametrize("gates,position", [((1, 2), 0), ((feynman(1, 2), "cnot 1 2"), 1)], ids=["int", "str"])
+    def test_rejects_an_entry_that_is_no_gate(self, gates, position):
+        with pytest.raises(ValueError, match=f"gate {position} is .*, not a Gate"):
+            Circuit(2, gates)
+
 
 class TestGateValidation:
     def test_control_equals_target(self):
@@ -54,6 +65,24 @@ class TestGateValidation:
     def test_root_direction(self, direction):
         with pytest.raises(ValueError):
             controlled_root(2, direction, 1, 2)
+
+    @pytest.mark.parametrize("args", [
+        (GateKind.FEYNMAN, 2.0, 1.0),
+        ("cnot", 2, 1),
+        (GateKind.FEYNMAN, 2, "1"),
+        (GateKind.ROOT, 3, 1, 2.0, 1),
+        (GateKind.ROOT, 3, 1, 2, "+1"),
+        (GateKind.NOT, 3.0),
+    ], ids=repr)
+    def test_rejects_a_kind_or_number_of_another_type(self, args):
+        with pytest.raises(ValueError, match="must be a GateKind|must be integers"):
+            Gate(*args)
+
+    @pytest.mark.parametrize("one", [True, np.int64(1)], ids=repr)
+    def test_stores_integer_likes_as_int(self, one):
+        g = controlled_root(2, one, one, 3)
+        assert type(g.control) is int and type(g.direction) is int
+        assert g is controlled_root(2, 1, 1, 3)
 
     def test_gates_are_frozen(self):
         g = feynman(1, 2)
@@ -215,11 +244,77 @@ class TestDistinctGateObjects:
     def test_adjoint_keeps_one_object_per_distinct_gate(self):
         c = synth_toffoli(6)
         adj = c.adjoint()
-        assert len(distinct_gates(adj.gates)) == len(distinct_gates(c.gates))
+        assert len(set(map(id, adj.gates))) == len(set(map(id, c.gates)))
         assert adj.gates == tuple(g.adjoint() for g in reversed(c.gates))
 
     def test_map_distinct_calls_once_per_object(self):
-        a, b = feynman(1, 2), feynman(1, 2)
+        # Equal gates are one object, so one call per distinct gate value.
+        a, b, x = feynman(1, 2), feynman(1, 2), not_gate(2)
         calls = []
-        assert map_distinct(lambda g: calls.append(g) or len(calls), [a, b, a, a, b]) == [1, 2, 1, 1, 2]
-        assert calls == [a, b] and calls[0] is a and calls[1] is b
+        assert map_distinct(lambda g: calls.append(g) or len(calls), [a, x, b, a, x]) == [1, 2, 1, 1, 2]
+        assert calls == [a, x] and calls[0] is a is b
+
+
+class TestInterning:
+    """Each gate value has one live object."""
+
+    def test_equal_gates_are_one_object(self):
+        assert feynman(1, 2) is feynman(1, 2)
+        assert controlled_root(4, -1, 2, 3).adjoint() is controlled_root(4, 1, 2, 3)
+        assert feynman(1, 2) is not feynman(2, 1)
+
+    def test_replace_copy_and_pickle_return_the_same_object(self):
+        g = controlled_root(8, -1, 2, 4)
+        assert dataclasses.replace(g) is g
+        assert dataclasses.replace(g, direction=1) is g.adjoint()
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(g, protocol)) is g
+
+    @pytest.mark.parametrize("args", [
+        (GateKind.FEYNMAN, 2, 2),
+        (GateKind.ROOT, 2, 1, 3, 1),
+        (GateKind.NOT, 0),
+        (GateKind.NOT, 2, 1),
+        (GateKind.FEYNMAN, 2.0, 1),
+    ], ids=repr)
+    def test_a_construction_that_raises_leaves_nothing_in_the_table(self, args):
+        before = dict(circuit._interned)  # strong references: nothing drops out meanwhile
+        with pytest.raises(ValueError):
+            Gate(*args)
+        assert dict(circuit._interned) == before
+
+    def test_threads_building_the_same_gates_get_one_object_per_gate(self):
+        # Lines far above any other test's, so every gate is new to the table.
+        pairs = [(c, t) for t in range(900, 960) for c in range(900, t)]
+        start = threading.Barrier(4, timeout=10)
+        built = [[] for _ in range(4)]
+
+        def build(out):
+            start.wait()
+            out.extend(feynman(c, t) for c, t in pairs)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(out,)) for out in built]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(len(out) == len(pairs) for out in built)
+        for gates in zip(*built):
+            assert len(set(map(id, gates))) == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_a_circuit_of_replaced_gates_equals_the_original(self, family, n):
+        if family == "barenco" and n == 1:
+            return
+        c = generate(family, n, None)
+        copies = Circuit(c.n_controls, tuple(dataclasses.replace(g) for g in c.gates))
+        assert copies == c and copies.census() == c.census()
+        assert all(a is b for a, b in zip(copies.gates, c.gates))

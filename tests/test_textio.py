@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from rootsynth import cli
-from rootsynth.circuit import Circuit, controlled_root, distinct_gates, feynman, not_gate
+from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
 from rootsynth.synth import (
     synth_barenco_toffoli,
     synth_peres,
@@ -82,7 +82,7 @@ class TestDistinctGates:
         c = family_circuit(family, n)
         bound = n * (n - 1) // 2 + 2 * n + 1
         for back in (parse(serialize(c)), parse_json(serialize_json(c))):
-            assert len(distinct_gates(back.gates)) == len(set(back.gates)) <= bound
+            assert len(set(map(id, back.gates))) == len(set(back.gates)) <= bound
 
     def test_json_is_one_line_of_the_whole_document(self):
         c = synth_zero_polarity(3, "and-complemented")
