@@ -127,6 +127,13 @@ def not_gate(line: int) -> Gate:
     return Gate(GateKind.NOT, target=line)
 
 
+def check_lines(g: Gate, width: int) -> None:
+    """Raise ValueError unless every line of g lies in 1..width."""
+    for line in g.lines:
+        if not 1 <= line <= width:
+            raise ValueError(f"line {line} out of range for width {width}")
+
+
 def map_distinct(fn: Callable[[Gate], _T], gates: Sequence[Gate]) -> list[_T]:
     """[fn(g) for g in gates], calling fn once per distinct gate."""
     table = {g: fn(g) for g in dict.fromkeys(gates)}
@@ -171,12 +178,7 @@ class Circuit:
         for g in dict.fromkeys(self.gates):
             if not isinstance(g, Gate):
                 raise ValueError(f"gate {self.gates.index(g)} is {g!r}, not a Gate")
-            self._check_gate(g)
-
-    def _check_gate(self, g: Gate) -> None:
-        for line in g.lines:
-            if not 1 <= line <= self.width:
-                raise ValueError(f"line {line} out of range for width {self.width}")
+            check_lines(g, self.width)
 
     @property
     def width(self) -> int:
@@ -199,7 +201,6 @@ class Circuit:
 
     def append(self, g: Gate) -> "Circuit":
         """New circuit with g appended."""
-        self._check_gate(g)
         return dataclasses.replace(self, gates=self.gates + (g,))
 
     def compose(self, other: "Circuit") -> "Circuit":

@@ -20,8 +20,9 @@ restores the control lines instead. Converter circuits of n-1 Feynman
 gates translate between the two output conventions.
 
 The mask each target-line gate reads, which the exponent simulator derives
-from the Feynman gates before it, is that gate's alpha;
-iterative_polarity_flip reads the alphas from there.
+from the Feynman gates before it, is that gate's alpha with its n bits
+reversed (alpha_1 is the mask's highest bit); iterative_polarity_flip
+reads the alphas from there.
 
 Activation vectors: a circuit "fires on a" when its target flips exactly
 for control input a. Direct synthesis requires a nonzero a; the all-zero
@@ -36,6 +37,7 @@ those once, in a table, and only looks one up per gate of the circuit.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 from typing import Iterable, Literal, Sequence
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
@@ -84,11 +86,12 @@ def _target_gate(kappa: int, direction: int, control: int, target: int) -> Gate:
 _GateTable = tuple[dict[tuple[int, int], Gate], dict[tuple[int, int], Gate]]
 
 
+@cache
 def _gate_table(n: int) -> _GateTable:
     """Every gate the n-control generators place, each built and validated once.
 
     Feynman gates between control lines are keyed by (control, target),
-    target-line gates by (control line, direction).
+    target-line gates by (control line, direction). Each n's table is kept and only read.
     """
     kappa = 1 << (n - 1)
     cnots = {(c, t): feynman(c, t) for t in range(2, n + 1) for c in range(1, t)}

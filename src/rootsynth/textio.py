@@ -35,19 +35,19 @@ ones, so the table keeps the document small and its reader decodes one
 integer, not one record, per gate. Format "circuit v1", with one record
 per gate in "gates" and no "sequence", is still read.
 
-A generated circuit repeats a few distinct gates many times, so each reader
-and writer formats or checks each distinct gate once and looks it up for
-every repeat. Equal gates are one object (see circuit.Gate), so a writer
-keys its table by gate, and the text reader by the raw gate line.
+A generated circuit repeats a few distinct gates many times. A writer
+formats each distinct gate, which is one object (see circuit.Gate), once;
+the text reader checks each distinct raw gate line once, and a v2 document
+holds each distinct record once. A v1 document, which no writer emits,
+has every record checked.
 """
 from __future__ import annotations
 
 import json
 import re
-from itertools import chain
 from pathlib import Path
 
-from .circuit import Circuit, Gate, GateKind, controlled_root, feynman, map_distinct, not_gate
+from .circuit import Circuit, Gate, GateKind, check_lines, controlled_root, feynman, map_distinct, not_gate
 
 FORMAT_HEADER = "circuit v1"
 # The format serialize_json writes; parse_json also reads FORMAT_HEADER.
@@ -105,9 +105,19 @@ def _int_field(word: str, what: str, line_no: int) -> int:
     return int(word)
 
 
+def _build_gate(name: str, args: list[int], width: int, line_no: int | None = None) -> Gate:
+    """The gate `name` of `args`, which must fit the width: both readers end here."""
+    try:
+        g = _GATES[name][0](*args)
+        check_lines(g, width)
+    except ValueError as exc:
+        raise ParseError(str(exc), line_no) from None
+    return g
+
+
 def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
     name = words[0]
-    build, fields = _GATES[name]
+    fields = _GATES[name][1]
     if len(words) != len(fields) + 1:
         usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
         raise ParseError(f"{name} takes {usage}", line_no)
@@ -116,14 +126,7 @@ def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
         if f == "direction" and word not in _DIRECTIONS:
             raise ParseError(f"direction must be +1 or -1, got {word!r}", line_no)
         args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f, line_no))
-    try:
-        g = build(*args)
-    except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
-    for line in g.lines:
-        if not 1 <= line <= width:
-            raise ParseError(f"line {line} out of range for width {width}", line_no)
-    return g
+    return _build_gate(name, args, width, line_no)
 
 
 def parse(text: str) -> Circuit:
@@ -216,10 +219,6 @@ def serialize_json(circuit: Circuit) -> str:
     return doc[:-2] + ", ".join(sequence) + "]}\n"
 
 
-# Value types of a valid gate record: its gate name and integers.
-_RECORD_TYPES = {str, int}
-
-
 def _json_int(value: object, what: str) -> int:
     # bool is a subclass of int, and true == 1 == 1.0: only an exact int passes.
     if type(value) is not int:
@@ -227,57 +226,21 @@ def _json_int(value: object, what: str) -> int:
     return value
 
 
-def _record_gate(entry: object) -> Gate:
+def _record_gate(entry: object, width: int) -> Gate:
     if not isinstance(entry, dict):
         raise ParseError("malformed gate entry")
     name = entry.get("gate")
     if not isinstance(name, str) or name not in _GATES:
         raise ParseError(f"unknown gate {name!r}")
-    build, fields = _GATES[name]
+    fields = _GATES[name][1]
     missing = [f for f in fields if f not in entry]
     if missing:
         raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(missing)}")
-    args = [_json_int(entry[f], f) for f in fields]
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
-def _record_gates(entries: list) -> list[Gate]:
-    """The gate of every record, each distinct record checked and built once.
-
-    Records are keyed by their contents only when every value in the list
-    is a string or an integer, so that records comparing equal are
-    identical: no true, 1.0 or "1" can stand in for a stored 1. Otherwise
-    each record is checked on its own.
-    """
-    try:
-        clean = set(map(type, chain.from_iterable(map(dict.values, entries)))) <= _RECORD_TYPES
-    except TypeError:  # an entry is not a JSON object
-        clean = False
-    built: dict = {}
-    gates: list[Gate] = []
-    for index, entry in enumerate(entries):
-        key = tuple(entry.items()) if clean else index
-        g = built.get(key)
-        if g is None:
-            try:
-                g = built[key] = _record_gate(entry)
-            except ParseError as exc:
-                raise ParseError(f"gate {index}: {exc}") from None
-        gates.append(g)
-    return gates
-
-
-def _sequence_gates(doc: dict, table: list[Gate], width: int) -> list[Gate]:
-    """The table's gate at each index of a v2 document's "sequence".
-
-    Every record must fit the width, whether the sequence uses it or not.
-    """
-    for index, g in enumerate(table):
-        if max(g.lines) > width:
-            raise ParseError(f"gate {index}: line {max(g.lines)} out of range for width {width}")
+def _sequence_gates(doc: dict, table: list[Gate]) -> list[Gate]:
+    """The table's gate at each index of a v2 document's "sequence"; the table is checked."""
     if "sequence" not in doc:
         raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
     sequence = doc["sequence"]
@@ -300,8 +263,9 @@ def _sequence_gates(doc: dict, table: list[Gate], width: int) -> list[Gate]:
 def parse_json(text: str) -> Circuit:
     """Parse a JSON circuit document of format circuit v2 or circuit v1.
 
-    Both check and build the records of "gates" alike; a v2 document then
-    takes its gates from that table through "sequence".
+    Each record of "gates" is checked once, in order and against the width,
+    and an error in it names its index. A v1 document's gates are those
+    records; a v2 document takes its gates from them through "sequence".
     """
     try:
         doc = json.loads(text)
@@ -322,9 +286,14 @@ def parse_json(text: str) -> Circuit:
     entries = doc.get("gates", [])
     if not isinstance(entries, list):
         raise ParseError("gates must be a list of gate records")
-    gates = _record_gates(entries)
+    gates = []
+    for index, entry in enumerate(entries):
+        try:
+            gates.append(_record_gate(entry, width))
+        except ParseError as exc:
+            raise ParseError(f"gate {index}: {exc}") from None
     if version == JSON_FORMAT:
-        gates = _sequence_gates(doc, gates, width)
+        gates = _sequence_gates(doc, gates)
     try:
         return Circuit(controls, tuple(gates), label=label)
     except ValueError as exc:

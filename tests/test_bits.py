@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from rootsynth.bits import as_bits
+from rootsynth.bits import as_bits, index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit
 from rootsynth.simulate import exponent_simulate
 from rootsynth.synth import synth_peres
@@ -39,3 +39,14 @@ def test_callers_reject_a_non_bit(value):
         GateFamilySpec("peres", 2, (value, 0))
     with pytest.raises(ValueError, match="expected a binary vector"):
         exponent_simulate(Circuit(2), (1, value, 0))
+
+
+def test_empty_bitstring_is_rejected():
+    with pytest.raises(ValueError, match="expected a nonempty string of 0/1, got ''"):
+        parse_bitstring("")
+
+
+def test_index_past_the_width_is_rejected():
+    assert index_to_bits(7, 3) == (1, 1, 1)
+    with pytest.raises(ValueError, match="index 8 out of range for width 3"):
+        index_to_bits(8, 3)

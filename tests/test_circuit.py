@@ -89,6 +89,10 @@ class TestGateValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             g.target = 3
 
+    def test_feynman_takes_no_kappa(self):
+        with pytest.raises(ValueError, match="kappa/direction only apply to"):
+            Gate(GateKind.FEYNMAN, 2, 1, kappa=2)
+
     def test_not_gate_single_line(self):
         g = not_gate(3)
         assert g.lines == (3,)
@@ -112,6 +116,10 @@ class TestAppend:
     def test_append_out_of_range(self):
         with pytest.raises(ValueError):
             Circuit(2).append(feynman(1, 4))
+
+    def test_append_rejects_an_entry_that_is_no_gate(self):
+        with pytest.raises(ValueError, match="^gate 0 is 1, not a Gate$"):
+            Circuit(2).append(1)
 
     def test_construct_out_of_range(self):
         with pytest.raises(ValueError):

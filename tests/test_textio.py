@@ -13,7 +13,15 @@ from rootsynth.synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
-from rootsynth.textio import ParseError, load_circuit, parse, parse_json, serialize, serialize_json
+from rootsynth.textio import (
+    ParseError,
+    load_circuit,
+    parse,
+    parse_json,
+    render_ascii,
+    serialize,
+    serialize_json,
+)
 
 FAMILY_CASES = [
     (family, n)
@@ -161,6 +169,7 @@ class TestParseErrors:
             (["circuit v1", "width 3", "width 3"], 3),
             (["circuit v1", "width 3", "controls 2", "controls 2"], 4),
             (["circuit v1", "width three"], 2),
+            (["circuit v1", "width 3 4"], 2),
             (["label x", "circuit v1"], 1),
             (["circuit v1", "label a", "label b"], 3),
         ],
@@ -184,6 +193,7 @@ class TestParseErrors:
             ("circuit v1\ncontrols 2\n", "missing width directive"),
             ("circuit v1\nwidth 3\n", "missing controls directive"),
             ("circuit v1\nwidth 4\ncontrols 2\n", "width 4 does not match controls 2 + 1"),
+            ("circuit v1\nwidth 1\ncontrols 0\n", "need at least one control line, got 0"),
         ],
     )
     def test_document_errors_have_no_line(self, text, message):
@@ -251,7 +261,7 @@ class TestParseJsonIntegers:
             ([{"gate": "croot", "kappa": 4, "control": 1, "target": 4}],
              "gate 0: croot takes kappa, direction, control, target; missing direction"),
             ([{"gate": "cnot", "control": 3, "target": 3}], "gate 0: control and target coincide on line 3"),
-            ([GOOD_RECORDS[0]] * 5 + [{"gate": "not", "line": 9}], "line 9 out of range for width 4"),
+            ([GOOD_RECORDS[0]] * 5 + [{"gate": "not", "line": 9}], "gate 5: line 9 out of range for width 4"),
             ({"gate": "not"}, "gates must be a list of gate records"),
         ],
     )
@@ -428,3 +438,18 @@ class TestGoldenDocuments:
         c = load_circuit(path)
         assert c == self.circuit
         assert c.label == "  mixed #1  "
+
+
+class TestRenderAscii:
+    def test_draws_each_gate_kind(self):
+        c = Circuit(2, (not_gate(3), feynman(1, 3), controlled_root(2, -1, 2, 3)))
+        assert render_ascii(c) == "\n".join([
+            "c1 ─────●───────",
+            "c2 ─────│───●───",
+            " t ─[X]─⊕─[V2†]─",
+        ])
+
+    def test_refuses_more_than_26_lines(self):
+        render_ascii(Circuit(25))
+        with pytest.raises(ValueError, match="rendering supports at most 26 lines, got 27"):
+            render_ascii(Circuit(26))

@@ -50,6 +50,10 @@ class TestGateFamilySpec:
         with pytest.raises(ValueError):
             GateFamilySpec("toffoli", 2, (1, 1, 1))
 
+    def test_rejects_zero_controls(self):
+        with pytest.raises(ValueError, match="need n >= 1, got 0"):
+            GateFamilySpec("toffoli", 0)
+
 
 class TestSpecOutput:
     def test_peres_function_table_entry(self):
@@ -109,6 +113,7 @@ class TestCheckEquivalence:
     def test_wrong_activation_yields_counterexample(self):
         report = check_equivalence(synth_peres(2, (1, 1)), GateFamilySpec("peres", 2, (1, 0)))
         assert not report.ok
+        assert bool(report) is False
         assert report.counterexample == (1, 0, 0)
         assert report.expected == (1, 1, 1)
         assert report.actual == (1, 1, 0)
