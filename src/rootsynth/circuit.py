@@ -12,7 +12,9 @@ gate kinds are supported, each with quantum cost 1:
 Circuits are immutable values; every operation returns a new circuit. Two
 circuits are equal when they have the same width and gate sequence (the
 free-text label is presentation metadata and excluded from comparison; a
-label of only whitespace is stored as the empty label).
+label of only whitespace is stored as the empty label). A control count is
+checked in one place, control_count, which Circuit, GateFamilySpec and every
+generator call.
 
 Gates are hash-consed (Filliatre and Conchon, "Type-Safe Modular
 Hash-Consing", 2006), so comparing and hashing them is by identity, at C
@@ -39,8 +41,21 @@ class GateKind(Enum):
     NOT = "not"
 
 
-def _is_power_of_two(value: int) -> bool:
-    return value >= 1 and value & (value - 1) == 0
+def control_count(n: object, least: int = 1) -> int:
+    """n as an int: True and numpy integers pass; 2.0, "2" and counts below least do not."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        raise ValueError(f"control count must be an integer, got {n!r}") from None
+    if count < least:
+        raise ValueError(f"need n >= {least}, got {count}")
+    return count
+
+
+def check_kappa(kappa: int) -> None:
+    """Raise ValueError unless kappa, a root's order, is a power of two >= 1."""
+    if kappa < 1 or kappa & (kappa - 1):
+        raise ValueError(f"kappa must be a power of two >= 1, got {kappa}")
 
 
 # The one live Gate of each value, under its fields; a Gate enters once its checks pass.
@@ -84,8 +99,7 @@ class Gate:
             if control == target:
                 raise ValueError(f"control and target coincide on line {target}")
         if kind is GateKind.ROOT:
-            if not _is_power_of_two(kappa):
-                raise ValueError(f"kappa must be a power of two >= 1, got {kappa}")
+            check_kappa(kappa)
             if direction not in (1, -1):
                 raise ValueError(f"direction must be +1 or -1, got {direction}")
         elif kappa != 1 or direction != 1:
@@ -167,15 +181,20 @@ class Circuit:
     label: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_controls < 1:
-            raise ValueError(f"need at least one control line, got {self.n_controls}")
+        object.__setattr__(self, "n_controls", control_count(self.n_controls))
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a string, got {self.label!r}")
         if self.label and self.label.splitlines() != [self.label]:
             raise ValueError(f"label must be a single line, got {self.label!r}")
         if not self.label.strip():
             # One rule for both file formats: text has no line for a blank label.
             object.__setattr__(self, "label", "")
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g in dict.fromkeys(self.gates):
+        try:
+            distinct = dict.fromkeys(self.gates)
+        except TypeError:  # an unhashable entry, which no Gate is: the loop names it
+            distinct = self.gates
+        for g in distinct:
             if not isinstance(g, Gate):
                 raise ValueError(f"gate {self.gates.index(g)} is {g!r}, not a Gate")
             check_lines(g, self.width)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .bits import format_bits, parse_bitstring
-from .simulate import NonClassical, exponent_simulate
+from .simulate import NonClassical, _check_controls, exponent_simulate
 from .synth import (
     MAX_N,
     synth_barenco_toffoli,
@@ -87,8 +87,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n > MAX_N:
-        raise ValueError(f"--n {args.n} is above the limit of {MAX_N} controls")
+    _check_controls(args.n)
     circuit = load_circuit(args.circuit)
     activation = parse_bitstring(args.activation) if args.activation else None
     spec = GateFamilySpec(_FAMILY_ALIASES.get(args.family, args.family), args.n, activation)
@@ -134,8 +133,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    if args.max_n > MAX_N:
-        raise ValueError(f"--max-n {args.max_n} is above the limit of {MAX_N} controls")
+    _check_controls(args.max_n)
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
     for n in range(1, args.max_n + 1):
         peres = 2 ** (n + 1) - n - 2

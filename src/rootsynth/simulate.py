@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index
-from .circuit import Circuit, Gate, GateKind, map_distinct
+from .circuit import Circuit, Gate, GateKind, check_kappa, map_distinct
 
 # A Toffoli circuit takes about 0.3 s at width 9 and 2.4 s at width 10 (one
 # core of a 2-CPU Xeon box): twice the gates, each touching 4x the memory.
@@ -59,8 +59,7 @@ def root_of_not(kappa: int) -> np.ndarray:
     V = 1/2 [[1+w, 1-w], [1-w, 1+w]] with w = exp(i*pi/kappa); V has
     eigenvalues 1 and w, so V^kappa = NOT exactly. kappa = 1 gives NOT.
     """
-    if kappa < 1 or kappa & (kappa - 1) != 0:
-        raise ValueError(f"kappa must be a power of two >= 1, got {kappa}")
+    check_kappa(kappa)
     if kappa == 1:
         return NOT_MATRIX.copy()
     w = np.exp(1j * np.pi / kappa)

@@ -41,10 +41,8 @@ from functools import cache
 from typing import Iterable, Literal, Sequence
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
-from .circuit import Circuit, Gate, controlled_root, feynman, map_distinct, not_gate
-from .simulate import MAX_N, _walk
-
-ActivationVector = Bits
+from .circuit import Circuit, Gate, control_count, controlled_root, feynman, map_distinct, not_gate
+from .simulate import MAX_N, _check_controls, _walk
 
 ZeroPolarityMode = Literal["or-gate", "and-complemented"]
 
@@ -53,27 +51,24 @@ class ZeroActivationError(ValueError):
     """Raised when direct synthesis is asked to fire on the all-zero vector."""
 
 
-def _check_n(n: int, least: int = 1) -> None:
-    if n < least:
-        raise ValueError(f"need n >= {least}, got {n}")
-    if n > MAX_N:
-        raise ValueError(
-            f"n = {n} is above the limit of {MAX_N} controls "
-            f"(the circuit would have about 2^{n + 1} gates)"
-        )
+def _check_n(n: int, least: int = 1) -> int:
+    """n as an int, refused below `least` or above MAX_N controls."""
+    n = control_count(n, least)
+    _check_controls(n)
+    return n
 
 
-def _resolve_activation(n: int, activation: Sequence[int] | None) -> ActivationVector:
-    _check_n(n)
+def _resolve_activation(n: int, activation: Sequence[int] | None, least: int = 1) -> tuple[int, Bits]:
+    n = _check_n(n, least)
     if activation is None:
-        return (1,) * n
+        return n, (1,) * n
     act = as_bits(activation, length=n)
     if not any(act):
         raise ZeroActivationError(
             "direct synthesis cannot fire on the all-zero vector; "
             "use synth_zero_polarity instead"
         )
-    return act
+    return n, act
 
 
 def _target_gate(kappa: int, direction: int, control: int, target: int) -> Gate:
@@ -135,21 +130,21 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     2^(n+1) - n - 2: 2^n - 1 controlled gates, n of them driven directly,
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
-    act = _resolve_activation(n, activation)
+    n, act = _resolve_activation(n, activation)
     gates = _emit(n, range(1, 1 << n), pack_lsb(act), _gate_table(n))
     return Circuit(n, tuple(gates), label=f"peres n={n} a={format_bits(act)}")
 
 
 def converter_toffoli_to_peres(n: int) -> Circuit:
     """Feynman ladder mapping raw controls (c1..cn) to prefix parities; cost n - 1."""
-    _check_n(n)
+    n = _check_n(n)
     gates = tuple(feynman(i, i + 1) for i in range(1, n))
     return Circuit(n, gates, label=f"toffoli-to-peres n={n}")
 
 
 def converter_peres_to_toffoli(n: int) -> Circuit:
     """The reversed ladder: prefix parities back to raw controls; cost n - 1."""
-    _check_n(n)
+    n = _check_n(n)
     gates = tuple(feynman(i, i + 1) for i in range(n - 1, 0, -1))
     return Circuit(n, gates, label=f"peres-to-toffoli n={n}")
 
@@ -161,10 +156,9 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     t xor [c = activation]. Quantum cost (2^(n+1) - n - 2) + (n - 1)
     = 2^(n+1) - 3.
     """
-    act = _resolve_activation(n, activation)
-    table = _gate_table(n)
-    gates = _emit(n, range(1, 1 << n), pack_lsb(act), table)
-    gates += (table[0][i, i + 1] for i in range(n - 1, 0, -1))  # converter_peres_to_toffoli
+    n, act = _resolve_activation(n, activation)
+    gates = _emit(n, range(1, 1 << n), pack_lsb(act), _gate_table(n))
+    gates += converter_peres_to_toffoli(n).gates
     return Circuit(n, tuple(gates), label=f"toffoli n={n} a={format_bits(act)}")
 
 
@@ -178,8 +172,7 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     gate, and each subset conditions one root gate on the target. The control
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
-    _check_n(n, least=2)
-    act = _resolve_activation(n, activation)
+    n, act = _resolve_activation(n, activation, least=2)
     gray = (k ^ (k >> 1) for k in range(1, 1 << n))
     gates = _emit(n, gray, pack_lsb(act), _gate_table(n))
     return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
@@ -194,7 +187,7 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     the all-zero control vector. Control outputs are prefix parities in
     both modes.
     """
-    _check_n(n)
+    n = _check_n(n)
     if mode not in ("or-gate", "and-complemented"):
         raise ValueError(f"unknown mode {mode!r}")
     gates = _emit(n, range(1, 1 << n), None, _gate_table(n))

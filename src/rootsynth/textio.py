@@ -17,7 +17,8 @@ outer spaces included.
 
 Both formats read and write a gate through one table of gate names and
 their fields in argument order; a text line writes the fields in that
-order, a JSON record names each one.
+order, a JSON record names each one. Both readers build each gate in one
+helper and end in one more, which checks that width is controls + 1.
 
 Files ending in .json hold the same schema as one JSON object, and every
 number in it must be a JSON integer. The writer emits format "circuit v2":
@@ -115,6 +116,16 @@ def _build_gate(name: str, args: list[int], width: int, line_no: int | None = No
     return g
 
 
+def _circuit(width: int, controls: int, gates: list[Gate], label: str) -> Circuit:
+    """The circuit of a document whose gates are read: both readers end here."""
+    if width != controls + 1:
+        raise ParseError(f"width {width} does not match controls {controls} + 1")
+    try:
+        return Circuit(controls, tuple(gates), label=label)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+
+
 def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
     name = words[0]
     fields = _GATES[name][1]
@@ -136,8 +147,7 @@ def parse(text: str) -> Circuit:
     check; a repeat of it, which can only follow the directives that made
     the first one valid, reuses the Gate parsed there.
     """
-    width: int | None = None
-    controls: int | None = None
+    header: dict[str, int | None] = {"width": None, "controls": None}
     label: str | None = None
     gates: list[Gate] = []
     parsed: dict[str, Gate] = {}
@@ -166,37 +176,26 @@ def parse(text: str) -> Circuit:
             continue
         fields = stripped.split()
         word = fields[0]
-        if word in ("width", "controls"):
+        if word in header:
             if len(fields) != 2:
                 raise ParseError(f"{word} takes one integer", line_no)
             value = _int_field(fields[1], word, line_no)
-            if word == "width":
-                if width is not None:
-                    raise ParseError("duplicate width directive", line_no)
-                width = value
-            else:
-                if controls is not None:
-                    raise ParseError("duplicate controls directive", line_no)
-                controls = value
+            if header[word] is not None:
+                raise ParseError(f"duplicate {word} directive", line_no)
+            header[word] = value
         elif word in _GATES:
-            if width is None or controls is None:
+            if None in header.values():
                 raise ParseError("gate line before width/controls directives", line_no)
-            g = parsed[raw] = _parse_gate(fields, width, line_no)
+            g = parsed[raw] = _parse_gate(fields, header["width"], line_no)
             gates.append(g)
         else:
             raise ParseError(f"unknown directive {word!r}", line_no)
     if not saw_header:
         raise ParseError("empty document: missing header")
-    if width is None:
-        raise ParseError("missing width directive")
-    if controls is None:
-        raise ParseError("missing controls directive")
-    if width != controls + 1:
-        raise ParseError(f"width {width} does not match controls {controls} + 1")
-    try:
-        return Circuit(controls, tuple(gates), label=label or "")
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    for word, value in header.items():
+        if value is None:
+            raise ParseError(f"missing {word} directive")
+    return _circuit(header["width"], header["controls"], gates, label or "")
 
 
 def serialize_json(circuit: Circuit) -> str:
@@ -278,8 +277,6 @@ def parse_json(text: str) -> Circuit:
         raise ParseError("missing width/controls")
     controls = _json_int(doc["controls"], "controls")
     width = _json_int(doc["width"], "width")
-    if width != controls + 1:
-        raise ParseError(f"width {width} does not match controls {controls} + 1")
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"label must be a string, got {json.dumps(label)}")
@@ -294,10 +291,7 @@ def parse_json(text: str) -> Circuit:
             raise ParseError(f"gate {index}: {exc}") from None
     if version == JSON_FORMAT:
         gates = _sequence_gates(doc, gates)
-    try:
-        return Circuit(controls, tuple(gates), label=label)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    return _circuit(width, controls, gates, label)
 
 
 def load_circuit(path: str | Path) -> Circuit:

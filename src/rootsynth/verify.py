@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bits import Bits, as_bits, index_to_bits
-from .circuit import Circuit
+from .circuit import Circuit, control_count
 from .simulate import NonClassical, _check_controls, exponent_simulate, truth_table
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
@@ -29,8 +29,7 @@ class GateFamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        object.__setattr__(self, "n", control_count(self.n))
         if self.family in ("or-gate", "and-complemented"):
             if self.activation is not None:
                 raise ValueError(f"{self.family} does not take an activation vector")

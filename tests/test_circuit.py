@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import pickle
+import re
 import sys
 import threading
 
@@ -19,7 +20,15 @@ from rootsynth.circuit import (
     map_distinct,
     not_gate,
 )
-from rootsynth.synth import synth_barenco_toffoli, synth_peres, synth_toffoli
+from rootsynth.synth import (
+    converter_peres_to_toffoli,
+    converter_toffoli_to_peres,
+    synth_barenco_toffoli,
+    synth_peres,
+    synth_toffoli,
+    synth_zero_polarity,
+)
+from rootsynth.verify import GateFamilySpec
 
 
 class TestConstruction:
@@ -45,10 +54,56 @@ class TestConstruction:
         assert isinstance(c.gates, tuple)
         assert c == Circuit(2, (feynman(1, 2),))
 
-    @pytest.mark.parametrize("gates,position", [((1, 2), 0), ((feynman(1, 2), "cnot 1 2"), 1)], ids=["int", "str"])
-    def test_rejects_an_entry_that_is_no_gate(self, gates, position):
+    @pytest.mark.parametrize(
+        "build,position",
+        [
+            (lambda: Circuit(2, (1, 2)), 0),
+            (lambda: Circuit(2, (feynman(1, 2), "cnot 1 2")), 1),
+            (lambda: Circuit(2, ([1],)), 0),
+            (lambda: Circuit(2).append([1]), 0),
+            (lambda: Circuit(2, (feynman(1, 2), {1: 2})), 1),
+        ],
+        ids=["int", "str", "unhashable", "unhashable-appended", "unhashable-after-a-gate"],
+    )
+    def test_rejects_an_entry_that_is_no_gate(self, build, position):
         with pytest.raises(ValueError, match=f"gate {position} is .*, not a Gate"):
-            Circuit(2, gates)
+            build()
+
+    @pytest.mark.parametrize("label", [5, None, b"peres", ["peres"]], ids=repr)
+    def test_rejects_a_label_that_is_no_string(self, label):
+        with pytest.raises(ValueError, match=re.escape(f"label must be a string, got {label!r}")):
+            Circuit(2, label=label)
+
+
+# Every entry point that takes a control count, mapped to the count it stores.
+COUNT_ENTRY_POINTS = {
+    "Circuit": lambda n: Circuit(n).n_controls,
+    "GateFamilySpec": lambda n: GateFamilySpec("toffoli", n).n,
+    "synth_peres": lambda n: synth_peres(n).n_controls,
+    "synth_toffoli": lambda n: synth_toffoli(n).n_controls,
+    "synth_barenco_toffoli": lambda n: synth_barenco_toffoli(n).n_controls,
+    "synth_zero_polarity": lambda n: synth_zero_polarity(n).n_controls,
+    "converter_toffoli_to_peres": lambda n: converter_toffoli_to_peres(n).n_controls,
+    "converter_peres_to_toffoli": lambda n: converter_peres_to_toffoli(n).n_controls,
+}
+
+
+class TestControlCount:
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", None], ids=repr)
+    def test_every_entry_point_rejects_a_non_integer(self, entry, n):
+        with pytest.raises(ValueError, match=re.escape(f"control count must be an integer, got {n!r}")):
+            COUNT_ENTRY_POINTS[entry](n)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    @pytest.mark.parametrize("n,count", [(True, 1), (np.int64(3), 3)], ids=repr)
+    def test_every_entry_point_stores_an_integer_count_as_int(self, entry, n, count):
+        if entry == "synth_barenco_toffoli" and count < 2:
+            with pytest.raises(ValueError, match="need n >= 2, got 1"):
+                COUNT_ENTRY_POINTS[entry](n)
+            return
+        stored = COUNT_ENTRY_POINTS[entry](n)
+        assert type(stored) is int and stored == count
 
 
 class TestGateValidation:

@@ -193,7 +193,7 @@ class TestParseErrors:
             ("circuit v1\ncontrols 2\n", "missing width directive"),
             ("circuit v1\nwidth 3\n", "missing controls directive"),
             ("circuit v1\nwidth 4\ncontrols 2\n", "width 4 does not match controls 2 + 1"),
-            ("circuit v1\nwidth 1\ncontrols 0\n", "need at least one control line, got 0"),
+            ("circuit v1\nwidth 1\ncontrols 0\n", "need n >= 1, got 0"),
         ],
     )
     def test_document_errors_have_no_line(self, text, message):
@@ -284,6 +284,14 @@ class TestParseJsonIntegers:
     def test_document_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_json(text)
+
+    def test_an_out_of_range_gate_is_reported_before_a_width_mismatch(self):
+        # Both readers check each gate against the width as they read it.
+        doc = json_doc([{"gate": "not", "line": 6}], width=5)
+        with pytest.raises(ParseError, match=re.escape("gate 0: line 6 out of range for width 5")):
+            parse_json(doc)
+        with pytest.raises(ParseError, match=re.escape("line 4: line 6 out of range for width 5")):
+            parse("circuit v1\nwidth 5\ncontrols 3\nnot 6\n")
 
 
 class TestParseJsonLabel:

@@ -8,7 +8,7 @@ from references import dense_matches, oracle_permutation, permutation_matrix
 
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical
+from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, truth_table
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
@@ -92,6 +92,17 @@ class TestSpecOutput:
         activation = (1,) * n if family in ("peres", "toffoli") else None
         perm = oracle_permutation(GateFamilySpec(family, n, activation))
         assert sorted(perm) == list(range(1 << (n + 1)))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize(
+    "generator,family",
+    [(synth_peres, "peres"), (synth_toffoli, "toffoli"), (synth_barenco_toffoli, "toffoli")],
+    ids=["peres", "toffoli", "barenco"],
+)
+def test_every_activation_matches_the_oracle(generator, family, n):
+    for a in nonzero_activations(n):
+        assert truth_table(generator(n, a)).permutation == oracle_permutation(GateFamilySpec(family, n, a)), a
 
 
 class TestCheckEquivalence:
