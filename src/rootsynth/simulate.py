@@ -298,7 +298,7 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
 
 
 def _check_controls(n: int) -> None:
-    """Refuse a call that covers all 2^n control vectors when n > MAX_N."""
+    """Refuse n above MAX_N controls, for every call whose work grows as 2^n."""
     if n > MAX_N:
         raise WidthLimitError(f"n = {n} is above the limit of {MAX_N} controls")
 
