@@ -10,9 +10,12 @@ def as_bits(values: Iterable[int], length: int | None = None) -> Bits:
     """Normalize to a tuple of 0/1 ints, optionally enforcing a length.
 
     Each value must equal 0 or 1 (True, 1.0 and numpy ints do), so 0.5 or
-    "1" is rejected rather than truncated.
+    "1" is rejected rather than truncated, and so is a value that is not iterable.
     """
-    values = tuple(values)
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"expected a binary vector, got {values!r}") from None
     if not {0, 1}.issuperset(values):
         raise ValueError(f"expected a binary vector, got {values}")
     if length is not None and len(values) != length:

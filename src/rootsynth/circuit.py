@@ -189,7 +189,10 @@ class Circuit:
         if not self.label.strip():
             # One rule for both file formats: text has no line for a blank label.
             object.__setattr__(self, "label", "")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        try:
+            object.__setattr__(self, "gates", tuple(self.gates))
+        except TypeError:
+            raise ValueError(f"gates must be a sequence of Gate, got {self.gates!r}") from None
         try:
             distinct = dict.fromkeys(self.gates)
         except TypeError:  # an unhashable entry, which no Gate is: the loop names it

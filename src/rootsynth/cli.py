@@ -12,6 +12,8 @@ from .bits import format_bits, parse_bitstring
 from .simulate import NonClassical, _check_controls, exponent_simulate
 from .synth import (
     MAX_N,
+    _check_n,
+    _slots,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -57,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True, help="input bitstring c1..cn t")
 
-    p = sub.add_parser("table", help="print cost formulas per control count")
+    p = sub.add_parser("table", help="print the gate counts of each control count")
     p.add_argument("--max-n", type=int, required=True)
     return parser
 
@@ -131,16 +133,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        raise ValueError(f"--max-n must be >= 1, got {args.max_n}")
-    _check_controls(args.max_n)
+    max_n = _check_n(args.max_n)
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
-    for n in range(1, args.max_n + 1):
-        peres = 2 ** (n + 1) - n - 2
-        toffoli = 2 ** (n + 1) - 3
-        controlled = 2**n - 1
-        feyn = 2**n - 1 - n
-        print(f"{n:>3} {peres:>10} {toffoli:>10} {controlled:>11} {feyn:>10}")
+    _slots(max_n, gray=False)  # one build: each smaller n reads a prefix of it
+    for n in range(1, max_n + 1):
+        alphas = _slots(n, gray=False)[1]  # a Peres circuit's slots; a Toffoli adds n - 1 Feynman gates
+        peres, controlled = alphas.size, int((alphas != 0).sum())
+        print(f"{n:>3} {peres:>10} {peres + n - 1:>10} {controlled:>11} {peres - controlled:>10}")
     return 0
 
 

@@ -11,13 +11,17 @@ alpha and a share an odd number of ones, and the adjoint root otherwise.
 This makes the net power of the root equal kappa exactly on a, so the
 target is negated only there.
 
-One emitter places the gates of every generator; only the order of the
-driving functions differs. The bit-reversal order (the k-th, k = 1..2^n-1,
-has alpha_i = bit i-1 of k) groups them into blocks sharing a highest
-control line and leaves prefix parities c1 xor ... xor ci on the control
-lines. The baseline generator takes a binary-reflected Gray code, which
-restores the control lines instead. Converter circuits of n-1 Feynman
-gates translate between the two output conventions.
+One emitter places the gates of every generator in closed form; only the
+order of the driving functions differs. Slot k = 1..2^n-1 ends in the root
+driven by line b = bit_length(k); let j = tz(k) + 1. In bit-reversal order
+(alpha = k, so alpha_i is bit i-1 of k) a Feynman gate from line j onto b
+comes first unless k is a power of two, and the control lines end holding
+prefix parities c1 xor ... xor ci. In the baseline generator's Gray order
+(alpha = k xor (k >> 1)) one comes first for every k >= 2, from line j, or
+from b - 1 when j = b, and the control lines end restored. A root is +1
+exactly when popcount(alpha & a) is odd, a packed LSB-first; both
+zero-polarity modes use +1 for every root. Converter circuits of n-1
+Feynman gates translate between the two output conventions.
 
 The mask each target-line gate reads, which the exponent simulator derives
 from the Feynman gates before it, is that gate's alpha with its n bits
@@ -31,14 +35,19 @@ to the plain root so the target output becomes t xor OR(c1..cn), plus an
 optional inverter to fire on the all-zero vector only.
 
 Every generator accepts at most MAX_N controls. A circuit over n controls
-holds at most n(n-1)/2 + 2n + 1 distinct gates, so each generator builds
-those once, in a table, and only looks one up per gate of the circuit.
+holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n in
+_gate_table; one numpy pass computes each gate's code and one gather picks
+the gates. Also kept between calls: per order, the slot arrays of the largest
+n asked for, 12 bytes a slot (24 MB each at MAX_N); a smaller n reads a prefix.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
 from functools import cache
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
+
+import numpy as np
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
 from .circuit import Circuit, Gate, control_count, controlled_root, feynman, map_distinct, not_gate
@@ -71,52 +80,51 @@ def _resolve_activation(n: int, activation: Sequence[int] | None, least: int = 1
     return n, act
 
 
-def _target_gate(kappa: int, direction: int, control: int, target: int) -> Gate:
-    # kappa = 1 only for n = 1, where the root of NOT is NOT itself.
-    if kappa == 1:
-        return feynman(control, target)
-    return controlled_root(kappa, direction, control, target)
-
-
-_GateTable = tuple[dict[tuple[int, int], Gate], dict[tuple[int, int], Gate]]
-
-
 @cache
-def _gate_table(n: int) -> _GateTable:
-    """Every gate the n-control generators place, each built and validated once.
+def _gate_table(n: int) -> np.ndarray:
+    """Every gate the n-control generators place, each built and validated once, by code.
 
-    Feynman gates between control lines are keyed by (control, target),
-    target-line gates by (control line, direction). Each n's table is kept and only read.
+    Line b = 1..n owns codes b(b-1)..b(b+1)-1: first the target-line gates
+    driven by b, adjoint and root in turn, so a slot's root is at b(b-1) +
+    popcount(alpha & act); then the Feynman gates onto b, from line c at
+    b^2 + c. The codes do not depend on n; the gates do (kappa, target line).
     """
-    kappa = 1 << (n - 1)
-    cnots = {(c, t): feynman(c, t) for t in range(2, n + 1) for c in range(1, t)}
-    roots = {(b, d): _target_gate(kappa, d, b, n + 1) for b in range(1, n + 1) for d in (1, -1)}
-    return cnots, roots
+    if n == 1:  # kappa = 1: the root of NOT and its adjoint are NOT itself
+        return np.array([feynman(1, 2)] * 2, dtype=object)
+    kappa, table = 1 << (n - 1), []
+    for b in range(1, n + 1):
+        table += [controlled_root(kappa, 1 if p % 2 else -1, b, n + 1) for p in range(b + 1)]
+        table += [feynman(c, b) for c in range(1, b)]
+    return np.array(table, dtype=object)
 
 
-def _emit(n: int, order: Iterable[int], act: int | None, table: _GateTable) -> list[Gate]:
-    """One controlled gate per driving function alpha in `order`, on line b = top bit of alpha.
+_built: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}  # per order, _slots(n) for n = 0..largest yet
 
-    held[b] is the mask (bit i-1 for c_i) line b holds, first c_b, and
-    line_of its inverse. If line b does not hold alpha yet, one Feynman gate
-    folds in the line holding alpha ^ held[b]: a finished prefix parity in
-    bit-reversal order, a single control in Gray-code order. The gate is the
-    root (+1) when alpha & act has odd parity, act being the activation
-    vector packed LSB-first, and the adjoint root otherwise; act None makes
-    every gate the root. Each gate comes from `table`.
+
+def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Gate codes (roots at popcount 0) and alphas (0 for a Feynman gate) of slots k = 1..2^n-1.
+
+    No slot depends on n, so each order keeps one pair of arrays, for the
+    largest n asked for, and hands every n views of its prefix.
     """
-    cnots, roots = table
-    held = [0] + [1 << i for i in range(n)]
-    line_of = {1 << i: i + 1 for i in range(n)}
-    gates: list[Gate] = []
-    for alpha in order:
-        b = alpha.bit_length()
-        if held[b] != alpha:
-            gates.append(cnots[line_of[alpha ^ held[b]], b])
-            del line_of[held[b]]
-            held[b], line_of[alpha] = alpha, b
-        gates.append(roots[b, 1 if act is None or (alpha & act).bit_count() & 1 else -1])
-    return gates
+    views = _built.get(gray, [])
+    if len(views) <= n:
+        k = np.arange(1, 1 << n, dtype=np.int32)
+        b, j = np.frexp(k)[1], np.frexp(k & -k)[1]  # bit_length(k), tz(k) + 1
+        needs = k > 1 if gray else j < b
+        keep = np.column_stack((needs, np.ones_like(needs)))
+        codes = np.column_stack((b * b + j - (j == b), b * (b - 1)))[keep].astype(np.intp)
+        alphas = np.column_stack((np.zeros_like(k), k ^ (k >> 1) if gray else k))[keep]
+        ends = np.cumsum(needs + 1)[(2 << np.arange(n)) - 2].tolist()
+        views = _built[gray] = [(codes[:e], alphas[:e]) for e in [0, *ends]]
+    return views[n]
+
+
+def _emit(n: int, gray: bool, act: int | None) -> list[Gate]:
+    """The gates of every slot for the packed activation act; act None makes every root +1."""
+    codes, alphas = _slots(n, gray)
+    codes = codes + (alphas != 0 if act is None else np.bitwise_count(alphas & act))
+    return _gate_table(n)[codes].tolist()
 
 
 def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -131,7 +139,7 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
     n, act = _resolve_activation(n, activation)
-    gates = _emit(n, range(1, 1 << n), pack_lsb(act), _gate_table(n))
+    gates = _emit(n, gray=False, act=pack_lsb(act))
     return Circuit(n, tuple(gates), label=f"peres n={n} a={format_bits(act)}")
 
 
@@ -157,7 +165,7 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     = 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation)
-    gates = _emit(n, range(1, 1 << n), pack_lsb(act), _gate_table(n))
+    gates = _emit(n, gray=False, act=pack_lsb(act))
     gates += converter_peres_to_toffoli(n).gates
     return Circuit(n, tuple(gates), label=f"toffoli n={n} a={format_bits(act)}")
 
@@ -173,8 +181,7 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation, least=2)
-    gray = (k ^ (k >> 1) for k in range(1, 1 << n))
-    gates = _emit(n, gray, pack_lsb(act), _gate_table(n))
+    gates = _emit(n, gray=True, act=pack_lsb(act))
     return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 
@@ -190,7 +197,7 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     n = _check_n(n)
     if mode not in ("or-gate", "and-complemented"):
         raise ValueError(f"unknown mode {mode!r}")
-    gates = _emit(n, range(1, 1 << n), None, _gate_table(n))
+    gates = _emit(n, gray=False, act=None)
     if mode == "and-complemented":
         gates.append(not_gate(n + 1))
     return Circuit(n, tuple(gates), label=f"{mode} n={n}")
@@ -210,6 +217,10 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     circuit. Raises UnsupportedShapeError when the circuit is not layered.
     """
     n = circuit.n_controls
+    try:
+        i = operator.index(i)
+    except TypeError:
+        raise ValueError(f"control index must be an integer, got {i!r}") from None
     if not 1 <= i <= n:
         raise ValueError(f"control index {i} out of range 1..{n}")
     bit = 1 << (n - i)  # masks hold line 1 in their highest bit

@@ -6,7 +6,11 @@ holds (rootsynth.simulate._walk); the tests compare that derivation, and
 iterative_polarity_flip built on it, against these tables and against
 table_driven_flip.
 """
+import operator
 from dataclasses import replace
+from functools import cache
+
+import numpy as np
 
 from rootsynth.bits import as_bits
 from rootsynth.circuit import GateKind
@@ -28,6 +32,7 @@ def generate(family, n, activation):
     return synth_zero_polarity(n, family)
 
 
+@cache  # the tables and the per-gate reference ask for the same vectors
 def bit_reversal_alpha(k, n):
     """Coefficient vector of the k-th driving function, LSB-first: alpha_i is bit i-1 of k."""
     if n < 1:
@@ -55,9 +60,9 @@ def family_alphas(family, n):
 
 def gate_direction(alpha, activation):
     """+1 (root) when the driving function is 1 on the activation vector, else -1."""
-    a = as_bits(alpha)
-    act = as_bits(activation, length=len(a))
-    return 1 if sum(x * y for x, y in zip(a, act)) % 2 == 1 else -1
+    if len(alpha) != len(activation) or not {0, 1}.issuperset((*alpha, *activation)):
+        raise ValueError(f"expected two binary vectors of one length, got {alpha} and {activation}")
+    return 1 if sum(map(operator.mul, alpha, activation)) % 2 == 1 else -1
 
 
 def target_gates(circuit):
@@ -67,9 +72,8 @@ def target_gates(circuit):
     single control the kappa = 1 root degenerates to a plain Feynman gate
     and still counts as one slot. Unconditional NOT gates are excluded.
     """
-    return tuple(
-        g for g in circuit.gates if g.target == circuit.target_line and g.kind is not GateKind.NOT
-    )
+    t = circuit.target_line
+    return tuple(g for g in circuit.gates if g.target == t and g.kind is not GateKind.NOT)
 
 
 def driving_alphas(circuit):
@@ -79,7 +83,8 @@ def driving_alphas(circuit):
     reading it would shorten the list.
     """
     n = circuit.n_controls
-    return [tuple((m >> (n - i)) & 1 for i in range(1, n + 1)) for m in _walk(circuit)[2] if m]
+    reads = np.array([m for m in _walk(circuit)[2] if m], dtype=np.int64)
+    return list(map(tuple, (reads[:, None] >> np.arange(n - 1, -1, -1) & 1).tolist()))
 
 
 def table_driven_flip(circuit, alphas, i):

@@ -69,6 +69,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match=f"gate {position} is .*, not a Gate"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Circuit(2, 5),
+            lambda: GateFamilySpec("peres", 2, 5),
+            lambda: synth_peres(3, 5),
+        ],
+        ids=["Circuit-gates", "GateFamilySpec-activation", "synth_peres-activation"],
+    )
+    def test_rejects_an_argument_that_is_not_iterable(self, build):
+        with pytest.raises(ValueError, match="got 5$"):
+            build()
+
     @pytest.mark.parametrize("label", [5, None, b"peres", ["peres"]], ids=repr)
     def test_rejects_a_label_that_is_no_string(self, label):
         with pytest.raises(ValueError, match=re.escape(f"label must be a string, got {label!r}")):

@@ -53,7 +53,7 @@ CASES = [
     (["simulate", "--circuit", "{toffoli}", "--input", "1010"], 0, "1011"),
     (["simulate", "--circuit", "{toffoli}", "--input", "101"], 2, "expected 4 bits"),
     (["table", "--max-n", "3"], 0, "  3         11         13           7          4"),
-    (["table", "--max-n", "0"], 2, "--max-n must be >= 1"),
+    (["table", "--max-n", "0"], 2, "need n >= 1"),
     (["table", "--max-n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["frobnicate"], 2, "invalid choice"),
     (["simulate", "--circuit", "{halfroot}", "--input", "10"], 0, "non-classical (root exponent 1 mod 4)"),
@@ -108,10 +108,11 @@ def test_verify_checks_every_input_at_n10(tmp_path, capsys):
 @pytest.mark.parametrize("family", ["peres", "toffoli", "barenco", "orgate", "andzero"])
 @pytest.mark.parametrize("n", [MAX_N + 1, 40])
 def test_n_above_the_limit_exits_2_before_building(monkeypatch, capsys, family, n):
-    def refuse(n):
-        raise AssertionError("the gate table was built")
+    def refuse(*args):
+        raise AssertionError("the gates were built")
 
     monkeypatch.setattr(synth, "_gate_table", refuse)
+    monkeypatch.setattr(synth, "_slots", refuse)
     assert cli.main(["synth", family, "--n", str(n)]) == 2
     assert f"above the limit of {MAX_N} controls" in capsys.readouterr().err
 
@@ -120,3 +121,11 @@ def test_help_names_the_limit(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["synth", "--help"])
     assert f"at most {MAX_N}" in capsys.readouterr().out
+
+
+def test_table_rows_are_the_paper_formulas(capsys):
+    assert cli.main(["table", "--max-n", str(MAX_N)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [list(map(int, row.split())) for row in rows] == [
+        [n, 2 ** (n + 1) - n - 2, 2 ** (n + 1) - 3, 2**n - 1, 2**n - 1 - n] for n in range(1, MAX_N + 1)
+    ]

@@ -1,6 +1,8 @@
 import dataclasses
+import functools
 import random
 
+import numpy as np
 import pytest
 from alpha_tables import (
     ACTIVATED,
@@ -351,6 +353,15 @@ class TestIterativePolarityFlip:
         with pytest.raises(ValueError):
             iterative_polarity_flip(synth_peres(2), 3)
 
+    @pytest.mark.parametrize("i", [1.0, "1"], ids=repr)
+    def test_rejects_a_non_integer_index(self, i):
+        with pytest.raises(ValueError, match=f"control index must be an integer, got {i!r}"):
+            iterative_polarity_flip(synth_peres(3), i)
+
+    @pytest.mark.parametrize("i", [True, np.int64(1)], ids=repr)
+    def test_accepts_an_integer_index(self, i):
+        assert iterative_polarity_flip(synth_peres(3), i) == synth_peres(3, (0, 1, 1))
+
     def test_rejects_a_circuit_that_is_not_layered(self):
         c = Circuit(2, (controlled_root(2, 1, 1, 3), feynman(3, 2)))
         with pytest.raises(UnsupportedShapeError, match="Feynman gate reads the target line"):
@@ -406,12 +417,14 @@ def reference_gates(family, n, activation):
     controlled gates are all plain roots.
     """
     kappa = 1 << (n - 1)
+    # Gates are interned: building each value once yields the same objects, sooner.
+    cnot, root = functools.cache(feynman), functools.cache(controlled_root)
 
     def target_gate(alpha, control):
         if kappa == 1:
-            return feynman(control, n + 1)
+            return cnot(control, n + 1)
         direction = 1 if activation is None else gate_direction(alpha, activation)
-        return controlled_root(kappa, direction, control, n + 1)
+        return root(kappa, direction, control, n + 1)
 
     gates = []
     if family == "barenco":
@@ -421,7 +434,7 @@ def reference_gates(family, n, activation):
             if k > 1:
                 top, prev_top = g.bit_length(), prev.bit_length()
                 changed = prev_top if top > prev_top else (g ^ prev).bit_length()
-                gates.append(feynman(changed, top))
+                gates.append(cnot(changed, top))
             gates.append(target_gate(bit_reversal_alpha(g, n), g.bit_length()))
             prev = g
         return gates
@@ -432,7 +445,7 @@ def reference_gates(family, n, activation):
             lowest = 0
             while not (j >> lowest) & 1:
                 lowest += 1
-            gates.append(feynman(lowest + 1, b))
+            gates.append(cnot(lowest + 1, b))
         gates.append(target_gate(bit_reversal_alpha(k, n), b))
     if family == "toffoli":
         gates += [feynman(i, i + 1) for i in range(n - 1, 0, -1)]
@@ -447,10 +460,10 @@ def reference_activations(family, n):
     if n <= 4:
         return nonzero_activations(n)
     rng = random.Random(1000 + n)
-    return [(1,) * n] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4)]
+    return [(1,) * n] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(4 if n <= 10 else 1)]
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, 15))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generators_match_the_per_gate_reference(family, n):
     if family == "barenco" and n == 1:
@@ -472,19 +485,24 @@ class Built(Exception):
     pass
 
 
-def refuse_to_build(n):
-    raise Built(n)
+def refuse_to_build(*args):
+    raise Built(args)
+
+
+def refuse_to_build_any_gate(monkeypatch):
+    monkeypatch.setattr(synth, "_gate_table", refuse_to_build)
+    monkeypatch.setattr(synth, "_slots", refuse_to_build)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 class TestMaxN:
     def test_above_the_limit_is_rejected_before_any_gate_is_built(self, monkeypatch, family):
-        monkeypatch.setattr(synth, "_gate_table", refuse_to_build)
+        refuse_to_build_any_gate(monkeypatch)
         for n in (MAX_N + 1, 40, 1000):
             with pytest.raises(ValueError, match=f"n = {n} is above the limit of {MAX_N} controls"):
                 generate(family, n, None)
 
     def test_the_limit_itself_is_accepted(self, monkeypatch, family):
-        monkeypatch.setattr(synth, "_gate_table", refuse_to_build)
+        refuse_to_build_any_gate(monkeypatch)
         with pytest.raises(Built):
             generate(family, MAX_N, None)
