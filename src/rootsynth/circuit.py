@@ -18,8 +18,14 @@ generator call.
 
 Gates are hash-consed (Filliatre and Conchon, "Type-Safe Modular
 Hash-Consing", 2006), so comparing and hashing them is by identity, at C
-speed. A circuit of 2^(n+1) gates holds only O(n^2) distinct ones, so
-validation, census, adjoint and the writers work once per distinct gate.
+speed. A circuit stores its gates as two columns, by dictionary encoding
+as in column stores (Abadi, Madden and Ferreira, "Integrating compression
+and execution in column-oriented database systems", SIGMOD 2006): table,
+each distinct gate once in order of first use, and codes, one index into
+table per gate in a read-only numpy array. A circuit of 2^(n+1) gates
+holds only O(n^2) distinct ones, so validation, census, adjoint, the
+writers and the executors work once per table entry and then in numpy over
+the codes. The gate tuple is built only when asked for.
 """
 from __future__ import annotations
 
@@ -27,10 +33,11 @@ import dataclasses
 import operator
 import threading
 import weakref
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence, TypeVar
+from typing import Iterator, Sequence, TypeVar
+
+import numpy as np
 
 _T = TypeVar("_T")
 
@@ -148,10 +155,9 @@ def check_lines(g: Gate, width: int) -> None:
             raise ValueError(f"line {line} out of range for width {width}")
 
 
-def map_distinct(fn: Callable[[Gate], _T], gates: Sequence[Gate]) -> list[_T]:
-    """[fn(g) for g in gates], calling fn once per distinct gate."""
-    table = {g: fn(g) for g in dict.fromkeys(gates)}
-    return list(map(table.__getitem__, gates))
+def gather(values: Sequence[_T], codes: np.ndarray) -> list[_T]:
+    """[values[k] for k in codes], in one numpy gather: values holds one entry per table entry."""
+    return np.fromiter(values, dtype=object, count=len(values))[codes].tolist()
 
 
 @dataclass(frozen=True)
@@ -172,15 +178,58 @@ class GateCensus:
         return self.feynman_count + self.root_count + self.adjoint_count + self.not_count
 
 
-@dataclass(frozen=True)
+# init=False: __init__ encodes the gates into columns, and __post_init__
+# checks and normalises them. The gates field is the property below, which
+# decodes them, so dataclasses.replace reads it and passes it back.
+@dataclass(frozen=True, eq=False, init=False)
 class Circuit:
-    """An ordered gate sequence over n_controls + 1 lines."""
+    """An ordered gate sequence over n_controls + 1 lines, stored as columns.
+
+    table holds each distinct gate once, in order of first use, and codes
+    is a read-only numpy intp array of one index into table per gate. The
+    form is canonical, so equality and hashing read the columns.
+    """
 
     n_controls: int
-    gates: tuple[Gate, ...] = ()
-    label: str = field(default="", compare=False)
+    gates: tuple[Gate, ...]
+    label: str = ""
+
+    def __init__(self, n_controls: int, gates: Sequence[Gate] = (), label: str = "") -> None:
+        try:
+            gates = tuple(gates)
+        except TypeError:
+            raise ValueError(f"gates must be a sequence of Gate, got {gates!r}") from None
+        try:
+            table = tuple(dict.fromkeys(gates))
+            index = {g: i for i, g in enumerate(table)}
+            codes = np.fromiter(map(index.__getitem__, gates), np.intp, len(gates))
+        except TypeError:  # an unhashable entry, which no Gate is: validation names it
+            table, codes = gates, np.arange(len(gates), dtype=np.intp)
+        self._set(n_controls, table, codes, label)
+
+    @classmethod
+    def _of_codes(cls, n_controls: int, table: Sequence[Gate], codes: np.ndarray, label: str = "") -> "Circuit":
+        """The circuit whose gate i is table[codes[i]]; the table may repeat a gate or leave one unused."""
+        circuit = object.__new__(cls)
+        circuit._set(n_controls, tuple(table), codes, label)
+        return circuit
+
+    def __reduce__(self) -> tuple:
+        return self._of_codes, (self.n_controls, self.table, self.codes, self.label)
+
+    def _set(self, n_controls: int, table: tuple, codes: np.ndarray, label: str) -> None:
+        for name, value in (("n_controls", n_controls), ("table", table), ("codes", codes), ("label", label)):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Check the fields and each gate used, then put the columns in canonical form.
+
+        The table may repeat a gate or hold one that no code uses. Each used
+        entry is checked once, in order of first use, so the first bad gate
+        in circuit order raises; the canonical table holds each used gate
+        once, in that order.
+        """
         object.__setattr__(self, "n_controls", control_count(self.n_controls))
         if not isinstance(self.label, str):
             raise ValueError(f"label must be a string, got {self.label!r}")
@@ -189,18 +238,29 @@ class Circuit:
         if not self.label.strip():
             # One rule for both file formats: text has no line for a blank label.
             object.__setattr__(self, "label", "")
-        try:
-            object.__setattr__(self, "gates", tuple(self.gates))
-        except TypeError:
-            raise ValueError(f"gates must be a sequence of Gate, got {self.gates!r}") from None
-        try:
-            distinct = dict.fromkeys(self.gates)
-        except TypeError:  # an unhashable entry, which no Gate is: the loop names it
-            distinct = self.gates
-        for g in distinct:
+        table, codes, size, width = self.table, self.codes, self.codes.size, self.width
+        if size and not 0 <= codes.min() <= codes.max() < len(table):
+            position = int(np.flatnonzero((codes < 0) | (codes >= len(table)))[0])
+            raise ValueError(f"gate {position} has code {codes[position]}, out of range for {len(table)} gates")
+        first = np.full(len(table), size, dtype=np.intp)
+        np.minimum.at(first, codes, np.arange(size))
+        index: dict[Gate, int] = {}  # each used gate's canonical code
+        lookup = [0] * len(table)  # each table entry's canonical code
+        for position, i in sorted((at, i) for i, at in enumerate(first.tolist()) if at < size):
+            g = table[i]
             if not isinstance(g, Gate):
-                raise ValueError(f"gate {self.gates.index(g)} is {g!r}, not a Gate")
-            check_lines(g, self.width)
+                raise ValueError(f"gate {position} is {g!r}, not a Gate")
+            check_lines(g, width)
+            lookup[i] = index.setdefault(g, len(index))
+        codes = np.array(lookup, dtype=np.intp)[codes]
+        codes.flags.writeable = False
+        object.__setattr__(self, "table", tuple(index))
+        object.__setattr__(self, "codes", codes)
+
+    @property  # the gates field
+    def gates(self) -> tuple[Gate, ...]:
+        """The gate sequence, built from the columns on each call."""
+        return tuple(gather(self.table, self.codes))
 
     @property
     def width(self) -> int:
@@ -211,15 +271,23 @@ class Circuit:
         return self.width
 
     def __len__(self) -> int:
-        return len(self.gates)
+        return len(self.codes)
 
-    def __iter__(self):
-        return iter(self.gates)
+    def __iter__(self) -> Iterator[Gate]:
+        return iter(gather(self.table, self.codes))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n_controls, self.table) == (other.n_controls, other.table) and np.array_equal(self.codes, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.n_controls, self.table, self.codes.tobytes()))
 
     @property
     def quantum_cost(self) -> int:
         """Total gate count; every elementary gate costs 1."""
-        return len(self.gates)
+        return len(self.codes)
 
     def append(self, g: Gate) -> "Circuit":
         """New circuit with g appended."""
@@ -229,15 +297,17 @@ class Circuit:
         """Concatenate gate sequences; widths must agree. Keeps this label."""
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        return dataclasses.replace(self, gates=self.gates + other.gates)
+        codes = np.concatenate((self.codes, other.codes + len(self.table)))
+        return self._of_codes(self.n_controls, self.table + other.table, codes, self.label)
 
     def adjoint(self) -> "Circuit":
         """Inverse circuit: gates reversed, each root direction negated."""
-        return dataclasses.replace(self, gates=tuple(map_distinct(Gate.adjoint, self.gates[::-1])))
+        table = tuple(g.adjoint() for g in self.table)
+        return self._of_codes(self.n_controls, table, self.codes[::-1], self.label)
 
     def census(self) -> GateCensus:
         feyn = roots = adjs = nots = 0
-        for g, count in Counter(self.gates).items():
+        for g, count in zip(self.table, np.bincount(self.codes, minlength=len(self.table)).tolist()):
             if g.kind is GateKind.FEYNMAN:
                 feyn += count
             elif g.kind is GateKind.NOT:

@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index
-from .circuit import Circuit, Gate, GateKind, check_kappa, map_distinct
+from .circuit import Circuit, Gate, GateKind, check_kappa, gather
 
 # A Toffoli circuit takes about 0.3 s at width 9 and 2.4 s at width 10 (one
 # core of a 2-CPU Xeon box): twice the gates, each touching 4x the memory.
@@ -115,7 +115,7 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     # |0> + |1>), so it maps the halves (lo, hi) to (lo - d, hi + d) with
     # d = q * (lo - hi), which needs one temporary where the 2x2 product
     # needs four.
-    for lo, hi, q in map_distinct(update, circuit.gates):
+    for lo, hi, q in gather([update(g) for g in circuit.table], circuit.codes):
         if q is None:
             saved = lo.copy()
             lo[...] = hi
@@ -218,17 +218,16 @@ def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int]
     Returns the final mask of each control line, the coefficient of each
     mask a target-line gate read, the mask each target-line gate reads in
     circuit order (its driving function; 0 for a NOT gate), and kappa. The
-    shape checks run once per distinct gate, in order of first use, so the
+    shape checks run once per table entry, in order of first use, so the
     first offending gate raises as it would in a gate-by-gate walk.
     """
     n = circuit.n_controls
-    distinct = dict.fromkeys(circuit.gates)
-    kappa = _common_kappa(distinct)
-    steps = {g: _step(g, n, kappa) for g in distinct}
+    kappa = _common_kappa(circuit.table)
+    steps = [_step(g, n, kappa) for g in circuit.table]
     masks = [1 << (n - 1 - i) for i in range(n)] + [0]
     coefficients: defaultdict[int, int] = defaultdict(int)
     reads: list[int] = []
-    for source, dest, power in map(steps.__getitem__, circuit.gates):
+    for source, dest, power in gather(steps, circuit.codes):
         if dest is None:
             reads.append(masks[source])
             coefficients[masks[source]] += power
@@ -247,7 +246,7 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     masks, coefficients, _, kappa = _walk(circuit)
     flips = coefficients.pop(0, 0) & 1
     n = circuit.n_controls
-    table = _root_power_table(coefficients, n, kappa) if 1 << n <= len(circuit.gates) else None
+    table = _root_power_table(coefficients, n, kappa) if 1 << n <= len(circuit) else None
     return _LinearForm(tuple(masks), coefficients, table, flips, kappa)
 
 

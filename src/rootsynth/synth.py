@@ -36,21 +36,21 @@ optional inverter to fire on the all-zero vector only.
 
 Every generator accepts at most MAX_N controls. A circuit over n controls
 holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n in
-_gate_table; one numpy pass computes each gate's code and one gather picks
-the gates. Also kept between calls: per order, the slot arrays of the largest
-n asked for, 12 bytes a slot (24 MB each at MAX_N); a smaller n reads a prefix.
+_gate_table; one numpy pass computes each gate's code into that table, and
+the circuit keeps the codes (see circuit.Circuit). Also kept between calls:
+per order, the slot arrays of the largest n asked for, 6 bytes a slot (12 MB
+each at MAX_N); a smaller n reads a prefix.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import replace
 from functools import cache
 from typing import Literal, Sequence
 
 import numpy as np
 
 from .bits import Bits, as_bits, format_bits, pack_lsb
-from .circuit import Circuit, Gate, control_count, controlled_root, feynman, map_distinct, not_gate
+from .circuit import Circuit, Gate, control_count, controlled_root, feynman, not_gate
 from .simulate import MAX_N, _check_controls, _walk
 
 ZeroPolarityMode = Literal["or-gate", "and-complemented"]
@@ -81,7 +81,7 @@ def _resolve_activation(n: int, activation: Sequence[int] | None, least: int = 1
 
 
 @cache
-def _gate_table(n: int) -> np.ndarray:
+def _gate_table(n: int) -> tuple[Gate, ...]:
     """Every gate the n-control generators place, each built and validated once, by code.
 
     Line b = 1..n owns codes b(b-1)..b(b+1)-1: first the target-line gates
@@ -90,12 +90,12 @@ def _gate_table(n: int) -> np.ndarray:
     b^2 + c. The codes do not depend on n; the gates do (kappa, target line).
     """
     if n == 1:  # kappa = 1: the root of NOT and its adjoint are NOT itself
-        return np.array([feynman(1, 2)] * 2, dtype=object)
+        return (feynman(1, 2),) * 2
     kappa, table = 1 << (n - 1), []
     for b in range(1, n + 1):
         table += [controlled_root(kappa, 1 if p % 2 else -1, b, n + 1) for p in range(b + 1)]
         table += [feynman(c, b) for c in range(1, b)]
-    return np.array(table, dtype=object)
+    return tuple(table)
 
 
 _built: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}  # per order, _slots(n) for n = 0..largest yet
@@ -105,26 +105,36 @@ def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gate codes (roots at popcount 0) and alphas (0 for a Feynman gate) of slots k = 1..2^n-1.
 
     No slot depends on n, so each order keeps one pair of arrays, for the
-    largest n asked for, and hands every n views of its prefix.
+    largest n asked for, and hands every n views of its prefix. The slots
+    driven by line b, k = 2^(b-1)..2^b-1, are written as one block: the
+    first one's Feynman gate, if it has one, then (Feynman, root) pairs.
     """
     views = _built.get(gray, [])
     if len(views) <= n:
-        k = np.arange(1, 1 << n, dtype=np.int32)
-        b, j = np.frexp(k)[1], np.frexp(k & -k)[1]  # bit_length(k), tz(k) + 1
-        needs = k > 1 if gray else j < b
-        keep = np.column_stack((needs, np.ones_like(needs)))
-        codes = np.column_stack((b * b + j - (j == b), b * (b - 1)))[keep].astype(np.intp)
-        alphas = np.column_stack((np.zeros_like(k), k ^ (k >> 1) if gray else k))[keep]
-        ends = np.cumsum(needs + 1)[(2 << np.arange(n)) - 2].tolist()
-        views = _built[gray] = [(codes[:e], alphas[:e]) for e in [0, *ends]]
+        size = (2 << n) - 3 if gray else (2 << n) - n - 2
+        codes, alphas = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int32)
+        ends = [0]
+        for b in range(1, n + 1):
+            k = np.arange(1 << (b - 1), 1 << b, dtype=np.int32)
+            alpha = k ^ (k >> 1) if gray else k
+            j = np.bitwise_count(k ^ (k - 1)).astype(codes.dtype)  # tz(k) + 1, which is b only at k[0]
+            at = ends[-1]
+            if gray and b > 1:  # k[0]'s Feynman gate, from line b - 1
+                codes[at], alphas[at] = b * b + b - 1, 0
+                at += 1
+            codes[at], alphas[at] = b * (b - 1), alpha[0]
+            rest = slice(at + 1, at + 2 * k.size - 1)  # (Feynman gate from line j, root) for k[1:]
+            codes[rest][::2], codes[rest][1::2] = b * b + j[1:], b * (b - 1)
+            alphas[rest][::2], alphas[rest][1::2] = 0, alpha[1:]
+            ends.append(rest.stop)
+        views = _built[gray] = [(codes[:e], alphas[:e]) for e in ends]
     return views[n]
 
 
-def _emit(n: int, gray: bool, act: int | None) -> list[Gate]:
-    """The gates of every slot for the packed activation act; act None makes every root +1."""
+def _emit(n: int, gray: bool, act: int | None) -> np.ndarray:
+    """Each slot's code into _gate_table(n) for the packed activation act; act None makes every root +1."""
     codes, alphas = _slots(n, gray)
-    codes = codes + (alphas != 0 if act is None else np.bitwise_count(alphas & act))
-    return _gate_table(n)[codes].tolist()
+    return codes + (alphas != 0 if act is None else np.bitwise_count(alphas & act))
 
 
 def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -139,8 +149,8 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
     n, act = _resolve_activation(n, activation)
-    gates = _emit(n, gray=False, act=pack_lsb(act))
-    return Circuit(n, tuple(gates), label=f"peres n={n} a={format_bits(act)}")
+    codes = _emit(n, gray=False, act=pack_lsb(act))
+    return Circuit._of_codes(n, _gate_table(n), codes, label=f"peres n={n} a={format_bits(act)}")
 
 
 def converter_toffoli_to_peres(n: int) -> Circuit:
@@ -165,9 +175,10 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     = 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation)
-    gates = _emit(n, gray=False, act=pack_lsb(act))
-    gates += converter_peres_to_toffoli(n).gates
-    return Circuit(n, tuple(gates), label=f"toffoli n={n} a={format_bits(act)}")
+    codes = _emit(n, gray=False, act=pack_lsb(act))
+    ladder = np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=codes.dtype)  # line b - 1 onto b
+    return Circuit._of_codes(n, _gate_table(n), np.concatenate((codes, ladder)),
+                             label=f"toffoli n={n} a={format_bits(act)}")
 
 
 def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -181,8 +192,8 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation, least=2)
-    gates = _emit(n, gray=True, act=pack_lsb(act))
-    return Circuit(n, tuple(gates), label=f"barenco-toffoli n={n} a={format_bits(act)}")
+    codes = _emit(n, gray=True, act=pack_lsb(act))
+    return Circuit._of_codes(n, _gate_table(n), codes, label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 
 def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
@@ -197,10 +208,10 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     n = _check_n(n)
     if mode not in ("or-gate", "and-complemented"):
         raise ValueError(f"unknown mode {mode!r}")
-    gates = _emit(n, gray=False, act=None)
+    table, codes = _gate_table(n), _emit(n, gray=False, act=None)
     if mode == "and-complemented":
-        gates.append(not_gate(n + 1))
-    return Circuit(n, tuple(gates), label=f"{mode} n={n}")
+        table, codes = table + (not_gate(n + 1),), np.append(codes, len(table))
+    return Circuit._of_codes(n, table, codes, label=f"{mode} n={n}")
 
 
 def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
@@ -224,11 +235,10 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     if not 1 <= i <= n:
         raise ValueError(f"control index {i} out of range 1..{n}")
     bit = 1 << (n - i)  # masks hold line 1 in their highest bit
-    # One read per target-line gate, consumed only for those gates.
-    reads = iter(_walk(circuit)[2])
-    w = circuit.target_line
-    gates = tuple(
-        a if g.target == w and next(reads) & bit else g
-        for g, a in zip(circuit.gates, map_distinct(Gate.adjoint, circuit.gates))
-    )
-    return replace(circuit, gates=gates)
+    table, codes = circuit.table, circuit.codes
+    # A target-line gate whose mask has the bit becomes its adjoint, at code + len(table).
+    on_target = np.array([g.target == circuit.target_line for g in table], dtype=bool)[codes]
+    flip = np.zeros(codes.size, dtype=np.intp)
+    flip[on_target] = np.array(_walk(circuit)[2], dtype=np.int64) & bit != 0
+    adjoints = tuple(g.adjoint() for g in table)
+    return circuit._of_codes(n, table + adjoints, codes + len(table) * flip, circuit.label)

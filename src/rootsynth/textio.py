@@ -36,11 +36,14 @@ ones, so the table keeps the document small and its reader decodes one
 integer, not one record, per gate. Format "circuit v1", with one record
 per gate in "gates" and no "sequence", is still read.
 
-A generated circuit repeats a few distinct gates many times. A writer
-formats each distinct gate, which is one object (see circuit.Gate), once;
-the text reader checks each distinct raw gate line once, and a v2 document
-holds each distinct record once. A v1 document, which no writer emits,
-has every record checked.
+A circuit is stored as a table of its distinct gates plus one code per
+gate (see circuit.Circuit), which is what a v2 document holds, so
+serialize_json writes the two columns as they are. serialize formats each
+table entry once and writes the gate lines in one gather over the codes.
+The text reader checks each distinct raw line once, in order of first
+occurrence, then maps every line to its code in one pass; the JSON reader
+checks each record once and the whole sequence in numpy. A v1 document,
+which no writer emits, has every record checked.
 """
 from __future__ import annotations
 
@@ -48,7 +51,9 @@ import json
 import re
 from pathlib import Path
 
-from .circuit import Circuit, Gate, GateKind, check_lines, controlled_root, feynman, map_distinct, not_gate
+import numpy as np
+
+from .circuit import Circuit, Gate, GateKind, check_lines, controlled_root, feynman, gather, not_gate
 
 FORMAT_HEADER = "circuit v1"
 # The format serialize_json writes; parse_json also reads FORMAT_HEADER.
@@ -92,7 +97,7 @@ def serialize(circuit: Circuit) -> str:
     lines = [FORMAT_HEADER, f"width {circuit.width}", f"controls {circuit.n_controls}"]
     if circuit.label:
         lines.append(f"label {circuit.label}")
-    lines += map_distinct(_gate_line, circuit.gates)
+    lines += gather([_gate_line(g) for g in circuit.table], circuit.codes)
     return "\n".join(lines) + "\n"
 
 
@@ -100,122 +105,161 @@ def serialize(circuit: Circuit) -> str:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
-def _int_field(word: str, what: str, line_no: int) -> int:
+def _int_field(word: str, what: str) -> int:
     if _INTEGER.fullmatch(word) is None:
-        raise ParseError(f"{what} must be an integer, got {word!r}", line_no)
+        raise ParseError(f"{what} must be an integer, got {word!r}")
     return int(word)
 
 
-def _build_gate(name: str, args: list[int], width: int, line_no: int | None = None) -> Gate:
+def _build_gate(name: str, args: list[int], width: int) -> Gate:
     """The gate `name` of `args`, which must fit the width: both readers end here."""
     try:
         g = _GATES[name][0](*args)
         check_lines(g, width)
     except ValueError as exc:
-        raise ParseError(str(exc), line_no) from None
+        raise ParseError(str(exc)) from None
     return g
 
 
-def _circuit(width: int, controls: int, gates: list[Gate], label: str) -> Circuit:
-    """The circuit of a document whose gates are read: both readers end here."""
+def _circuit(width: int, controls: int, table: list[Gate], codes: np.ndarray, label: str) -> Circuit:
+    """The circuit of a document whose gate table and codes are read: both readers end here."""
     if width != controls + 1:
         raise ParseError(f"width {width} does not match controls {controls} + 1")
     try:
-        return Circuit(controls, tuple(gates), label=label)
+        return Circuit._of_codes(controls, table, codes, label=label)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
-def _parse_gate(words: list[str], width: int, line_no: int) -> Gate:
+def _parse_gate(words: list[str], width: int) -> Gate:
     name = words[0]
     fields = _GATES[name][1]
     if len(words) != len(fields) + 1:
         usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
-        raise ParseError(f"{name} takes {usage}", line_no)
+        raise ParseError(f"{name} takes {usage}")
     args = []
     for f, word in zip(fields, words[1:]):
         if f == "direction" and word not in _DIRECTIONS:
-            raise ParseError(f"direction must be +1 or -1, got {word!r}", line_no)
-        args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f, line_no))
-    return _build_gate(name, args, width, line_no)
+            raise ParseError(f"direction must be +1 or -1, got {word!r}")
+        args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f))
+    return _build_gate(name, args, width)
+
+
+# The codes of lines that hold no gate: a directive, or a blank or comment line.
+_DIRECTIVE, _BLANK = -1, -2
 
 
 def parse(text: str) -> Circuit:
     """Parse a text circuit document back into a Circuit.
 
-    The first occurrence of each distinct raw gate line goes through every
-    check; a repeat of it, which can only follow the directives that made
-    the first one valid, reuses the Gate parsed there.
+    One pass finds where each distinct raw line first occurs. Each distinct
+    line then goes through every check once, in that order, and gets a
+    code: the index of its gate among the distinct gate lines, or a mark
+    for a directive or a blank line. One gather gives every line the code
+    of its first occurrence. A repeat of a gate line follows the directives
+    that made its first occurrence valid, so it needs no check; a repeat of
+    a directive line is an error, found by counting the lines marked as
+    directives. An error names the line where a line-by-line reader would
+    first have met it.
     """
+    first, first_at = _first_occurrences(text)
+    codes = np.empty(first_at.size, dtype=np.intp)  # at each first occurrence, its line's code
     header: dict[str, int | None] = {"width": None, "controls": None}
     label: str | None = None
-    gates: list[Gate] = []
-    parsed: dict[str, Gate] = {}
+    gates: list[Gate] = []  # the gate of each distinct gate line
+    repeats: dict[str, str] = {}  # each directive line, and the error a repeat of it raises
     saw_header = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        g = parsed.get(raw)
-        if g is not None:
-            gates.append(g)
-            continue
-        stripped = raw.strip()
-        if stripped.startswith("label "):
-            if not saw_header:
-                raise ParseError(f"expected {FORMAT_HEADER!r} before directives", line_no)
-            if label is not None:
-                raise ParseError("duplicate label directive", line_no)
-            label = raw.lstrip()[len("label "):]
-            continue
-        if "#" in stripped:
-            stripped = stripped[: stripped.index("#")].strip()
-        if not stripped:
-            continue
-        if not saw_header:
-            if stripped != FORMAT_HEADER:
-                raise ParseError(f"expected header {FORMAT_HEADER!r}, got {stripped!r}", line_no)
-            saw_header = True
-            continue
-        fields = stripped.split()
-        word = fields[0]
-        if word in header:
-            if len(fields) != 2:
-                raise ParseError(f"{word} takes one integer", line_no)
-            value = _int_field(fields[1], word, line_no)
-            if header[word] is not None:
-                raise ParseError(f"duplicate {word} directive", line_no)
-            header[word] = value
-        elif word in _GATES:
-            if None in header.values():
-                raise ParseError("gate line before width/controls directives", line_no)
-            g = parsed[raw] = _parse_gate(fields, header["width"], line_no)
-            gates.append(g)
-        else:
-            raise ParseError(f"unknown directive {word!r}", line_no)
+    for raw, index in first.items():
+        code, stripped = _DIRECTIVE, raw.strip()
+        content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
+        try:
+            if stripped.startswith("label "):
+                if not saw_header:
+                    raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
+                if label is not None:
+                    raise ParseError("duplicate label directive")
+                label = raw.lstrip()[len("label "):]
+                repeats[raw] = "duplicate label directive"
+            elif not content:
+                code = _BLANK
+            elif not saw_header:
+                if content != FORMAT_HEADER:
+                    raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
+                saw_header = True
+                repeats[raw] = f"duplicate header {FORMAT_HEADER!r}"
+            elif content == FORMAT_HEADER:
+                raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
+            else:
+                fields = content.split()
+                word = fields[0]
+                if word in header:
+                    if len(fields) != 2:
+                        raise ParseError(f"{word} takes one integer")
+                    value = _int_field(fields[1], word)
+                    if header[word] is not None:
+                        raise ParseError(f"duplicate {word} directive")
+                    header[word] = value
+                    repeats[raw] = f"duplicate {word} directive"
+                elif word in _GATES:
+                    if None in header.values():
+                        raise ParseError("gate line before width/controls directives")
+                    code = len(gates)
+                    gates.append(_parse_gate(fields, header["width"]))
+                else:
+                    raise ParseError(f"unknown directive {word!r}")
+        except ParseError as exc:
+            raise _first_error(text, repeats, index, str(exc)) from None
+        codes[index] = code
+    sequence = codes[first_at]
+    if np.count_nonzero(sequence == _DIRECTIVE) > len(repeats):
+        raise _first_error(text, repeats, sequence.size, "")
     if not saw_header:
         raise ParseError("empty document: missing header")
     for word, value in header.items():
         if value is None:
             raise ParseError(f"missing {word} directive")
-    return _circuit(header["width"], header["controls"], gates, label or "")
+    return _circuit(header["width"], header["controls"], gates, sequence[sequence >= 0], label or "")
+
+
+def _first_occurrences(text: str) -> tuple[dict[str, int], np.ndarray]:
+    """Each distinct line of text at the index of its first occurrence, and that index for every line.
+
+    Only the distinct lines outlive the call; _first_error splits the text
+    again to name a line.
+    """
+    lines = text.splitlines()
+    first: dict[str, int] = {}
+    return first, np.fromiter(map(first.setdefault, lines, range(len(lines))), dtype=np.intp, count=len(lines))
+
+
+def _first_error(text: str, repeats: dict[str, str], index: int, message: str) -> ParseError:
+    """The error at line `index` of text, 0-based, or at the first repeated directive line before it."""
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines()[:index], start=1):
+        if raw in repeats:
+            if raw in seen:
+                return ParseError(repeats[raw], line_no)
+            seen.add(raw)
+    return ParseError(message, index + 1)
 
 
 def serialize_json(circuit: Circuit) -> str:
     """The circuit as a format circuit v2 JSON document, on one line.
 
-    Equal gates share one record, numbered in order of first use.
+    The records are the circuit's gate table and the sequence its codes.
     """
-    slots = {g: str(i) for i, g in enumerate(dict.fromkeys(circuit.gates))}
-    sequence = map(slots.__getitem__, circuit.gates)
     doc = json.dumps({
         "format": JSON_FORMAT,
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": [{"gate": name, **fields} for name, fields in map(_gate_fields, slots)],
+        "gates": [{"gate": name, **fields} for name, fields in map(_gate_fields, circuit.table)],
         "sequence": [],
     })
     # json.dumps writes a list of ints as their decimal forms joined by ", ":
     # splice the joined index strings into the trailing '[]}'.
-    return doc[:-2] + ", ".join(sequence) + "]}\n"
+    indices = [str(i) for i in range(len(circuit.table))]
+    return doc[:-2] + ", ".join(gather(indices, circuit.codes)) + "]}\n"
 
 
 def _json_int(value: object, what: str) -> int:
@@ -238,25 +282,30 @@ def _record_gate(entry: object, width: int) -> Gate:
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
-def _sequence_gates(doc: dict, table: list[Gate]) -> list[Gate]:
-    """The table's gate at each index of a v2 document's "sequence"; the table is checked."""
+def _sequence_codes(doc: dict, size: int) -> np.ndarray:
+    """A v2 document's "sequence" as codes into its table of `size` records."""
     if "sequence" not in doc:
         raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
     sequence = doc["sequence"]
     if not isinstance(sequence, list):
         raise ParseError("sequence must be a list of gate indices")
-    # true and 1.0 index a list like 1, and -1 counts from its end: only
-    # exact ints from 0 to len(table) - 1 pass.
-    size = len(table)
-    exact = set(map(type, sequence)) <= {int}
-    if not exact or sequence and not 0 <= min(sequence) <= max(sequence) < size:
+    # true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
+    # from 0 to size - 1 pass. codes stays None when an index is no int or
+    # beyond intp; the loop then names the first index that fails.
+    codes = None
+    if set(map(type, sequence)) <= {int}:
+        try:
+            codes = np.array(sequence, dtype=np.intp)
+        except OverflowError:
+            pass
+    if codes is None or codes.size and not 0 <= codes.min() <= codes.max() < size:
         for position, value in enumerate(sequence):
             try:
                 if not 0 <= _json_int(value, "index") < size:
                     raise ParseError(f"index {value} out of range for {size} gate records")
             except ParseError as exc:
                 raise ParseError(f"sequence {position}: {exc}") from None
-    return list(map(table.__getitem__, sequence))
+    return codes
 
 
 def parse_json(text: str) -> Circuit:
@@ -283,15 +332,17 @@ def parse_json(text: str) -> Circuit:
     entries = doc.get("gates", [])
     if not isinstance(entries, list):
         raise ParseError("gates must be a list of gate records")
-    gates = []
+    table = []
     for index, entry in enumerate(entries):
         try:
-            gates.append(_record_gate(entry, width))
+            table.append(_record_gate(entry, width))
         except ParseError as exc:
             raise ParseError(f"gate {index}: {exc}") from None
     if version == JSON_FORMAT:
-        gates = _sequence_gates(doc, gates)
-    return _circuit(width, controls, gates, label)
+        codes = _sequence_codes(doc, len(table))
+    else:
+        codes = np.arange(len(table), dtype=np.intp)
+    return _circuit(width, controls, table, codes, label)
 
 
 def load_circuit(path: str | Path) -> Circuit:

@@ -3,11 +3,16 @@
 oracle_permutation tabulates spec_output, the closed form of each gate
 family, as a permutation of basis-state indices; permutation_matrix turns a
 permutation into the 0/1 unitary the dense executor should produce, and
-dense_matches compares the two.
+dense_matches compares the two. text_document and json_document write a
+circuit's file formats gate by gate from its gate tuple, as the writers'
+reference.
 """
+import json
+
 import numpy as np
 
 from rootsynth.bits import bits_to_index, index_to_bits
+from rootsynth.circuit import GateKind
 from rootsynth.simulate import dense_unitary
 from rootsynth.verify import GateFamilySpec, spec_output
 
@@ -30,3 +35,41 @@ def permutation_matrix(perm) -> np.ndarray:
 def dense_matches(circuit, perm) -> bool:
     """Whether the dense executor gives exactly the permutation matrix of perm."""
     return np.allclose(dense_unitary(circuit), permutation_matrix(perm), rtol=0, atol=1e-9)
+
+
+def _record(g) -> dict:
+    """A gate's JSON record: its name, then its fields in argument order."""
+    if g.kind is GateKind.FEYNMAN:
+        return {"gate": "cnot", "control": g.control, "target": g.target}
+    if g.kind is GateKind.ROOT:
+        return {"gate": "croot", "kappa": g.kappa, "direction": g.direction, "control": g.control, "target": g.target}
+    return {"gate": "not", "line": g.target}
+
+
+def _line(g) -> str:
+    """A gate's text line: its record's values, the direction signed."""
+    record = _record(g)
+    return " ".join(f"{v:+d}" if f == "direction" else str(v) for f, v in record.items())
+
+
+def text_document(circuit) -> str:
+    """The text format, one line per gate of circuit.gates."""
+    lines = ["circuit v1", f"width {circuit.width}", f"controls {circuit.n_controls}"]
+    if circuit.label:
+        lines.append(f"label {circuit.label}")
+    lines += [_line(g) for g in circuit.gates]
+    return "\n".join(lines) + "\n"
+
+
+def json_document(circuit) -> str:
+    """The circuit v2 JSON document, numbering each gate's record at its first use."""
+    records: dict = {}
+    sequence = [records.setdefault(g, len(records)) for g in circuit.gates]
+    return json.dumps({
+        "format": "circuit v2",
+        "width": circuit.width,
+        "controls": circuit.n_controls,
+        "label": circuit.label,
+        "gates": [_record(g) for g in records],
+        "sequence": sequence,
+    }) + "\n"

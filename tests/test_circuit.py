@@ -1,15 +1,17 @@
 import copy
 import dataclasses
 import pickle
+import random
 import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from alpha_tables import FAMILIES, generate, target_gates
+from alpha_tables import ACTIVATED, FAMILIES, generate, target_gates
 
 from rootsynth import circuit
+from rootsynth.bits import index_to_bits
 from rootsynth.circuit import (
     Circuit,
     Gate,
@@ -17,17 +19,18 @@ from rootsynth.circuit import (
     GateKind,
     controlled_root,
     feynman,
-    map_distinct,
     not_gate,
 )
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
+    iterative_polarity_flip,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
     synth_zero_polarity,
 )
+from rootsynth.textio import ParseError, parse_json, serialize_json
 from rootsynth.verify import GateFamilySpec
 
 
@@ -323,13 +326,6 @@ class TestDistinctGateObjects:
         assert len(set(map(id, adj.gates))) == len(set(map(id, c.gates)))
         assert adj.gates == tuple(g.adjoint() for g in reversed(c.gates))
 
-    def test_map_distinct_calls_once_per_object(self):
-        # Equal gates are one object, so one call per distinct gate value.
-        a, b, x = feynman(1, 2), feynman(1, 2), not_gate(2)
-        calls = []
-        assert map_distinct(lambda g: calls.append(g) or len(calls), [a, x, b, a, x]) == [1, 2, 1, 1, 2]
-        assert calls == [a, x] and calls[0] is a is b
-
 
 class TestInterning:
     """Each gate value has one live object."""
@@ -394,3 +390,85 @@ class TestInterning:
         copies = Circuit(c.n_controls, tuple(dataclasses.replace(g) for g in c.gates))
         assert copies == c and copies.census() == c.census()
         assert all(a is b for a, b in zip(copies.gates, c.gates))
+
+
+def _column_cases():
+    """Every family at n <= 10, all ones, and one seeded random activation each."""
+    rng = random.Random(17)
+    cases = []
+    for family in FAMILIES:
+        for n in range(1 + (family == "barenco"), 11):
+            cases.append((family, n, None))
+            if family in ACTIVATED:
+                cases.append((family, n, index_to_bits(rng.randrange(1, 1 << n), n)))
+    return cases
+
+
+COLUMN_CASES = _column_cases()
+
+
+def flip_gate_by_gate(c, i):
+    """iterative_polarity_flip on the gate tuple: each line's mask run through the gates in order."""
+    w = c.target_line
+    masks = {line: 1 << (line - 1) for line in range(1, w)}  # alpha_line is bit line - 1
+    gates = []
+    for g in c.gates:
+        if g.target == w:
+            gates.append(g.adjoint() if masks.get(g.control, 0) >> (i - 1) & 1 else g)
+        else:
+            masks[g.target] ^= masks[g.control]
+            gates.append(g)
+    return tuple(gates)
+
+
+class TestColumns:
+    """A circuit is a table of distinct gates plus one code per gate."""
+
+    @pytest.mark.parametrize("family,n,act", COLUMN_CASES)
+    def test_the_columns_decode_to_the_gates(self, family, n, act):
+        c = generate(family, n, act)
+        gates = c.gates
+        assert isinstance(gates, tuple) and tuple(c) == gates and len(c) == len(gates)
+        assert c.table == tuple(dict.fromkeys(gates))
+        assert c.codes.dtype == np.intp and not c.codes.flags.writeable
+        rebuilt = Circuit(n, gates)
+        assert rebuilt == c and hash(rebuilt) == hash(c)
+
+    @pytest.mark.parametrize("family,n,act", COLUMN_CASES)
+    def test_operations_equal_the_same_on_the_gate_tuple(self, family, n, act):
+        c = generate(family, n, act)
+        gates, other = c.gates, synth_peres(n)
+        expected = {
+            "append": (c.append(not_gate(n + 1)), gates + (not_gate(n + 1),)),
+            "compose": (c.compose(other), gates + other.gates),
+            "adjoint": (c.adjoint(), tuple(g.adjoint() for g in reversed(gates))),
+            "replace": (dataclasses.replace(c, gates=gates[::-1]), gates[::-1]),
+        }
+        for i in sorted({1, (n + 1) // 2, n}):
+            expected[f"flip {i}"] = (iterative_polarity_flip(c, i), flip_gate_by_gate(c, i))
+        for name, (result, want) in expected.items():
+            assert result.gates == want, name
+            assert result == Circuit(n, want) and hash(result) == hash(Circuit(n, want)), name
+            assert result.label == c.label, name
+
+    def test_equal_circuits_from_any_table_order(self):
+        a, b = feynman(1, 2), not_gate(3)
+        c = Circuit._of_codes(2, (b, a, b, feynman(2, 3)), np.array([1, 2, 0, 1]))
+        assert c.table == (a, b) and c.codes.tolist() == [0, 1, 1, 0]
+        assert c == Circuit(2, (a, b, b, a)) and hash(c) == hash(Circuit(2, (a, b, b, a)))
+
+    def test_a_non_gate_table_entry_names_its_first_position(self):
+        with pytest.raises(ValueError, match=r"^gate 2 is 'x', not a Gate$"):
+            Circuit(2, (feynman(1, 2), not_gate(3), "x", feynman(1, 2), "x"))
+        with pytest.raises(ValueError, match=r"^gate 3 is 'x', not a Gate$"):
+            Circuit._of_codes(2, (feynman(1, 2), "x"), np.array([0, 0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("codes,position", [([0, 2, 1], 1), ([0, 1, -1, 5], 2)])
+    def test_an_out_of_range_code_is_refused(self, codes, position):
+        table = (feynman(1, 2), not_gate(3))
+        code = codes[position]
+        with pytest.raises(ValueError, match=f"^gate {position} has code {code}, out of range for 2 gates$"):
+            Circuit._of_codes(2, table, np.array(codes))
+        doc = serialize_json(Circuit(2, table))
+        with pytest.raises(ParseError, match=f"^sequence {position}: index {code} out of range for 2 gate records$"):
+            parse_json(doc.replace('"sequence": [0, 1]', f'"sequence": {codes}'))

@@ -4,6 +4,7 @@ import re
 from pathlib import Path
 
 import pytest
+from references import json_document, text_document
 
 from rootsynth import cli
 from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
@@ -178,6 +179,39 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse("\n".join(lines))
         assert info.value.line_no == line_no
+
+    @pytest.mark.parametrize(
+        "lines,line_no",
+        [
+            (["circuit v1", "circuit v1"], 2),
+            (["circuit v1", "width 4", "controls 3", "cnot 1 2", "  circuit v1  # again"], 5),
+            (HEADER + ["cnot 1 2"] * 3000 + ["circuit v1", "cnot 1 9"], len(HEADER) + 3001),
+        ],
+        ids=["second-line", "spaced-and-commented", "after-thousands"],
+    )
+    def test_repeated_header_is_a_duplicate_header(self, lines, line_no):
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines))
+        assert str(info.value) == f"line {line_no}: duplicate header 'circuit v1'"
+
+    @pytest.mark.parametrize(
+        "lines,message",
+        [
+            (["circuit v1", "width 4", "controls 3", "width 4", "cnot 1 9"], "line 4: duplicate width directive"),
+            (["circuit v1", "width 3", "width 3"], "line 3: duplicate width directive"),
+            (["circuit v1", "width 4", "circuit v1", "toffoli 1"], "line 3: duplicate header 'circuit v1'"),
+            (HEADER + ["label a"] + ["cnot 1 2"] * 10 + ["label a", "not 9"], "line 17: duplicate label directive"),
+            (HEADER + ["controls 3", "controls 3"], "line 6: duplicate controls directive"),
+            (["circuit v1", "width 4", "cnot 1 2", "width 4"], "line 3: gate line before width/controls directives"),
+            (["circuit v1", "width 4", "controls 3", "not 9", "controls 3"], "line 4: line 9 out of range for width 4"),
+        ],
+        ids=["before-a-bad-gate", "before-a-missing-directive", "header-before-unknown", "label-after-gates",
+             "controls-twice-over", "after-a-gate-before-directives", "after-a-bad-gate"],
+    )
+    def test_the_first_error_in_line_order_is_reported(self, lines, message):
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("value", ["1_0", "\u0663"])
     @pytest.mark.parametrize("directive", ["width", "controls"])
@@ -388,6 +422,40 @@ class TestJsonV2:
     def test_sequence_is_ignored_by_v1(self):
         c = parse_json(json_doc(GOOD_RECORDS, sequence=[True, -1]))
         assert c.gates == (feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4))
+
+
+WRITER_CASES = [
+    (family, n)
+    for family in ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
+    for n in range(1, 13)
+    if not (family == "barenco" and n == 1)
+]
+
+
+class TestWritersMatchTheGateByGateReference:
+    @pytest.mark.parametrize("family,n", WRITER_CASES)
+    def test_text_and_json_are_byte_identical(self, family, n):
+        c = family_circuit(family, n)
+        assert serialize(c) == text_document(c)
+        assert serialize_json(c) == json_document(c)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_a_document_out_of_first_use_order_reads_canonically(self, n):
+        c = synth_toffoli(n, mixed_activation(n))
+        doc = json.loads(serialize_json(c))
+        size, seq = len(doc["gates"]), doc["sequence"]
+        common = max(range(size), key=seq.count)
+        # Records reversed after one unused record, and a second copy of the
+        # most used record last, which every second use of it takes.
+        records = [{"gate": "not", "line": n + 1}] + doc["gates"][::-1] + [doc["gates"][common]]
+        uses = iter(range(len(seq)))
+        sequence = [size + 1 if i == common and next(uses) % 2 else size - i for i in seq]
+        assert size + 1 in sequence and size - common in sequence
+        back = parse_json(json.dumps(dict(doc, gates=records, sequence=sequence)))
+        assert back == c and hash(back) == hash(c)
+        assert back.table == c.table and back.label == c.label
+        assert serialize_json(back) == serialize_json(c) == json_document(c)
+        assert serialize(back) == text_document(c)
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
