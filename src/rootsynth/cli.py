@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -27,6 +28,7 @@ _VERIFY_FAMILIES = ("peres", "toffoli", "orgate", "andzero")
 _FAMILY_ALIASES = {"orgate": "or-gate", "andzero": "and-complemented"}
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rootsynth",

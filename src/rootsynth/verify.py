@@ -1,9 +1,10 @@
 """Functional oracles and equivalence checking for the synthesized families.
 
 spec_output states the intended input/output behavior of each gate family
-directly from its definition, independently of any circuit, so checking a
-circuit against it is a genuine two-route comparison: exponent simulation
-on one side, the closed form on the other. The tests and the dense-small
+directly from its definition, independently of any circuit; _oracle_outputs
+tabulates the same definitions over all inputs by array. So checking a
+circuit is a genuine two-route comparison: exponent simulation per input on
+one side, the closed form on the other. The tests and the dense-small
 benchmark compare the dense executor with the same oracle.
 """
 from __future__ import annotations
@@ -11,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bits import Bits, as_bits, index_to_bits
+import numpy as np
+
+from .bits import Bits, as_bits, bits_to_index, index_to_bits
 from .circuit import Circuit, control_count
 from .simulate import NonClassical, _check_controls, exponent_simulate, truth_table
 
 FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
+_BLOCK = 4096  # inputs per block of bit rows, so n = 20 never holds 2^21 of them
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,23 @@ def spec_output(spec: GateFamilySpec, input_bits: Sequence[int]) -> Bits:
     return tuple(out) + (t ^ fire,)
 
 
+def _oracle_outputs(spec: GateFamilySpec) -> np.ndarray:
+    """spec_output's definitions applied at once to every input index x = 2c + t."""
+    x = np.arange(2 << spec.n)
+    c, t = x >> 1, x & 1  # line 1 is the most significant bit of c
+    out = c
+    if spec.family != "toffoli":
+        for shift in range(1, spec.n):  # prefix parity: line i is c_1 xor .. xor c_i
+            out = out ^ c >> shift
+    if spec.family in ("peres", "toffoli"):
+        fire = c == bits_to_index(spec.resolved_activation)
+    elif spec.family == "or-gate":
+        fire = c != 0
+    else:
+        fire = c == 0
+    return out << 1 | (t ^ fire)
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of a circuit-vs-oracle comparison."""
@@ -85,24 +106,29 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     """Compare a layered circuit against the family oracle on every input.
 
     All 2^(n+1) basis inputs are checked in index order, line 1 most
-    significant, each by one exponent_simulate call, whose output is
-    compared with spec_output's. exponent_simulate compiles the circuit
-    into its linear form once, so an input costs O(n). The first failing
-    input is reported, which makes the counterexample the lexicographically
-    smallest one. Raises WidthLimitError above MAX_N controls, before any
-    input is checked.
+    significant, in blocks of 4,096. The expected outputs are tabulated by
+    array (_oracle_outputs); the circuit is simulated per input, by one
+    exponent_simulate call, which compiles it into its linear form once, so
+    an input costs O(n). The first failing input is reported, which makes
+    the counterexample the lexicographically smallest one, with its expected
+    output from spec_output. Raises WidthLimitError above MAX_N controls,
+    before any input is checked.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     _check_controls(spec.n)
     w = circuit.width
     space = 1 << w
-    for x in range(space):
-        bits = index_to_bits(x, w)
-        actual = exponent_simulate(circuit, bits)
-        expected = spec_output(spec, bits)
-        if actual != expected:
-            return EquivalenceReport(False, x + 1, bits, expected, actual)
+    shifts = np.arange(w - 1, -1, -1)
+    oracle = _oracle_outputs(spec)
+    for start in range(0, space, _BLOCK):
+        block = np.arange(start, min(start + _BLOCK, space))
+        rows = (block[:, None] >> shifts & 1).tolist()
+        expected = map(tuple, (oracle[block, None] >> shifts & 1).tolist())
+        for x, bits, want in zip(block.tolist(), rows, expected):
+            actual = exponent_simulate(circuit, bits)
+            if actual != want:
+                return EquivalenceReport(False, x + 1, tuple(bits), spec_output(spec, bits), actual)
     return EquivalenceReport(True, space)
 
 

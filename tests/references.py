@@ -3,9 +3,10 @@
 oracle_permutation tabulates spec_output, the closed form of each gate
 family, as a permutation of basis-state indices; permutation_matrix turns a
 permutation into the 0/1 unitary the dense executor should produce, and
-dense_matches compares the two. text_document and json_document write a
-circuit's file formats gate by gate from its gate tuple, as the writers'
-reference.
+dense_matches compares the two. reference_check_equivalence is
+check_equivalence's per-input loop, one spec_output call per input, as its
+reference. text_document and json_document write a circuit's file formats
+gate by gate from its gate tuple, as the writers' reference.
 """
 import json
 
@@ -13,8 +14,8 @@ import numpy as np
 
 from rootsynth.bits import bits_to_index, index_to_bits
 from rootsynth.circuit import GateKind
-from rootsynth.simulate import dense_unitary
-from rootsynth.verify import GateFamilySpec, spec_output
+from rootsynth.simulate import _check_controls, dense_unitary, exponent_simulate
+from rootsynth.verify import EquivalenceReport, GateFamilySpec, spec_output
 
 
 def oracle_permutation(spec: GateFamilySpec) -> tuple[int, ...]:
@@ -35,6 +36,22 @@ def permutation_matrix(perm) -> np.ndarray:
 def dense_matches(circuit, perm) -> bool:
     """Whether the dense executor gives exactly the permutation matrix of perm."""
     return np.allclose(dense_unitary(circuit), permutation_matrix(perm), rtol=0, atol=1e-9)
+
+
+def reference_check_equivalence(circuit, spec: GateFamilySpec) -> EquivalenceReport:
+    """check_equivalence input by input: index_to_bits, exponent_simulate and spec_output each time."""
+    if circuit.n_controls != spec.n:
+        raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
+    _check_controls(spec.n)
+    w = circuit.width
+    space = 1 << w
+    for x in range(space):
+        bits = index_to_bits(x, w)
+        actual = exponent_simulate(circuit, bits)
+        expected = spec_output(spec, bits)
+        if actual != expected:
+            return EquivalenceReport(False, x + 1, bits, expected, actual)
+    return EquivalenceReport(True, space)
 
 
 def _record(g) -> dict:

@@ -123,6 +123,19 @@ def test_help_names_the_limit(capsys):
     assert f"at most {MAX_N}" in capsys.readouterr().out
 
 
+def test_the_parser_is_built_once_and_outlives_errors(files, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["verify"]) == 2
+    with pytest.raises(SystemExit) as exit_:
+        cli.build_parser().parse_args(["verify", "--help"])
+    assert exit_.value.code == 0
+    assert cli.main(["verify", "--help"]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--circuit", files["toffoli"], "--family", "toffoli", "--n", "3", "--activation", "101"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "pass (16 inputs checked)"
+
+
 def test_table_rows_are_the_paper_formulas(capsys):
     assert cli.main(["table", "--max-n", str(MAX_N)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 import references
-from references import dense_matches, oracle_permutation, permutation_matrix
+from references import dense_matches, oracle_permutation, permutation_matrix, reference_check_equivalence
 
-from rootsynth.bits import index_to_bits
+from rootsynth import verify
+from rootsynth.bits import index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, truth_table
+from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, exponent_simulate, truth_table
 from rootsynth.synth import (
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
@@ -17,8 +18,10 @@ from rootsynth.synth import (
     synth_zero_polarity,
 )
 from rootsynth.verify import (
+    FAMILIES,
     EquivalenceReport,
     GateFamilySpec,
+    _oracle_outputs,
     activation_set,
     check_equivalence,
     spec_output,
@@ -27,6 +30,29 @@ from rootsynth.verify import (
 
 def nonzero_activations(n):
     return [index_to_bits(i, n) for i in range(1, 1 << n)]
+
+
+def family_specs(n):
+    """Every family at n: peres and toffoli with all ones and three seeded activations."""
+    rng = random.Random(f"specs{n}")
+    activations = [(1,) * n] + [index_to_bits(rng.randrange(1, 1 << n), n) for _ in range(3)]
+    for family in FAMILIES:
+        if family in ("peres", "toffoli"):
+            yield from (GateFamilySpec(family, n, a) for a in activations)
+        else:
+            yield GateFamilySpec(family, n)
+
+
+def family_circuits(n):
+    """Each generator's circuit at n, for all ones and one seeded activation."""
+    activations = [(1,) * n, index_to_bits(random.Random(f"circuits{n}").randrange(1, 1 << n), n)]
+    for a in activations:
+        yield synth_peres(n, a)
+        yield synth_toffoli(n, a)
+        if n >= 2:
+            yield synth_barenco_toffoli(n, a)
+    yield synth_zero_polarity(n, "or-gate")
+    yield synth_zero_polarity(n, "and-complemented")
 
 
 class TestGateFamilySpec:
@@ -198,6 +224,68 @@ class TestCheckEquivalence:
         assert dense_matches(c, oracle_permutation(spec))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_oracle_outputs_equal_spec_output_on_every_input(n):
+    for spec in family_specs(n):
+        assert tuple(_oracle_outputs(spec).tolist()) == oracle_permutation(spec), spec
+
+
+class TestSameReportsAsThePerInputLoop:
+    """check_equivalence gives the report of tests/references.py's per-input loop."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_family_against_every_spec(self, n):
+        verdicts = set()
+        for circuit in family_circuits(n):
+            for spec in family_specs(n):
+                report = check_equivalence(circuit, spec)
+                assert report == reference_check_equivalence(circuit, spec), (circuit.label, spec)
+                verdicts.add(report.ok)
+        assert verdicts == {True, False}
+
+    def test_wrong_activation_pairs_at_n10(self):
+        rng = random.Random(58)
+        for _ in range(58):
+            built, checked = rng.sample(range(1, 1 << 10), 2)
+            circuit = synth_toffoli(10, index_to_bits(built, 10))
+            spec = GateFamilySpec("toffoli", 10, index_to_bits(checked, 10))
+            report = check_equivalence(circuit, spec)
+            # The first failing input is the smaller activation with target 0.
+            assert report.inputs_checked == 2 * min(built, checked) + 1
+            assert report == reference_check_equivalence(circuit, spec)
+
+    def test_non_classical_mutant(self):
+        circuit, spec = synth_toffoli(4), GateFamilySpec("toffoli", 4)
+        i = next(i for i, g in enumerate(circuit.gates) if g.kind is GateKind.ROOT)
+        mutant = Circuit(4, circuit.gates[:i] + circuit.gates[i + 1 :])
+        report = check_equivalence(mutant, spec)
+        assert isinstance(report.actual, NonClassical)
+        assert report == reference_check_equivalence(mutant, spec)
+
+    def test_every_input_is_simulated_once_in_index_order(self, monkeypatch):
+        seen = []
+
+        def simulate(circuit, bits):
+            seen.append(tuple(bits))
+            return exponent_simulate(circuit, bits)
+
+        monkeypatch.setattr(verify, "exponent_simulate", simulate)
+        assert check_equivalence(synth_toffoli(12), GateFamilySpec("toffoli", 12)).ok
+        assert seen == [index_to_bits(x, 13) for x in range(1 << 13)]
+
+    # Inputs go in blocks of 4,096: counterexamples at the end of the first
+    # block, at the start of the second and near the end of the last.
+    @pytest.mark.parametrize(
+        "checked, inputs_checked",
+        [("011111111111", 4095), ("100000000000", 4097), ("111111111110", 8189), ("111111111111", 8192)],
+    )
+    def test_blocks_at_n12(self, checked, inputs_checked):
+        circuit, spec = synth_toffoli(12), GateFamilySpec("toffoli", 12, parse_bitstring(checked))
+        report = check_equivalence(circuit, spec)
+        assert report.inputs_checked == inputs_checked
+        assert report == reference_check_equivalence(circuit, spec)
+
+
 class TestActivationSet:
     def test_peres_fires_only_on_its_activation(self):
         assert activation_set(synth_peres(3, (1, 0, 1))) == {(1, 0, 1)}
@@ -275,8 +363,10 @@ def test_every_single_gate_mutant_fails(family, make, n, activation):
     assert check_equivalence(circuit, spec).ok
     mutants = list(single_gate_mutants(circuit))
     assert len(mutants) >= len(circuit)
-    survivors = [m for m in mutants if check_equivalence(m, spec).ok]
+    reports = [check_equivalence(m, spec) for m in mutants]
+    survivors = [m for m, report in zip(mutants, reports) if report.ok]
     assert survivors == []
+    assert reports == [reference_check_equivalence(m, spec) for m in mutants]
 
 
 @pytest.mark.parametrize("family, make", [("peres", synth_peres), ("toffoli", synth_toffoli)])
