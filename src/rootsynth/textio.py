@@ -40,10 +40,11 @@ A circuit is stored as a table of its distinct gates plus one code per
 gate (see circuit.Circuit), which is what a v2 document holds, so
 serialize_json writes the two columns as they are. serialize formats each
 table entry once and writes the gate lines in one gather over the codes.
-The text reader checks each distinct raw line once, in order of first
-occurrence, then maps every line to its code in one pass; the JSON reader
-checks each record once and the whole sequence in numpy. A v1 document,
-which no writer emits, has every record checked.
+The text reader reads the lines in one pass, in order: it checks each
+distinct raw gate line once and maps a repeat to its code by one lookup,
+and every other line where it stands; the JSON reader checks each record
+once and the whole sequence in numpy. A v1 document, which no writer
+emits, has every record checked.
 """
 from __future__ import annotations
 
@@ -108,7 +109,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def _int_field(word: str, what: str) -> int:
     if _INTEGER.fullmatch(word) is None:
         raise ParseError(f"{what} must be an integer, got {word!r}")
-    return int(word)
+    try:
+        return int(word)
+    except ValueError:  # more digits than int() converts, 4300 by default
+        raise ParseError(f"{what} has too many digits ({len(word.lstrip('+-'))})") from None
 
 
 def _build_gate(name: str, args: list[int], width: int) -> Gate:
@@ -145,102 +149,71 @@ def _parse_gate(words: list[str], width: int) -> Gate:
     return _build_gate(name, args, width)
 
 
-# The codes of lines that hold no gate: a directive, or a blank or comment line.
-_DIRECTIVE, _BLANK = -1, -2
-
-
 def parse(text: str) -> Circuit:
     """Parse a text circuit document back into a Circuit.
 
-    One pass finds where each distinct raw line first occurs. Each distinct
-    line then goes through every check once, in that order, and gets a
-    code: the index of its gate among the distinct gate lines, or a mark
-    for a directive or a blank line. One gather gives every line the code
-    of its first occurrence. A repeat of a gate line follows the directives
-    that made its first occurrence valid, so it needs no check; a repeat of
-    a directive line is an error, found by counting the lines marked as
-    directives. An error names the line where a line-by-line reader would
-    first have met it.
+    One pass reads the lines in order. The first occurrence of each
+    distinct raw gate line goes through every check and gets a code, the
+    index of its gate in the table; a repeat of it, which can only follow
+    the directives that made the first one valid, costs one lookup. Every
+    other line is checked where it stands, so an error names its own line.
     """
-    first, first_at = _first_occurrences(text)
-    codes = np.empty(first_at.size, dtype=np.intp)  # at each first occurrence, its line's code
     header: dict[str, int | None] = {"width": None, "controls": None}
     label: str | None = None
-    gates: list[Gate] = []  # the gate of each distinct gate line
-    repeats: dict[str, str] = {}  # each directive line, and the error a repeat of it raises
+    table: list[Gate] = []  # the gate of each distinct gate line
+    known: dict[str, int] = {}  # each distinct raw gate line and its code
+    codes: list[int] = []  # one per gate line so far
+    others = 0  # lines so far that hold no gate
     saw_header = False
-    for raw, index in first.items():
-        code, stripped = _DIRECTIVE, raw.strip()
-        content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
-        try:
-            if stripped.startswith("label "):
-                if not saw_header:
-                    raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
-                if label is not None:
-                    raise ParseError("duplicate label directive")
-                label = raw.lstrip()[len("label "):]
-                repeats[raw] = "duplicate label directive"
-            elif not content:
-                code = _BLANK
-            elif not saw_header:
-                if content != FORMAT_HEADER:
-                    raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
-                saw_header = True
-                repeats[raw] = f"duplicate header {FORMAT_HEADER!r}"
-            elif content == FORMAT_HEADER:
-                raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
-            else:
-                fields = content.split()
-                word = fields[0]
-                if word in header:
-                    if len(fields) != 2:
-                        raise ParseError(f"{word} takes one integer")
-                    value = _int_field(fields[1], word)
-                    if header[word] is not None:
-                        raise ParseError(f"duplicate {word} directive")
-                    header[word] = value
-                    repeats[raw] = f"duplicate {word} directive"
-                elif word in _GATES:
-                    if None in header.values():
-                        raise ParseError("gate line before width/controls directives")
-                    code = len(gates)
-                    gates.append(_parse_gate(fields, header["width"]))
+    for raw in text.splitlines():
+        code = known.get(raw)
+        if code is None:
+            try:
+                stripped = raw.strip()
+                content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
+                if stripped.startswith("label "):
+                    if not saw_header:
+                        raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
+                    if label is not None:
+                        raise ParseError("duplicate label directive")
+                    label = raw.lstrip()[len("label "):]
+                elif not content:
+                    pass
+                elif not saw_header:
+                    if content != FORMAT_HEADER:
+                        raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
+                    saw_header = True
+                elif content == FORMAT_HEADER:
+                    raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
                 else:
-                    raise ParseError(f"unknown directive {word!r}")
-        except ParseError as exc:
-            raise _first_error(text, repeats, index, str(exc)) from None
-        codes[index] = code
-    sequence = codes[first_at]
-    if np.count_nonzero(sequence == _DIRECTIVE) > len(repeats):
-        raise _first_error(text, repeats, sequence.size, "")
+                    fields = content.split()
+                    word = fields[0]
+                    if word in header:
+                        if len(fields) != 2:
+                            raise ParseError(f"{word} takes one integer")
+                        value = _int_field(fields[1], word)
+                        if header[word] is not None:
+                            raise ParseError(f"duplicate {word} directive")
+                        header[word] = value
+                    elif word in _GATES:
+                        if None in header.values():
+                            raise ParseError("gate line before width/controls directives")
+                        table.append(_parse_gate(fields, header["width"]))
+                        code = known[raw] = len(table) - 1
+                    else:
+                        raise ParseError(f"unknown directive {word!r}")
+            except ParseError as exc:
+                raise ParseError(str(exc), len(codes) + others + 1) from None
+            if code is None:
+                others += 1
+                continue
+        codes.append(code)
     if not saw_header:
         raise ParseError("empty document: missing header")
     for word, value in header.items():
         if value is None:
             raise ParseError(f"missing {word} directive")
-    return _circuit(header["width"], header["controls"], gates, sequence[sequence >= 0], label or "")
-
-
-def _first_occurrences(text: str) -> tuple[dict[str, int], np.ndarray]:
-    """Each distinct line of text at the index of its first occurrence, and that index for every line.
-
-    Only the distinct lines outlive the call; _first_error splits the text
-    again to name a line.
-    """
-    lines = text.splitlines()
-    first: dict[str, int] = {}
-    return first, np.fromiter(map(first.setdefault, lines, range(len(lines))), dtype=np.intp, count=len(lines))
-
-
-def _first_error(text: str, repeats: dict[str, str], index: int, message: str) -> ParseError:
-    """The error at line `index` of text, 0-based, or at the first repeated directive line before it."""
-    seen = set()
-    for line_no, raw in enumerate(text.splitlines()[:index], start=1):
-        if raw in repeats:
-            if raw in seen:
-                return ParseError(repeats[raw], line_no)
-            seen.add(raw)
-    return ParseError(message, index + 1)
+    return _circuit(header["width"], header["controls"], table, np.array(codes, dtype=np.intp), label or "")
 
 
 def serialize_json(circuit: Circuit) -> str:
@@ -317,7 +290,7 @@ def parse_json(text: str) -> Circuit:
     """
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or a number of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     version = doc.get("format") if isinstance(doc, dict) else None
     if version not in (JSON_FORMAT, FORMAT_HEADER):

@@ -72,20 +72,33 @@ def spec_output(spec: GateFamilySpec, input_bits: Sequence[int]) -> Bits:
 
 
 def _oracle_outputs(spec: GateFamilySpec) -> np.ndarray:
-    """spec_output's definitions applied at once to every input index x = 2c + t."""
-    x = np.arange(2 << spec.n)
-    c, t = x >> 1, x & 1  # line 1 is the most significant bit of c
-    out = c
-    if spec.family != "toffoli":
-        for shift in range(1, spec.n):  # prefix parity: line i is c_1 xor .. xor c_i
-            out = out ^ c >> shift
+    """spec_output's definitions applied at once to every input index x = 2c + t.
+
+    The controls' outputs and the fire bit depend on c alone, so they are
+    computed over the 2^n control vectors, in place, and the two target
+    values interleaved into the table at the end.
+    """
+    c = np.arange(1 << spec.n)  # line 1 is the most significant bit of c
     if spec.family in ("peres", "toffoli"):
         fire = c == bits_to_index(spec.resolved_activation)
     elif spec.family == "or-gate":
         fire = c != 0
     else:
         fire = c == 0
-    return out << 1 | (t ^ fire)
+    out = c  # c is not read again: the outputs overwrite it
+    if spec.family != "toffoli":
+        # Prefix parity, line i being c_1 xor .. xor c_i: after the step of
+        # shift s, each bit holds the parity of itself and the 2s - 1 above it.
+        shifted = np.empty_like(out)
+        for k in range((spec.n - 1).bit_length()):  # shifts 1, 2, 4, .. below n
+            out ^= np.right_shift(out, 1 << k, out=shifted)
+    out <<= 1
+    out |= fire
+    table = np.empty(2 << spec.n, dtype=out.dtype)
+    table[0::2] = out  # t = 0: the target becomes fire
+    out ^= 1
+    table[1::2] = out
+    return table
 
 
 @dataclass(frozen=True)

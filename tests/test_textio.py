@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import random
 import re
 from pathlib import Path
 
@@ -133,6 +134,18 @@ BAD_GATE_LINES = [
 ]
 
 
+# Bad lines to plant among good ones: an out-of-range gate, each repeated
+# directive of the document below, and an unknown word.
+PLANTED_LINES = [
+    ("cnot 1 5", "line 5 out of range for width 4"),
+    ("width 4", "duplicate width directive"),
+    ("controls 3", "duplicate controls directive"),
+    ("label seeded # document", "duplicate label directive"),
+    ("circuit v1", "duplicate header 'circuit v1'"),
+    ("swap 1 2", "unknown directive 'swap'"),
+]
+
+
 class TestParseErrors:
     @pytest.mark.parametrize("bad,message", BAD_GATE_LINES, ids=[b for b, _ in BAD_GATE_LINES])
     def test_bad_gate_line_is_named_by_its_line(self, bad, message):
@@ -219,6 +232,36 @@ class TestParseErrors:
         with pytest.raises(ParseError) as info:
             parse(f"circuit v1\n{directive} {value}\n")
         assert str(info.value) == f"line 2: {directive} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "lines,line_no,message",
+        [
+            (["circuit v1", "width " + "3" * 5000], 2, "width has too many digits (5000)"),
+            (HEADER + ["cnot 1 2"] * 3 + ["not +" + "0" * 4999 + "1"], len(HEADER) + 4, "line has too many digits (5000)"),
+            (HEADER + ["croot -" + "4" * 6000 + " +1 1 4"], len(HEADER) + 1, "kappa has too many digits (6000)"),
+        ],
+        ids=["width", "not-line", "croot-kappa"],
+    )
+    def test_integers_past_the_digit_limit_are_parse_errors(self, lines, line_no, message):
+        # int() refuses strings of more than 4300 digits with a bare ValueError.
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines))
+        assert info.value.line_no == line_no and str(info.value) == f"line {line_no}: {message}"
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("bad,message", PLANTED_LINES, ids=[b for b, _ in PLANTED_LINES])
+    def test_a_planted_bad_line_is_named_among_repeats_blanks_and_comments(self, bad, message, seed):
+        rng = random.Random(seed)
+        lines = ["circuit v1", "width 4", "controls 3", "label seeded # document"]
+        pool = ["cnot 1 2", "croot 4 +1 1 4", "not 3", "croot 4 -1 2 4  # adjoint"]
+        while len(lines) < 5000:
+            r = rng.random()
+            lines.append(rng.choice(pool) if r < 0.8 else "" if r < 0.9 else rng.choice(["# note", "   #", "  "]))
+        at = rng.randrange(4, len(lines))
+        lines.insert(at, bad)
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines))
+        assert info.value.line_no == at + 1 and str(info.value) == f"line {at + 1}: {message}"
 
     @pytest.mark.parametrize(
         "text,message",
@@ -318,6 +361,22 @@ class TestParseJsonIntegers:
     def test_document_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
             parse_json(text)
+
+    @pytest.mark.parametrize(
+        "doc,number",
+        [
+            (json_doc([]), '"width": 4'),
+            (json_doc([{"gate": "not", "line": 4}]), '"line": 4'),
+            (json.dumps({"format": "circuit v2", "width": 4, "controls": 3, "gates": [GOOD_RECORDS[2]],
+                         "sequence": [0, 1]}), "1]"),
+        ],
+        ids=["width", "gate-field", "sequence-index"],
+    )
+    def test_integers_past_the_digit_limit_are_invalid_json(self, doc, number):
+        # json.loads refuses a number of more than 4300 digits with a bare ValueError.
+        doc = doc.replace(number, number[:-1] + "1" * 4400 + number[-1])
+        with pytest.raises(ParseError, match="^invalid JSON: Exceeds the limit"):
+            parse_json(doc)
 
     def test_an_out_of_range_gate_is_reported_before_a_width_mismatch(self):
         # Both readers check each gate against the width as they read it.

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ class TestCheckEquivalence:
 def test_oracle_outputs_equal_spec_output_on_every_input(n):
     for spec in family_specs(n):
         assert tuple(_oracle_outputs(spec).tolist()) == oracle_permutation(spec), spec
+
+
+@pytest.mark.parametrize("family", ["peres", "toffoli"])
+def test_oracle_outputs_peak_memory_stays_near_the_table(family):
+    spec = GateFamilySpec(family, 16)
+    tracemalloc.start()
+    try:
+        result = _oracle_outputs(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * result.nbytes, (peak, result.nbytes)
 
 
 class TestSameReportsAsThePerInputLoop:
