@@ -47,12 +47,3 @@ def index_to_bits(index: int, width: int) -> Bits:
     if not 0 <= index < (1 << width):
         raise ValueError(f"index {index} out of range for width {width}")
     return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
-
-
-def pack_lsb(bits: Iterable[int]) -> int:
-    """Pack a bit vector into an int, first bit least significant."""
-    value = 0
-    for i, b in enumerate(bits):
-        value |= b << i
-    return value
-

@@ -291,7 +291,8 @@ class Circuit:
 
     def append(self, g: Gate) -> "Circuit":
         """New circuit with g appended."""
-        return dataclasses.replace(self, gates=self.gates + (g,))
+        codes = np.append(self.codes, len(self.table))
+        return self._of_codes(self.n_controls, self.table + (g,), codes, self.label)
 
     def compose(self, other: "Circuit") -> "Circuit":
         """Concatenate gate sequences; widths must agree. Keeps this label."""

@@ -19,9 +19,10 @@ control inputs (the mask of inputs it XORs), and every gate on the target
 line adds its power to the coefficient f[m] of the mask m it reads. The net
 power on control vector c is the sum of f[m] over the masks of odd parity
 on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
-being the Walsh-Hadamard transform, exact for every kappa. exponent_simulate
-returns one input's output and truth_table every input's, both read from
-that compiled form.
+being the Walsh-Hadamard transform, exact for every kappa. The compiled
+form always holds that 2^n-entry table of net powers, so exponent_simulate
+(one input's output) and truth_table (every input's) read it alike, and
+both refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_to_index
+from .bits import Bits, as_bits, bits_to_index, index_to_bits
 from .circuit import Circuit, Gate, GateKind, check_kappa, gather
 
 # A Toffoli circuit takes about 0.3 s at width 9 and 2.4 s at width 10 (one
@@ -39,7 +40,7 @@ from .circuit import Circuit, Gate, GateKind, check_kappa, gather
 DENSE_WIDTH_LIMIT = 9
 
 MAX_N = 20
-"""Most controls a generator, truth_table or check_equivalence accepts (2^n work)."""
+"""Most controls a generator, exponent_simulate, truth_table or check_equivalence accepts (2^n work)."""
 
 NOT_MATRIX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -50,7 +51,7 @@ class UnsupportedShapeError(ValueError):
 
 class WidthLimitError(ValueError):
     """Circuit is too wide: above DENSE_WIDTH_LIMIT lines for the dense
-    executor, or above MAX_N controls for a call that covers every input."""
+    executor, or above MAX_N controls for a call whose work grows as 2^n."""
 
 
 def root_of_not(kappa: int) -> np.ndarray:
@@ -148,23 +149,14 @@ class _LinearForm:
     """A layered circuit as GF(2) linear forms of its control inputs.
 
     Control vectors are ints with line 1 as the most significant of n bits.
-    masks[i] is the set of inputs whose XOR line i+1 ends up holding.
-    coefficients maps each mask a target gate read to the root power it
-    adds when that parity is 1; table, when built, holds the net power
-    mod 2*kappa for every control vector.
+    masks[i] is the set of inputs whose XOR line i+1 ends up holding, and
+    table[c] is the net root power mod 2*kappa on control vector c.
     """
 
     masks: tuple[int, ...]
-    coefficients: dict[int, int]
-    table: np.ndarray | None
+    table: np.ndarray
     flips: int
     kappa: int
-
-    def exponent(self, c: int) -> int:
-        if self.table is not None:
-            return int(self.table[c])
-        total = sum(f for m, f in self.coefficients.items() if (m & c).bit_count() & 1)
-        return total % (2 * self.kappa)
 
 
 def _root_power_table(coefficients: dict[int, int], n: int, kappa: int) -> np.ndarray:
@@ -237,17 +229,11 @@ def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int]
 
 
 def _linear_form(circuit: Circuit) -> _LinearForm:
-    """The circuit's _LinearForm.
-
-    The root-power table is built when it has no more entries than the
-    circuit has gates: it then costs less than the walk, and a wide circuit
-    with few gates never allocates 2^n entries.
-    """
+    """The circuit's _LinearForm, with its root-power table."""
     masks, coefficients, _, kappa = _walk(circuit)
     flips = coefficients.pop(0, 0) & 1
-    n = circuit.n_controls
-    table = _root_power_table(coefficients, n, kappa) if 1 << n <= len(circuit) else None
-    return _LinearForm(tuple(masks), coefficients, table, flips, kappa)
+    table = _root_power_table(coefficients, circuit.n_controls, kappa)
+    return _LinearForm(tuple(masks), table, flips, kappa)
 
 
 # The last circuit exponent_simulate saw and its linear form. Holding the
@@ -256,10 +242,11 @@ _last_form: tuple[Circuit | None, _LinearForm | None] = (None, None)
 
 
 def _form_of(circuit: Circuit) -> _LinearForm:
-    """The linear form of `circuit`, kept for the next call."""
+    """The linear form of `circuit`, kept for the next call; refuses above MAX_N controls."""
     global _last_form
     last, form = _last_form
     if last is not circuit:
+        _check_controls(circuit.n_controls)
         form = _linear_form(circuit)
         _last_form = (circuit, form)
     return form
@@ -283,13 +270,14 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
     control line and, from a Walsh-Hadamard transform, the net root power
     of every control vector. The form of the last circuit object passed in
     is kept, so repeated calls on one circuit cost O(n) each after the
-    first; a circuit with fewer than 2^n gates sums its coefficients on
-    each call instead. Circuits that alternate walk their gates each call.
+    first; circuits that alternate compile on each call. The table has 2^n
+    entries, so WidthLimitError refuses above MAX_N controls, before any
+    work.
     """
     bits = as_bits(input_bits, length=circuit.width)
     form = _form_of(circuit)
     c = bits_to_index(bits[: circuit.n_controls])
-    exponent = form.exponent(c)
+    exponent = int(form.table[c])
     if exponent % form.kappa:
         return NonClassical(exponent, form.kappa)
     controls = tuple((m & c).bit_count() & 1 for m in form.masks)
@@ -304,7 +292,11 @@ def _check_controls(n: int) -> None:
 
 @dataclass(frozen=True)
 class TruthTableResult:
-    """Permutation over 2^width basis inputs, or the inputs left non-classical."""
+    """Permutation over 2^width basis inputs, or the first input left non-classical.
+
+    non_classical holds at most one input: the smallest index whose target
+    is left in superposition.
+    """
 
     width: int
     permutation: tuple[int, ...] | None
@@ -324,16 +316,13 @@ def truth_table(circuit: Circuit) -> TruthTableResult:
     does. Raises WidthLimitError above MAX_N controls, before any work.
     """
     n, w = circuit.n_controls, circuit.width
-    _check_controls(n)
     form = _form_of(circuit)
-    table = form.table if form.table is not None else _root_power_table(form.coefficients, n, form.kappa)
+    bad = np.flatnonzero((form.table != 0) & (form.table != form.kappa))
+    if bad.size:  # control vector bad[0] with target 0 is the first such input
+        return TruthTableResult(w, None, (index_to_bits(int(bad[0]) << 1, w),))
     outputs = np.arange(2)
     for bit in range(n):
         column = sum(2 << (n - 1 - i) for i, m in enumerate(form.masks) if m >> bit & 1)
         outputs = np.concatenate((outputs, outputs ^ column))
-    flipped = np.repeat(table == form.kappa, 2)
-    bad = np.flatnonzero(~flipped & np.repeat(table != 0, 2))
-    if bad.size:
-        bits = bad[:, None] >> np.arange(w - 1, -1, -1) & 1
-        return TruthTableResult(w, None, tuple(map(tuple, bits.tolist())))
+    flipped = np.repeat(form.table == form.kappa, 2)
     return TruthTableResult(w, tuple((outputs ^ (flipped ^ bool(form.flips))).tolist()))

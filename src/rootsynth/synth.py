@@ -49,7 +49,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, format_bits, pack_lsb
+from .bits import Bits, as_bits, bits_to_index, format_bits
 from .circuit import Circuit, Gate, control_count, controlled_root, feynman, not_gate
 from .simulate import MAX_N, _check_controls, _walk
 
@@ -149,7 +149,7 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
     n, act = _resolve_activation(n, activation)
-    codes = _emit(n, gray=False, act=pack_lsb(act))
+    codes = _emit(n, gray=False, act=bits_to_index(act[::-1]))
     return Circuit._of_codes(n, _gate_table(n), codes, label=f"peres n={n} a={format_bits(act)}")
 
 
@@ -175,7 +175,7 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     = 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation)
-    codes = _emit(n, gray=False, act=pack_lsb(act))
+    codes = _emit(n, gray=False, act=bits_to_index(act[::-1]))
     ladder = np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=codes.dtype)  # line b - 1 onto b
     return Circuit._of_codes(n, _gate_table(n), np.concatenate((codes, ladder)),
                              label=f"toffoli n={n} a={format_bits(act)}")
@@ -192,7 +192,7 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
     n, act = _resolve_activation(n, activation, least=2)
-    codes = _emit(n, gray=True, act=pack_lsb(act))
+    codes = _emit(n, gray=True, act=bits_to_index(act[::-1]))
     return Circuit._of_codes(n, _gate_table(n), codes, label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 

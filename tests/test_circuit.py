@@ -451,6 +451,21 @@ class TestColumns:
             assert result == Circuit(n, want) and hash(result) == hash(Circuit(n, want)), name
             assert result.label == c.label, name
 
+    @pytest.mark.parametrize("family,n,act", [("toffoli", 5, (1, 0, 1, 1, 0)), ("barenco", 4, None)])
+    def test_pickle_copy_and_deepcopy_keep_the_circuit(self, family, n, act):
+        c = generate(family, n, act)
+        copies = [copy.copy(c), copy.deepcopy(c)]
+        copies += [pickle.loads(pickle.dumps(c, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in copies:
+            assert back == c and hash(back) == hash(c) and back.gates == c.gates
+            assert back.label == c.label != ""
+            assert not back.codes.flags.writeable
+
+    def test_a_circuit_equals_no_other_type(self):
+        c = synth_peres(2)
+        assert (c == 3) is False and (c != 3) is True
+        assert c.__eq__(3) is NotImplemented
+
     def test_equal_circuits_from_any_table_order(self):
         a, b = feynman(1, 2), not_gate(3)
         c = Circuit._of_codes(2, (b, a, b, feynman(2, 3)), np.array([1, 2, 0, 1]))

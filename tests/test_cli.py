@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from rootsynth import cli, synth
+from rootsynth import cli, simulate, synth
 from rootsynth.synth import MAX_N, synth_peres, synth_toffoli
 from rootsynth.textio import parse_json, serialize, serialize_json
 
@@ -115,6 +115,19 @@ def test_n_above_the_limit_exits_2_before_building(monkeypatch, capsys, family, 
     monkeypatch.setattr(synth, "_slots", refuse)
     assert cli.main(["synth", family, "--n", str(n)]) == 2
     assert f"above the limit of {MAX_N} controls" in capsys.readouterr().err
+
+
+def test_simulate_above_the_limit_exits_2_before_any_walk(tmp_path, monkeypatch, capsys):
+    n = MAX_N + 1
+    path = tmp_path / "wide.txt"
+    path.write_text(f"circuit v1\nwidth {n + 1}\ncontrols {n}\ncnot 1 {n + 1}\n")
+
+    def refuse(*args):
+        raise AssertionError("the circuit was walked")
+
+    monkeypatch.setattr(simulate, "_walk", refuse)
+    assert cli.main(["simulate", "--circuit", str(path), "--input", "1" * (n + 1)]) == 2
+    assert f"n = {n} is above the limit of {MAX_N} controls" in capsys.readouterr().err
 
 
 def test_help_names_the_limit(capsys):

@@ -439,8 +439,10 @@ class TestJsonV2:
             ([0, 2, -1, 7], "sequence 2: index -1 out of range for 3 gate records"),
             ([0, 3], "sequence 1: index 3 out of range for 3 gate records"),
             ([0] * 3000 + [3] + [True], "sequence 3000: index 3 out of range for 3 gate records"),
+            ([0, 2**70], f"sequence 1: index {2**70} out of range for 3 gate records"),
         ],
-        ids=["missing", "object", "null", "true", "float", "string", "negative", "len-gates", "after-thousands"],
+        ids=["missing", "object", "null", "true", "float", "string", "negative", "len-gates", "after-thousands",
+             "beyond-intp"],
     )
     def test_bad_sequences(self, sequence, message):
         text = v2_doc(GOOD_RECORDS, sequence)
