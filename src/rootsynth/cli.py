@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from .bits import format_bits, parse_bitstring
-from .simulate import NonClassical, _check_controls, exponent_simulate
+from .simulate import NonClassical, exponent_simulate
 from .synth import (
     MAX_N,
     _check_n,
@@ -23,9 +23,14 @@ from .synth import (
 from .textio import load_circuit, render_ascii, serialize, serialize_json
 from .verify import GateFamilySpec, check_equivalence
 
-_SYNTH_FAMILIES = ("peres", "toffoli", "barenco", "orgate", "andzero")
-_VERIFY_FAMILIES = ("peres", "toffoli", "orgate", "andzero")
-_FAMILY_ALIASES = {"orgate": "or-gate", "andzero": "and-complemented"}
+# CLI family: (the GateFamilySpec family it builds, its generator); barenco builds a toffoli.
+_FAMILIES = {
+    "peres": ("peres", synth_peres),
+    "toffoli": ("toffoli", synth_toffoli),
+    "barenco": ("toffoli", synth_barenco_toffoli),
+    "orgate": ("or-gate", synth_zero_polarity),
+    "andzero": ("and-complemented", synth_zero_polarity),
+}
 
 
 @functools.cache  # one parser per process: parse_args leaves it unchanged
@@ -38,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a circuit and write its document")
-    p.add_argument("family", choices=_SYNTH_FAMILIES)
+    p.add_argument("family", choices=_FAMILIES)
     p.add_argument(
         "--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}"
     )
@@ -47,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a circuit file against a family oracle")
     p.add_argument("--circuit", required=True)
-    p.add_argument("--family", required=True, choices=_VERIFY_FAMILIES)
+    p.add_argument("--family", required=True, choices=[f for f in _FAMILIES if f != "barenco"])
     p.add_argument("--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}")
     p.add_argument("--activation")
 
@@ -66,36 +71,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _synthesize(args: argparse.Namespace):
+def _spec(args: argparse.Namespace) -> GateFamilySpec:
     activation = parse_bitstring(args.activation) if args.activation else None
-    if args.family in ("orgate", "andzero"):
-        if activation is not None:
-            raise ValueError(f"{args.family} does not take an activation vector")
-        return synth_zero_polarity(args.n, _FAMILY_ALIASES[args.family])
-    if args.family == "peres":
-        return synth_peres(args.n, activation)
-    if args.family == "toffoli":
-        return synth_toffoli(args.n, activation)
-    return synth_barenco_toffoli(args.n, activation)
+    return GateFamilySpec(_FAMILIES[args.family][0], args.n, activation)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    circuit = _synthesize(args)
+    spec, generate = _spec(args), _FAMILIES[args.family][1]
+    # A zero-polarity generator takes its family as its mode.
+    circuit = generate(spec.n, spec.family if spec.activation is None else spec.activation)
     if args.out:
         # The writer follows the suffix, as load_circuit's reader does.
         out = Path(args.out)
-        out.write_text(serialize_json(circuit) if out.suffix == ".json" else serialize(circuit))
+        text = serialize_json(circuit) if out.suffix == ".json" else serialize(circuit)
+        out.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(serialize(circuit))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _check_controls(args.n)
-    circuit = load_circuit(args.circuit)
-    activation = parse_bitstring(args.activation) if args.activation else None
-    spec = GateFamilySpec(_FAMILY_ALIASES.get(args.family, args.family), args.n, activation)
-    report = check_equivalence(circuit, spec)
+    spec = _spec(args)
+    report = check_equivalence(load_circuit(args.circuit), spec)
     if report.ok:
         print(f"pass ({report.inputs_checked} inputs checked)")
         return 0

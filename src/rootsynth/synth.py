@@ -32,7 +32,9 @@ Activation vectors: a circuit "fires on a" when its target flips exactly
 for control input a. Direct synthesis requires a nonzero a; the all-zero
 case is served by synth_zero_polarity, which forces every controlled gate
 to the plain root so the target output becomes t xor OR(c1..cn), plus an
-optional inverter to fire on the all-zero vector only.
+optional inverter to fire on the all-zero vector only. _activation states
+the rule for a once, for the generators and verify.GateFamilySpec alike,
+and _emit alone packs a.
 
 Every generator accepts at most MAX_N controls. A circuit over n controls
 holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n in
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache
-from typing import Literal, Sequence
+from typing import Literal, Sequence, get_args
 
 import numpy as np
 
@@ -54,6 +56,7 @@ from .circuit import Circuit, Gate, control_count, controlled_root, feynman, not
 from .simulate import MAX_N, _check_controls, _walk
 
 ZeroPolarityMode = Literal["or-gate", "and-complemented"]
+_OR_GATE, _AND_COMPLEMENTED = _ZERO_MODES = get_args(ZeroPolarityMode)
 
 
 class ZeroActivationError(ValueError):
@@ -67,17 +70,15 @@ def _check_n(n: int, least: int = 1) -> int:
     return n
 
 
-def _resolve_activation(n: int, activation: Sequence[int] | None, least: int = 1) -> tuple[int, Bits]:
-    n = _check_n(n, least)
+def _activation(n: int, activation: Sequence[int] | None) -> Bits:
+    """The activation vector of a checked n: n bits, not all zero; None means all ones."""
     if activation is None:
-        return n, (1,) * n
+        return (1,) * n
     act = as_bits(activation, length=n)
     if not any(act):
-        raise ZeroActivationError(
-            "direct synthesis cannot fire on the all-zero vector; "
-            "use synth_zero_polarity instead"
-        )
-    return n, act
+        raise ZeroActivationError("direct synthesis cannot fire on the all-zero vector; "
+                                  "use synth_zero_polarity instead")
+    return act
 
 
 @cache
@@ -131,10 +132,12 @@ def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
     return views[n]
 
 
-def _emit(n: int, gray: bool, act: int | None) -> np.ndarray:
-    """Each slot's code into _gate_table(n) for the packed activation act; act None makes every root +1."""
+def _emit(n: int, gray: bool, activation: Bits | None) -> np.ndarray:
+    """Each slot's code into _gate_table(n) for the activation; None makes every root +1."""
     codes, alphas = _slots(n, gray)
-    return codes + (alphas != 0 if act is None else np.bitwise_count(alphas & act))
+    if activation is None:
+        return codes + (alphas != 0)
+    return codes + np.bitwise_count(alphas & bits_to_index(activation[::-1]))
 
 
 def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -148,9 +151,10 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     2^(n+1) - n - 2: 2^n - 1 controlled gates, n of them driven directly,
     plus one Feynman gate for each of the other 2^n - 1 - n.
     """
-    n, act = _resolve_activation(n, activation)
-    codes = _emit(n, gray=False, act=bits_to_index(act[::-1]))
-    return Circuit._of_codes(n, _gate_table(n), codes, label=f"peres n={n} a={format_bits(act)}")
+    n = _check_n(n)
+    act = _activation(n, activation)
+    return Circuit._of_codes(n, _gate_table(n), _emit(n, gray=False, activation=act),
+                             label=f"peres n={n} a={format_bits(act)}")
 
 
 def converter_toffoli_to_peres(n: int) -> Circuit:
@@ -174,8 +178,9 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     t xor [c = activation]. Quantum cost (2^(n+1) - n - 2) + (n - 1)
     = 2^(n+1) - 3.
     """
-    n, act = _resolve_activation(n, activation)
-    codes = _emit(n, gray=False, act=bits_to_index(act[::-1]))
+    n = _check_n(n)
+    act = _activation(n, activation)
+    codes = _emit(n, gray=False, activation=act)
     ladder = np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=codes.dtype)  # line b - 1 onto b
     return Circuit._of_codes(n, _gate_table(n), np.concatenate((codes, ladder)),
                              label=f"toffoli n={n} a={format_bits(act)}")
@@ -191,12 +196,13 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     gate, and each subset conditions one root gate on the target. The control
     lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
     """
-    n, act = _resolve_activation(n, activation, least=2)
-    codes = _emit(n, gray=True, act=bits_to_index(act[::-1]))
-    return Circuit._of_codes(n, _gate_table(n), codes, label=f"barenco-toffoli n={n} a={format_bits(act)}")
+    n = _check_n(n, least=2)
+    act = _activation(n, activation)
+    return Circuit._of_codes(n, _gate_table(n), _emit(n, gray=True, activation=act),
+                             label=f"barenco-toffoli n={n} a={format_bits(act)}")
 
 
-def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
+def synth_zero_polarity(n: int, mode: ZeroPolarityMode = _OR_GATE) -> Circuit:
     """Peres structure with every controlled gate forced to the plain root.
 
     mode "or-gate": the target output is t xor (c1 or ... or cn), i.e. the
@@ -206,10 +212,10 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = "or-gate") -> Circuit:
     both modes.
     """
     n = _check_n(n)
-    if mode not in ("or-gate", "and-complemented"):
+    if mode not in _ZERO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    table, codes = _gate_table(n), _emit(n, gray=False, act=None)
-    if mode == "and-complemented":
+    table, codes = _gate_table(n), _emit(n, gray=False, activation=None)
+    if mode == _AND_COMPLEMENTED:
         table, codes = table + (not_gate(n + 1),), np.append(codes, len(table))
     return Circuit._of_codes(n, table, codes, label=f"{mode} n={n}")
 

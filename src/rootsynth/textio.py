@@ -321,7 +321,7 @@ def parse_json(text: str) -> Circuit:
 def load_circuit(path: str | Path) -> Circuit:
     """Read a circuit file, dispatching on the .json extension."""
     p = Path(path)
-    text = p.read_text()
+    text = p.read_text(encoding="utf-8")
     if p.suffix == ".json":
         return parse_json(text)
     return parse(text)
@@ -336,6 +336,8 @@ def render_ascii(circuit: Circuit) -> str:
     """
     if circuit.width > 26:
         raise ValueError(f"rendering supports at most 26 lines, got {circuit.width}")
+    if len(circuit) > 65_536:  # a column per gate: n = 16's 131,069 already take 150 MB
+        raise ValueError(f"rendering supports at most 65,536 gates, got {len(circuit)}")
     labels = [f"c{i}" for i in range(1, circuit.n_controls + 1)] + ["t"]
     pad = max(len(s) for s in labels)
     columns: list[dict[int, str]] = []

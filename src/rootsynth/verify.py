@@ -15,16 +15,20 @@ from typing import Sequence
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index, index_to_bits
-from .circuit import Circuit, control_count
-from .simulate import NonClassical, _check_controls, exponent_simulate, truth_table
+from .circuit import Circuit
+from .simulate import NonClassical, exponent_simulate, truth_table
+from .synth import _OR_GATE, _ZERO_MODES, _activation, _check_n
 
-FAMILIES = ("peres", "toffoli", "or-gate", "and-complemented")
+FAMILIES = ("peres", "toffoli") + _ZERO_MODES
 _BLOCK = 4096  # inputs per block of bit rows, so n = 20 never holds 2^21 of them
 
 
 @dataclass(frozen=True)
 class GateFamilySpec:
-    """A gate family, its control count, and (for peres/toffoli) its activation."""
+    """A gate family, its control count, and (for peres/toffoli) its activation.
+
+    The activation is stored resolved, all ones for None, by synth._activation.
+    """
 
     family: str
     n: int
@@ -33,21 +37,11 @@ class GateFamilySpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
-        object.__setattr__(self, "n", control_count(self.n))
-        if self.family in ("or-gate", "and-complemented"):
-            if self.activation is not None:
-                raise ValueError(f"{self.family} does not take an activation vector")
+        object.__setattr__(self, "n", _check_n(self.n))
+        if self.family not in _ZERO_MODES:
+            object.__setattr__(self, "activation", _activation(self.n, self.activation))
         elif self.activation is not None:
-            act = as_bits(self.activation, length=self.n)
-            if not any(act):
-                raise ValueError("activation vector must be nonzero")
-            object.__setattr__(self, "activation", act)
-
-    @property
-    def resolved_activation(self) -> Bits | None:
-        if self.family in ("or-gate", "and-complemented"):
-            return None
-        return self.activation if self.activation is not None else (1,) * self.n
+            raise ValueError(f"{self.family} does not take an activation vector")
 
 
 def spec_output(spec: GateFamilySpec, input_bits: Sequence[int]) -> Bits:
@@ -62,9 +56,9 @@ def spec_output(spec: GateFamilySpec, input_bits: Sequence[int]) -> Bits:
         for b in c:
             p ^= b
             out.append(p)
-    if spec.family in ("peres", "toffoli"):
-        fire = 1 if c == spec.resolved_activation else 0
-    elif spec.family == "or-gate":
+    if spec.activation is not None:  # peres, toffoli
+        fire = 1 if c == spec.activation else 0
+    elif spec.family == _OR_GATE:
         fire = 1 if any(c) else 0
     else:
         fire = 0 if any(c) else 1
@@ -79,9 +73,9 @@ def _oracle_outputs(spec: GateFamilySpec) -> np.ndarray:
     values interleaved into the table at the end.
     """
     c = np.arange(1 << spec.n)  # line 1 is the most significant bit of c
-    if spec.family in ("peres", "toffoli"):
-        fire = c == bits_to_index(spec.resolved_activation)
-    elif spec.family == "or-gate":
+    if spec.activation is not None:
+        fire = c == bits_to_index(spec.activation)
+    elif spec.family == _OR_GATE:
         fire = c != 0
     else:
         fire = c == 0
@@ -124,12 +118,11 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     exponent_simulate call, which compiles it into its linear form once, so
     an input costs O(n). The first failing input is reported, which makes
     the counterexample the lexicographically smallest one, with its expected
-    output from spec_output. Raises WidthLimitError above MAX_N controls,
-    before any input is checked.
+    output from spec_output. GateFamilySpec refuses more than MAX_N
+    controls, so no check runs above the limit.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
-    _check_controls(spec.n)
     w = circuit.width
     space = 1 << w
     shifts = np.arange(w - 1, -1, -1)

@@ -20,6 +20,7 @@ def files(tmp_path):
         "broken": tmp_path / "broken.txt",
         "deep": tmp_path / "deep.json",
         "halfroot": tmp_path / "halfroot.txt",
+        "long": tmp_path / "long.txt",
     }
     paths["toffoli"].write_text(serialize(synth_toffoli(3, (1, 0, 1))))
     paths["wrong"].write_text(serialize(synth_toffoli(3, (1, 1, 1))))
@@ -27,6 +28,7 @@ def files(tmp_path):
     paths["broken"].write_text("circuit v1\nwidth 4\ncontrols 3\ncnot 1 9\n")
     paths["deep"].write_text("[" * 100_000)
     paths["halfroot"].write_text("circuit v1\nwidth 2\ncontrols 1\ncroot 2 +1 1 2\n")
+    paths["long"].write_text("circuit v1\nwidth 2\ncontrols 1\n" + "cnot 1 2\n" * 65_537)
     paths["missing"] = tmp_path / "missing.txt"
     return {name: str(path) for name, path in paths.items()}
 
@@ -57,6 +59,7 @@ CASES = [
     (["table", "--max-n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["frobnicate"], 2, "invalid choice"),
     (["simulate", "--circuit", "{halfroot}", "--input", "10"], 0, "non-classical (root exponent 1 mod 4)"),
+    (["draw", "--circuit", "{long}"], 2, "at most 65,536 gates, got 65537"),
 ]
 
 

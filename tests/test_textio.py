@@ -1,12 +1,16 @@
 import dataclasses
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from references import json_document, text_document
 
+import rootsynth
 from rootsynth import cli
 from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
 from rootsynth.synth import (
@@ -25,6 +29,7 @@ from rootsynth.textio import (
     serialize_json,
 )
 
+SRC = str(Path(rootsynth.__file__).resolve().parents[1])
 FAMILY_CASES = [
     (family, n)
     for family in ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
@@ -69,6 +74,17 @@ class TestRoundTrips:
         path = tmp_path / f"c{suffix}"
         path.write_text(serialize_json(c) if suffix == ".json" else serialize(c))
         assert load_circuit(path) == c
+
+    @pytest.mark.parametrize("suffix", [".txt", ".json"])
+    def test_load_reads_utf8_under_an_ascii_locale(self, tmp_path, suffix):
+        path = tmp_path / f"c{suffix}"
+        c = dataclasses.replace(synth_peres(2), label="peres ü")
+        path.write_bytes((serialize_json(c) if suffix == ".json" else serialize(c)).encode("utf-8"))
+        script = "import sys; from rootsynth.textio import load_circuit; print(ascii(load_circuit(sys.argv[1]).label))"
+        env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        shown = subprocess.run([sys.executable, "-c", script, str(path)],
+                               capture_output=True, text=True, env=env, check=True).stdout
+        assert shown.strip() == ascii("peres ü")
 
     def test_blank_label_writes_no_label_line(self):
         c = dataclasses.replace(synth_peres(2), label="   ")
@@ -590,3 +606,15 @@ class TestRenderAscii:
         render_ascii(Circuit(25))
         with pytest.raises(ValueError, match="rendering supports at most 26 lines, got 27"):
             render_ascii(Circuit(26))
+
+    def test_refuses_more_than_65536_gates_before_drawing_any(self, monkeypatch):
+        assert render_ascii(Circuit(1, (feynman(1, 2),) * 65_536)).count("⊕") == 65_536
+        c = Circuit(1, (feynman(1, 2),) * 65_537)
+
+        def refuse(self):
+            raise AssertionError("a column was built")
+
+        monkeypatch.setattr(Circuit, "gates", property(refuse))
+        monkeypatch.setattr(Circuit, "__iter__", refuse)
+        with pytest.raises(ValueError, match="rendering supports at most 65,536 gates, got 65537"):
+            render_ascii(c)

@@ -10,8 +10,9 @@ from references import dense_matches, oracle_permutation, permutation_matrix, re
 from rootsynth import verify
 from rootsynth.bits import index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import DENSE_WIDTH_LIMIT, NonClassical, exponent_simulate, truth_table
+from rootsynth.simulate import DENSE_WIDTH_LIMIT, MAX_N, NonClassical, WidthLimitError, exponent_simulate, truth_table
 from rootsynth.synth import (
+    ZeroActivationError,
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
     synth_peres,
@@ -56,12 +57,37 @@ def family_circuits(n):
     yield synth_zero_polarity(n, "and-complemented")
 
 
+BAD_ACTIVATIONS = [(0, 0, 0), (1, 1), (1, 1, 1, 1), (1, 2, 1), (1, "1", 1)]
+
+
 class TestGateFamilySpec:
     def test_default_activation_all_ones(self):
-        assert GateFamilySpec("peres", 3).resolved_activation == (1, 1, 1)
+        assert GateFamilySpec("peres", 3).activation == (1, 1, 1)
+
+    def test_default_activation_is_stored_resolved(self):
+        assert GateFamilySpec("toffoli", 3) == GateFamilySpec("toffoli", 3, (1, 1, 1))
+
+    @pytest.mark.parametrize("activation", BAD_ACTIVATIONS, ids=repr)
+    def test_generators_and_specs_refuse_an_activation_alike(self, activation):
+        makers = [
+            synth_peres,
+            synth_toffoli,
+            synth_barenco_toffoli,
+            lambda n, a: GateFamilySpec("peres", n, a),
+            lambda n, a: GateFamilySpec("toffoli", n, a),
+        ]
+        raised = set()
+        for make in makers:
+            with pytest.raises(ValueError) as info:
+                make(3, activation)
+            raised.add((type(info.value), str(info.value)))
+        assert len(raised) == 1, raised
+        if not any(activation):
+            (kind, message), = raised
+            assert kind is ZeroActivationError and "all-zero vector" in message
 
     def test_zero_polarity_families_take_no_activation(self):
-        assert GateFamilySpec("or-gate", 2).resolved_activation is None
+        assert GateFamilySpec("or-gate", 2).activation is None
         with pytest.raises(ValueError):
             GateFamilySpec("or-gate", 2, (1, 0))
 
@@ -80,6 +106,10 @@ class TestGateFamilySpec:
     def test_rejects_zero_controls(self):
         with pytest.raises(ValueError, match="need n >= 1, got 0"):
             GateFamilySpec("toffoli", 0)
+
+    def test_rejects_more_than_max_n_controls_as_the_generators_do(self):
+        with pytest.raises(WidthLimitError, match=f"n = {MAX_N + 1} is above the limit of {MAX_N} controls"):
+            GateFamilySpec("toffoli", MAX_N + 1)
 
 
 class TestSpecOutput:
