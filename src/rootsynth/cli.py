@@ -76,6 +76,16 @@ def _spec(args: argparse.Namespace) -> GateFamilySpec:
     return GateFamilySpec(_FAMILIES[args.family][0], args.n, activation)
 
 
+def _write_utf8(text: str) -> None:
+    """Write text to stdout as UTF-8, which an ASCII locale cannot encode; a StringIO takes it as is."""
+    stream = sys.stdout
+    if hasattr(stream, "buffer"):
+        stream.flush()
+        stream, text = stream.buffer, text.encode("utf-8")
+    stream.write(text)
+    stream.flush()
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     spec, generate = _spec(args), _FAMILIES[args.family][1]
     # A zero-polarity generator takes its family as its mode.
@@ -86,7 +96,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         text = serialize_json(circuit) if out.suffix == ".json" else serialize(circuit)
         out.write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(serialize(circuit))
+        _write_utf8(serialize(circuit))
     return 0
 
 
@@ -117,7 +127,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_draw(args: argparse.Namespace) -> int:
-    print(render_ascii(load_circuit(args.circuit)))
+    _write_utf8(render_ascii(load_circuit(args.circuit)) + "\n")
     return 0
 
 

@@ -26,9 +26,8 @@ both refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -137,13 +136,6 @@ class NonClassical:
     kappa: int
 
 
-def _common_kappa(gates: Iterable[Gate]) -> int:
-    kappas = {g.kappa for g in gates if g.kind is GateKind.ROOT}
-    if len(kappas) > 1:
-        raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
-    return kappas.pop() if kappas else 1
-
-
 @dataclass(frozen=True)
 class _LinearForm:
     """A layered circuit as GF(2) linear forms of its control inputs.
@@ -159,81 +151,79 @@ class _LinearForm:
     kappa: int
 
 
-def _root_power_table(coefficients: dict[int, int], n: int, kappa: int) -> np.ndarray:
-    """E(c) = sum of f[m] * <m, c> mod 2*kappa for all 2^n control vectors c.
+def _root_power_table(f: np.ndarray, kappa: int) -> np.ndarray:
+    """E(c) = sum of f[m] * <m, c> mod 2*kappa for all 2^n control vectors c, f[m] being mask m's coefficient.
 
-    With <m, c> = (1 - (-1)^|m & c|) / 2, E = (sum(f) - WHT(f)) / 2, where
-    WHT is the Walsh-Hadamard transform (one butterfly per input bit; Fino
-    and Algazi, IEEE Trans. Computers 1976). E is exact for every kappa: up
-    to kappa = 2^62 the transform runs in uint64, whose wrap-around is
-    arithmetic mod 2^64, and the halving leaves E exact mod 2^63, which
-    2*kappa divides; above that it runs on Python ints.
+    With <m, c> = (1 - (-1)^|m & c|) / 2, E = (sum(f) - WHT(f)) / 2, in which
+    f[0] cancels (WHT: one butterfly per input bit; Fino and Algazi, IEEE
+    Trans. Computers 1976). E is exact for every kappa: up to kappa = 2^62 f is
+    uint64, whose wrap-around is arithmetic mod 2^64, and the halving leaves E
+    exact mod 2^63, which 2*kappa divides; above that f holds Python ints.
     """
-    modulus = 2 * kappa
-    dtype = np.uint64 if kappa <= 1 << 62 else object
-    f = np.zeros(1 << n, dtype=dtype)
-    f[list(coefficients)] = [v % modulus for v in coefficients.values()]
     h = f
-    for bit in range(n):
+    for bit in range(f.size.bit_length() - 1):
         pairs = h.reshape(-1, 2, 1 << bit)
         h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
-    one, low_bits = np.array([1, modulus - 1], dtype=dtype)
+    one, low_bits = np.array([1, 2 * kappa - 1], dtype=f.dtype)
     return ((f.sum() - h.reshape(-1)) >> one) & low_bits
 
 
-def _step(g: Gate, n: int, kappa: int) -> tuple[int, int | None, int]:
-    """One gate as (source line, destination line or None, power added), 0-based.
+def _step(g: Gate, n: int, kappa: int) -> tuple[int, int, int]:
+    """One gate as (source line, destination line, power), 0-based.
 
-    A destination line takes the XOR of the source's mask; None adds the
-    power to the coefficient of the source's mask. Line n is a constant-0
-    line, so NOT gates add to the empty mask, which counts them.
+    The destination takes the XOR of the source's mask, and the power adds to
+    the coefficient of the mask read. Line n is the target; NOT gates read line
+    n + 1, a constant 0, so the empty mask's coefficient counts them.
     """
     w = n + 1
     if g.kind is GateKind.FEYNMAN:
         if g.control == w:
             raise UnsupportedShapeError("Feynman gate reads the target line")
-        if g.target == w:
-            return g.control - 1, None, kappa
-        return g.control - 1, g.target - 1, 0
+        return g.control - 1, g.target - 1, kappa if g.target == w else 0
     if g.kind is GateKind.ROOT:
         if g.target != w or g.control == w:
             raise UnsupportedShapeError("controlled root must drive the target line")
-        return g.control - 1, None, g.direction
+        return g.control - 1, n, g.direction
     if g.target != w:
         raise UnsupportedShapeError("NOT gate off the target line")
-    return n, None, 1
+    return w, n, 1
 
 
-def _walk(circuit: Circuit) -> tuple[list[int], defaultdict[int, int], list[int], int]:
+def _walk(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray, int]:
     """Check the layered shape and run each line's mask through the gates once.
 
-    Returns the final mask of each control line, the coefficient of each
-    mask a target-line gate read, the mask each target-line gate reads in
-    circuit order (its driving function; 0 for a NOT gate), and kappa. The
-    shape checks run once per table entry, in order of first use, so the
-    first offending gate raises as it would in a gate-by-gate walk.
+    Returns the final control masks; the mask each gate reads, in circuit
+    order, as int64 (a target-line gate's driving function, 0 for a NOT gate);
+    each gate's power mod 2*kappa, uint64 up to kappa = 2^62 and Python ints
+    above; and kappa. The shape checks run once per table entry, in order of
+    first use, so the first offending gate raises as a gate-by-gate walk would.
     """
-    n = circuit.n_controls
-    kappa = _common_kappa(circuit.table)
-    steps = [_step(g, n, kappa) for g in circuit.table]
-    masks = [1 << (n - 1 - i) for i in range(n)] + [0]
-    coefficients: defaultdict[int, int] = defaultdict(int)
-    reads: list[int] = []
-    for source, dest, power in gather(steps, circuit.codes):
-        if dest is None:
-            reads.append(masks[source])
-            coefficients[masks[source]] += power
-        else:
-            masks[dest] ^= masks[source]
-    return masks[:n], coefficients, reads, kappa
+    n, table = circuit.n_controls, circuit.table
+    kappas = {g.kappa for g in table if g.kind is GateKind.ROOT}
+    if len(kappas) > 1:
+        raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
+    kappa = max(kappas, default=1)
+    steps = [_step(g, n, kappa) for g in table]
+    masks = [1 << (n - 1 - i) for i in range(n)] + [0, 0]
+
+    def read_masks() -> Iterator[int]:
+        for source, dest, _ in gather(steps, circuit.codes):
+            mask = masks[source]
+            masks[dest] ^= mask
+            yield mask
+
+    reads = np.fromiter(read_masks(), np.int64, circuit.codes.size)
+    dtype = np.uint64 if kappa <= 1 << 62 else object
+    powers = np.array([power % (2 * kappa) for _, _, power in steps], dtype=dtype)[circuit.codes]
+    return masks[:n], reads, powers, kappa
 
 
 def _linear_form(circuit: Circuit) -> _LinearForm:
-    """The circuit's _LinearForm, with its root-power table."""
-    masks, coefficients, _, kappa = _walk(circuit)
-    flips = coefficients.pop(0, 0) & 1
-    table = _root_power_table(coefficients, circuit.n_controls, kappa)
-    return _LinearForm(tuple(masks), table, flips, kappa)
+    """The circuit's _LinearForm: each mask's coefficient summed in one pass, then its root-power table."""
+    masks, reads, powers, kappa = _walk(circuit)
+    f = np.zeros(1 << circuit.n_controls, dtype=powers.dtype)
+    np.add.at(f, reads, powers)
+    return _LinearForm(tuple(masks), _root_power_table(f, kappa), int(f[0]) & 1, kappa)
 
 
 # The last circuit exponent_simulate saw and its linear form. Holding the

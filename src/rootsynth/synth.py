@@ -23,10 +23,9 @@ exactly when popcount(alpha & a) is odd, a packed LSB-first; both
 zero-polarity modes use +1 for every root. Converter circuits of n-1
 Feynman gates translate between the two output conventions.
 
-The mask each target-line gate reads, which the exponent simulator derives
-from the Feynman gates before it, is that gate's alpha with its n bits
-reversed (alpha_1 is the mask's highest bit); iterative_polarity_flip
-reads the alphas from there.
+The mask each target-line gate reads, which the exponent simulator's walk
+derives, is that gate's alpha with its n bits reversed (alpha_1 is the
+mask's highest bit); iterative_polarity_flip reads the alphas there.
 
 Activation vectors: a circuit "fires on a" when its target flips exactly
 for control input a. Direct synthesis requires a nonzero a; the all-zero
@@ -240,11 +239,7 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
         raise ValueError(f"control index must be an integer, got {i!r}") from None
     if not 1 <= i <= n:
         raise ValueError(f"control index {i} out of range 1..{n}")
-    bit = 1 << (n - i)  # masks hold line 1 in their highest bit
-    table, codes = circuit.table, circuit.codes
-    # A target-line gate whose mask has the bit becomes its adjoint, at code + len(table).
-    on_target = np.array([g.target == circuit.target_line for g in table], dtype=bool)[codes]
-    flip = np.zeros(codes.size, dtype=np.intp)
-    flip[on_target] = np.array(_walk(circuit)[2], dtype=np.int64) & bit != 0
-    adjoints = tuple(g.adjoint() for g in table)
-    return circuit._of_codes(n, table + adjoints, codes + len(table) * flip, circuit.label)
+    # A gate whose mask holds c_i (line 1's bit is highest) becomes its adjoint: no change for Feynman and NOT.
+    table = circuit.table
+    codes = circuit.codes + len(table) * (_walk(circuit)[1] & 1 << (n - i) != 0)
+    return circuit._of_codes(n, table + tuple(g.adjoint() for g in table), codes, circuit.label)

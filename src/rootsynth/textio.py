@@ -38,8 +38,9 @@ per gate in "gates" and no "sequence", is still read.
 
 A circuit is stored as a table of its distinct gates plus one code per
 gate (see circuit.Circuit), which is what a v2 document holds, so
-serialize_json writes the two columns as they are. serialize formats each
-table entry once and writes the gate lines in one gather over the codes.
+serialize_json writes the two columns as they are. serialize and
+render_ascii format each table entry once and write the gate lines, or each
+row of the diagram, in one gather over the codes.
 The text reader reads the lines in one pass, in order: it checks each
 distinct raw gate line once and maps a repeat to its code by one lookup,
 and every other line where it stands; the JSON reader checks each record
@@ -327,6 +328,17 @@ def load_circuit(path: str | Path) -> Circuit:
     return parse(text)
 
 
+def _column(g: Gate, width: int) -> list[str]:
+    """A gate's diagram column: one cell per line, each centred on its wire to the column's width."""
+    if g.kind is GateKind.NOT:
+        cells = {g.target: "[X]"}
+    else:
+        target = "⊕" if g.kind is GateKind.FEYNMAN else f"[V{g.kappa}{'' if g.direction == 1 else '†'}]"
+        cells = dict.fromkeys(range(min(g.lines) + 1, max(g.lines)), "│") | {g.control: "●", g.target: target}
+    cw = max(map(len, cells.values()))
+    return [f"{cells.get(row, ''):─^{cw}}─" for row in range(1, width + 1)]
+
+
 def render_ascii(circuit: Circuit) -> str:
     """Wire diagram, one row per line and one column per gate.
 
@@ -336,32 +348,10 @@ def render_ascii(circuit: Circuit) -> str:
     """
     if circuit.width > 26:
         raise ValueError(f"rendering supports at most 26 lines, got {circuit.width}")
-    if len(circuit) > 65_536:  # a column per gate: n = 16's 131,069 already take 150 MB
+    if len(circuit) > 65_536:  # n = 15's 65,533 gates: 6.0M characters, about 25 MB of peak RSS; 51 MB at n = 16
         raise ValueError(f"rendering supports at most 65,536 gates, got {len(circuit)}")
     labels = [f"c{i}" for i in range(1, circuit.n_controls + 1)] + ["t"]
     pad = max(len(s) for s in labels)
-    columns: list[dict[int, str]] = []
-    for g in circuit.gates:
-        col: dict[int, str] = {}
-        if g.kind is GateKind.FEYNMAN:
-            col[g.control] = "●"
-            col[g.target] = "⊕"
-        elif g.kind is GateKind.ROOT:
-            col[g.control] = "●"
-            col[g.target] = f"[V{g.kappa}]" if g.direction == 1 else f"[V{g.kappa}†]"
-        else:
-            col[g.target] = "[X]"
-        lo, hi = min(g.lines), max(g.lines)
-        for row in range(lo + 1, hi):
-            col[row] = "│"
-        columns.append(col)
-    widths = [max(len(cell) for cell in col.values()) for col in columns]
-    rows = []
-    for row in range(1, circuit.width + 1):
-        parts = [f"{labels[row - 1]:>{pad}} ─"]
-        for col, cw in zip(columns, widths):
-            cell = col.get(row, "")
-            extra = cw - len(cell)
-            parts.append("─" * (extra // 2) + cell + "─" * (extra - extra // 2) + "─")
-        rows.append("".join(parts))
-    return "\n".join(rows)
+    columns = [_column(g, circuit.width) for g in circuit.table]
+    rows = (gather([col[row] for col in columns], circuit.codes) for row in range(circuit.width))
+    return "\n".join(f"{label:>{pad}} ─" + "".join(row) for label, row in zip(labels, rows))

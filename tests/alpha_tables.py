@@ -79,11 +79,14 @@ def target_gates(circuit):
 def driving_alphas(circuit):
     """The derived driving function of each target gate, as an LSB-first alpha.
 
-    NOT gates read the empty mask, which drives no generated root: a root
-    reading it would shorten the list.
+    Of the masks the gates read, these are the ones read by gates on the
+    target line. NOT gates read the empty mask, which drives no generated
+    root: a root reading it would shorten the list.
     """
     n = circuit.n_controls
-    reads = np.array([m for m in _walk(circuit)[2] if m], dtype=np.int64)
+    on_target = np.array([g.target == circuit.target_line for g in circuit.gates], dtype=bool)
+    reads = _walk(circuit)[1]
+    reads = reads[on_target & (reads != 0)]
     return list(map(tuple, (reads[:, None] >> np.arange(n - 1, -1, -1) & 1).tolist()))
 
 

@@ -6,7 +6,8 @@ permutation into the 0/1 unitary the dense executor should produce, and
 dense_matches compares the two. reference_check_equivalence is
 check_equivalence's per-input loop, one spec_output call per input, as its
 reference. text_document and json_document write a circuit's file formats
-gate by gate from its gate tuple, as the writers' reference.
+gate by gate from its gate tuple, as the writers' reference, and
+diagram draws render_ascii's wire diagram one column per gate.
 """
 import json
 
@@ -90,3 +91,34 @@ def json_document(circuit) -> str:
         "gates": [_record(g) for g in records],
         "sequence": sequence,
     }) + "\n"
+
+
+def diagram(circuit) -> str:
+    """render_ascii gate by gate: a column of cells for each gate of circuit.gates."""
+    labels = [f"c{i}" for i in range(1, circuit.n_controls + 1)] + ["t"]
+    pad = max(len(s) for s in labels)
+    columns = []
+    for g in circuit.gates:
+        col = {}
+        if g.kind is GateKind.FEYNMAN:
+            col[g.control] = "●"
+            col[g.target] = "⊕"
+        elif g.kind is GateKind.ROOT:
+            col[g.control] = "●"
+            col[g.target] = f"[V{g.kappa}]" if g.direction == 1 else f"[V{g.kappa}†]"
+        else:
+            col[g.target] = "[X]"
+        lo, hi = min(g.lines), max(g.lines)
+        for row in range(lo + 1, hi):
+            col[row] = "│"
+        columns.append(col)
+    widths = [max(len(cell) for cell in col.values()) for col in columns]
+    rows = []
+    for row in range(1, circuit.width + 1):
+        parts = [f"{labels[row - 1]:>{pad}} ─"]
+        for col, cw in zip(columns, widths):
+            cell = col.get(row, "")
+            extra = cw - len(cell)
+            parts.append("─" * (extra // 2) + cell + "─" * (extra - extra // 2) + "─")
+        rows.append("".join(parts))
+    return "\n".join(rows)

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 from alpha_tables import ACTIVATED, FAMILIES, generate, target_gates
+from test_simulate import random_layered_circuit
 
 from rootsynth import circuit
 from rootsynth.bits import index_to_bits
@@ -450,6 +451,20 @@ class TestColumns:
             assert result.gates == want, name
             assert result == Circuit(n, want) and hash(result) == hash(Circuit(n, want)), name
             assert result.label == c.label, name
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_flip_of_random_layered_circuits_equals_the_gate_by_gate_flip(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 7)
+        c = Circuit(n, random_layered_circuit(rng, n, 1 << rng.randrange(0, n + 1), 8 << n))
+        fixed = [g.kind is not GateKind.ROOT for g in c.gates]  # Feynman gates, onto the target too, and NOTs
+        kinds = {(g.kind, g.target == c.target_line) for g in c.table}
+        assert kinds >= {(GateKind.FEYNMAN, True), (GateKind.ROOT, True), (GateKind.NOT, True)}
+        for i in range(1, n + 1):
+            flipped = iterative_polarity_flip(c, i)
+            assert flipped.gates == flip_gate_by_gate(c, i), i
+            assert all(a is b for a, b, same in zip(flipped.gates, c.gates, fixed) if same), i
+            assert iterative_polarity_flip(flipped, i) == c, i
 
     @pytest.mark.parametrize("family,n,act", [("toffoli", 5, (1, 0, 1, 1, 0)), ("barenco", 4, None)])
     def test_pickle_copy_and_deepcopy_keep_the_circuit(self, family, n, act):

@@ -2,13 +2,21 @@
 
 Only verify can fail a check, so only verify has a case for exit code 1.
 """
+import contextlib
+import io
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import rootsynth
 from rootsynth import cli, simulate, synth
 from rootsynth.synth import MAX_N, synth_peres, synth_toffoli
-from rootsynth.textio import parse_json, serialize, serialize_json
+from rootsynth.textio import load_circuit, parse_json, render_ascii, serialize, serialize_json
+
+SRC = str(Path(rootsynth.__file__).resolve().parents[1])
 
 
 @pytest.fixture
@@ -158,3 +166,24 @@ def test_table_rows_are_the_paper_formulas(capsys):
     assert [list(map(int, row.split())) for row in rows] == [
         [n, 2 ** (n + 1) - n - 2, 2 ** (n + 1) - 3, 2**n - 1, 2**n - 1 - n] for n in range(1, MAX_N + 1)
     ]
+
+
+def test_draw_and_synth_print_what_the_writers_give(files, capsys):
+    assert cli.main(["draw", "--circuit", files["toffoli"]]) == 0
+    assert capsys.readouterr().out == render_ascii(load_circuit(files["toffoli"])) + "\n"
+    assert cli.main(["synth", "toffoli", "--n", "3", "--activation", "101"]) == 0
+    assert capsys.readouterr().out == serialize(synth_toffoli(3, (1, 0, 1)))
+    with contextlib.redirect_stdout(io.StringIO()) as out:  # a stream with no byte buffer
+        assert cli.main(["draw", "--circuit", files["json"]]) == 0
+    assert out.getvalue() == render_ascii(synth_peres(2)) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["draw", "--circuit", "{json}"], ["synth", "peres", "--n", "2"]])
+def test_stdout_is_utf8_under_an_ascii_locale(files, argv):
+    env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    shown = subprocess.run([sys.executable, "-m", "rootsynth.cli", *(word.format(**files) for word in argv)],
+                           capture_output=True, env=env)
+    assert (shown.returncode, shown.stderr) == (0, b"")
+    want = render_ascii(synth_peres(2)) + "\n" if argv[0] == "draw" else serialize(synth_peres(2))
+    assert shown.stdout == want.encode("utf-8")

@@ -8,12 +8,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from references import json_document, text_document
+from alpha_tables import ACTIVATED, FAMILIES, generate
+from references import diagram, json_document, text_document
+from test_simulate import random_circuits
 
 import rootsynth
 from rootsynth import cli
+from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
 from rootsynth.synth import (
+    iterative_polarity_flip,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -601,6 +605,37 @@ class TestRenderAscii:
             "c2 ─────│───●───",
             " t ─[X]─⊕─[V2†]─",
         ])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_family_and_its_flips_draw_as_gate_by_gate(self, family):
+        rng = random.Random(len(family))
+        for n in range(1 + (family == "barenco"), 8):
+            c = generate(family, n, index_to_bits(rng.randrange(1, 1 << n), n) if family in ACTIVATED else None)
+            assert render_ascii(c) == diagram(c), n
+            for i in range(1, n + 1):
+                flipped = iterative_polarity_flip(c, i)
+                assert render_ascii(flipped) == diagram(flipped), (n, i)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_circuits_draw_as_gate_by_gate(self, seed):
+        for c in random_circuits(seed):
+            assert render_ascii(c) == diagram(c)
+
+    @pytest.mark.parametrize("n", [1, 2, 25])
+    def test_an_empty_circuit_draws_its_wires(self, n):
+        assert render_ascii(Circuit(n)) == diagram(Circuit(n))
+        assert render_ascii(Circuit(n)).splitlines()[-1] == f"{'t':>{len(f'c{n}')}} ─"
+
+    def test_draws_from_the_table_and_codes_without_the_gates(self, monkeypatch):
+        c = synth_toffoli(5, (1, 0, 1, 1, 0))
+        want = diagram(c)
+
+        def refuse(self):
+            raise AssertionError("the gate tuple was built")
+
+        monkeypatch.setattr(Circuit, "gates", property(refuse))
+        monkeypatch.setattr(Circuit, "__iter__", refuse)
+        assert render_ascii(c) == want
 
     def test_refuses_more_than_26_lines(self):
         render_ascii(Circuit(25))
