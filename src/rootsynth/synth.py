@@ -230,7 +230,8 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     odd number of ones, complementing bit i of the activation vector swaps
     the direction of exactly these gates, so the result equals synthesizing
     with that bit complemented. Flipping the same i twice restores the
-    circuit. Raises UnsupportedShapeError when the circuit is not layered.
+    circuit. Raises UnsupportedShapeError when the circuit is not layered,
+    and WidthLimitError above MAX_N controls.
     """
     n = circuit.n_controls
     try:
@@ -239,6 +240,7 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
         raise ValueError(f"control index must be an integer, got {i!r}") from None
     if not 1 <= i <= n:
         raise ValueError(f"control index {i} out of range 1..{n}")
+    _check_controls(n)
     # A gate whose mask holds c_i (line 1's bit is highest) becomes its adjoint: no change for Feynman and NOT.
     table = circuit.table
     codes = circuit.codes + len(table) * (_walk(circuit)[1] & 1 << (n - i) != 0)

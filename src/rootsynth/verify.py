@@ -1,26 +1,29 @@
 """Functional oracles and equivalence checking for the synthesized families.
 
-spec_output states the intended input/output behavior of each gate family
-directly from its definition, independently of any circuit; _oracle_outputs
-tabulates the same definitions over all inputs by array. So checking a
-circuit is a genuine two-route comparison: exponent simulation per input on
-one side, the closed form on the other. The tests and the dense-small
-benchmark compare the dense executor with the same oracle.
+_outputs states each gate family once, from its definition and
+independently of any circuit, on bits that are ints or arrays: spec_output
+applies it to one input, and check_equivalence to blocks of inputs at once.
+So checking a circuit is a genuine two-route comparison: exponent simulation
+per input on one side, the closed form on the other. The tests and the
+dense-small benchmark compare the dense executor with the same oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import or_, xor
 from typing import Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_to_index, index_to_bits
+from .bits import Bits, as_bits, index_to_bits
 from .circuit import Circuit
 from .simulate import NonClassical, exponent_simulate, truth_table
 from .synth import _OR_GATE, _ZERO_MODES, _activation, _check_n
 
 FAMILIES = ("peres", "toffoli") + _ZERO_MODES
-_BLOCK = 4096  # inputs per block of bit rows, so n = 20 never holds 2^21 of them
+_BLOCK = 4096  # inputs per block of bit columns, so n = 20 never holds 2^21 of them
 
 
 @dataclass(frozen=True)
@@ -44,55 +47,27 @@ class GateFamilySpec:
             raise ValueError(f"{self.family} does not take an activation vector")
 
 
+def _outputs(spec: GateFamilySpec, c, t) -> tuple:
+    """The family's outputs from its control bits c (line 1 first) and target bit t.
+
+    The one statement of the four families: the controls pass through
+    (toffoli) or become their prefix parities c_1 xor .. xor c_i, and the
+    target flips when the family fires, on the activation vector (peres,
+    toffoli), on any nonzero c (or-gate) or on c = 0 (and-complemented).
+    Each bit is an int, or an array holding that bit for many inputs.
+    """
+    out = c if spec.family == "toffoli" else accumulate(c, xor)
+    if spec.activation is not None:  # peres, toffoli
+        fire = reduce(or_, map(xor, c, spec.activation)) ^ 1
+    else:
+        fire = reduce(or_, c) ^ (spec.family != _OR_GATE)
+    return (*out, t ^ fire)
+
+
 def spec_output(spec: GateFamilySpec, input_bits: Sequence[int]) -> Bits:
     """Defined output of the family on one basis input (controls then target)."""
     bits = as_bits(input_bits, length=spec.n + 1)
-    c, t = bits[: spec.n], bits[spec.n]
-    if spec.family == "toffoli":
-        out = list(c)
-    else:
-        out = []
-        p = 0
-        for b in c:
-            p ^= b
-            out.append(p)
-    if spec.activation is not None:  # peres, toffoli
-        fire = 1 if c == spec.activation else 0
-    elif spec.family == _OR_GATE:
-        fire = 1 if any(c) else 0
-    else:
-        fire = 0 if any(c) else 1
-    return tuple(out) + (t ^ fire,)
-
-
-def _oracle_outputs(spec: GateFamilySpec) -> np.ndarray:
-    """spec_output's definitions applied at once to every input index x = 2c + t.
-
-    The controls' outputs and the fire bit depend on c alone, so they are
-    computed over the 2^n control vectors, in place, and the two target
-    values interleaved into the table at the end.
-    """
-    c = np.arange(1 << spec.n)  # line 1 is the most significant bit of c
-    if spec.activation is not None:
-        fire = c == bits_to_index(spec.activation)
-    elif spec.family == _OR_GATE:
-        fire = c != 0
-    else:
-        fire = c == 0
-    out = c  # c is not read again: the outputs overwrite it
-    if spec.family != "toffoli":
-        # Prefix parity, line i being c_1 xor .. xor c_i: after the step of
-        # shift s, each bit holds the parity of itself and the 2s - 1 above it.
-        shifted = np.empty_like(out)
-        for k in range((spec.n - 1).bit_length()):  # shifts 1, 2, 4, .. below n
-            out ^= np.right_shift(out, 1 << k, out=shifted)
-    out <<= 1
-    out |= fire
-    table = np.empty(2 << spec.n, dtype=out.dtype)
-    table[0::2] = out  # t = 0: the target becomes fire
-    out ^= 1
-    table[1::2] = out
-    return table
+    return _outputs(spec, bits[:-1], bits[-1])
 
 
 @dataclass(frozen=True)
@@ -113,12 +88,13 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     """Compare a layered circuit against the family oracle on every input.
 
     All 2^(n+1) basis inputs are checked in index order, line 1 most
-    significant, in blocks of 4,096. The expected outputs are tabulated by
-    array (_oracle_outputs); the circuit is simulated per input, by one
-    exponent_simulate call, which compiles it into its linear form once, so
-    an input costs O(n). The first failing input is reported, which makes
-    the counterexample the lexicographically smallest one, with its expected
-    output from spec_output. GateFamilySpec refuses more than MAX_N
+    significant, in blocks of 4,096. Each block is one array per line
+    holding that line's bit of every input, and _outputs maps those columns
+    to the block's expected rows at once; the circuit is simulated per
+    input, by one exponent_simulate call, which compiles it into its linear
+    form once, so an input costs O(n). The first failing input is reported,
+    which makes the counterexample the lexicographically smallest one, with
+    its expected row from the block. GateFamilySpec refuses more than MAX_N
     controls, so no check runs above the limit.
     """
     if circuit.n_controls != spec.n:
@@ -126,15 +102,13 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     w = circuit.width
     space = 1 << w
     shifts = np.arange(w - 1, -1, -1)
-    oracle = _oracle_outputs(spec)
     for start in range(0, space, _BLOCK):
-        block = np.arange(start, min(start + _BLOCK, space))
-        rows = (block[:, None] >> shifts & 1).tolist()
-        expected = map(tuple, (oracle[block, None] >> shifts & 1).tolist())
-        for x, bits, want in zip(block.tolist(), rows, expected):
+        columns = np.arange(start, min(start + _BLOCK, space)) >> shifts[:, None] & 1
+        expected = np.array(_outputs(spec, columns[:-1], columns[-1])).T.tolist()
+        for x, bits, want in zip(range(start, space), columns.T.tolist(), map(tuple, expected)):
             actual = exponent_simulate(circuit, bits)
             if actual != want:
-                return EquivalenceReport(False, x + 1, tuple(bits), spec_output(spec, bits), actual)
+                return EquivalenceReport(False, x + 1, tuple(bits), want, actual)
     return EquivalenceReport(True, space)
 
 

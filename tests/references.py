@@ -1,28 +1,51 @@
 """Reference permutations and matrices that the tests compare circuits with.
 
-oracle_permutation tabulates spec_output, the closed form of each gate
-family, as a permutation of basis-state indices; permutation_matrix turns a
-permutation into the 0/1 unitary the dense executor should produce, and
-dense_matches compares the two. reference_check_equivalence is
-check_equivalence's per-input loop, one spec_output call per input, as its
-reference. text_document and json_document write a circuit's file formats
-gate by gate from its gate tuple, as the writers' reference, and
-diagram draws render_ascii's wire diagram one column per gate.
+reference_spec_output states each gate family's output bit by bit from its
+definition, apart from src's verify._outputs, and oracle_permutation
+tabulates it as a permutation of basis-state indices; permutation_matrix
+turns a permutation into the 0/1 unitary the dense executor should produce,
+and dense_matches compares the two. reference_check_equivalence is
+check_equivalence's per-input loop, one reference_spec_output call per
+input, as its reference. text_document and json_document write a circuit's
+file formats gate by gate from its gate tuple, as the writers' reference,
+and diagram draws render_ascii's wire diagram one column per gate.
 """
 import json
 
 import numpy as np
 
-from rootsynth.bits import bits_to_index, index_to_bits
+from rootsynth.bits import Bits, as_bits, bits_to_index, index_to_bits
 from rootsynth.circuit import GateKind
 from rootsynth.simulate import _check_controls, dense_unitary, exponent_simulate
-from rootsynth.verify import EquivalenceReport, GateFamilySpec, spec_output
+from rootsynth.synth import _OR_GATE
+from rootsynth.verify import EquivalenceReport, GateFamilySpec
+
+
+def reference_spec_output(spec: GateFamilySpec, input_bits) -> Bits:
+    """Defined output of the family on one basis input (controls then target)."""
+    bits = as_bits(input_bits, length=spec.n + 1)
+    c, t = bits[: spec.n], bits[spec.n]
+    if spec.family == "toffoli":
+        out = list(c)
+    else:
+        out = []
+        p = 0
+        for b in c:
+            p ^= b
+            out.append(p)
+    if spec.activation is not None:  # peres, toffoli
+        fire = 1 if c == spec.activation else 0
+    elif spec.family == _OR_GATE:
+        fire = 1 if any(c) else 0
+    else:
+        fire = 0 if any(c) else 1
+    return tuple(out) + (t ^ fire,)
 
 
 def oracle_permutation(spec: GateFamilySpec) -> tuple[int, ...]:
-    """spec_output as a permutation of basis-state indices."""
+    """reference_spec_output as a permutation of basis-state indices."""
     w = spec.n + 1
-    return tuple(bits_to_index(spec_output(spec, index_to_bits(x, w))) for x in range(1 << w))
+    return tuple(bits_to_index(reference_spec_output(spec, index_to_bits(x, w))) for x in range(1 << w))
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -40,7 +63,7 @@ def dense_matches(circuit, perm) -> bool:
 
 
 def reference_check_equivalence(circuit, spec: GateFamilySpec) -> EquivalenceReport:
-    """check_equivalence input by input: index_to_bits, exponent_simulate and spec_output each time."""
+    """check_equivalence input by input: index_to_bits, exponent_simulate and reference_spec_output each time."""
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     _check_controls(spec.n)
@@ -49,7 +72,7 @@ def reference_check_equivalence(circuit, spec: GateFamilySpec) -> EquivalenceRep
     for x in range(space):
         bits = index_to_bits(x, w)
         actual = exponent_simulate(circuit, bits)
-        expected = spec_output(spec, bits)
+        expected = reference_spec_output(spec, bits)
         if actual != expected:
             return EquivalenceReport(False, x + 1, bits, expected, actual)
     return EquivalenceReport(True, space)

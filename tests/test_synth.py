@@ -20,7 +20,7 @@ from alpha_tables import (
 from rootsynth import synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
-from rootsynth.simulate import UnsupportedShapeError
+from rootsynth.simulate import UnsupportedShapeError, WidthLimitError
 from rootsynth.synth import (
     MAX_N,
     ZeroActivationError,
@@ -365,6 +365,14 @@ class TestIterativePolarityFlip:
     def test_rejects_a_circuit_that_is_not_layered(self):
         c = Circuit(2, (controlled_root(2, 1, 1, 3), feynman(3, 2)))
         with pytest.raises(UnsupportedShapeError, match="Feynman gate reads the target line"):
+            iterative_polarity_flip(c, 1)
+
+    # Above MAX_N the walk is refused before it starts; at 64 controls line 1's
+    # mask would not fit the walk's int64 masks.
+    @pytest.mark.parametrize("n", [MAX_N + 1, 64])
+    def test_refuses_more_than_max_n_controls(self, n):
+        c = Circuit(n, (controlled_root(2, 1, 1, n + 1),))
+        with pytest.raises(WidthLimitError, match=f"^n = {n} is above the limit of {MAX_N} controls$"):
             iterative_polarity_flip(c, 1)
 
     def test_preserves_wiring(self):

@@ -1,11 +1,16 @@
 import dataclasses
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 import references
-from references import dense_matches, oracle_permutation, permutation_matrix, reference_check_equivalence
+from references import (
+    dense_matches,
+    oracle_permutation,
+    permutation_matrix,
+    reference_check_equivalence,
+    reference_spec_output,
+)
 
 from rootsynth import verify
 from rootsynth.bits import index_to_bits, parse_bitstring
@@ -23,7 +28,6 @@ from rootsynth.verify import (
     FAMILIES,
     EquivalenceReport,
     GateFamilySpec,
-    _oracle_outputs,
     activation_set,
     check_equivalence,
     spec_output,
@@ -256,21 +260,10 @@ class TestCheckEquivalence:
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_oracle_outputs_equal_spec_output_on_every_input(n):
+def test_spec_output_equals_the_reference_on_every_input(n):
+    inputs = [index_to_bits(x, n + 1) for x in range(1 << (n + 1))]
     for spec in family_specs(n):
-        assert tuple(_oracle_outputs(spec).tolist()) == oracle_permutation(spec), spec
-
-
-@pytest.mark.parametrize("family", ["peres", "toffoli"])
-def test_oracle_outputs_peak_memory_stays_near_the_table(family):
-    spec = GateFamilySpec(family, 16)
-    tracemalloc.start()
-    try:
-        result = _oracle_outputs(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * result.nbytes, (peak, result.nbytes)
+        assert [spec_output(spec, b) for b in inputs] == [reference_spec_output(spec, b) for b in inputs], spec
 
 
 class TestSameReportsAsThePerInputLoop:
@@ -326,6 +319,26 @@ class TestSameReportsAsThePerInputLoop:
         circuit, spec = synth_toffoli(12), GateFamilySpec("toffoli", 12, parse_bitstring(checked))
         report = check_equivalence(circuit, spec)
         assert report.inputs_checked == inputs_checked
+        assert report == reference_check_equivalence(circuit, spec)
+
+    # The other families at n = 12, each passing and failing first in the
+    # second block. A Peres built for activation 100..01 fails on it, input
+    # 4098. A zero-polarity circuit followed by a Toffoli on its prefix
+    # parities fails where the parities equal the Toffoli's activation
+    # 100..0: at c = 110..0, input 6144.
+    @pytest.mark.parametrize("family", ["peres", "or-gate", "and-complemented"])
+    @pytest.mark.parametrize("wrong", [False, True], ids=["pass", "fail"])
+    def test_blocks_at_n12_for_the_other_families(self, family, wrong):
+        spec = GateFamilySpec(family, 12)
+        if family == "peres":
+            circuit = synth_peres(12, parse_bitstring("100000000001") if wrong else None)
+        else:
+            circuit = synth_zero_polarity(12, family)
+            if wrong:
+                circuit = circuit.compose(synth_toffoli(12, parse_bitstring("100000000000")))
+        report = check_equivalence(circuit, spec)
+        assert report.ok != wrong
+        assert report.inputs_checked == (4099 if family == "peres" else 6145) if wrong else 8192
         assert report == reference_check_equivalence(circuit, spec)
 
 
