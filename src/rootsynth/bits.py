@@ -4,23 +4,23 @@ from __future__ import annotations
 from typing import Iterable
 
 Bits = tuple[int, ...]
+_BIT = {0: 0, 1: 1}  # one lookup checks a value equal to 0 or 1 and gives its int
 
 
 def as_bits(values: Iterable[int], length: int | None = None) -> Bits:
     """Normalize to a tuple of 0/1 ints, optionally enforcing a length.
 
-    Each value must equal 0 or 1 (True, 1.0 and numpy ints do), so 0.5 or
-    "1" is rejected rather than truncated, and so is a value that is not iterable.
+    Each value must equal 0 or 1 (True, 1.0 and numpy ints do), so 0.5, "1" or an
+    unhashable value is rejected rather than truncated, as is a vector that is not iterable.
     """
     try:
         values = tuple(values)
-    except TypeError:
+        bits = tuple(map(_BIT.__getitem__, values))
+    except (KeyError, TypeError):
         raise ValueError(f"expected a binary vector, got {values!r}") from None
-    if not {0, 1}.issuperset(values):
-        raise ValueError(f"expected a binary vector, got {values}")
-    if length is not None and len(values) != length:
-        raise ValueError(f"expected {length} bits, got {len(values)}")
-    return tuple(map(int, values))
+    if length is not None and len(bits) != length:
+        raise ValueError(f"expected {length} bits, got {len(bits)}")
+    return bits
 
 
 def parse_bitstring(text: str) -> Bits:

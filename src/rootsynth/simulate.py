@@ -259,18 +259,18 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
     The circuit is compiled into its linear form: the final mask of each
     control line and, from a Walsh-Hadamard transform, the net root power
     of every control vector. The form of the last circuit object passed in
-    is kept, so repeated calls on one circuit cost O(n) each after the
-    first; circuits that alternate compile on each call. The table has 2^n
-    entries, so WidthLimitError refuses above MAX_N controls, before any
-    work.
+    is kept, so repeated calls on one circuit cost one table read plus O(n)
+    bit work each after the first; circuits that alternate compile on each
+    call. The table has 2^n entries, so WidthLimitError refuses above MAX_N
+    controls, before any work.
     """
     bits = as_bits(input_bits, length=circuit.width)
     form = _form_of(circuit)
-    c = bits_to_index(bits[: circuit.n_controls])
-    exponent = int(form.table[c])
+    c = bits_to_index(bits[:-1])
+    exponent = form.table.item(c)  # a Python int from a uint64 or an object table
     if exponent % form.kappa:
         return NonClassical(exponent, form.kappa)
-    controls = tuple((m & c).bit_count() & 1 for m in form.masks)
+    controls = tuple([(m & c).bit_count() & 1 for m in form.masks])
     return controls + (bits[-1] ^ form.flips ^ (exponent == form.kappa),)
 
 

@@ -90,12 +90,12 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     All 2^(n+1) basis inputs are checked in index order, line 1 most
     significant, in blocks of 4,096. Each block is one array per line
     holding that line's bit of every input, and _outputs maps those columns
-    to the block's expected rows at once; the circuit is simulated per
-    input, by one exponent_simulate call, which compiles it into its linear
-    form once, so an input costs O(n). The first failing input is reported,
-    which makes the counterexample the lexicographically smallest one, with
-    its expected row from the block. GateFamilySpec refuses more than MAX_N
-    controls, so no check runs above the limit.
+    to the block's expected rows, tuples of ints, at once. Each input is one
+    exponent_simulate call (the first compiles the circuit, later ones read
+    one table entry) and one tuple compare. The first failing input is
+    reported, which makes the counterexample the lexicographically smallest
+    one, with its expected row from the block. GateFamilySpec refuses more
+    than MAX_N controls, so no check runs above the limit.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
@@ -104,11 +104,11 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     shifts = np.arange(w - 1, -1, -1)
     for start in range(0, space, _BLOCK):
         columns = np.arange(start, min(start + _BLOCK, space)) >> shifts[:, None] & 1
-        expected = np.array(_outputs(spec, columns[:-1], columns[-1])).T.tolist()
-        for x, bits, want in zip(range(start, space), columns.T.tolist(), map(tuple, expected)):
+        expected = zip(*np.array(_outputs(spec, columns[:-1], columns[-1])).tolist())
+        for x, bits, want in zip(range(start, space), zip(*columns.tolist()), expected):
             actual = exponent_simulate(circuit, bits)
             if actual != want:
-                return EquivalenceReport(False, x + 1, tuple(bits), want, actual)
+                return EquivalenceReport(False, x + 1, bits, want, actual)
     return EquivalenceReport(True, space)
 
 

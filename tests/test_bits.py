@@ -1,4 +1,6 @@
 """as_bits accepts values equal to 0 or 1 and rejects everything else."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -6,16 +8,19 @@ from rootsynth.bits import as_bits, index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit
 from rootsynth.simulate import exponent_simulate
 from rootsynth.synth import synth_peres
-from rootsynth.verify import GateFamilySpec
+from rootsynth.verify import GateFamilySpec, spec_output
 
 ACCEPTED = [
     ((True, False), (1, 0)),
     ((1.0, 0.0), (1, 0)),
     ((np.int64(0), np.int64(1)), (0, 1)),
     (np.array([1, 0, 1]), (1, 0, 1)),
+    ((np.bool_(True), np.bool_(False)), (1, 0)),
+    ((Fraction(1), Fraction(0)), (1, 0)),
 ]
 
-REJECTED = [0.5, 1.9, "1", 2, -1]
+# The last three are unhashable, so they cannot be looked up as a bit.
+REJECTED = [0.5, 1.9, "1", 2, -1, [1], {}, np.array([1])]
 
 
 @pytest.mark.parametrize("values, bits", ACCEPTED)
@@ -39,6 +44,28 @@ def test_callers_reject_a_non_bit(value):
         GateFamilySpec("peres", 2, (value, 0))
     with pytest.raises(ValueError, match="expected a binary vector"):
         exponent_simulate(Circuit(2), (1, value, 0))
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        spec_output(GateFamilySpec("peres", 2), (1, value, 0))
+
+
+# Each message, byte for byte: a vector names the tuple read from it, a generator's too.
+MESSAGES = [
+    ((b for b in (1, 2, 0)), None, "expected a binary vector, got (1, 2, 0)"),
+    ([1, 0.5], None, "expected a binary vector, got (1, 0.5)"),
+    ((1, "1"), None, "expected a binary vector, got (1, '1')"),
+    ((1, [1]), None, "expected a binary vector, got (1, [1])"),
+    (5, None, "expected a binary vector, got 5"),
+    (None, None, "expected a binary vector, got None"),
+    ((1, 2), 3, "expected a binary vector, got (1, 2)"),
+    ((1, 0), 3, "expected 3 bits, got 2"),
+]
+
+
+@pytest.mark.parametrize("values, length, message", MESSAGES)
+def test_messages_name_the_values_read(values, length, message):
+    with pytest.raises(ValueError) as excinfo:
+        as_bits(values, length)
+    assert str(excinfo.value) == message
 
 
 def test_empty_bitstring_is_rejected():

@@ -415,6 +415,22 @@ class TestLinearFormMatchesReference:
         circuit = FAMILY_BUILDERS[family](n, activation)
         assert_matches_reference(circuit, every_input(circuit))
 
+    # Any sequence of values equal to 0 or 1 gives the same output, a tuple of
+    # Python ints, so a report never holds numpy scalars or bools.
+    @pytest.mark.parametrize(
+        "family, n",
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 7) if (f, n) != ("barenco", 1)],
+    )
+    def test_every_kind_of_input_gives_a_tuple_of_ints(self, family, n):
+        activation = index_to_bits(random.Random(17 * n + len(family)).randrange(1, 1 << n), n)
+        circuit = FAMILY_BUILDERS[family](n, activation)
+        for bits in every_input(circuit):
+            want = reference_exponent_simulate(circuit, bits)
+            for given in (list(bits), bits, np.array(bits), tuple(map(bool, bits))):
+                out = exponent_simulate(circuit, given)
+                assert out == want, (circuit.label, given)
+                assert type(out) is tuple and all(type(b) is int for b in out), (circuit.label, given)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_circuits_including_rejected_shapes(self, seed):
         for circuit in random_circuits(seed):

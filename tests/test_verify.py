@@ -266,6 +266,12 @@ def test_spec_output_equals_the_reference_on_every_input(n):
         assert [spec_output(spec, b) for b in inputs] == [reference_spec_output(spec, b) for b in inputs], spec
 
 
+def assert_rows_of_ints(report):
+    """A failing report's input and expected rows are tuples of Python ints, not numpy scalars."""
+    for row in (report.counterexample, report.expected):
+        assert type(row) is tuple and all(type(b) is int for b in row), report
+
+
 class TestSameReportsAsThePerInputLoop:
     """check_equivalence gives the report of tests/references.py's per-input loop."""
 
@@ -297,6 +303,7 @@ class TestSameReportsAsThePerInputLoop:
         report = check_equivalence(mutant, spec)
         assert isinstance(report.actual, NonClassical)
         assert report == reference_check_equivalence(mutant, spec)
+        assert_rows_of_ints(report)
 
     def test_every_input_is_simulated_once_in_index_order(self, monkeypatch):
         seen = []
@@ -320,6 +327,8 @@ class TestSameReportsAsThePerInputLoop:
         report = check_equivalence(circuit, spec)
         assert report.inputs_checked == inputs_checked
         assert report == reference_check_equivalence(circuit, spec)
+        if not report.ok:
+            assert_rows_of_ints(report)
 
     # The other families at n = 12, each passing and failing first in the
     # second block. A Peres built for activation 100..01 fails on it, input
@@ -340,6 +349,8 @@ class TestSameReportsAsThePerInputLoop:
         assert report.ok != wrong
         assert report.inputs_checked == (4099 if family == "peres" else 6145) if wrong else 8192
         assert report == reference_check_equivalence(circuit, spec)
+        if wrong:
+            assert_rows_of_ints(report)
 
 
 class TestActivationSet:
