@@ -144,9 +144,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     max_n = _check_n(args.max_n)
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
-    _slots(max_n, gray=False)  # one build: each smaller n reads a prefix of it
     for n in range(1, max_n + 1):
-        alphas = _slots(n, gray=False)[1]  # a Peres circuit's slots; a Toffoli adds n - 1 Feynman gates
+        alphas = _slots(n, False)[1]  # a Peres circuit's slots; a Toffoli adds n - 1 Feynman gates
         peres, controlled = alphas.size, int((alphas != 0).sum())
         print(f"{n:>3} {peres:>10} {peres + n - 1:>10} {controlled:>11} {peres - controlled:>10}")
     return 0

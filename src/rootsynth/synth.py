@@ -39,8 +39,8 @@ Every generator accepts at most MAX_N controls. A circuit over n controls
 holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n in
 _gate_table; one numpy pass computes each gate's code into that table, and
 the circuit keeps the codes (see circuit.Circuit). Also kept between calls:
-per order, the slot arrays of the largest n asked for, 6 bytes a slot (12 MB
-each at MAX_N); a smaller n reads a prefix.
+the slot arrays of each (n, order) asked for, built once in _slots, 6 bytes
+a slot (12 MB each at MAX_N).
 """
 from __future__ import annotations
 
@@ -98,37 +98,24 @@ def _gate_table(n: int) -> tuple[Gate, ...]:
     return tuple(table)
 
 
-_built: dict[bool, list[tuple[np.ndarray, np.ndarray]]] = {}  # per order, _slots(n) for n = 0..largest yet
-
-
+@cache
 def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gate codes (roots at popcount 0) and alphas (0 for a Feynman gate) of slots k = 1..2^n-1.
 
-    No slot depends on n, so each order keeps one pair of arrays, for the
-    largest n asked for, and hands every n views of its prefix. The slots
-    driven by line b, k = 2^(b-1)..2^b-1, are written as one block: the
-    first one's Feynman gate, if it has one, then (Feynman, root) pairs.
+    One pass applies the slot rule to every k: a (Feynman gate, root) pair
+    per slot, interleaved, with the absent Feynman gates dropped. Both
+    arrays are read-only; every caller passes gray by position, so each
+    (n, order) has one cache entry. The alphas come first, before b and j
+    exist, which keeps the peak memory of a build at n = MAX_N down.
     """
-    views = _built.get(gray, [])
-    if len(views) <= n:
-        size = (2 << n) - 3 if gray else (2 << n) - n - 2
-        codes, alphas = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int32)
-        ends = [0]
-        for b in range(1, n + 1):
-            k = np.arange(1 << (b - 1), 1 << b, dtype=np.int32)
-            alpha = k ^ (k >> 1) if gray else k
-            j = np.bitwise_count(k ^ (k - 1)).astype(codes.dtype)  # tz(k) + 1, which is b only at k[0]
-            at = ends[-1]
-            if gray and b > 1:  # k[0]'s Feynman gate, from line b - 1
-                codes[at], alphas[at] = b * b + b - 1, 0
-                at += 1
-            codes[at], alphas[at] = b * (b - 1), alpha[0]
-            rest = slice(at + 1, at + 2 * k.size - 1)  # (Feynman gate from line j, root) for k[1:]
-            codes[rest][::2], codes[rest][1::2] = b * b + j[1:], b * (b - 1)
-            alphas[rest][::2], alphas[rest][1::2] = 0, alpha[1:]
-            ends.append(rest.stop)
-        views = _built[gray] = [(codes[:e], alphas[:e]) for e in ends]
-    return views[n]
+    k = np.arange(1, 1 << n, dtype=np.int32)
+    kept = np.stack((k > 1 if gray else k & (k - 1) != 0, np.ones(k.shape, dtype=bool)), axis=1)  # Feynman, root
+    alphas = np.stack((np.zeros_like(k), k ^ (k >> 1) if gray else k), axis=1)[kept]
+    b = np.repeat(np.arange(1, n + 1, dtype=np.int16), 1 << np.arange(n))  # bit_length(k)
+    j = np.bitwise_count(k ^ (k - 1))  # tz(k) + 1, which is b only where k is a power of two
+    codes = np.stack((b * b + np.minimum(j, b - 1), b * (b - 1)), axis=1)[kept]
+    codes.flags.writeable = alphas.flags.writeable = False
+    return codes, alphas
 
 
 def _emit(n: int, gray: bool, activation: Bits | None) -> np.ndarray:

@@ -13,7 +13,8 @@ Text format, one directive or gate per line, `#` starts a comment:
 Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
 <target>` and `not <line>`; their numbers are an optional sign and ASCII
 digits. A `label` line holds the label verbatim after `label `, a `#` and
-outer spaces included.
+outer spaces included; a blank one holds the empty label. load_circuit
+skips a leading UTF-8 byte-order mark.
 
 Both formats read and write a gate through one table of gate names and
 their fields in argument order; a text line writes the fields in that
@@ -172,7 +173,7 @@ def parse(text: str) -> Circuit:
             try:
                 stripped = raw.strip()
                 content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
-                if stripped.startswith("label "):
+                if stripped.split(" ", 1)[0] == "label":  # a blank label may have lost its space to strip
                     if not saw_header:
                         raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
                     if label is not None:
@@ -320,9 +321,9 @@ def parse_json(text: str) -> Circuit:
 
 
 def load_circuit(path: str | Path) -> Circuit:
-    """Read a circuit file, dispatching on the .json extension."""
+    """Read a UTF-8 circuit file, with or without a byte-order mark, dispatching on the .json extension."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8-sig")
     if p.suffix == ".json":
         return parse_json(text)
     return parse(text)

@@ -9,6 +9,7 @@ check_equivalence's per-input loop, one reference_spec_output call per
 input, as its reference. text_document and json_document write a circuit's
 file formats gate by gate from its gate tuple, as the writers' reference,
 and diagram draws render_ascii's wire diagram one column per gate.
+reference_slots builds synth._slots's arrays one block of slots per line.
 """
 import json
 
@@ -145,3 +146,27 @@ def diagram(circuit) -> str:
             parts.append("─" * (extra // 2) + cell + "─" * (extra - extra // 2) + "─")
         rows.append("".join(parts))
     return "\n".join(rows)
+
+
+def reference_slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
+    """synth._slots block by block: the slots driven by line b, k = 2^(b-1)..2^b-1, in turn.
+
+    A block is the first slot's Feynman gate, if it has one, then its root,
+    then a (Feynman gate from line tz(k) + 1, root) pair for each later k.
+    """
+    size = (2 << n) - 3 if gray else (2 << n) - n - 2
+    codes, alphas = np.empty(size, dtype=np.int16), np.empty(size, dtype=np.int32)
+    at = 0
+    for b in range(1, n + 1):
+        k = np.arange(1 << (b - 1), 1 << b, dtype=np.int32)
+        alpha = k ^ (k >> 1) if gray else k
+        j = np.bitwise_count(k ^ (k - 1)).astype(codes.dtype)  # tz(k) + 1, which is b only at k[0]
+        if gray and b > 1:  # k[0]'s Feynman gate, from line b - 1
+            codes[at], alphas[at] = b * b + b - 1, 0
+            at += 1
+        codes[at], alphas[at] = b * (b - 1), alpha[0]
+        rest = slice(at + 1, at + 2 * k.size - 1)
+        codes[rest][::2], codes[rest][1::2] = b * b + j[1:], b * (b - 1)
+        alphas[rest][::2], alphas[rest][1::2] = 0, alpha[1:]
+        at = rest.stop
+    return codes, alphas

@@ -116,6 +116,15 @@ def test_verify_checks_every_input_at_n10(tmp_path, capsys):
     assert "counterexample: input 11111111100 expected 11111111101" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("suffix", [".txt", ".json"])
+def test_verify_reads_a_file_with_a_byte_order_mark(tmp_path, capsys, suffix):
+    c = synth_toffoli(3)
+    path = tmp_path / f"bom{suffix}"
+    path.write_bytes(b"\xef\xbb\xbf" + (serialize_json(c) if suffix == ".json" else serialize(c)).encode())
+    assert cli.main(["verify", "--circuit", str(path), "--family", "toffoli", "--n", "3"]) == 0
+    assert "pass (16 inputs checked)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("family", ["peres", "toffoli", "barenco", "orgate", "andzero"])
 @pytest.mark.parametrize("n", [MAX_N + 1, 40])
 def test_n_above_the_limit_exits_2_before_building(monkeypatch, capsys, family, n):

@@ -16,8 +16,9 @@ from alpha_tables import (
     table_driven_flip,
     target_gates,
 )
+from references import reference_slots
 
-from rootsynth import synth
+from rootsynth import cli, synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import UnsupportedShapeError, WidthLimitError
@@ -487,6 +488,28 @@ def test_generators_match_the_per_gate_reference(family, n):
             if g.kind is GateKind.ROOT:
                 assert g.direction == (1 if act is None else gate_direction(alpha, act))
         assert len(set(map(id, c.gates))) <= n * (n - 1) // 2 + 2 * n + 1
+
+
+@pytest.mark.parametrize("gray", [False, True])
+def test_slots_match_the_per_block_reference(gray):
+    for n in range(1 + gray, MAX_N + 1):
+        for got, want in zip(synth._slots(n, gray), reference_slots(n, gray)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+
+def test_slots_are_cached_once_per_n_and_order_read_only(capsys):
+    synth._slots.cache_clear()
+    for family in FAMILIES:
+        generate(family, 4, None)
+    assert cli.main(["table", "--max-n", "4"]) == 0
+    capsys.readouterr()
+    assert synth._slots.cache_info().currsize == 5  # n = 1..4 in bit-reversal order, n = 4 in Gray order
+    codes, alphas = synth._slots(4, True)
+    assert synth._slots(4, True)[0] is codes
+    for array in (codes, alphas):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 class Built(Exception):

@@ -100,6 +100,14 @@ class TestRoundTrips:
         c = dataclasses.replace(synth_peres(2), label="   ")
         assert parse_json(serialize_json(c)).label == ""
 
+    @pytest.mark.parametrize("line", ["label", "label ", "label   "], ids=["bare", "one-space", "spaces"])
+    def test_blank_label_line_reads_as_the_empty_label(self, line):
+        c = parse(f"circuit v1\nwidth 2\ncontrols 1\n{line}\ncnot 1 2\n")
+        assert c.label == "" and c.gates == (feynman(1, 2),)
+        with pytest.raises(ParseError) as info:
+            parse(f"circuit v1\nwidth 2\ncontrols 1\n{line}\nlabel x\n")
+        assert str(info.value) == "line 5: duplicate label directive"
+
     def test_label_keeps_hash_and_outer_spaces(self):
         c = dataclasses.replace(synth_peres(2), label="  run #3  ")
         assert parse(serialize(c)).label == "  run #3  "
