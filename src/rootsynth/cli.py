@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _spec(args: argparse.Namespace) -> GateFamilySpec:
-    activation = parse_bitstring(args.activation) if args.activation else None
+    activation = None if args.activation is None else parse_bitstring(args.activation)
     return GateFamilySpec(_FAMILIES[args.family][0], args.n, activation)
 
 
@@ -144,8 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     max_n = _check_n(args.max_n)
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
+    every = _slots(max_n, False)[1]  # n's Peres slots end at its root with alpha 2^n - 1
     for n in range(1, max_n + 1):
-        alphas = _slots(n, False)[1]  # a Peres circuit's slots; a Toffoli adds n - 1 Feynman gates
+        alphas = every[: int((every == (1 << n) - 1).argmax()) + 1]  # a Toffoli adds n - 1 Feynman gates
         peres, controlled = alphas.size, int((alphas != 0).sum())
         print(f"{n:>3} {peres:>10} {peres + n - 1:>10} {controlled:>11} {peres - controlled:>10}")
     return 0

@@ -20,8 +20,8 @@ prefix parities c1 xor ... xor ci. In the baseline generator's Gray order
 (alpha = k xor (k >> 1)) one comes first for every k >= 2, from line j, or
 from b - 1 when j = b, and the control lines end restored. A root is +1
 exactly when popcount(alpha & a) is odd, a packed LSB-first; both
-zero-polarity modes use +1 for every root. Converter circuits of n-1
-Feynman gates translate between the two output conventions.
+zero-polarity modes use +1 for every root. The one Feynman ladder, _ladder,
+ends synth_toffoli, and it and its reverse are the two converter circuits.
 
 The mask each target-line gate reads, which the exponent simulator's walk
 derives, is that gate's alpha with its n bits reversed (alpha_1 is the
@@ -35,12 +35,13 @@ optional inverter to fire on the all-zero vector only. _activation states
 the rule for a once, for the generators and verify.GateFamilySpec alike,
 and _emit alone packs a.
 
-Every generator accepts at most MAX_N controls. A circuit over n controls
-holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n in
-_gate_table; one numpy pass computes each gate's code into that table, and
-the circuit keeps the codes (see circuit.Circuit). Also kept between calls:
-the slot arrays of each (n, order) asked for, built once in _slots, 6 bytes
-a slot (12 MB each at MAX_N).
+Every generator and converter accepts at most MAX_N controls. A circuit over
+n controls holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n
+in _gate_table, the NOT gate last at code n(n+1); one numpy pass computes
+each gate's code into that table, and the circuit keeps the codes (see
+circuit.Circuit). Also kept between calls: the slot arrays of each (n,
+order) asked for, built once in _slots, 6 bytes a slot (12 MB each at
+MAX_N); `rootsynth table` reads one bit-reversal prefix of them per n.
 """
 from __future__ import annotations
 
@@ -82,20 +83,26 @@ def _activation(n: int, activation: Sequence[int] | None) -> Bits:
 
 @cache
 def _gate_table(n: int) -> tuple[Gate, ...]:
-    """Every gate the n-control generators place, each built and validated once, by code.
+    """Every gate the n-control generators and _ladder place, each built and validated once, by code.
 
     Line b = 1..n owns codes b(b-1)..b(b+1)-1: first the target-line gates
     driven by b, adjoint and root in turn, so a slot's root is at b(b-1) +
     popcount(alpha & act); then the Feynman gates onto b, from line c at
-    b^2 + c. The codes do not depend on n; the gates do (kappa, target line).
+    b^2 + c; the NOT gate on the target line is last, at n(n+1). No other
+    code depends on n; the gates do (kappa, target line).
     """
     if n == 1:  # kappa = 1: the root of NOT and its adjoint are NOT itself
-        return (feynman(1, 2),) * 2
+        return (feynman(1, 2),) * 2 + (not_gate(2),)
     kappa, table = 1 << (n - 1), []
     for b in range(1, n + 1):
         table += [controlled_root(kappa, 1 if p % 2 else -1, b, n + 1) for p in range(b + 1)]
         table += [feynman(c, b) for c in range(1, b)]
-    return tuple(table)
+    return (*table, not_gate(n + 1))
+
+
+def _ladder(n: int) -> np.ndarray:
+    """The Feynman ladder's codes into _gate_table(n): b^2 + b - 1, line b - 1 onto b, for b = n..2."""
+    return np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=np.int16)
 
 
 @cache
@@ -146,15 +153,13 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
 def converter_toffoli_to_peres(n: int) -> Circuit:
     """Feynman ladder mapping raw controls (c1..cn) to prefix parities; cost n - 1."""
     n = _check_n(n)
-    gates = tuple(feynman(i, i + 1) for i in range(1, n))
-    return Circuit(n, gates, label=f"toffoli-to-peres n={n}")
+    return Circuit._of_codes(n, _gate_table(n), _ladder(n)[::-1], label=f"toffoli-to-peres n={n}")
 
 
 def converter_peres_to_toffoli(n: int) -> Circuit:
     """The reversed ladder: prefix parities back to raw controls; cost n - 1."""
     n = _check_n(n)
-    gates = tuple(feynman(i, i + 1) for i in range(n - 1, 0, -1))
-    return Circuit(n, gates, label=f"peres-to-toffoli n={n}")
+    return Circuit._of_codes(n, _gate_table(n), _ladder(n), label=f"peres-to-toffoli n={n}")
 
 
 def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -166,10 +171,8 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
     """
     n = _check_n(n)
     act = _activation(n, activation)
-    codes = _emit(n, gray=False, activation=act)
-    ladder = np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=codes.dtype)  # line b - 1 onto b
-    return Circuit._of_codes(n, _gate_table(n), np.concatenate((codes, ladder)),
-                             label=f"toffoli n={n} a={format_bits(act)}")
+    codes = np.concatenate((_emit(n, gray=False, activation=act), _ladder(n)))
+    return Circuit._of_codes(n, _gate_table(n), codes, label=f"toffoli n={n} a={format_bits(act)}")
 
 
 def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
@@ -200,10 +203,10 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = _OR_GATE) -> Circuit:
     n = _check_n(n)
     if mode not in _ZERO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    table, codes = _gate_table(n), _emit(n, gray=False, activation=None)
+    codes = _emit(n, gray=False, activation=None)
     if mode == _AND_COMPLEMENTED:
-        table, codes = table + (not_gate(n + 1),), np.append(codes, len(table))
-    return Circuit._of_codes(n, table, codes, label=f"{mode} n={n}")
+        codes = np.append(codes, n * (n + 1))  # the NOT gate's code
+    return Circuit._of_codes(n, _gate_table(n), codes, label=f"{mode} n={n}")
 
 
 def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:

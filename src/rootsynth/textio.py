@@ -12,9 +12,10 @@ Text format, one directive or gate per line, `#` starts a comment:
 
 Gate lines are `cnot <control> <target>`, `croot <kappa> <+1|-1> <control>
 <target>` and `not <line>`; their numbers are an optional sign and ASCII
-digits. A `label` line holds the label verbatim after `label `, a `#` and
-outer spaces included; a blank one holds the empty label. load_circuit
-skips a leading UTF-8 byte-order mark.
+digits. A `label` line is one whose first word is `label`; it holds the
+label verbatim after that word and the one whitespace character following
+it, a `#` and outer spaces included, and a blank one holds the empty label.
+load_circuit skips a leading UTF-8 byte-order mark.
 
 Both formats read and write a gate through one table of gate names and
 their fields in argument order; a text line writes the fields in that
@@ -173,7 +174,7 @@ def parse(text: str) -> Circuit:
             try:
                 stripped = raw.strip()
                 content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
-                if stripped.split(" ", 1)[0] == "label":  # a blank label may have lost its space to strip
+                if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
                     if not saw_header:
                         raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
                     if label is not None:

@@ -9,14 +9,15 @@ check_equivalence's per-input loop, one reference_spec_output call per
 input, as its reference. text_document and json_document write a circuit's
 file formats gate by gate from its gate tuple, as the writers' reference,
 and diagram draws render_ascii's wire diagram one column per gate.
-reference_slots builds synth._slots's arrays one block of slots per line.
+reference_slots builds synth._slots's arrays one block of slots per line,
+and reference_ladder the converters' Feynman ladder gate by gate.
 """
 import json
 
 import numpy as np
 
 from rootsynth.bits import Bits, as_bits, bits_to_index, index_to_bits
-from rootsynth.circuit import GateKind
+from rootsynth.circuit import GateKind, feynman
 from rootsynth.simulate import _check_controls, dense_unitary, exponent_simulate
 from rootsynth.synth import _OR_GATE
 from rootsynth.verify import EquivalenceReport, GateFamilySpec
@@ -170,3 +171,8 @@ def reference_slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
         alphas[rest][::2], alphas[rest][1::2] = 0, alpha[1:]
         at = rest.stop
     return codes, alphas
+
+
+def reference_ladder(n: int, upward: bool) -> tuple:
+    """The Feynman ladder as first written: feynman(i, i + 1) for i = 1..n-1 upward, for i = n-1..1 otherwise."""
+    return tuple(feynman(i, i + 1) for i in (range(1, n) if upward else range(n - 1, 0, -1)))

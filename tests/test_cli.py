@@ -68,6 +68,9 @@ CASES = [
     (["frobnicate"], 2, "invalid choice"),
     (["simulate", "--circuit", "{halfroot}", "--input", "10"], 0, "non-classical (root exponent 1 mod 4)"),
     (["draw", "--circuit", "{long}"], 2, "at most 65,536 gates, got 65537"),
+    (["synth", "peres", "--n", "3", "--activation", ""], 2, "expected a nonempty string of 0/1, got ''"),
+    (["verify", "--circuit", "{toffoli}", "--family", "toffoli", "--n", "3", "--activation", ""], 2,
+     "expected a nonempty string of 0/1, got ''"),
 ]
 
 
@@ -175,6 +178,13 @@ def test_table_rows_are_the_paper_formulas(capsys):
     assert [list(map(int, row.split())) for row in rows] == [
         [n, 2 ** (n + 1) - n - 2, 2 ** (n + 1) - 3, 2**n - 1, 2**n - 1 - n] for n in range(1, MAX_N + 1)
     ]
+
+
+def test_table_keeps_one_slot_cache_entry(capsys):
+    synth._slots.cache_clear()
+    assert cli.main(["table", "--max-n", "6"]) == 0
+    capsys.readouterr()
+    assert synth._slots.cache_info().currsize == 1
 
 
 def test_draw_and_synth_print_what_the_writers_give(files, capsys):

@@ -16,7 +16,7 @@ from alpha_tables import (
     table_driven_flip,
     target_gates,
 )
-from references import reference_slots
+from references import reference_ladder, reference_slots
 
 from rootsynth import cli, synth
 from rootsynth.bits import index_to_bits
@@ -219,6 +219,12 @@ class TestConverters:
     def test_rejects_zero_controls(self):
         with pytest.raises(ValueError):
             converter_toffoli_to_peres(0)
+
+    @pytest.mark.parametrize("n", range(1, MAX_N + 1))
+    def test_converters_are_the_per_gate_ladder(self, n):
+        up, down = converter_toffoli_to_peres(n), converter_peres_to_toffoli(n)
+        assert (up.gates, up.label) == (reference_ladder(n, upward=True), f"toffoli-to-peres n={n}")
+        assert (down.gates, down.label) == (reference_ladder(n, upward=False), f"peres-to-toffoli n={n}")
 
     @pytest.mark.parametrize("converter", [converter_toffoli_to_peres, converter_peres_to_toffoli])
     @pytest.mark.parametrize(
@@ -457,7 +463,7 @@ def reference_gates(family, n, activation):
             gates.append(cnot(lowest + 1, b))
         gates.append(target_gate(bit_reversal_alpha(k, n), b))
     if family == "toffoli":
-        gates += [feynman(i, i + 1) for i in range(n - 1, 0, -1)]
+        gates += reference_ladder(n, upward=False)
     if family == "and-complemented":
         gates.append(not_gate(n + 1))
     return gates
@@ -504,7 +510,7 @@ def test_slots_are_cached_once_per_n_and_order_read_only(capsys):
         generate(family, 4, None)
     assert cli.main(["table", "--max-n", "4"]) == 0
     capsys.readouterr()
-    assert synth._slots.cache_info().currsize == 5  # n = 1..4 in bit-reversal order, n = 4 in Gray order
+    assert synth._slots.cache_info().currsize == 2  # n = 4 in each order: the table reads its prefixes
     codes, alphas = synth._slots(4, True)
     assert synth._slots(4, True)[0] is codes
     for array in (codes, alphas):

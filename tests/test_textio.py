@@ -100,7 +100,7 @@ class TestRoundTrips:
         c = dataclasses.replace(synth_peres(2), label="   ")
         assert parse_json(serialize_json(c)).label == ""
 
-    @pytest.mark.parametrize("line", ["label", "label ", "label   "], ids=["bare", "one-space", "spaces"])
+    @pytest.mark.parametrize("line", ["label", "label ", "label   ", "label\t"], ids=["bare", "one-space", "spaces", "tab"])
     def test_blank_label_line_reads_as_the_empty_label(self, line):
         c = parse(f"circuit v1\nwidth 2\ncontrols 1\n{line}\ncnot 1 2\n")
         assert c.label == "" and c.gates == (feynman(1, 2),)
@@ -112,6 +112,8 @@ class TestRoundTrips:
         c = dataclasses.replace(synth_peres(2), label="  run #3  ")
         assert parse(serialize(c)).label == "  run #3  "
         assert parse_json(serialize_json(c)).label == "  run #3  "
+        for line, label in (("label\tx", "x"), ("label  x ", " x ")):  # the one whitespace character after the word
+            assert parse(f"circuit v1\nwidth 2\ncontrols 1\n{line}\n").label == label
 
 
 class TestDistinctGates:
@@ -155,6 +157,7 @@ BAD_GATE_LINES = [
     ("not 0", "target line 0 must be >= 1"),
     ("not 5", "line 5 out of range for width 4"),
     ("toffoli 1 2 3", "unknown directive 'toffoli'"),
+    ("labelx 1", "unknown directive 'labelx'"),
     ("cnot \u0661 2", "control must be an integer, got '\u0661'"),
     ("cnot 1 \uff12", "target must be an integer, got '\uff12'"),
     ("croot 0_4 +1 1 4", "kappa must be an integer, got '0_4'"),
@@ -214,6 +217,7 @@ class TestParseErrors:
             (["circuit v1", "width 3 4"], 2),
             (["label x", "circuit v1"], 1),
             (["circuit v1", "label a", "label b"], 3),
+            (["circuit v1", "label\tx", "label b"], 3),
         ],
     )
     def test_bad_directive_lines(self, lines, line_no):

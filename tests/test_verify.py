@@ -1,6 +1,7 @@
 import dataclasses
 import random
 
+import alpha_tables
 import numpy as np
 import pytest
 import references
@@ -164,6 +165,29 @@ class TestSpecOutput:
 def test_every_activation_matches_the_oracle(generator, family, n):
     for a in nonzero_activations(n):
         assert truth_table(generator(n, a)).permutation == oracle_permutation(GateFamilySpec(family, n, a)), a
+
+
+def packed_oracle(spec):
+    """The family's permutation from verify._outputs on uint8 bit columns, one per line, over all 2^(n+1) inputs."""
+    w = spec.n + 1
+    x = np.arange(1 << w, dtype=np.uint32)
+    columns = [(x >> (w - 1 - i) & 1).astype(np.uint8) for i in range(w)]
+    rows = verify._outputs(spec, columns[:-1], columns[-1])
+    return sum(bit.astype(np.int64) << (w - 1 - i) for i, bit in enumerate(rows))
+
+
+# The compiled form against the closed form above n = 12, where the per-input
+# oracle would take too long: the oracle never reads the circuit.
+@pytest.mark.parametrize(
+    "family, n", [(family, n) for n in range(13, 17) for family in alpha_tables.FAMILIES] + [("peres", 20), ("toffoli", 20)]
+)
+def test_generated_circuits_match_the_oracle_above_n12(family, n):
+    activation = None
+    if family in ("peres", "toffoli", "barenco"):
+        activation = index_to_bits(random.Random(f"oracle{family}{n}").randrange(1, 1 << n), n)
+    spec = GateFamilySpec("toffoli" if family == "barenco" else family, n, activation)
+    perm = truth_table(alpha_tables.generate(family, n, activation)).permutation
+    np.testing.assert_array_equal(np.fromiter(perm, np.int64, len(perm)), packed_oracle(spec))
 
 
 class TestCheckEquivalence:
