@@ -7,8 +7,8 @@ Bits = tuple[int, ...]
 _BIT = {0: 0, 1: 1}  # one lookup checks a value equal to 0 or 1 and gives its int
 
 
-def as_bits(values: Iterable[int], length: int | None = None) -> Bits:
-    """Normalize to a tuple of 0/1 ints, optionally enforcing a length.
+def as_bits(values: Iterable[int], length: int) -> Bits:
+    """Normalize to a tuple of `length` 0/1 ints.
 
     Each value must equal 0 or 1 (True, 1.0 and numpy ints do), so 0.5, "1" or an
     unhashable value is rejected rather than truncated, as is a vector that is not iterable.
@@ -18,7 +18,7 @@ def as_bits(values: Iterable[int], length: int | None = None) -> Bits:
         bits = tuple(map(_BIT.__getitem__, values))
     except (KeyError, TypeError):
         raise ValueError(f"expected a binary vector, got {values!r}") from None
-    if length is not None and len(bits) != length:
+    if len(bits) != length:
         raise ValueError(f"expected {length} bits, got {len(bits)}")
     return bits
 

@@ -48,14 +48,14 @@ class GateKind(Enum):
     NOT = "not"
 
 
-def control_count(n: object, least: int = 1) -> int:
-    """n as an int: True and numpy integers pass; 2.0, "2" and counts below least do not."""
+def control_count(n: object) -> int:
+    """n as an int: True and numpy integers pass; 2.0, "2" and counts below 1 do not."""
     try:
         count = operator.index(n)
     except TypeError:
         raise ValueError(f"control count must be an integer, got {n!r}") from None
-    if count < least:
-        raise ValueError(f"need n >= {least}, got {count}")
+    if count < 1:
+        raise ValueError(f"need n >= 1, got {count}")
     return count
 
 

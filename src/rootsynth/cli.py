@@ -66,7 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True, help="input bitstring c1..cn t")
 
-    p = sub.add_parser("table", help="print the gate counts of each control count")
+    about = ("print the slot counts of each control count; at n = 1 the one root slot "
+             "is emitted as a Feynman gate, since a root of order 1 is NOT")
+    p = sub.add_parser("table", help=about, description=about)
     p.add_argument("--max-n", type=int, required=True)
     return parser
 
@@ -107,7 +109,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"pass ({report.inputs_checked} inputs checked)")
         return 0
     actual = report.actual
-    shown = "non-classical" if isinstance(actual, NonClassical) else format_bits(actual or ())
+    shown = "non-classical" if isinstance(actual, NonClassical) else format_bits(actual)
     print(
         f"counterexample: input {format_bits(report.counterexample)} "
         f"expected {format_bits(report.expected)} got {shown}"

@@ -11,6 +11,14 @@ alpha and a share an odd number of ones, and the adjoint root otherwise.
 This makes the net power of the root equal kappa exactly on a, so the
 target is negated only there.
 
+No layered circuit does with fewer roots. Write its net root power as
+F(c) = sum of f[m] * parity(m & c) over the driving functions m; firing on
+a needs F(c) = kappa * [c = a] mod 2 kappa for every c. The coefficient of
+prod_{i in S} c_i in F, (-2)^(|S|-1) times the sum of f[m] over m holding
+S, must equal that of kappa * [c = a], 0 or +-2^(n-1), mod 2^n: the sum is
+odd for S = all n lines, even for any other nonempty S. By induction down
+|S| every f[m] is odd, so every one of the 2^n - 1 functions drives a root.
+
 One emitter places the gates of every generator in closed form; only the
 order of the driving functions differs. Slot k = 1..2^n-1 ends in the root
 driven by line b = bit_length(k); let j = tz(k) + 1. In bit-reversal order
@@ -63,9 +71,9 @@ class ZeroActivationError(ValueError):
     """Raised when direct synthesis is asked to fire on the all-zero vector."""
 
 
-def _check_n(n: int, least: int = 1) -> int:
-    """n as an int, refused below `least` or above MAX_N controls."""
-    n = control_count(n, least)
+def _check_n(n: int) -> int:
+    """n as an int, refused below 1 or above MAX_N controls."""
+    n = control_count(n)
     _check_controls(n)
     return n
 
@@ -183,9 +191,10 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     (control 1 is the Gray LSB). The running subset parity is held on the
     line of the subset's largest element; each transition costs one Feynman
     gate, and each subset conditions one root gate on the target. The control
-    lines end restored to c1..cn. Quantum cost 2^(n+1) - 3.
+    lines end restored to c1..cn. Quantum cost 2^(n+1) - 3, for any n >= 1:
+    at n = 1 the one root has order 1, so it is feynman(1, 2).
     """
-    n = _check_n(n, least=2)
+    n = _check_n(n)
     act = _activation(n, activation)
     return Circuit._of_codes(n, _gate_table(n), _emit(n, gray=True, activation=act),
                              label=f"barenco-toffoli n={n} a={format_bits(act)}")
@@ -216,12 +225,15 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     holds when the gate runs, the XOR of the inputs c_j whose alpha_j is 1.
     Every such gate whose driving function contains c_i (alpha_i = 1)
     becomes its adjoint: a root turns into the adjoint root and back. Since
-    a gate is the root exactly when alpha and the activation vector share an
-    odd number of ones, complementing bit i of the activation vector swaps
-    the direction of exactly these gates, so the result equals synthesizing
-    with that bit complemented. Flipping the same i twice restores the
-    circuit. Raises UnsupportedShapeError when the circuit is not layered,
-    and WidthLimitError above MAX_N controls.
+    a gate is the root exactly when alpha and the activation vector a share
+    an odd number of ones, the result equals synthesizing with bit i of a
+    complemented when a xor e_i is nonzero. For any classical layered
+    circuit C, its target on (c, t) is C's on (c xor e_i, t) xor f, f = 1
+    exactly when C's target on (e_i, 0) and on (0, 0) differ: flipping bit
+    1 of synth_toffoli(2, (1, 0)) fires on 01, 10 and 11, not on 00. The
+    label is kept as it is. Flipping the same i twice restores the circuit.
+    Raises UnsupportedShapeError when the circuit is not layered, and
+    WidthLimitError above MAX_N controls.
     """
     n = circuit.n_controls
     try:

@@ -119,12 +119,9 @@ def _int_field(word: str, what: str) -> int:
 
 
 def _build_gate(name: str, args: list[int], width: int) -> Gate:
-    """The gate `name` of `args`, which must fit the width: both readers end here."""
-    try:
-        g = _GATES[name][0](*args)
-        check_lines(g, width)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    """The gate `name` of `args`, which must fit the width; each reader adds the place to its error."""
+    g = _GATES[name][0](*args)
+    check_lines(g, width)
     return g
 
 
@@ -205,7 +202,7 @@ def parse(text: str) -> Circuit:
                         code = known[raw] = len(table) - 1
                     else:
                         raise ParseError(f"unknown directive {word!r}")
-            except ParseError as exc:
+            except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
                 raise ParseError(str(exc), len(codes) + others + 1) from None
             if code is None:
                 others += 1
@@ -312,7 +309,7 @@ def parse_json(text: str) -> Circuit:
     for index, entry in enumerate(entries):
         try:
             table.append(_record_gate(entry, width))
-        except ParseError as exc:
+        except ValueError as exc:
             raise ParseError(f"gate {index}: {exc}") from None
     if version == JSON_FORMAT:
         codes = _sequence_codes(doc, len(table))

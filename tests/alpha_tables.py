@@ -49,8 +49,6 @@ def alpha_table(n):
 
 def barenco_alpha_table(n):
     """Per-gate coefficient vectors of synth_barenco_toffoli, in circuit order."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
     return [bit_reversal_alpha(k ^ (k >> 1), n) for k in range(1, 1 << n)]
 
 

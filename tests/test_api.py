@@ -73,7 +73,7 @@ def test_public_names():
 # shows up here as a diff.
 FUNCTION_OPTIONS = {
     "activation_set": (),
-    "as_bits": ("length",),
+    "as_bits": (),
     "check_equivalence": (),
     "controlled_root": (),
     "converter_peres_to_toffoli": (),

@@ -25,7 +25,7 @@ REJECTED = [0.5, 1.9, "1", 2, -1, [1], {}, np.array([1])]
 
 @pytest.mark.parametrize("values, bits", ACCEPTED)
 def test_values_equal_to_a_bit_pass(values, bits):
-    out = as_bits(values)
+    out = as_bits(values, len(bits))
     assert out == bits
     assert all(type(b) is int for b in out)
 
@@ -33,7 +33,7 @@ def test_values_equal_to_a_bit_pass(values, bits):
 @pytest.mark.parametrize("value", REJECTED)
 def test_other_values_are_rejected_not_truncated(value):
     with pytest.raises(ValueError, match="expected a binary vector"):
-        as_bits((1, value, 0))
+        as_bits((1, value, 0), 3)
 
 
 @pytest.mark.parametrize("value", REJECTED)
@@ -50,12 +50,12 @@ def test_callers_reject_a_non_bit(value):
 
 # Each message, byte for byte: a vector names the tuple read from it, a generator's too.
 MESSAGES = [
-    ((b for b in (1, 2, 0)), None, "expected a binary vector, got (1, 2, 0)"),
-    ([1, 0.5], None, "expected a binary vector, got (1, 0.5)"),
-    ((1, "1"), None, "expected a binary vector, got (1, '1')"),
-    ((1, [1]), None, "expected a binary vector, got (1, [1])"),
-    (5, None, "expected a binary vector, got 5"),
-    (None, None, "expected a binary vector, got None"),
+    ((b for b in (1, 2, 0)), 3, "expected a binary vector, got (1, 2, 0)"),
+    ([1, 0.5], 2, "expected a binary vector, got (1, 0.5)"),
+    ((1, "1"), 2, "expected a binary vector, got (1, '1')"),
+    ((1, [1]), 2, "expected a binary vector, got (1, [1])"),
+    (5, 1, "expected a binary vector, got 5"),
+    (None, 1, "expected a binary vector, got None"),
     ((1, 2), 3, "expected a binary vector, got (1, 2)"),
     ((1, 0), 3, "expected 3 bits, got 2"),
 ]

@@ -115,10 +115,6 @@ class TestControlCount:
     @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
     @pytest.mark.parametrize("n,count", [(True, 1), (np.int64(3), 3)], ids=repr)
     def test_every_entry_point_stores_an_integer_count_as_int(self, entry, n, count):
-        if entry == "synth_barenco_toffoli" and count < 2:
-            with pytest.raises(ValueError, match="need n >= 2, got 1"):
-                COUNT_ENTRY_POINTS[entry](n)
-            return
         stored = COUNT_ENTRY_POINTS[entry](n)
         assert type(stored) is int and stored == count
 
@@ -385,8 +381,6 @@ class TestInterning:
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_a_circuit_of_replaced_gates_equals_the_original(self, family, n):
-        if family == "barenco" and n == 1:
-            return
         c = generate(family, n, None)
         copies = Circuit(c.n_controls, tuple(dataclasses.replace(g) for g in c.gates))
         assert copies == c and copies.census() == c.census()
@@ -398,7 +392,7 @@ def _column_cases():
     rng = random.Random(17)
     cases = []
     for family in FAMILIES:
-        for n in range(1 + (family == "barenco"), 11):
+        for n in range(1, 11):
             cases.append((family, n, None))
             if family in ACTIVATED:
                 cases.append((family, n, index_to_bits(rng.randrange(1, 1 << n), n)))

@@ -45,7 +45,7 @@ CASES = [
     # (argv with {file} placeholders, exit code, text expected on stdout or stderr)
     (["synth", "toffoli", "--n", "3", "--activation", "101"], 0, "croot 4"),
     (["synth", "orgate", "--n", "2", "--out", "{missing}"], 0, ""),
-    (["synth", "barenco", "--n", "1"], 2, "need n >= 2"),
+    (["synth", "barenco", "--n", "1"], 0, "cnot 1 2"),
     (["synth", "peres", "--n", "2", "--activation", "00"], 2, "all-zero vector"),
     (["synth", "andzero", "--n", "2", "--activation", "11"], 2, "does not take an activation"),
     (["synth", "toffoli"], 2, "--n"),

@@ -64,7 +64,7 @@ def test_json_round_trip(c):
 def generated(draw, families=FAMILIES):
     """(family, n, activation, circuit, i): a generated circuit and a control index."""
     family = draw(st.sampled_from(families))
-    n = draw(st.integers(2 if family == "barenco" else 1, 8))
+    n = draw(st.integers(1, 8))
     activation = None
     if family in ACTIVATED:
         activation = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(any)))

@@ -244,7 +244,7 @@ def net_root_exponent(activation, controls):
     the activation vector, where it amounts to the kappa-th power of the
     root, i.e. NOT.
     """
-    act = as_bits(activation)
+    act = as_bits(activation, len(activation))
     a_int, c_int = bits_to_index(act), bits_to_index(as_bits(controls, length=len(act)))
     total = 0
     for alpha in range(1, 1 << len(act)):
@@ -255,7 +255,7 @@ def net_root_exponent(activation, controls):
 
 def net_all_root_exponent(controls):
     """Same sum with every direction +1: 2^(n-1) on any nonzero input, else 0."""
-    ctl = as_bits(controls)
+    ctl = as_bits(controls, len(controls))
     c_int = bits_to_index(ctl)
     return sum((alpha & c_int).bit_count() & 1 for alpha in range(1, 1 << len(ctl)))
 
@@ -407,7 +407,7 @@ def break_shape(rng, n, kappa, gates):
 class TestLinearFormMatchesReference:
     @pytest.mark.parametrize(
         "family, n",
-        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9) if (f, n) != ("barenco", 1)],
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9)],
     )
     def test_every_family_on_every_input(self, family, n):
         rng = random.Random(31 * n + len(family))
@@ -419,7 +419,7 @@ class TestLinearFormMatchesReference:
     # Python ints, so a report never holds numpy scalars or bools.
     @pytest.mark.parametrize(
         "family, n",
-        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 7) if (f, n) != ("barenco", 1)],
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 7)],
     )
     def test_every_kind_of_input_gives_a_tuple_of_ints(self, family, n):
         activation = index_to_bits(random.Random(17 * n + len(family)).randrange(1, 1 << n), n)
@@ -543,7 +543,7 @@ def assert_table_matches_reference(circuit):
 class TestTruthTableMatchesReference:
     @pytest.mark.parametrize(
         "family, n",
-        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9) if (f, n) != ("barenco", 1)],
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 9)],
     )
     def test_every_family(self, family, n):
         rng = random.Random(31 * n + len(family))
@@ -681,7 +681,7 @@ def assert_matches_dense_reference(circuit):
 class TestDenseMatchesReference:
     @pytest.mark.parametrize(
         "family, n",
-        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 5) if (f, n) != ("barenco", 1)],
+        [(f, n) for f in FAMILY_BUILDERS for n in range(1, 5)],
     )
     def test_every_family_and_activation(self, family, n):
         activations = [index_to_bits(a, n) for a in range(1, 1 << n)]

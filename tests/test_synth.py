@@ -17,11 +17,12 @@ from alpha_tables import (
     target_gates,
 )
 from references import reference_ladder, reference_slots
+from test_simulate import random_circuits
 
 from rootsynth import cli, synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
-from rootsynth.simulate import UnsupportedShapeError, WidthLimitError
+from rootsynth.simulate import UnsupportedShapeError, WidthLimitError, _walk, truth_table
 from rootsynth.synth import (
     MAX_N,
     ZeroActivationError,
@@ -33,6 +34,7 @@ from rootsynth.synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
+from rootsynth.verify import activation_set
 
 
 def nonzero_activations(n):
@@ -295,9 +297,10 @@ class TestBarenco:
             cbits = index_to_bits(cidx, n)
             assert exponent_simulate(c, cbits + (0,))[:n] == cbits
 
-    def test_rejects_single_control(self):
-        with pytest.raises(ValueError):
-            synth_barenco_toffoli(1)
+    def test_single_control_is_one_feynman_gate(self):
+        c = synth_barenco_toffoli(1)
+        assert c == synth_toffoli(1) and c.gates == (feynman(1, 2),)
+        assert c.label == "barenco-toffoli n=1 a=1"
 
 
 class TestZeroPolarity:
@@ -391,8 +394,6 @@ class TestIterativePolarityFlip:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("family", ACTIVATED)
     def test_equals_resynthesis_with_the_bit_complemented(self, family, n):
-        if family == "barenco" and n == 1:
-            return
         for a in nonzero_activations(n):
             c = generate(family, n, a)
             for i in range(1, n + 1):
@@ -403,13 +404,71 @@ class TestIterativePolarityFlip:
     @pytest.mark.parametrize("n", range(1, 7))
     @pytest.mark.parametrize("family", FAMILIES)
     def test_equals_the_table_driven_flip(self, family, n):
-        if family == "barenco" and n == 1:
-            return
         alphas = family_alphas(family, n)
         for a in nonzero_activations(n) if family in ACTIVATED else [None]:
             c = generate(family, n, a)
             for i in range(1, n + 1):
                 assert iterative_polarity_flip(c, i) == table_driven_flip(c, alphas, i)
+
+    @staticmethod
+    def flip_identity_holds(c, i):
+        """The flip's target on x is C's on x xor (e_i, 0), xor whether C's differs on (e_i, 0) and (0, 0)."""
+        flipped = truth_table(iterative_polarity_flip(c, i))
+        assert flipped.is_classical
+        before, after = (np.array(t.permutation) & 1 for t in (truth_table(c), flipped))
+        e = 2 << (c.n_controls - i)  # the input index of (e_i, 0)
+        return np.array_equal(after, before[np.arange(before.size) ^ e] ^ before[e] ^ before[0])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_target_of_every_generated_flip_is_shifted_and_maybe_complemented(self, family):
+        for n in range(1, 6):
+            for a in nonzero_activations(n) if family in ACTIVATED else [None]:
+                c = generate(family, n, a)
+                assert all(self.flip_identity_holds(c, i) for i in range(1, n + 1)), (n, a)
+
+    def test_target_of_every_classical_layered_flip_is_shifted_and_maybe_complemented(self):
+        checked = 0
+        for seed in range(40):
+            for c in random_circuits(seed):
+                try:
+                    if not truth_table(c).is_classical:
+                        continue
+                except UnsupportedShapeError:
+                    continue
+                assert all(self.flip_identity_holds(c, i) for i in range(1, c.n_controls + 1)), (seed, c)
+                checked += 1
+        assert checked >= 100
+
+    def test_a_flip_onto_the_zero_vector_fires_on_every_other_and_keeps_its_label(self):
+        flipped = iterative_polarity_flip(synth_toffoli(2, (1, 0)), 1)
+        assert activation_set(flipped) == {(0, 1), (1, 0), (1, 1)}
+        assert flipped.label == "toffoli n=2 a=10"
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 32)])
+def test_every_root_coefficient_vector_that_fires_on_a_is_odd(n, count):
+    """Every f in Z_2kappa^(2^n - 1) with sum_m f[m] parity(m & c) = kappa [c = a] mod 2 kappa.
+
+    uint8 arithmetic wraps mod 256, which 2 kappa divides. The count of
+    solutions is the same for every a, every entry is odd (the parity
+    induction in synth's docstring), and each generator's coefficients, as
+    the walk derives them, are one of them.
+    """
+    kappa, masks = 1 << (n - 1), np.arange(1, 1 << n)  # the masks m, and the control vectors c
+    every = np.arange((2 * kappa) ** masks.size, dtype=np.uint32)
+    f = np.empty((every.size, masks.size), dtype=np.uint8)
+    for m in range(masks.size):  # f[:, m] is digit m of the index in base 2 kappa
+        f[:, m] = every >> (n * m) & (2 * kappa - 1)
+    parity = (np.bitwise_count(masks[:, None] & masks) & 1).astype(np.uint8)
+    powers = f @ parity & (2 * kappa - 1)
+    for a in masks:
+        solutions = f[(powers == kappa * (masks == a)).all(axis=1)]
+        assert len(solutions) == count and (solutions & 1).all()
+        for family in ACTIVATED:
+            _, reads, gate_powers, _ = _walk(generate(family, n, index_to_bits(int(a), n)))
+            coefficients = np.zeros(1 << n, dtype=np.uint64)
+            np.add.at(coefficients, reads, gate_powers)
+            assert (coefficients[1:] % (2 * kappa) == solutions).all(axis=1).any(), (family, a)
 
 
 def test_generated_labels_name_the_construction():
@@ -481,8 +540,6 @@ def reference_activations(family, n):
 @pytest.mark.parametrize("n", range(1, 15))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generators_match_the_per_gate_reference(family, n):
-    if family == "barenco" and n == 1:
-        return
     alphas = family_alphas(family, n)
     for act in reference_activations(family, n):
         c = generate(family, n, act)

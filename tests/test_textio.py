@@ -38,7 +38,6 @@ FAMILY_CASES = [
     (family, n)
     for family in ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
     for n in range(1, 7)
-    if not (family == "barenco" and n == 1)
 ]
 
 
@@ -521,7 +520,6 @@ WRITER_CASES = [
     (family, n)
     for family in ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
     for n in range(1, 13)
-    if not (family == "barenco" and n == 1)
 ]
 
 
@@ -621,7 +619,7 @@ class TestRenderAscii:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_every_family_and_its_flips_draw_as_gate_by_gate(self, family):
         rng = random.Random(len(family))
-        for n in range(1 + (family == "barenco"), 8):
+        for n in range(1, 8):
             c = generate(family, n, index_to_bits(rng.randrange(1, 1 << n), n) if family in ACTIVATED else None)
             assert render_ascii(c) == diagram(c), n
             for i in range(1, n + 1):

@@ -56,8 +56,7 @@ def family_circuits(n):
     for a in activations:
         yield synth_peres(n, a)
         yield synth_toffoli(n, a)
-        if n >= 2:
-            yield synth_barenco_toffoli(n, a)
+        yield synth_barenco_toffoli(n, a)
     yield synth_zero_polarity(n, "or-gate")
     yield synth_zero_polarity(n, "and-complemented")
 
@@ -446,7 +445,9 @@ MUTATED = [(n, a) for n in range(1, 5) for a in nonzero_activations(n)] + [
 ]
 
 
-@pytest.mark.parametrize("family, make", [("peres", synth_peres), ("toffoli", synth_toffoli)])
+@pytest.mark.parametrize(
+    "family, make", [("peres", synth_peres), ("toffoli", synth_toffoli), ("toffoli", synth_barenco_toffoli)]
+)
 @pytest.mark.parametrize("n, activation", MUTATED, ids=["".join(map(str, a)) for _, a in MUTATED])
 def test_every_single_gate_mutant_fails(family, make, n, activation):
     spec = GateFamilySpec(family, n, activation)
