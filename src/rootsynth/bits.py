@@ -1,10 +1,12 @@
 """Small helpers for binary vectors and their integer packings."""
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Bits = tuple[int, ...]
 _BIT = {0: 0, 1: 1}  # one lookup checks a value equal to 0 or 1 and gives its int
+_DIGITS = b"01" + b"2" * 254  # byte 0 or 1 to its binary digit, any other to "2", not a binary digit
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit to its bit
 
 
 def as_bits(values: Iterable[int], length: int) -> Bits:
@@ -34,16 +36,13 @@ def format_bits(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
-def bits_to_index(bits: Iterable[int]) -> int:
-    """Pack a bit vector into an index, first bit most significant."""
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    return index
+def bits_to_index(bits: Sequence[int]) -> int:
+    """Pack a tuple or list of 0/1 ints, first bit most significant; any other entry raises ValueError."""
+    return int(bytes(bits).translate(_DIGITS) or b"0", 2)
 
 
 def index_to_bits(index: int, width: int) -> Bits:
-    """Unpack an index into `width` bits, first bit most significant."""
+    """Unpack an index into `width` bits, first most significant; the 1 at bit `width` keeps leading zeros."""
     if not 0 <= index < (1 << width):
         raise ValueError(f"index {index} out of range for width {width}")
-    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
+    return tuple(bin(index | 1 << width)[3:].encode().translate(_BITS))

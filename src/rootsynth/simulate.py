@@ -20,9 +20,9 @@ line adds its power to the coefficient f[m] of the mask m it reads. The net
 power on control vector c is the sum of f[m] over the masks of odd parity
 on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
 being the Walsh-Hadamard transform, exact for every kappa. The compiled
-form always holds that 2^n-entry table of net powers, so exponent_simulate
-(one input's output) and truth_table (every input's) read it alike, and
-both refuse more than MAX_N controls.
+form holds that table and every input's output, which exponent_simulate
+(one input), truth_table (all) and verify.activation_set read alike; all
+refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
@@ -138,17 +138,16 @@ class NonClassical:
 
 @dataclass(frozen=True)
 class _LinearForm:
-    """A layered circuit as GF(2) linear forms of its control inputs.
+    """A layered circuit compiled from its control lines' GF(2) linear forms.
 
-    Control vectors are ints with line 1 as the most significant of n bits.
-    masks[i] is the set of inputs whose XOR line i+1 ends up holding, and
-    table[c] is the net root power mod 2*kappa on control vector c.
+    Inputs x = c << 1 | t are ints, line 1 most significant. table[c] is the
+    net root power mod 2*kappa on controls c; outputs[x] (int32) is x's
+    output index, or -1 where table[x >> 1] leaves the target non-classical.
     """
 
-    masks: tuple[int, ...]
     table: np.ndarray
-    flips: int
     kappa: int
+    outputs: np.ndarray
 
 
 def _root_power_table(f: np.ndarray, kappa: int) -> np.ndarray:
@@ -219,11 +218,26 @@ def _walk(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray, int]:
 
 
 def _linear_form(circuit: Circuit) -> _LinearForm:
-    """The circuit's _LinearForm: each mask's coefficient summed in one pass, then its root-power table."""
+    """The circuit's _LinearForm, and the one statement of the output rule.
+
+    Outputs are GF(2)-linear in the inputs, so they double from the target
+    up, each control bit XOR-ing in its column of the final masks. Each NOT
+    gate (f[0] counts them) and a root power of kappa flip the target; any
+    other power leaves it non-classical.
+    """
+    n = circuit.n_controls
     masks, reads, powers, kappa = _walk(circuit)
-    f = np.zeros(1 << circuit.n_controls, dtype=powers.dtype)
+    f = np.zeros(1 << n, dtype=powers.dtype)
     np.add.at(f, reads, powers)
-    return _LinearForm(tuple(masks), _root_power_table(f, kappa), int(f[0]) & 1, kappa)
+    table = _root_power_table(f, kappa)
+    outputs = np.empty(2 << n, dtype=np.int32)
+    outputs[:2] = (int(f[0]) & 1) ^ np.arange(2)
+    for bit in range(n):
+        column = sum(2 << (n - 1 - i) for i, m in enumerate(masks) if m >> bit & 1)
+        np.bitwise_xor(outputs[: 2 << bit], column, out=outputs[2 << bit : 4 << bit])
+    outputs ^= np.repeat(table == kappa, 2)
+    outputs[np.repeat((table != 0) & (table != kappa), 2)] = -1
+    return _LinearForm(table, kappa, outputs)
 
 
 # The last circuit exponent_simulate saw and its linear form. Holding the
@@ -256,22 +270,17 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
     target in the latter case, and otherwise the result is
     NonClassical(exponent, kappa).
 
-    The circuit is compiled into its linear form: the final mask of each
-    control line and, from a Walsh-Hadamard transform, the net root power
-    of every control vector. The form of the last circuit object passed in
-    is kept, so repeated calls on one circuit cost one table read plus O(n)
-    bit work each after the first; circuits that alternate compile on each
-    call. The table has 2^n entries, so WidthLimitError refuses above MAX_N
-    controls, before any work.
+    The form of the last circuit object passed in is kept and holds every
+    input's output (see _linear_form), so a repeated call on one circuit is
+    one read; circuits that alternate compile on each call. WidthLimitError
+    refuses above MAX_N controls, before any work.
     """
-    bits = as_bits(input_bits, length=circuit.width)
+    x = bits_to_index(as_bits(input_bits, length=circuit.width))
     form = _form_of(circuit)
-    c = bits_to_index(bits[:-1])
-    exponent = form.table.item(c)  # a Python int from a uint64 or an object table
-    if exponent % form.kappa:
-        return NonClassical(exponent, form.kappa)
-    controls = tuple([(m & c).bit_count() & 1 for m in form.masks])
-    return controls + (bits[-1] ^ form.flips ^ (exponent == form.kappa),)
+    y = form.outputs.item(x)
+    if y < 0:  # the exponent is a Python int from a uint64 or an object table
+        return NonClassical(form.table.item(x >> 1), form.kappa)
+    return index_to_bits(y, circuit.width)
 
 
 def _check_controls(n: int) -> None:
@@ -298,21 +307,13 @@ class TruthTableResult:
 
 
 def truth_table(circuit: Circuit) -> TruthTableResult:
-    """Every basis input of a layered circuit, read from its linear form.
+    """Every basis input of a layered circuit: the outputs _linear_form doubles over the final masks.
 
-    Outputs are GF(2)-linear in the inputs, so doubling from the target line
-    up, XOR-ing in each control line's column of the final masks, gives all
-    2^w; the root-power table then sets the target as exponent_simulate
-    does. Raises WidthLimitError above MAX_N controls, before any work.
+    exponent_simulate reads the same entries one at a time. Raises
+    WidthLimitError above MAX_N controls, before any work.
     """
-    n, w = circuit.n_controls, circuit.width
-    form = _form_of(circuit)
-    bad = np.flatnonzero((form.table != 0) & (form.table != form.kappa))
-    if bad.size:  # control vector bad[0] with target 0 is the first such input
-        return TruthTableResult(w, None, (index_to_bits(int(bad[0]) << 1, w),))
-    outputs = np.arange(2)
-    for bit in range(n):
-        column = sum(2 << (n - 1 - i) for i, m in enumerate(form.masks) if m >> bit & 1)
-        outputs = np.concatenate((outputs, outputs ^ column))
-    flipped = np.repeat(form.table == form.kappa, 2)
-    return TruthTableResult(w, tuple((outputs ^ (flipped ^ bool(form.flips))).tolist()))
+    outputs = _form_of(circuit).outputs
+    bad = np.flatnonzero(outputs < 0)
+    if bad.size:  # both targets of a control vector are non-classical, so bad[0] has target 0
+        return TruthTableResult(circuit.width, None, (index_to_bits(int(bad[0]), circuit.width),))
+    return TruthTableResult(circuit.width, tuple(outputs.tolist()))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bits import Bits, as_bits, index_to_bits
 from .circuit import Circuit
-from .simulate import NonClassical, exponent_simulate, truth_table
+from .simulate import NonClassical, _form_of, exponent_simulate
 from .synth import _OR_GATE, _ZERO_MODES, _activation, _check_n
 
 FAMILIES = ("peres", "toffoli") + _ZERO_MODES
@@ -92,7 +92,7 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     holding that line's bit of every input, and _outputs maps those columns
     to the block's expected rows, tuples of ints, at once. Each input is one
     exponent_simulate call (the first compiles the circuit, later ones read
-    one table entry) and one tuple compare. The first failing input is
+    one output entry) and one tuple compare. The first failing input is
     reported, which makes the counterexample the lexicographically smallest
     one, with its expected row from the block. GateFamilySpec refuses more
     than MAX_N controls, so no check runs above the limit.
@@ -115,8 +115,8 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
 def activation_set(circuit: Circuit) -> set[Bits]:
     """Control vectors on which the circuit flips its target bit."""
     n = circuit.n_controls
-    table = truth_table(circuit)
-    if not table.is_classical:
-        raise ValueError(f"non-classical target for control vector {table.non_classical[0][:n]}")
-    # Output index c << 1 is the image of (c, t = 0); its low bit is the target.
-    return {index_to_bits(c, n) for c in range(1 << n) if table.permutation[c << 1] & 1}
+    targets = _form_of(circuit).outputs[0::2]  # the images of (c, t = 0), whose low bit is the target
+    bad = np.flatnonzero(targets < 0)
+    if bad.size:
+        raise ValueError(f"non-classical target for control vector {index_to_bits(int(bad[0]), n)}")
+    return {index_to_bits(c, n) for c in np.flatnonzero(targets & 1).tolist()}

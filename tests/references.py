@@ -11,16 +11,31 @@ file formats gate by gate from its gate tuple, as the writers' reference,
 and diagram draws render_ascii's wire diagram one column per gate.
 reference_slots builds synth._slots's arrays one block of slots per line,
 and reference_ladder the converters' Feynman ladder gate by gate.
+reference_index_to_bits and reference_bits_to_index pack and unpack bits
+with their own loops, apart from src's bits helpers, which the executors use.
 """
 import json
 
 import numpy as np
 
-from rootsynth.bits import Bits, as_bits, bits_to_index, index_to_bits
+from rootsynth.bits import Bits, as_bits
 from rootsynth.circuit import GateKind, feynman
 from rootsynth.simulate import _check_controls, dense_unitary, exponent_simulate
 from rootsynth.synth import _OR_GATE
 from rootsynth.verify import EquivalenceReport, GateFamilySpec
+
+
+def reference_index_to_bits(index: int, width: int) -> Bits:
+    """index as `width` bits, first bit most significant, one shift per bit."""
+    return tuple((index >> (width - 1 - i)) & 1 for i in range(width))
+
+
+def reference_bits_to_index(bits) -> int:
+    """A bit vector as an index, first bit most significant, one shift per bit."""
+    index = 0
+    for b in bits:
+        index = (index << 1) | b
+    return index
 
 
 def reference_spec_output(spec: GateFamilySpec, input_bits) -> Bits:
@@ -47,7 +62,9 @@ def reference_spec_output(spec: GateFamilySpec, input_bits) -> Bits:
 def oracle_permutation(spec: GateFamilySpec) -> tuple[int, ...]:
     """reference_spec_output as a permutation of basis-state indices."""
     w = spec.n + 1
-    return tuple(bits_to_index(reference_spec_output(spec, index_to_bits(x, w))) for x in range(1 << w))
+    return tuple(
+        reference_bits_to_index(reference_spec_output(spec, reference_index_to_bits(x, w))) for x in range(1 << w)
+    )
 
 
 def permutation_matrix(perm) -> np.ndarray:
@@ -65,14 +82,14 @@ def dense_matches(circuit, perm) -> bool:
 
 
 def reference_check_equivalence(circuit, spec: GateFamilySpec) -> EquivalenceReport:
-    """check_equivalence input by input: index_to_bits, exponent_simulate and reference_spec_output each time."""
+    """check_equivalence input by input: reference_index_to_bits, exponent_simulate, reference_spec_output."""
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")
     _check_controls(spec.n)
     w = circuit.width
     space = 1 << w
     for x in range(space):
-        bits = index_to_bits(x, w)
+        bits = reference_index_to_bits(x, w)
         actual = exponent_simulate(circuit, bits)
         expected = reference_spec_output(spec, bits)
         if actual != expected:

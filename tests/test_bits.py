@@ -1,10 +1,12 @@
-"""as_bits accepts values equal to 0 or 1 and rejects everything else."""
+"""as_bits accepts values equal to 0 or 1 and rejects everything else; the packers round-trip."""
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from references import reference_bits_to_index, reference_index_to_bits
 
-from rootsynth.bits import as_bits, index_to_bits, parse_bitstring
+from rootsynth.bits import as_bits, bits_to_index, index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit
 from rootsynth.simulate import exponent_simulate
 from rootsynth.synth import synth_peres
@@ -77,3 +79,39 @@ def test_index_past_the_width_is_rejected():
     assert index_to_bits(7, 3) == (1, 1, 1)
     with pytest.raises(ValueError, match="index 8 out of range for width 3"):
         index_to_bits(8, 3)
+
+
+@pytest.mark.parametrize("index, width", [(-1, 3), (1, 0), (1 << 21, 21)])
+def test_every_out_of_range_message_is_unchanged(index, width):
+    with pytest.raises(ValueError) as excinfo:
+        index_to_bits(index, width)
+    assert str(excinfo.value) == f"index {index} out of range for width {width}"
+
+
+@pytest.mark.parametrize("width", range(22))
+def test_packers_round_trip_at_every_width(width):
+    top = (1 << width) - 1
+    rng = random.Random(width)
+    indices = range(top + 1) if width <= 10 else [0, top] + [rng.randrange(top + 1) for _ in range(500)]
+    for x in indices:
+        bits = index_to_bits(x, width)
+        assert bits == reference_index_to_bits(x, width)
+        assert all(type(b) is int for b in bits)
+        assert bits_to_index(bits) == bits_to_index(list(bits)) == reference_bits_to_index(bits) == x
+
+
+def test_the_empty_vector_packs_as_zero():
+    assert bits_to_index(()) == 0
+    assert index_to_bits(0, 0) == ()
+
+
+def test_a_bool_or_numpy_one_packs_as_one():
+    assert bits_to_index((True,)) == bits_to_index((np.int64(1),)) == 1
+    assert bits_to_index((True, False, np.int64(1))) == 5
+
+
+# 48 and 49 are the bytes of the digits "0" and "1"; 256 and -1 are no byte at all.
+@pytest.mark.parametrize("entry", [2, 3, 48, 49, 255, 256, -1])
+def test_an_entry_other_than_a_bit_is_not_mixed_in(entry):
+    with pytest.raises(ValueError):
+        bits_to_index((1, entry, 0))

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from references import dense_matches, oracle_permutation
+from references import dense_matches, oracle_permutation, reference_bits_to_index, reference_index_to_bits
 
 from rootsynth import simulate, verify
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
@@ -345,7 +345,7 @@ def assert_matches_reference(circuit, inputs):
 
 
 def every_input(circuit):
-    return [index_to_bits(x, circuit.width) for x in range(1 << circuit.width)]
+    return [reference_index_to_bits(x, circuit.width) for x in range(1 << circuit.width)]
 
 
 FAMILY_BUILDERS = {
@@ -520,15 +520,19 @@ class TestLinearFormMatchesReference:
 
 
 def reference_truth_table(circuit):
-    """The per-input loop truth_table replaced, kept as the reference."""
+    """Every input through the gate-by-gate walk, as truth_table's reference.
+
+    It reads no compiled form, so truth_table is not compared with the
+    outputs it shares with exponent_simulate.
+    """
     w = circuit.width
     perm = [0] * (1 << w)
     for x in range(1 << w):
-        bits = index_to_bits(x, w)
-        out = exponent_simulate(circuit, bits)
+        bits = reference_index_to_bits(x, w)
+        out = reference_exponent_simulate(circuit, bits)
         if isinstance(out, NonClassical):
             return TruthTableResult(w, None, (bits,))
-        perm[x] = bits_to_index(out)
+        perm[x] = reference_bits_to_index(out)
     return TruthTableResult(w, tuple(perm))
 
 

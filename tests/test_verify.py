@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import tracemalloc
 
 import alpha_tables
 import numpy as np
@@ -13,7 +14,7 @@ from references import (
     reference_spec_output,
 )
 
-from rootsynth import verify
+from rootsynth import simulate, verify
 from rootsynth.bits import index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
 from rootsynth.simulate import DENSE_WIDTH_LIMIT, MAX_N, NonClassical, WidthLimitError, exponent_simulate, truth_table
@@ -406,6 +407,19 @@ class TestActivationSet:
         from rootsynth.synth import converter_toffoli_to_peres
 
         assert activation_set(converter_toffoli_to_peres(3)) == set()
+
+    def test_reading_the_compiled_outputs_peaks_within_twice_their_size(self):
+        # Compiled first, so the peak is activation_set's own: a permutation
+        # tuple of every input's output would hold 2^(n+1) Python ints.
+        circuit = synth_toffoli(16, (1, 0) * 8)
+        outputs = simulate._form_of(circuit).outputs
+        tracemalloc.start()
+        try:
+            assert activation_set(circuit) == {(1, 0) * 8}
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * outputs.nbytes, (peak, outputs.nbytes)
 
 
 class TestPermutationHelpers:
