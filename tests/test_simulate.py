@@ -3,7 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from references import dense_matches, oracle_permutation, reference_bits_to_index, reference_index_to_bits
+from references import (
+    dense_matches,
+    oracle_permutation,
+    permutation_matrix,
+    reference_bits_to_index,
+    reference_index_to_bits,
+)
 
 from rootsynth import simulate, verify
 from rootsynth.bits import as_bits, bits_to_index, index_to_bits
@@ -292,10 +298,11 @@ class TestNetRootExponent:
             assert exponent_simulate(circuit, c + (0,))[-1] == want // form.kappa
 
 
-def reference_walk(circuit, bits):
-    """The gate-by-gate walk: (control bits, exponent mod 2*kappa, target flips, kappa)."""
+def reference_walk(circuit, bits, gates):
+    """The gate-by-gate walk over gates, which is circuit.gates decoded once by
+    the caller: (control bits, exponent mod 2*kappa, target flips, kappa)."""
     w = circuit.target_line
-    kappas = {g.kappa for g in circuit.gates if g.kind is GateKind.ROOT}
+    kappas = {g.kappa for g in gates if g.kind is GateKind.ROOT}
     if len(kappas) > 1:
         raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
     kappa = kappas.pop() if kappas else 1
@@ -303,7 +310,7 @@ def reference_walk(circuit, bits):
     controls = list(bits[: circuit.n_controls])
     exponent = 0
     flips = 0
-    for g in circuit.gates:
+    for g in gates:
         if g.kind is GateKind.FEYNMAN:
             if g.control == w:
                 raise UnsupportedShapeError("Feynman gate reads the target line")
@@ -322,10 +329,10 @@ def reference_walk(circuit, bits):
     return tuple(controls), exponent, flips, kappa
 
 
-def reference_exponent_simulate(circuit, input_bits):
-    """The gate-by-gate walk exponent_simulate replaced, then the target rule."""
+def reference_exponent_simulate(circuit, input_bits, gates):
+    """The gate-by-gate walk exponent_simulate replaced, over gates (circuit.gates), then the target rule."""
     bits = as_bits(input_bits, length=circuit.width)
-    controls, exponent, flips, kappa = reference_walk(circuit, bits)
+    controls, exponent, flips, kappa = reference_walk(circuit, bits, gates)
     if exponent % kappa:
         return NonClassical(exponent, kappa)
     return controls + ((bits[-1] + flips + exponent // kappa) % 2,)
@@ -339,8 +346,9 @@ def outcome(simulator, circuit, *args):
 
 
 def assert_matches_reference(circuit, inputs):
+    gates = circuit.gates
     for bits in inputs:
-        want = outcome(reference_exponent_simulate, circuit, bits)
+        want = outcome(reference_exponent_simulate, circuit, bits, gates)
         assert outcome(exponent_simulate, circuit, bits) == want, (circuit, bits)
 
 
@@ -424,8 +432,9 @@ class TestLinearFormMatchesReference:
     def test_every_kind_of_input_gives_a_tuple_of_ints(self, family, n):
         activation = index_to_bits(random.Random(17 * n + len(family)).randrange(1, 1 << n), n)
         circuit = FAMILY_BUILDERS[family](n, activation)
+        gates = circuit.gates
         for bits in every_input(circuit):
-            want = reference_exponent_simulate(circuit, bits)
+            want = reference_exponent_simulate(circuit, bits, gates)
             for given in (list(bits), bits, np.array(bits), tuple(map(bool, bits))):
                 out = exponent_simulate(circuit, given)
                 assert out == want, (circuit.label, given)
@@ -495,14 +504,15 @@ class TestLinearFormMatchesReference:
         monkeypatch.setattr(simulate, "_last_form", (None, None))
         circuit = Circuit(3, random_layered_circuit(random.Random(7), 3, 8, 40))
         bits = (1, 0, 1, 0)
-        assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits)
+        assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits, circuit.gates)
         assert simulate._last_form[0] is circuit and simulate._last_form[1].table is not None
 
     def test_alternating_circuits(self):
         a, b = synth_peres(4, (1, 0, 1, 1)), synth_toffoli(4, (0, 1, 1, 0))
+        a_gates, b_gates = a.gates, b.gates
         for bits in every_input(a):
-            for circuit in (a, b):
-                assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits)
+            for circuit, gates in ((a, a_gates), (b, b_gates)):
+                assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits, gates)
 
     def test_truth_table_compiles_the_circuit_once(self, monkeypatch):
         calls = []
@@ -525,11 +535,11 @@ def reference_truth_table(circuit):
     It reads no compiled form, so truth_table is not compared with the
     outputs it shares with exponent_simulate.
     """
-    w = circuit.width
+    w, gates = circuit.width, circuit.gates
     perm = [0] * (1 << w)
     for x in range(1 << w):
         bits = reference_index_to_bits(x, w)
-        out = reference_exponent_simulate(circuit, bits)
+        out = reference_exponent_simulate(circuit, bits, gates)
         if isinstance(out, NonClassical):
             return TruthTableResult(w, None, (bits,))
         perm[x] = reference_bits_to_index(out)
@@ -574,7 +584,8 @@ class TestTruthTableMatchesReference:
         circuit = Circuit(3, random_layered_circuit(random.Random(8), 3, 1 << 70, 40))
         table = simulate._linear_form(circuit).table
         assert table is not None
-        want = [reference_walk(circuit, index_to_bits(c, 3) + (0,))[1] for c in range(8)]
+        gates = circuit.gates
+        want = [reference_walk(circuit, index_to_bits(c, 3) + (0,), gates)[1] for c in range(8)]
         assert table.tolist() == want
 
     def test_fewer_gates_than_control_vectors(self):
@@ -666,6 +677,35 @@ def random_general_circuit(rng, n, size):
     return Circuit(n, gates)
 
 
+def random_rotated_circuit(rng, w):
+    """A width-w circuit in which a random set of lines is never read, and that set.
+
+    Those lines carry roots of kappa = 1..16 in both directions, Feynman
+    gates and NOT gates, each driven by a line that is read. The read lines
+    carry Feynman gates, roots and NOT gates among themselves, so beside the
+    phases the swap and mix paths run too. Every line is targeted and every
+    read line is read, so the unread set is exactly the one dense_unitary
+    rotates.
+    """
+    lines = range(1, w + 1)
+    unread = set(rng.sample(lines, rng.randrange(1, w)))
+    read = [x for x in lines if x not in unread]
+
+    def root(control, target):
+        return controlled_root(1 << rng.randrange(0, 5), rng.choice((1, -1)), control, target)
+
+    def gate(target, kind):
+        others = [x for x in read if x != target]
+        if kind == 0 or not others:
+            return not_gate(target)
+        return (feynman if kind == 1 else root)(rng.choice(others), target)
+
+    gates = [not_gate(x) for x in unread] + [root(x, rng.choice(sorted(unread))) for x in read]
+    gates += [gate(rng.choice(lines), rng.randrange(3)) for _ in range(rng.randrange(0, 8 * w))]
+    rng.shuffle(gates)
+    return Circuit(w - 1, gates), unread
+
+
 def classical_permutation_matrix(circuit):
     """The 0/1 matrix of a circuit of Feynman and NOT gates, by running each basis input."""
     w = circuit.width
@@ -702,6 +742,22 @@ class TestDenseMatchesReference:
             with pytest.raises(UnsupportedShapeError):
                 exponent_simulate(circuit, (0,) * circuit.width)
             assert_matches_dense_reference(circuit)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lines_no_gate_reads_beside_lines_that_are_read(self, seed):
+        rng = random.Random(seed)
+        for w in range(2, 7):
+            circuit, unread = random_rotated_circuit(rng, w)
+            gates = circuit.gates
+            assert {g.target for g in gates} - {g.control for g in gates} == unread
+            assert_matches_dense_reference(circuit)
+
+    @pytest.mark.parametrize("family", ["peres", "toffoli"])
+    def test_the_widest_peres_and_toffoli_give_the_oracle_permutation(self, family):
+        n = DENSE_WIDTH_LIMIT - 1
+        u = dense_unitary(FAMILY_BUILDERS[family](n, (1,) * n))
+        want = permutation_matrix(oracle_permutation(GateFamilySpec(family, n)))
+        assert np.max(np.abs(u - want)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feynman_and_not_circuits_give_an_exact_permutation_matrix(self, seed):
