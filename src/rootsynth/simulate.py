@@ -1,12 +1,15 @@
 """Two independent circuit executors.
 
 dense_unitary builds the full 2^width unitary and is the ground truth for
-small widths. It views the identity as a tensor with one axis per line and
-applies each gate in place to the slice it touches, at O(gates * 4^width),
-as state-vector simulators do (Smelyanskiy, Sawaya and Aspuru-Guzik,
-"qHiPSTER", arXiv:1601.07195); a line that no gate reads stays in NOT's
-eigenbasis, where each gate on it is one phase. It accepts any gate on any
-line, so it checks the layered executor without sharing its assumptions.
+small widths, by one of two paths, each as state-vector simulators apply
+gates (Smelyanskiy, Sawaya and Aspuru-Guzik, "qHiPSTER", arXiv:1601.07195).
+When every root drives a line that no gate reads, as in every generated
+circuit, those lines stay in NOT's eigenbasis, where each gate is a
+permutation or a phase: it tracks one row and one amplitude per column, at
+O(gates * 2^width + 4^width). Otherwise it views the identity as a tensor
+with one axis per line and applies each gate in place to the slice it
+touches, at O(gates * 4^width). It accepts any gate on any line, so it
+checks the layered executor without sharing its assumptions.
 
 exponent_simulate exploits the layered shape of all generated circuits:
 control bits propagate classically through the Feynman gates, and the gates
@@ -35,9 +38,11 @@ import numpy as np
 from .bits import Bits, as_bits, bits_to_index, index_to_bits
 from .circuit import Circuit, Gate, GateKind, check_kappa, gather
 
-# A Toffoli circuit takes about 0.15 s at width 9 and 1.2 s at width 10 (one
-# core of a 2-CPU Xeon box): twice the gates, each touching 4x the memory.
-DENSE_WIDTH_LIMIT = 9
+# A Toffoli circuit on the monomial path takes about 0.008 s at width 9, 0.03 s
+# at width 10 and 0.12 s at width 11, a 64 MiB matrix (one core of a 2-CPU
+# Xeon box). The same gates on the swap/mix path take 0.3, 2.3 and 30 s:
+# twice the gates at each width, each touching 4x the memory.
+DENSE_WIDTH_LIMIT = 11
 
 MAX_N = 20
 """Most controls a generator, exponent_simulate, truth_table or check_equivalence accepts (2^n work)."""
@@ -70,8 +75,9 @@ def root_of_not(kappa: int) -> np.ndarray:
 def _gate_halves(g: Gate, width: int) -> tuple[tuple, tuple]:
     """Indices of the target = 0 and target = 1 halves of a gate's active slice.
 
-    They index dense_unitary's tensor, whose axis i is line i+1; a control
-    fixes its axis at 1, so both halves lie inside the control = 1 slice.
+    They index the swap/mix path's tensor, whose axis i is line i+1; a
+    control fixes its axis at 1, so both halves lie inside the control = 1
+    slice.
     """
     lo: list[int | slice] = [slice(None)] * width
     if g.control is not None:
@@ -81,56 +87,95 @@ def _gate_halves(g: Gate, width: int) -> tuple[tuple, tuple]:
     return tuple(lo), tuple(hi)
 
 
+def _monomial_lines(table: Sequence[Gate]) -> set[int] | None:
+    """The rotated lines, which some gate targets and no gate reads, if every root targets one; else None.
+
+    In NOT's eigenbasis on those lines every gate is then monomial: a NOT or
+    Feynman gate on a read line permutes basis states, and any gate on a
+    rotated line is a phase. Every generated circuit qualifies.
+    """
+    rotated = {g.target for g in table} - {g.control for g in table}
+    return rotated if all(g.target in rotated for g in table if g.kind is GateKind.ROOT) else None
+
+
 def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in circuit order.
 
     Basis states are indexed with line 1 as the most significant bit, so
-    column bits_to_index((c1..cn,t)) holds the image of that input. The
-    identity is viewed as a tensor of shape (2,)*width + (2^width,) whose
-    axis i is line i+1, and each gate updates it in place on the slice it
-    touches, at O(gates * 4^width) in all: NOT and Feynman gates swap the
-    two halves of the target axis (inside the control = 1 slice), and a
-    controlled root mixes them by its 2x2 matrix. This is the state-vector
-    technique of Smelyanskiy, Sawaya and Aspuru-Guzik, "qHiPSTER"
-    (arXiv:1601.07195), applied to every column at once. A rotated line,
-    one that gates target and no gate reads, stays in NOT's eigenbasis
-    (V = H diag(1, w) H, w = -1 for NOT): a butterfly sqrt(2)*H on its axis
-    at each end, the identity scaled by the exact 0.5 ** len(rotated), and
-    each gate on it the phase hi *= w. Any gate on any line is accepted.
+    column bits_to_index((c1..cn,t)) holds the image of that input. Each
+    gate is p*I + q*NOT on its target inside its control = 1 slice, with
+    p + q = 1: q = 1 for NOT and Feynman gates, and a controlled root takes
+    its q from root_of_not. Any gate on any line is accepted. When every
+    root targets a rotated line, one that gates target and no gate reads,
+    the product is built on the monomial path, at O(gates * 2^width +
+    4^width); otherwise on the swap/mix path, at O(gates * 4^width). Both
+    are the state-vector technique of Smelyanskiy, Sawaya and Aspuru-Guzik,
+    "qHiPSTER" (arXiv:1601.07195), applied to every column at once.
     """
     width = circuit.width
     if width > DENSE_WIDTH_LIMIT:
         raise WidthLimitError(f"width {width} exceeds the dense limit of {DENSE_WIDTH_LIMIT} lines")
+    table = circuit.table
+    roots = {kappa: complex(root_of_not(kappa)[0, 1]) for kappa in {g.kappa for g in table if g.kind is GateKind.ROOT}}
+    # V is symmetric, so its adjoint's q is the conjugate.
+    qs = [1 if g.kind is not GateKind.ROOT else
+          roots[g.kappa] if g.direction == 1 else roots[g.kappa].conjugate() for g in table]
+    rotated = _monomial_lines(table)
+    return _swap_mix_unitary(circuit, qs) if rotated is None else _monomial_unitary(circuit, qs, rotated)
+
+
+def _monomial_unitary(circuit: Circuit, qs: list[complex], rotated: set[int]) -> np.ndarray:
+    """dense_unitary's monomial path; qs holds each table entry's q, and every root targets a rotated line.
+
+    The rotated lines stay in NOT's eigenbasis (V = H diag(1, w) H, w = p -
+    q), where the whole product sends each column x to one row idx[x] with
+    one amplitude amp[x]: a NOT or Feynman gate on a read line is the
+    gather idx = perm[idx], and any gate on a rotated line is amp *=
+    phase[idx], the phase w where it fires on the line's hi half. Each
+    entry's perm or phase is built once per table entry. Then u[idx, x] =
+    amp * 0.5 ** len(rotated), and an unnormalised butterfly sqrt(2)*H runs
+    on each rotated line's row and column axes, so a circuit of NOT and
+    Feynman gates gives an exact 0/1 matrix.
+    """
+    width, table = circuit.width, circuit.table
     dim = 1 << width
-    rotated = {g.target for g in circuit.table} - {g.control for g in circuit.table}
-    u = np.diag(np.full(dim, 0.5 ** len(rotated), dtype=complex))
-    tensor = u.reshape((2,) * width + (dim,))
-    roots: dict[tuple[int, int], complex] = {}
+    x = np.arange(dim)
+    target = np.array([1 << (width - g.target) for g in table], dtype=np.intp)[:, None]
+    control = np.array([0 if g.control is None else 1 << (width - g.control) for g in table], dtype=np.intp)[:, None]
+    flips = np.where(x & control == control, target, 0)  # the target bit each entry flips, in each row
+    phases = np.where(x & flips, 1 - 2 * np.array(qs, dtype=complex)[:, None], 1)
+    steps = [(True, phases[k]) if g.target in rotated else (False, x ^ flips[k]) for k, g in enumerate(table)]
+    idx, amp = x, np.ones(dim, dtype=complex)
+    for phase, step in gather(steps, circuit.codes):
+        if phase:
+            amp *= step[idx]
+        else:
+            idx = step[idx]
+    u = np.zeros((dim, dim), dtype=complex)
+    u[idx, x] = amp * 0.5 ** len(rotated)
+    for bit in [width - line + side for line in rotated for side in (width, 0)]:  # row axis, then column axis
+        lo, hi = u.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
+        lo += hi
+        hi *= -2
+        hi += lo
+    return u
 
-    def update(g: Gate) -> tuple[np.ndarray, np.ndarray, complex, bool]:
-        """The gate's two halves as views of the tensor, its q, and whether its target is rotated."""
-        lo, hi = _gate_halves(g, width)
-        key = (g.kappa, g.direction)
-        if g.kind is GateKind.ROOT and key not in roots:
-            v = root_of_not(g.kappa)
-            roots[key] = complex((v if g.direction == 1 else v.conj().T)[0, 1])
-        return tensor[lo], tensor[hi], roots[key] if g.kind is GateKind.ROOT else 1, g.target in rotated
 
-    def butterflies() -> None:  # (lo, hi) -> (lo + hi, lo - hi) on each rotated axis
-        for lo, hi in (tensor.swapaxes(0, line - 1) for line in rotated):
-            lo += hi
-            hi *= -2
-            hi += lo
+def _swap_mix_unitary(circuit: Circuit, qs: list[complex]) -> np.ndarray:
+    """dense_unitary's swap/mix path; qs holds each table entry's q.
 
-    # Each gate is p*I + q*NOT with p + q = 1 (q = 1 for NOT and Feynman
-    # gates): on a rotated line the phase w = p - q on the lo - hi half, and
-    # elsewhere a swap for q = 1, or else (lo - d, hi + d) with d = q * (lo -
-    # hi), which needs one temporary where the 2x2 product needs four.
-    butterflies()
-    for lo, hi, q, phase_only in gather([update(g) for g in circuit.table], circuit.codes):
-        if phase_only:
-            hi *= 1 - 2 * q
-        elif q == 1:
+    The identity is viewed as a tensor of shape (2,)*width + (2^width,)
+    whose axis i is line i+1, and each gate updates the two halves of its
+    target axis in place: a swap for q = 1, or else (lo - d, hi + d) with
+    d = q * (lo - hi), which needs one temporary where the 2x2 product
+    needs four.
+    """
+    dim = 1 << circuit.width
+    u = np.eye(dim, dtype=complex)
+    tensor = u.reshape((2,) * circuit.width + (dim,))
+    halves = [tuple(tensor[s] for s in _gate_halves(g, circuit.width)) + (q,) for g, q in zip(circuit.table, qs)]
+    for lo, hi, q in gather(halves, circuit.codes):
+        if q == 1:
             saved = lo.copy()
             lo[...] = hi
             hi[...] = saved
@@ -139,7 +184,6 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
             d *= q
             lo -= d
             hi += d
-    butterflies()
     return u
 
 

@@ -231,7 +231,8 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     circuit C, its target on (c, t) is C's on (c xor e_i, t) xor f, f = 1
     exactly when C's target on (e_i, 0) and on (0, 0) differ: flipping bit
     1 of synth_toffoli(2, (1, 0)) fires on 01, 10 and 11, not on 00. The
-    label is kept as it is. Flipping the same i twice restores the circuit.
+    label gains " flip i", so it names the activation the circuit was built
+    for and each flip since. Flipping the same i twice restores the gates.
     Raises UnsupportedShapeError when the circuit is not layered, and
     WidthLimitError above MAX_N controls.
     """
@@ -246,4 +247,5 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     # A gate whose mask holds c_i (line 1's bit is highest) becomes its adjoint: no change for Feynman and NOT.
     table = circuit.table
     codes = circuit.codes + len(table) * (_walk(circuit)[1] & 1 << (n - i) != 0)
-    return circuit._of_codes(n, table + tuple(g.adjoint() for g in table), codes, circuit.label)
+    label = f"{circuit.label} flip {i}".lstrip()
+    return circuit._of_codes(n, table + tuple(g.adjoint() for g in table), codes, label)

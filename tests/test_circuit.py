@@ -444,7 +444,7 @@ class TestColumns:
         for name, (result, want) in expected.items():
             assert result.gates == want, name
             assert result == Circuit(n, want) and hash(result) == hash(Circuit(n, want)), name
-            assert result.label == c.label, name
+            assert result.label == (f"{c.label} {name}" if name.startswith("flip") else c.label), name
 
     @pytest.mark.parametrize("seed", range(20))
     def test_flip_of_random_layered_circuits_equals_the_gate_by_gate_flip(self, seed):

@@ -6,7 +6,6 @@ import pytest
 from references import (
     dense_matches,
     oracle_permutation,
-    permutation_matrix,
     reference_bits_to_index,
     reference_index_to_bits,
 )
@@ -101,7 +100,7 @@ class TestDenseUnitary:
 
     def test_width_limit(self):
         with pytest.raises(WidthLimitError):
-            dense_unitary(Circuit(9))
+            dense_unitary(Circuit(DENSE_WIDTH_LIMIT))
 
     def test_width_limit_is_inclusive(self):
         assert dense_unitary(Circuit(DENSE_WIDTH_LIMIT - 1)).shape == (1 << DENSE_WIDTH_LIMIT,) * 2
@@ -682,10 +681,11 @@ def random_rotated_circuit(rng, w):
 
     Those lines carry roots of kappa = 1..16 in both directions, Feynman
     gates and NOT gates, each driven by a line that is read. The read lines
-    carry Feynman gates, roots and NOT gates among themselves, so beside the
-    phases the swap and mix paths run too. Every line is targeted and every
-    read line is read, so the unread set is exactly the one dense_unitary
-    rotates.
+    carry Feynman gates, roots and NOT gates among themselves; a root there
+    sends the circuit down dense_unitary's swap/mix path, and with those
+    roots dropped it takes the monomial path. Every line is targeted and
+    every read line is read, so the unread set is exactly the one
+    dense_unitary rotates on the monomial path.
     """
     lines = range(1, w + 1)
     unread = set(rng.sample(lines, rng.randrange(1, w)))
@@ -722,6 +722,29 @@ def assert_matches_dense_reference(circuit):
     assert np.max(np.abs(dense_unitary(circuit) - reference_dense_unitary(circuit))) < 1e-12
 
 
+def takes_monomial_path(circuit):
+    return simulate._monomial_lines(circuit.table) is not None
+
+
+def without_roots_on_read_lines(circuit):
+    """The circuit less every root whose target some gate reads: it takes the monomial path.
+
+    Dropping gates reads no new line, so every root left still targets a
+    line that no gate reads.
+    """
+    read = {g.control for g in circuit.table}
+    return Circuit(circuit.n_controls, [g for g in circuit.gates if g.kind is not GateKind.ROOT or g.target not in read])
+
+
+def assert_both_paths_match_the_reference(circuit):
+    """circuit matches reference_dense_unitary, and so does its monomial part; returns whether circuit is monomial."""
+    part = without_roots_on_read_lines(circuit)
+    assert takes_monomial_path(part)
+    assert_matches_dense_reference(circuit)
+    assert_matches_dense_reference(part)
+    return takes_monomial_path(circuit)
+
+
 class TestDenseMatchesReference:
     @pytest.mark.parametrize(
         "family, n",
@@ -741,7 +764,7 @@ class TestDenseMatchesReference:
             circuit = random_general_circuit(rng, n, rng.randrange(0, 6 * n))
             with pytest.raises(UnsupportedShapeError):
                 exponent_simulate(circuit, (0,) * circuit.width)
-            assert_matches_dense_reference(circuit)
+            assert not assert_both_paths_match_the_reference(circuit)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_lines_no_gate_reads_beside_lines_that_are_read(self, seed):
@@ -750,14 +773,24 @@ class TestDenseMatchesReference:
             circuit, unread = random_rotated_circuit(rng, w)
             gates = circuit.gates
             assert {g.target for g in gates} - {g.control for g in gates} == unread
-            assert_matches_dense_reference(circuit)
+            assert_both_paths_match_the_reference(circuit)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_layered_and_broken_circuits_on_both_paths(self, seed):
+        for circuit in random_circuits(seed):
+            assert_both_paths_match_the_reference(circuit)
+
+    def test_the_random_circuits_take_both_paths(self):
+        assert {takes_monomial_path(c) for seed in range(8) for c in random_circuits(seed)} == {True, False}
+
+    # The first dense checks above n = 8: the width-11 matrix is 64 MiB, so
+    # the oracle's ones are subtracted in place.
+    @pytest.mark.parametrize("n", range(DENSE_WIDTH_LIMIT - 3, DENSE_WIDTH_LIMIT))
     @pytest.mark.parametrize("family", ["peres", "toffoli"])
-    def test_the_widest_peres_and_toffoli_give_the_oracle_permutation(self, family):
-        n = DENSE_WIDTH_LIMIT - 1
+    def test_the_widest_peres_and_toffoli_give_the_oracle_permutation(self, family, n):
         u = dense_unitary(FAMILY_BUILDERS[family](n, (1,) * n))
-        want = permutation_matrix(oracle_permutation(GateFamilySpec(family, n)))
-        assert np.max(np.abs(u - want)) < 1e-12
+        u[oracle_permutation(GateFamilySpec(family, n)), np.arange(1 << (n + 1))] -= 1
+        assert np.max(np.abs(u)) < 1e-12
 
     @pytest.mark.parametrize("seed", range(6))
     def test_feynman_and_not_circuits_give_an_exact_permutation_matrix(self, seed):
@@ -770,4 +803,21 @@ class TestDenseMatchesReference:
                 for _ in range(rng.randrange(0, 8 * w))
             ]
             circuit = Circuit(n, gates)
+            assert takes_monomial_path(circuit)
             assert np.array_equal(dense_unitary(circuit), classical_permutation_matrix(circuit))
+
+
+class TestDensePath:
+    @pytest.mark.parametrize("family", FAMILY_BUILDERS)
+    def test_every_generated_family_takes_the_monomial_path(self, family):
+        for n in range(1, 11):
+            for a in {(1,) * n, index_to_bits(0x2AA >> (10 - n), n)}:
+                assert takes_monomial_path(FAMILY_BUILDERS[family](n, a)), (n, a)
+
+    def test_a_root_on_a_read_line_beside_a_rotated_line_takes_the_swap_mix_path(self):
+        # Line 4 is never read and carries a root and a NOT; line 3 is read and carries a root.
+        circuit = Circuit(3, (controlled_root(4, 1, 1, 4), feynman(1, 2), controlled_root(2, -1, 2, 3),
+                              not_gate(4), controlled_root(4, -1, 3, 4), feynman(3, 1)))
+        assert not takes_monomial_path(circuit)
+        assert takes_monomial_path(without_roots_on_read_lines(circuit))
+        assert_matches_dense_reference(circuit)

@@ -439,10 +439,17 @@ class TestIterativePolarityFlip:
                 checked += 1
         assert checked >= 100
 
-    def test_a_flip_onto_the_zero_vector_fires_on_every_other_and_keeps_its_label(self):
+    def test_a_flip_onto_the_zero_vector_fires_on_every_other_and_names_the_flip_in_its_label(self):
         flipped = iterative_polarity_flip(synth_toffoli(2, (1, 0)), 1)
         assert activation_set(flipped) == {(0, 1), (1, 0), (1, 1)}
-        assert flipped.label == "toffoli n=2 a=10"
+        assert flipped.label == "toffoli n=2 a=10 flip 1"
+
+    def test_the_label_names_each_flip_after_the_activation_it_was_built_for(self):
+        flipped = iterative_polarity_flip(synth_peres(3), 3)
+        assert activation_set(flipped) == {(1, 1, 0)}
+        assert flipped.label == "peres n=3 a=111 flip 3"
+        assert iterative_polarity_flip(flipped, 3).label == "peres n=3 a=111 flip 3 flip 3"
+        assert iterative_polarity_flip(Circuit(3, flipped.gates), True).label == "flip 1"
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 32)])
