@@ -14,7 +14,6 @@ from .simulate import NonClassical, exponent_simulate
 from .synth import (
     MAX_N,
     _check_n,
-    _slots,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -66,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circuit", required=True)
     p.add_argument("--input", required=True, help="input bitstring c1..cn t")
 
-    about = ("print the slot counts of each control count; at n = 1 the one root slot "
-             "is emitted as a Feynman gate, since a root of order 1 is NOT")
+    about = "print the gate census of the generated Peres and Toffoli circuits for each control count"
     p = sub.add_parser("table", help=about, description=about)
     p.add_argument("--max-n", type=int, required=True)
     return parser
@@ -146,11 +144,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_table(args: argparse.Namespace) -> int:
     max_n = _check_n(args.max_n)
     print(f"{'n':>3} {'peres':>10} {'toffoli':>10} {'controlled':>11} {'feynman':>10}")
-    every = _slots(max_n, False)[1]  # n's Peres slots end at its root with alpha 2^n - 1
-    for n in range(1, max_n + 1):
-        alphas = every[: int((every == (1 << n) - 1).argmax()) + 1]  # a Toffoli adds n - 1 Feynman gates
-        peres, controlled = alphas.size, int((alphas != 0).sum())
-        print(f"{n:>3} {peres:>10} {peres + n - 1:>10} {controlled:>11} {peres - controlled:>10}")
+    for n in range(1, max_n + 1):  # each circuit is dropped once its census is read
+        peres, toffoli = synth_peres(n).census(), synth_toffoli(n).census()
+        print(f"{n:>3} {peres.total:>10} {toffoli.total:>10} {peres.controlled_count:>11} {peres.feynman_count:>10}")
     return 0
 
 

@@ -19,6 +19,18 @@ S, must equal that of kappa * [c = a], 0 or +-2^(n-1), mod 2^n: the sum is
 odd for S = all n lines, even for any other nonempty S. By induction down
 |S| every f[m] is odd, so every one of the 2^n - 1 functions drives a root.
 
+Nor with fewer Feynman gates: 2^n - 1 - n for Peres, 2^n - 2 for Toffoli.
+Each control line holds a mask, the inputs whose parity it carries, and
+each nonzero mask must be held when its root runs. A Feynman gate changes
+one line's mask, so it brings at most one new mask, and the n unit masks
+are held at the start: Peres's bound. For Toffoli let h count the masks
+never held plus the lines away from their unit mask. A gate lowers h by at
+most 1, and by none when it takes a line away. The masks stay independent,
+so no line holds the sum of two unit masks while both their lines keep
+them: at least n - 1 lines leave, and 2^n - 1 - n + n - 1 = 2^n - 2. Both
+generators meet these bounds for n >= 2; at n = 1 the one root, of order
+1, is feynman(1, 2).
+
 One emitter places the gates of every generator in closed form; only the
 order of the driving functions differs. Slot k = 1..2^n-1 ends in the root
 driven by line b = bit_length(k); let j = tz(k) + 1. In bit-reversal order
@@ -49,7 +61,7 @@ in _gate_table, the NOT gate last at code n(n+1); one numpy pass computes
 each gate's code into that table, and the circuit keeps the codes (see
 circuit.Circuit). Also kept between calls: the slot arrays of each (n,
 order) asked for, built once in _slots, 6 bytes a slot (12 MB each at
-MAX_N); `rootsynth table` reads one bit-reversal prefix of them per n.
+MAX_N).
 """
 from __future__ import annotations
 

@@ -33,21 +33,17 @@ circuit order:
                {"gate": "not", "line": 3}],
      "sequence": [0, 1, 0]}
 
-A generated circuit of about 2^(n+1) gates holds only O(n^2) distinct
-ones, so the table keeps the document small and its reader decodes one
-integer, not one record, per gate. Format "circuit v1", with one record
-per gate in "gates" and no "sequence", is still read.
+A record may hold keys that are no gate's field, but not a field of
+another gate kind. A generated circuit of about 2^(n+1) gates holds only
+O(n^2) distinct ones, so the table keeps the document small. A "circuit
+v1" document, one record per gate and no "sequence", is still read.
 
-A circuit is stored as a table of its distinct gates plus one code per
-gate (see circuit.Circuit), which is what a v2 document holds, so
-serialize_json writes the two columns as they are. serialize and
-render_ascii format each table entry once and write the gate lines, or each
-row of the diagram, in one gather over the codes.
-The text reader reads the lines in one pass, in order: it checks each
-distinct raw gate line once and maps a repeat to its code by one lookup,
-and every other line where it stands; the JSON reader checks each record
-once and the whole sequence in numpy. A v1 document, which no writer
-emits, has every record checked.
+serialize_json writes a circuit's two columns (see circuit.Circuit) as
+they are; serialize and render_ascii format each table entry once and
+gather the gate lines, or the diagram's rows, over the codes. The text
+reader checks each distinct raw gate line once and maps a repeat to its
+code by one lookup; the JSON reader checks each record once and the
+sequence in numpy.
 """
 from __future__ import annotations
 
@@ -71,6 +67,7 @@ _GATES = {
     "croot": (controlled_root, ("kappa", "direction", "control", "target")),
     "not": (not_gate, ("line",)),
 }
+_FIELDS = dict.fromkeys(f for _, fields in _GATES.values() for f in fields)  # every field, in table order
 # The text format writes a direction signed, and reads 1 as +1.
 _DIRECTIONS = {"+1": 1, "1": 1, "-1": -1}
 
@@ -252,6 +249,9 @@ def _record_gate(entry: object, width: int) -> Gate:
     missing = [f for f in fields if f not in entry]
     if missing:
         raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(missing)}")
+    stray = [f for f in _FIELDS if f in entry and f not in fields]  # another gate kind's field
+    if stray:
+        raise ParseError(f"{name} takes no {', '.join(stray)}")
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 

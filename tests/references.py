@@ -13,8 +13,12 @@ reference_slots builds synth._slots's arrays one block of slots per line,
 and reference_ladder the converters' Feynman ladder gate by gate.
 reference_index_to_bits and reference_bits_to_index pack and unpack bits
 with their own loops, apart from src's bits helpers, which the executors use.
+reference_parse and reference_parse_json read the two file formats from the
+rules in textio's docstring, one line or one record at a time, and name
+where a bad document first goes wrong; reading is a circuit as they return it.
 """
 import json
+import re
 
 import numpy as np
 
@@ -193,3 +197,135 @@ def reference_slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
 def reference_ladder(n: int, upward: bool) -> tuple:
     """The Feynman ladder as first written: feynman(i, i + 1) for i = 1..n-1 upward, for i = n-1..1 otherwise."""
     return tuple(feynman(i, i + 1) for i in (range(1, n) if upward else range(n - 1, 0, -1)))
+
+
+# Every line boundary str.splitlines honours, as the Python documentation lists them; \r\n is one.
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
+_FIELDS = {"cnot": ("control", "target"), "croot": ("kappa", "direction", "control", "target"), "not": ("line",)}
+
+
+def reading(circuit) -> tuple:
+    """(width, controls, label, gates), each gate its name and fields in argument order, as the readers below give."""
+    return circuit.width, circuit.n_controls, circuit.label, tuple(tuple(_record(g).values()) for g in circuit.gates)
+
+
+def _number(word: str):
+    """An optional sign and ASCII digits as an int; None for any other word, or one past int()'s digit limit."""
+    digits = word[1:] if word[:1] in ("+", "-") else word
+    if not digits or any(ch not in "0123456789" for ch in digits):
+        return None
+    try:
+        return int(word)
+    except ValueError:
+        return None
+
+
+def _gate(name: str, values: list, width: int):
+    """The gate (name, *values), or None when a line leaves 1..width, two lines coincide or a root is malformed."""
+    fields = dict(zip(_FIELDS[name], values))
+    lines = [fields[f] for f in ("control", "target", "line") if f in fields]
+    if not all(1 <= line <= width for line in lines) or len(set(lines)) < len(lines):
+        return None
+    if name == "croot" and (fields["kappa"] < 1 or fields["kappa"] & (fields["kappa"] - 1)
+                            or fields["direction"] not in (1, -1)):
+        return None
+    return (name, *values)
+
+
+def _document(width: int, controls: int, label: str, gates: list):
+    """A read document, or None when its width is not controls + 1 or its label spans lines."""
+    if controls < 1 or width != controls + 1 or _LINE_BREAK.search(label):
+        return None
+    return width, controls, label if label.strip() else "", tuple(gates)
+
+
+def reference_parse(text: str):
+    """textio.parse one line at a time: (width, controls, label, gates) as reading gives.
+
+    A bad document gives the 1-based number of its first bad line, or None
+    when no one line is bad: a missing header or directive, or a width that
+    is not controls + 1.
+    """
+    pieces = _LINE_BREAK.split(text)
+    lines = pieces[:-1] if pieces[-1] == "" else pieces  # a break that ends the text starts no line
+    header, directives, label, gates = False, {}, None, []
+    for number, line in enumerate(lines, 1):
+        if line.split()[:1] == ["label"]:  # the label is verbatim after "label" and one more character
+            if not header or label is not None:
+                return number
+            label = line.lstrip()[len("label") + 1:]
+            continue
+        content = line.split("#", 1)[0].strip()
+        if not content:
+            continue
+        if not header:
+            if content != "circuit v1":
+                return number
+            header = True
+            continue
+        if content == "circuit v1":
+            return number
+        word, *words = content.split()
+        if word in ("width", "controls"):
+            if len(words) != 1 or word in directives or _number(words[0]) is None:
+                return number
+            directives[word] = _number(words[0])
+        elif word in _FIELDS and len(directives) == 2 and len(words) == len(_FIELDS[word]):
+            values = [{"+1": 1, "1": 1, "-1": -1}.get(w) if f == "direction" else _number(w)
+                      for f, w in zip(_FIELDS[word], words)]
+            gate = None if None in values else _gate(word, values, directives["width"])
+            if gate is None:
+                return number
+            gates.append(gate)
+        else:
+            return number
+    if not header or len(directives) < 2:
+        return None
+    return _document(directives["width"], directives["controls"], label or "", gates)
+
+
+def _json_gate(record, width: int):
+    """A JSON gate record's gate, or None: it names its gate and holds that gate's fields as ints and no other's."""
+    name = record.get("gate") if isinstance(record, dict) else None
+    if not isinstance(name, str) or name not in _FIELDS:
+        return None
+    fields = _FIELDS[name]
+    stray = {f for other in _FIELDS.values() for f in other} - set(fields)
+    if not all(f in record and type(record[f]) is int for f in fields) or stray.intersection(record):
+        return None
+    return _gate(name, [record[f] for f in fields], width)
+
+
+def reference_parse_json(text: str):
+    """textio.parse_json over json.loads: (width, controls, label, gates) as reading gives.
+
+    A bad document gives ("gate", i) for its first bad record, ("sequence",
+    i) for the first bad index of a v2 sequence, or None when no one record
+    or index is bad. Records are read before the sequence, and both before
+    the width is compared with the controls.
+    """
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(doc, dict) or doc.get("format") not in ("circuit v2", "circuit v1"):
+        return None
+    width, controls = doc.get("width"), doc.get("controls")
+    label, records = doc.get("label", ""), doc.get("gates", [])
+    if type(width) is not int or type(controls) is not int or type(label) is not str or type(records) is not list:
+        return None
+    gates = []
+    for i, record in enumerate(records):
+        gate = _json_gate(record, width)
+        if gate is None:
+            return "gate", i
+        gates.append(gate)
+    if doc["format"] == "circuit v2":
+        sequence = doc.get("sequence")
+        if type(sequence) is not list:
+            return None
+        for i, index in enumerate(sequence):
+            if type(index) is not int or not 0 <= index < len(gates):
+                return "sequence", i
+        gates = [gates[index] for index in sequence]
+    return _document(width, controls, label, gates)

@@ -175,16 +175,26 @@ def test_the_parser_is_built_once_and_outlives_errors(files, capsys):
 def test_table_rows_are_the_paper_formulas(capsys):
     assert cli.main(["table", "--max-n", str(MAX_N)]) == 0
     rows = capsys.readouterr().out.splitlines()[1:]
-    assert [list(map(int, row.split())) for row in rows] == [
-        [n, 2 ** (n + 1) - n - 2, 2 ** (n + 1) - 3, 2**n - 1, 2**n - 1 - n] for n in range(1, MAX_N + 1)
+    # At n = 1 the one root has order 1, so it is a Feynman gate, as cost counts it.
+    assert [list(map(int, row.split())) for row in rows] == [[1, 1, 1, 0, 1]] + [
+        [n, 2 ** (n + 1) - n - 2, 2 ** (n + 1) - 3, 2**n - 1, 2**n - 1 - n] for n in range(2, MAX_N + 1)
     ]
 
 
-def test_table_keeps_one_slot_cache_entry(capsys):
-    synth._slots.cache_clear()
+def test_table_rows_are_the_census_that_cost_prints(tmp_path, capsys):
     assert cli.main(["table", "--max-n", "6"]) == 0
-    capsys.readouterr()
-    assert synth._slots.cache_info().currsize == 1
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 6
+    for n, row in enumerate(rows, start=1):
+        shown = []
+        for family in ("peres", "toffoli"):
+            path = str(tmp_path / f"{family}-{n}.txt")
+            assert cli.main(["synth", family, "--n", str(n), "--out", path]) == 0
+            assert cli.main(["cost", "--circuit", path]) == 0
+            quantum, census = capsys.readouterr().out.splitlines()
+            shown.append((int(quantum.split()[-1]), *map(int, census.split()[1::2])))  # cost, feynman, root, adjoint, not
+        (peres, feynman, root, adjoint, _), toffoli = shown[0], shown[1][0]
+        assert list(map(int, row.split())) == [n, peres, toffoli, root + adjoint, feynman]
 
 
 def test_draw_and_synth_print_what_the_writers_give(files, capsys):

@@ -478,6 +478,40 @@ def test_every_root_coefficient_vector_that_fires_on_a_is_odd(n, count):
             assert (coefficients[1:] % (2 * kappa) == solutions).all(axis=1).any(), (family, a)
 
 
+def fewest_feynman_gates(n, final):
+    """Breadth-first search over (line masks, masks held so far) for a layered circuit's Feynman gates.
+
+    Control line i starts holding mask 1 << (i - 1). A Feynman gate from
+    line j onto line b sets b's mask to the xor of both. The goal is every
+    nonzero mask held at some point, so that each can drive its root, with
+    the lines ending on `final`.
+    """
+    start = tuple(1 << i for i in range(n))
+    every = (1 << (1 << n)) - 2  # bit m set for each nonzero mask m
+    frontier = [(start, sum(1 << m for m in start))]
+    reached, depth = set(frontier), 0
+    while not any(masks == final and held == every for masks, held in frontier):
+        step = []
+        for masks, held in frontier:
+            for b in range(n):
+                for j in set(range(n)) - {b}:
+                    mask = masks[b] ^ masks[j]
+                    state = (masks[:b] + (mask,) + masks[b + 1 :], held | 1 << mask)
+                    if state not in reached:
+                        reached.add(state)
+                        step.append(state)
+        frontier, depth = step, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("n", [2, 3])  # at n = 1 the one Feynman gate is the order-1 root on the target
+def test_feynman_counts_are_the_fewest_a_layered_circuit_can_have(n):
+    """The Feynman bounds of synth's docstring: 2^n - 1 - n for Peres, 2^n - 2 for Toffoli, met by both."""
+    prefixes, units = tuple((2 << i) - 1 for i in range(n)), tuple(1 << i for i in range(n))
+    assert fewest_feynman_gates(n, prefixes) == synth_peres(n).census().feynman_count == 2**n - 1 - n
+    assert fewest_feynman_gates(n, units) == synth_toffoli(n).census().feynman_count == 2**n - 2
+
+
 def test_generated_labels_name_the_construction():
     assert synth_peres(2).label == "peres n=2 a=11"
     assert synth_toffoli(2, (0, 1)).label == "toffoli n=2 a=01"
@@ -574,7 +608,7 @@ def test_slots_are_cached_once_per_n_and_order_read_only(capsys):
         generate(family, 4, None)
     assert cli.main(["table", "--max-n", "4"]) == 0
     capsys.readouterr()
-    assert synth._slots.cache_info().currsize == 2  # n = 4 in each order: the table reads its prefixes
+    assert synth._slots.cache_info().currsize == 5  # n = 4 in each order, and n = 1..3 in bit-reversal order
     codes, alphas = synth._slots(4, True)
     assert synth._slots(4, True)[0] is codes
     for array in (codes, alphas):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from alpha_tables import ACTIVATED, FAMILIES, generate
-from references import diagram, json_document, text_document
+from references import diagram, json_document, reading, reference_parse, reference_parse_json, text_document
 from test_simulate import random_circuits
 
 import rootsynth
@@ -362,6 +362,23 @@ class TestParseJsonIntegers:
         )
 
     @pytest.mark.parametrize(
+        "record,stray",
+        [
+            ({"gate": "not", "line": 2, "control": 1}, "control"),
+            ({"gate": "not", "line": 4, "target": 4}, "target"),
+            ({"gate": "not", "line": 4, "kappa": 1, "direction": 1}, "kappa, direction"),
+            ({"gate": "cnot", "control": 1, "target": 2, "kappa": 1}, "kappa"),
+            ({"gate": "cnot", "control": 1, "target": 2, "direction": 1, "line": 2}, "direction, line"),
+            ({"gate": "croot", "kappa": 4, "direction": 1, "control": 1, "target": 4, "line": 4}, "line"),
+        ],
+    )
+    def test_a_field_of_another_gate_kind_is_refused(self, record, stray):
+        # The text reader refuses the same thing: `not 2 1` is "not takes <line>".
+        with pytest.raises(ParseError) as info:
+            parse_json(json_doc(GOOD_RECORDS + [record]))
+        assert str(info.value) == f"gate 3: {record['gate']} takes no {stray}"
+
+    @pytest.mark.parametrize(
         "gates,message",
         [
             ([GOOD_RECORDS[0], 7], "gate 1: malformed gate entry"),
@@ -514,6 +531,115 @@ class TestJsonV2:
     def test_sequence_is_ignored_by_v1(self):
         c = parse_json(json_doc(GOOD_RECORDS, sequence=[True, -1]))
         assert c.gates == (feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4))
+
+
+# Every line break str.splitlines honours, "\n" most often; whitespace that breaks no line.
+BREAKS = ["\n"] * 10 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+SPACES = [" "] * 6 + ["\t", "\xa0", "\u3000", "\x1f"]
+GOOD_LINES = ["  cnot  1  2  ", "cnot 3 1", "croot 4 +1 1 4", "croot 4 -1 2 4", "croot 4 1 3 4", "not 4", "not 2",
+              "cnot +1 02", "croot +004 -1 3 +4", "croot " + str(2**200) + " +1 2 4", "not +0000000000000000000004"]
+OTHER_LINES = ["", "# note", "  #", "\t# c1 c2", ""]
+LABEL_LINES = ["label a # b", "label", "label  ", "label\t#x", "  label\xa0lead "]
+BAD_LINES = [
+    "cnot 1 5", "cnot 2 2", "cnot 1", "cnot 1 2 3", "croot 3 +1 1 4", "croot 4 +2 1 4", "croot 4 01 1 4",
+    "croot -4 +1 1 4", "not 0", "not -1", "not 1" + "0" * 40, "not " + "9" * 5000, "cnot 1_0 2", "cnot \u0661 2",
+    "swap 1 2", "labelx 1", "label#x", "circuit  v1", "circuit v2", "circuit v1", "width 4", "controls 3",
+    "width four", "controls 3 3", "width " + "4" * 4400,
+]
+
+
+def random_text(rng):
+    """A text document of directives, gate lines with repeats, labels, comments and at most a few planted bad lines."""
+    width = rng.choice([4] * 20 + [5, 1, -3, 10**30])
+    controls = 0 if width == 1 else rng.choice([3] * 9 + [2])
+    preamble = ["circuit v1", f"width {width}", f"controls {controls}"] + [rng.choice(LABEL_LINES)] * (rng.random() < 0.5)
+    if rng.random() < 0.1:
+        rng.shuffle(preamble)
+    if rng.random() < 0.05:
+        preamble.pop(rng.randrange(3))
+    body = [rng.choice(GOOD_LINES) if rng.random() < 0.7 else rng.choice(OTHER_LINES) for _ in range(rng.randrange(30))]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        body.insert(rng.randrange(len(body) + 1), rng.choice(BAD_LINES))
+    lines = [
+        (line.replace(" ", rng.choice(SPACES)) if rng.random() < 0.2 and line != "circuit v1" else line)
+        + (rng.choice(["", "  # c", "#"]) if rng.random() < 0.2 else "")
+        for line in preamble + body
+    ]
+    text = "".join(line + rng.choice(BREAKS) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+GOOD_JSON_RECORDS = GOOD_RECORDS + [
+    {"gate": "croot", "kappa": 4, "direction": 1, "control": 3, "target": 4},
+    {"target": 1, "gate": "cnot", "control": 3, "note": "reordered"},
+    {"gate": "not", "line": 2, "weight": 0.5, "gate ": "swap"},
+    {"gate": "croot", "kappa": 2**200, "direction": -1, "control": 1, "target": 4},
+]
+BAD_JSON_RECORDS = [
+    7, [], None, {"gate": "swap"}, {"gate": ["cnot"]}, {"control": 1, "target": 2},
+    {"gate": "cnot", "control": 1}, {"gate": "not", "line": 2, "control": 1},
+    {"gate": "cnot", "control": 1, "target": 2, "kappa": 1}, {"gate": "cnot", "control": True, "target": 2},
+    {"gate": "cnot", "control": 1.0, "target": 2}, {"gate": "not", "line": "4"}, {"gate": "not", "line": 10**40},
+    {"gate": "cnot", "control": 2, "target": 2}, {"gate": "not", "line": 0},
+    {"gate": "croot", "kappa": 3, "direction": 1, "control": 1, "target": 4},
+    {"gate": "croot", "kappa": 4, "direction": 0, "control": 1, "target": 4},
+    {"gate": "croot", "kappa": 4, "direction": True, "control": 1, "target": 4},
+]
+BAD_INDICES = [-1, 7, True, 1.0, "0", None, 2**70, [0]]
+
+
+def random_json(rng):
+    """A JSON document, v2 or v1, with good and bad records and indices, odd fields and, rarely, no valid JSON."""
+    records = [dict(rng.choice(GOOD_JSON_RECORDS)) for _ in range(rng.randrange(1, 6))]
+    if rng.random() < 0.4:
+        records.insert(rng.randrange(len(records) + 1), rng.choice(BAD_JSON_RECORDS))
+    doc = {"format": rng.choice(["circuit v2"] * 12 + ["circuit v1"] * 6 + ["circuit v3"]),
+           "width": 4, "controls": 3, "label": rng.choice(["", "x # y", "  ", "a\x1fb"] * 4 + ["a\nb", "a\u2028b"]),
+           "gates": records, "sequence": [rng.randrange(len(records)) for _ in range(rng.randrange(12))]}
+    if rng.random() < 0.15:
+        doc[rng.choice(["width", "controls", "label", "gates", "sequence", "format"])] = rng.choice(
+            [5, 0, -1, True, 4.0, "4", None, {}, 10**30, "x"])
+    if rng.random() < 0.2 and isinstance(doc["sequence"], list):
+        doc["sequence"].insert(rng.randrange(len(doc["sequence"]) + 1), rng.choice(BAD_INDICES))
+    if rng.random() < 0.05:
+        del doc[rng.choice(list(doc))]
+    text = json.dumps(doc)
+    if rng.random() < 0.03:
+        text = text.replace('"controls": 3', '"controls": ' + "3" * 4400)
+    if rng.random() < 0.03:
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def reader_result(read, text):
+    """What read gives on text, in the form of the reference readers: a reading, or where the document went wrong."""
+    try:
+        return reading(read(text))
+    except ParseError as exc:
+        if read is parse:
+            return exc.line_no
+        at = re.match(r"(gate|sequence) (\d+): ", str(exc))
+        return at and (at[1], int(at[2]))
+
+
+class TestAgainstTheReferenceReaders:
+    @pytest.mark.parametrize("read,reference,make", [(parse, reference_parse, random_text),
+                                                     (parse_json, reference_parse_json, random_json)],
+                             ids=["text", "json"])
+    def test_the_readers_agree_with_their_references(self, read, reference, make):
+        rng = random.Random(f"{read.__name__} reference")
+        results = []
+        for _ in range(2500):
+            text = make(rng)
+            results.append(reference(text))
+            assert reader_result(read, text) == results[-1], text
+        accepted = sum(isinstance(r, tuple) and len(r) == 4 for r in results)
+        assert 0.2 * len(results) < accepted < 0.8 * len(results)  # both outcomes are well represented
+
+    def test_the_documents_break_lines_at_every_break_splitlines_honours(self):
+        every = "".join(map(chr, range(0x110000))).splitlines(keepends=True)
+        assert {line[-1] for line in every[:-1]} == set(BREAKS) - {"\r\n"}
+        assert not set(SPACES).intersection(BREAKS) and all(space.isspace() for space in SPACES)
 
 
 WRITER_CASES = [

@@ -436,10 +436,10 @@ class TestPermutationHelpers:
         assert perm[6] == 5  # (1,1,0) -> (1,0,1)
 
 
-def single_gate_mutants(circuit):
-    """Drop a gate, flip a root's direction, or move a control to another control line."""
-    n, gates = circuit.n_controls, circuit.gates
-    for i, g in enumerate(gates):
+def single_gate_mutations(circuit):
+    """Each (position, replacement gates): drop a gate, flip a root's direction, or move a control to another control line."""
+    n, mutations = circuit.n_controls, []
+    for i, g in enumerate(circuit.gates):
         replacements = [()]
         if g.kind is GateKind.ROOT:
             replacements.append((g.adjoint(),))
@@ -449,8 +449,20 @@ def single_gate_mutants(circuit):
                 for line in range(1, n + 1)
                 if line not in (g.control, g.target)
             ]
-        for new in replacements:
-            yield Circuit(n, gates[:i] + new + gates[i + 1 :])
+        mutations += [(i, new) for new in replacements]
+    return mutations
+
+
+def mutant(n, gates, i, new):
+    """The circuit of n controls and gates with gate i replaced by the gates of new."""
+    return Circuit(n, gates[:i] + new + gates[i + 1 :])
+
+
+def single_gate_mutants(circuit):
+    """Each single-gate mutant of circuit, in the order of single_gate_mutations."""
+    gates = circuit.gates
+    for i, new in single_gate_mutations(circuit):
+        yield mutant(circuit.n_controls, gates, i, new)
 
 
 MUTATED = [(n, a) for n in range(1, 5) for a in nonzero_activations(n)] + [
@@ -483,5 +495,6 @@ def test_dense_route_rejects_sampled_mutants(family, make, n, count):
     circuit = make(n, activation)
     want = oracle_permutation(GateFamilySpec(family, n, activation))
     assert dense_matches(circuit, want)
-    for mutant in rng.sample(list(single_gate_mutants(circuit)), count):
-        assert not dense_matches(mutant, want)
+    gates = circuit.gates
+    for i, new in rng.sample(single_gate_mutations(circuit), count):  # builds only the mutants it picks
+        assert not dense_matches(mutant(n, gates, i, new), want)
