@@ -1,10 +1,15 @@
-"""Small helpers for binary vectors and their integer packings."""
+"""Small helpers for binary vectors and their integer packings.
+
+One rule, as_bits's, decides what a binary vector is: each value is found in
+{0, 1} by hash and equality. as_index packs by that rule and words its errors.
+"""
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Bits = tuple[int, ...]
 _BIT = {0: 0, 1: 1}  # one lookup checks a value equal to 0 or 1 and gives its int
+_BIT_SET = frozenset(_BIT)  # the same lookup, over a whole vector in one call
 _DIGITS = b"01" + b"2" * 254  # byte 0 or 1 to its binary digit, any other to "2", not a binary digit
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit to its bit
 
@@ -19,10 +24,14 @@ def as_bits(values: Iterable[int], length: int) -> Bits:
         values = tuple(values)
         bits = tuple(map(_BIT.__getitem__, values))
     except (KeyError, TypeError):
-        raise ValueError(f"expected a binary vector, got {values!r}") from None
+        raise _not_binary(values) from None
     if len(bits) != length:
         raise ValueError(f"expected {length} bits, got {len(bits)}")
     return bits
+
+
+def _not_binary(values: object) -> ValueError:
+    return ValueError(f"expected a binary vector, got {values!r}")
 
 
 def parse_bitstring(text: str) -> Bits:
@@ -36,9 +45,37 @@ def format_bits(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
-def bits_to_index(bits: Sequence[int]) -> int:
-    """Pack a tuple or list of 0/1 ints, first bit most significant; any other entry raises ValueError."""
-    return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+def bits_to_index(bits: Iterable[int]) -> int:
+    """Pack the 0/1 ints tuple() reads (an ndarray's values, not its buffer), first bit most significant.
+
+    Any other entry, or a vector that is not iterable, raises ValueError.
+    """
+    try:
+        bits = tuple(bits)
+        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        raise _not_binary(bits) from None
+
+
+def as_index(values: Iterable[int], length: int) -> int:
+    """bits_to_index(as_bits(values, length)), in one pass when the values are ints 0 and 1.
+
+    The values are read once by tuple(), and their bytes() are packed when each
+    equals its byte and is found in {0, 1} as as_bits finds it: equality alone
+    would pass a 0-d array, bytes() alone an object whose __index__ is 1. Any
+    other vector (1.0, np.bool_, a bad value or length) goes through as_bits.
+    """
+    try:
+        values = tuple(values)
+    except (KeyError, TypeError):
+        raise _not_binary(values) from None
+    try:
+        digits = bytes(values)
+        if len(digits) == length and values == tuple(digits) and _BIT_SET.issuperset(values):
+            return int(digits.translate(_DIGITS) or b"0", 2)
+    except (TypeError, ValueError):
+        pass
+    return bits_to_index(as_bits(values, length))
 
 
 def index_to_bits(index: int, width: int) -> Bits:

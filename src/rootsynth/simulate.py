@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_to_index, index_to_bits
+from .bits import Bits, as_index, index_to_bits
 from .circuit import Circuit, Gate, GateKind, check_kappa, gather
 
 # A Toffoli circuit on the monomial path takes about 0.008 s at width 9, 0.03 s
@@ -329,17 +329,20 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
     target in the latter case, and otherwise the result is
     NonClassical(exponent, kappa).
 
-    The form of the last circuit object passed in is kept and holds every
-    input's output (see _linear_form), so a repeated call on one circuit is
-    one read; circuits that alternate compile on each call. WidthLimitError
-    refuses above MAX_N controls, before any work.
+    An input of ints 0 and 1 is packed in one pass, any other through
+    as_bits, whose rule and messages hold (see as_index). The form of the
+    last circuit object passed in is kept and holds every input's output
+    (see _linear_form), so a repeated call on one circuit is one read;
+    circuits that alternate compile on each call. WidthLimitError refuses
+    above MAX_N controls, before any work.
     """
-    x = bits_to_index(as_bits(input_bits, length=circuit.width))
+    width = circuit.width
+    x = as_index(input_bits, width)
     form = _form_of(circuit)
     y = form.outputs.item(x)
     if y < 0:  # the exponent is a Python int from a uint64 or an object table
         return NonClassical(form.table.item(x >> 1), form.kappa)
-    return index_to_bits(y, circuit.width)
+    return index_to_bits(y, width)
 
 
 def _check_controls(n: int) -> None:

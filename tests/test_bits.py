@@ -1,4 +1,5 @@
-"""as_bits accepts values equal to 0 or 1 and rejects everything else; the packers round-trip."""
+"""as_bits accepts values equal to 0 or 1 and rejects everything else, exponent_simulate by the
+same rule; the packers round-trip."""
 import random
 from fractions import Fraction
 
@@ -6,11 +7,25 @@ import numpy as np
 import pytest
 from references import reference_bits_to_index, reference_index_to_bits
 
-from rootsynth.bits import as_bits, bits_to_index, index_to_bits, parse_bitstring
+from rootsynth.bits import as_bits, as_index, bits_to_index, index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit
 from rootsynth.simulate import exponent_simulate
-from rootsynth.synth import synth_peres
+from rootsynth.synth import synth_peres, synth_toffoli
 from rootsynth.verify import GateFamilySpec, spec_output
+
+
+class EqualsOneIndexZero:
+    """Equal to 1 and hashed as 1, so as_bits reads 1, though bytes() reads 0."""
+
+    def __eq__(self, other):
+        return other == 1
+
+    def __hash__(self):
+        return 1
+
+    def __index__(self):
+        return 0
+
 
 ACCEPTED = [
     ((True, False), (1, 0)),
@@ -19,10 +34,20 @@ ACCEPTED = [
     (np.array([1, 0, 1]), (1, 0, 1)),
     ((np.bool_(True), np.bool_(False)), (1, 0)),
     ((Fraction(1), Fraction(0)), (1, 0)),
+    ((EqualsOneIndexZero(), 0), (1, 0)),
 ]
 
-# The last three are unhashable, so they cannot be looked up as a bit.
-REJECTED = [0.5, 1.9, "1", 2, -1, [1], {}, np.array([1])]
+
+class IndexOne:
+    """bytes() reads it as 1, but it neither equals nor hashes as 1."""
+
+    def __index__(self):
+        return 1
+
+
+# [1], {} and both arrays are unhashable, so they cannot be looked up as a bit.
+# bytes() reads the last two as 1; np.array(1) even equals 1.
+REJECTED = [0.5, 1.9, "1", 2, -1, [1], {}, np.array([1]), IndexOne(), np.array(1)]
 
 
 @pytest.mark.parametrize("values, bits", ACCEPTED)
@@ -50,23 +75,42 @@ def test_callers_reject_a_non_bit(value):
         spec_output(GateFamilySpec("peres", 2), (1, value, 0))
 
 
-# Each message, byte for byte: a vector names the tuple read from it, a generator's too.
-MESSAGES = [
-    ((b for b in (1, 2, 0)), 3, "expected a binary vector, got (1, 2, 0)"),
-    ([1, 0.5], 2, "expected a binary vector, got (1, 0.5)"),
-    ((1, "1"), 2, "expected a binary vector, got (1, '1')"),
-    ((1, [1]), 2, "expected a binary vector, got (1, [1])"),
-    (5, 1, "expected a binary vector, got 5"),
-    (None, 1, "expected a binary vector, got None"),
-    ((1, 2), 3, "expected a binary vector, got (1, 2)"),
-    ((1, 0), 3, "expected 3 bits, got 2"),
-]
+@pytest.mark.parametrize("values, bits", ACCEPTED)
+def test_exponent_simulate_reads_an_accepted_vector_as_its_ints(values, bits):
+    circuit = synth_toffoli(len(bits) - 1)
+    assert exponent_simulate(circuit, values) == exponent_simulate(circuit, bits)
 
 
-@pytest.mark.parametrize("values, length, message", MESSAGES)
+def messages():
+    """Each message, byte for byte: a vector names the tuple read from it, a generator's too.
+
+    A fresh list on each call, so each test reads its own generator.
+    """
+    return [
+        ((b for b in (1, 2, 0)), 3, "expected a binary vector, got (1, 2, 0)"),
+        ([1, 0.5], 2, "expected a binary vector, got (1, 0.5)"),
+        ((1, "1"), 2, "expected a binary vector, got (1, '1')"),
+        ((1, [1]), 2, "expected a binary vector, got (1, [1])"),
+        (5, 1, "expected a binary vector, got 5"),
+        (None, 1, "expected a binary vector, got None"),
+        ((1, 2), 3, "expected a binary vector, got (1, 2)"),
+        ((1, 0), 3, "expected 3 bits, got 2"),
+    ]
+
+
+@pytest.mark.parametrize("values, length, message", messages())
 def test_messages_name_the_values_read(values, length, message):
     with pytest.raises(ValueError) as excinfo:
         as_bits(values, length)
+    assert str(excinfo.value) == message
+
+
+# A vector that cannot be iterated is refused before its length is read, so
+# the length-1 entries run on the narrowest circuit, of width 2.
+@pytest.mark.parametrize("values, length, message", messages())
+def test_exponent_simulate_words_each_message_as_as_bits_does(values, length, message):
+    with pytest.raises(ValueError) as excinfo:
+        exponent_simulate(Circuit(max(length - 1, 1)), values)
     assert str(excinfo.value) == message
 
 
@@ -98,6 +142,7 @@ def test_packers_round_trip_at_every_width(width):
         assert bits == reference_index_to_bits(x, width)
         assert all(type(b) is int for b in bits)
         assert bits_to_index(bits) == bits_to_index(list(bits)) == reference_bits_to_index(bits) == x
+        assert as_index(bits, width) == as_index(list(bits), width) == x
 
 
 def test_the_empty_vector_packs_as_zero():
@@ -115,3 +160,22 @@ def test_a_bool_or_numpy_one_packs_as_one():
 def test_an_entry_other_than_a_bit_is_not_mixed_in(entry):
     with pytest.raises(ValueError):
         bits_to_index((1, entry, 0))
+
+
+# tuple() reads the entries: an ndarray packs its values, not its buffer, and an int is no vector.
+@pytest.mark.parametrize("bits, index", [(np.array([1, 0]), 2), (np.array([1, 0, 1], dtype=np.uint8), 5)])
+def test_an_array_packs_its_entries(bits, index):
+    assert bits_to_index(bits) == index
+
+
+@pytest.mark.parametrize("bits, message", [
+    (5, "expected a binary vector, got 5"),
+    ((1.0,), "expected a binary vector, got (1.0,)"),
+    (("1",), "expected a binary vector, got ('1',)"),
+    ((None,), "expected a binary vector, got (None,)"),
+    ((1, 2, 0), "expected a binary vector, got (1, 2, 0)"),
+])
+def test_a_non_vector_or_non_int_entry_raises_value_error(bits, message):
+    with pytest.raises(ValueError) as excinfo:
+        bits_to_index(bits)
+    assert str(excinfo.value) == message
