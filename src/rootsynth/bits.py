@@ -1,7 +1,8 @@
 """Small helpers for binary vectors and their integer packings.
 
 One rule, as_bits's, decides what a binary vector is: each value is found in
-{0, 1} by hash and equality. as_index packs by that rule and words its errors.
+{0, 1} by hash and equality. as_index packs by that rule and words its errors;
+bits_to_index packs only the ints 0 and 1, checked as as_index checks them.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Iterable
 Bits = tuple[int, ...]
 _BIT = {0: 0, 1: 1}  # one lookup checks a value equal to 0 or 1 and gives its int
 _BIT_SET = frozenset(_BIT)  # the same lookup, over a whole vector in one call
-_DIGITS = b"01" + b"2" * 254  # byte 0 or 1 to its binary digit, any other to "2", not a binary digit
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a checked bit to its binary digit
 _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a binary digit to its bit
 
 
@@ -48,13 +49,18 @@ def format_bits(bits: Iterable[int]) -> str:
 def bits_to_index(bits: Iterable[int]) -> int:
     """Pack the 0/1 ints tuple() reads (an ndarray's values, not its buffer), first bit most significant.
 
-    Any other entry, or a vector that is not iterable, raises ValueError.
+    Each entry must equal its byte and be found in {0, 1}, the check as_index
+    makes before it packs. Any other entry, or a vector that is not iterable,
+    raises ValueError.
     """
     try:
         bits = tuple(bits)
-        return int(bytes(bits).translate(_DIGITS) or b"0", 2)
+        digits = bytes(bits)
+        if bits == tuple(digits) and _BIT_SET.issuperset(bits):
+            return int(digits.translate(_DIGITS) or b"0", 2)
     except (TypeError, ValueError):
-        raise _not_binary(bits) from None
+        pass
+    raise _not_binary(bits)
 
 
 def as_index(values: Iterable[int], length: int) -> int:

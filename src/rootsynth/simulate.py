@@ -217,13 +217,16 @@ def _root_power_table(f: np.ndarray, kappa: int) -> np.ndarray:
     Trans. Computers 1976). E is exact for every kappa: up to kappa = 2^62 f is
     uint64, whose wrap-around is arithmetic mod 2^64, and the halving leaves E
     exact mod 2^63, which 2*kappa divides; above that f holds Python ints.
+    The butterflies run in place on one copy of f.
     """
-    h = f
+    h = f.copy()
     for bit in range(f.size.bit_length() - 1):
-        pairs = h.reshape(-1, 2, 1 << bit)
-        h = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+        lo, hi = h.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
+        lo += hi
+        hi *= 2
+        np.subtract(lo, hi, out=hi)
     one, low_bits = np.array([1, 2 * kappa - 1], dtype=f.dtype)
-    return ((f.sum() - h.reshape(-1)) >> one) & low_bits
+    return ((f.sum() - h) >> one) & low_bits
 
 
 def _step(g: Gate, n: int, kappa: int) -> tuple[int, int, int]:
@@ -288,6 +291,7 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     masks, reads, powers, kappa = _walk(circuit)
     f = np.zeros(1 << n, dtype=powers.dtype)
     np.add.at(f, reads, powers)
+    del reads, powers  # folded into f; the rest of the compile holds no per-gate array
     table = _root_power_table(f, kappa)
     outputs = np.empty(2 << n, dtype=np.int32)
     outputs[:2] = (int(f[0]) & 1) ^ np.arange(2)

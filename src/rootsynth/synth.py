@@ -59,9 +59,11 @@ Every generator and converter accepts at most MAX_N controls. A circuit over
 n controls holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n
 in _gate_table, the NOT gate last at code n(n+1); one numpy pass computes
 each gate's code into that table, and the circuit keeps the codes (see
-circuit.Circuit). Also kept between calls: the slot arrays of each (n,
-order) asked for, built once in _slots, 6 bytes a slot (12 MB each at
-MAX_N).
+circuit.Circuit). The gate table alone is kept between calls: it holds at
+most 231 distinct gates, about 90 KB at MAX_N, and keeping it spares each
+call building and checking them again. Each generator call builds its slot
+arrays in _slots, 6 bytes a slot (12 MB at MAX_N), and drops them before
+the circuit is built.
 """
 from __future__ import annotations
 
@@ -125,32 +127,42 @@ def _ladder(n: int) -> np.ndarray:
     return np.array([b * b + b - 1 for b in range(n, 1, -1)], dtype=np.int16)
 
 
-@cache
 def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
     """Gate codes (roots at popcount 0) and alphas (0 for a Feynman gate) of slots k = 1..2^n-1.
 
     One pass applies the slot rule to every k: a (Feynman gate, root) pair
-    per slot, interleaved, with the absent Feynman gates dropped. Both
-    arrays are read-only; every caller passes gray by position, so each
-    (n, order) has one cache entry. The alphas come first, before b and j
-    exist, which keeps the peak memory of a build at n = MAX_N down.
+    per slot, interleaved, with the absent Feynman gates dropped. Each call
+    builds both arrays anew and its caller owns them, so _emit offsets the
+    codes in place and both die before the circuit allocates its own. The
+    alphas come first, before b and j exist, and the codes are written in
+    place, a column at a time, which keeps the peak memory of a build at
+    n = MAX_N down.
     """
     k = np.arange(1, 1 << n, dtype=np.int32)
-    kept = np.stack((k > 1 if gray else k & (k - 1) != 0, np.ones(k.shape, dtype=bool)), axis=1)  # Feynman, root
-    alphas = np.stack((np.zeros_like(k), k ^ (k >> 1) if gray else k), axis=1)[kept]
+    kept = np.ones((k.size, 2), dtype=bool)  # columns: Feynman gate, root
+    kept[:, 0] = k > 1 if gray else k & (k - 1) != 0
+    alphas = np.zeros((k.size, 2), dtype=np.int32)
+    alphas[:, 1] = k ^ (k >> 1) if gray else k
+    alphas = alphas[kept]
     b = np.repeat(np.arange(1, n + 1, dtype=np.int16), 1 << np.arange(n))  # bit_length(k)
     j = np.bitwise_count(k ^ (k - 1))  # tz(k) + 1, which is b only where k is a power of two
-    codes = np.stack((b * b + np.minimum(j, b - 1), b * (b - 1)), axis=1)[kept]
-    codes.flags.writeable = alphas.flags.writeable = False
-    return codes, alphas
+    codes = np.empty((k.size, 2), dtype=np.int16)
+    np.minimum(j, b - 1, out=codes[:, 0])
+    codes[:, 0] += b * b
+    np.multiply(b, b - 1, out=codes[:, 1])
+    del k, b, j
+    return codes[kept], alphas
 
 
 def _emit(n: int, gray: bool, activation: Bits | None) -> np.ndarray:
     """Each slot's code into _gate_table(n) for the activation; None makes every root +1."""
     codes, alphas = _slots(n, gray)
     if activation is None:
-        return codes + (alphas != 0)
-    return codes + np.bitwise_count(alphas & bits_to_index(activation[::-1]))
+        codes += alphas != 0
+    else:
+        alphas &= bits_to_index(activation[::-1])
+        codes += np.bitwise_count(alphas)
+    return codes
 
 
 def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:

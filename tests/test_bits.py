@@ -155,8 +155,9 @@ def test_a_bool_or_numpy_one_packs_as_one():
     assert bits_to_index((True, False, np.int64(1))) == 5
 
 
-# 48 and 49 are the bytes of the digits "0" and "1"; 256 and -1 are no byte at all.
-@pytest.mark.parametrize("entry", [2, 3, 48, 49, 255, 256, -1])
+# 48 and 49 are the bytes of the digits "0" and "1"; 256 and -1 are no byte at all. bytes() reads
+# np.array(1) and IndexOne() as 1 and EqualsOneIndexZero() as 0, so each is refused as as_index's guard refuses it.
+@pytest.mark.parametrize("entry", [2, 3, 48, 49, 255, 256, -1, np.array(1), IndexOne(), EqualsOneIndexZero()])
 def test_an_entry_other_than_a_bit_is_not_mixed_in(entry):
     with pytest.raises(ValueError):
         bits_to_index((1, entry, 0))

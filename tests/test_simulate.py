@@ -450,7 +450,7 @@ class TestLinearFormMatchesReference:
         circuit = Circuit(3, random_layered_circuit(rng, 3, kappa, 40))
         assert_matches_reference(circuit, every_input(circuit))
 
-    def test_compiling_peaks_within_five_times_the_codes(self):
+    def test_compiling_peaks_within_three_and_a_half_times_the_codes(self):
         circuit = synth_toffoli(16)
         tracemalloc.start()
         try:
@@ -458,7 +458,7 @@ class TestLinearFormMatchesReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
+        assert peak <= 3.5 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
 
     def test_one_input_of_a_wide_circuit_is_refused_before_any_walk(self, monkeypatch):
         n = 40

@@ -1,6 +1,11 @@
 import dataclasses
 import functools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +24,8 @@ from alpha_tables import (
 from references import reference_ladder, reference_slots
 from test_simulate import random_circuits
 
-from rootsynth import cli, synth
+import rootsynth
+from rootsynth import synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import UnsupportedShapeError, WidthLimitError, _walk, truth_table
@@ -35,6 +41,8 @@ from rootsynth.synth import (
     synth_zero_polarity,
 )
 from rootsynth.verify import activation_set
+
+SRC = str(Path(rootsynth.__file__).resolve().parents[1])
 
 
 def nonzero_activations(n):
@@ -602,18 +610,43 @@ def test_slots_match_the_per_block_reference(gray):
             np.testing.assert_array_equal(got, want)
 
 
-def test_slots_are_cached_once_per_n_and_order_read_only(capsys):
-    synth._slots.cache_clear()
-    for family in FAMILIES:
-        generate(family, 4, None)
-    assert cli.main(["table", "--max-n", "4"]) == 0
-    capsys.readouterr()
-    assert synth._slots.cache_info().currsize == 5  # n = 4 in each order, and n = 1..3 in bit-reversal order
-    codes, alphas = synth._slots(4, True)
-    assert synth._slots(4, True)[0] is codes
-    for array in (codes, alphas):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0
+def run_fresh(script):
+    """The JSON that `script` prints, run in a fresh interpreter, so no earlier call has built anything."""
+    shown = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": SRC}).stdout
+    return json.loads(shown)
+
+
+def test_a_dropped_circuit_leaves_no_slot_arrays_behind():
+    kept = run_fresh(
+        "import gc, json, tracemalloc\n"
+        "from rootsynth.synth import _gate_table, synth_barenco_toffoli, synth_peres\n"
+        "_gate_table(16)\n"  # kept between calls by design, about 60 KB
+        "tracemalloc.start()\n"
+        "start = tracemalloc.get_traced_memory()[0]\n"
+        "synth_peres(16)\n"
+        "synth_barenco_toffoli(16)\n"
+        "gc.collect()\n"
+        "print(json.dumps(tracemalloc.get_traced_memory()[0] - start))\n"
+    )
+    assert kept <= 64 << 10, kept
+
+
+def test_generating_peaks_within_twice_the_codes():
+    ratios = run_fresh(
+        "import json, tracemalloc\n"
+        "from rootsynth.synth import synth_barenco_toffoli, synth_peres, synth_toffoli\n"
+        "tracemalloc.start()\n"
+        "ratios = {}\n"
+        "for generate in (synth_peres, synth_toffoli, synth_barenco_toffoli):\n"
+        "    tracemalloc.reset_peak()\n"
+        "    start = tracemalloc.get_traced_memory()[0]\n"
+        "    codes = generate(16).codes\n"
+        "    ratios[generate.__name__] = (tracemalloc.get_traced_memory()[1] - start) / codes.nbytes\n"
+        "    del codes\n"
+        "print(json.dumps(ratios))\n"
+    )
+    assert max(ratios.values()) <= 2, ratios
 
 
 class Built(Exception):
