@@ -30,6 +30,7 @@ refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -303,19 +304,27 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     return _LinearForm(table, kappa, outputs)
 
 
-# The last circuit exponent_simulate saw and its linear form. Holding the
-# circuit keeps its id from being reused, so the `is` test cannot be fooled.
-_last_form: tuple[Circuit | None, _LinearForm | None] = (None, None)
+# A weak reference to the last circuit exponent_simulate saw, and its linear
+# form. A dead reference returns None, so the `is` test cannot be fooled by a
+# reused id, and dropping the circuit drops the form with it.
+_last_form: tuple[weakref.ref[Circuit] | None, _LinearForm | None] = (None, None)
+
+
+def _forget(ref: weakref.ref[Circuit]) -> None:
+    """Drop the kept form when its circuit dies, unless a later circuit's has replaced it."""
+    global _last_form
+    if _last_form[0] is ref:
+        _last_form = (None, None)
 
 
 def _form_of(circuit: Circuit) -> _LinearForm:
     """The linear form of `circuit`, kept for the next call; refuses above MAX_N controls."""
     global _last_form
-    last, form = _last_form
-    if last is not circuit:
+    ref, form = _last_form
+    if ref is None or ref() is not circuit:
         _check_controls(circuit.n_controls)
         form = _linear_form(circuit)
-        _last_form = (circuit, form)
+        _last_form = (weakref.ref(circuit, _forget), form)
     return form
 
 

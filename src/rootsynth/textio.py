@@ -41,15 +41,20 @@ v1" document, one record per gate and no "sequence", is still read.
 serialize_json writes a circuit's two columns (see circuit.Circuit) as
 they are; serialize and render_ascii format each table entry once and
 gather the gate lines, or the diagram's rows, over the codes. The text
-reader checks each distinct raw gate line once and maps a repeat to its
-code by one lookup; the JSON reader checks each record once and the
-sequence in numpy.
+reader takes a document, a string or an open file, in one pass over chunks
+of about 64 K characters, each cut right after a "\n". No line break spans
+a cut, "\r\n" included, so the lines of the chunks are those of
+str.splitlines on the whole document, numbered as it numbers them. It
+checks each distinct raw gate line once, maps a repeat to its code by one
+lookup, and keeps one numpy array of codes per chunk, joined once at the
+end. The JSON reader checks each record once and the sequence in numpy.
 """
 from __future__ import annotations
 
 import json
 import re
 from pathlib import Path
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -146,71 +151,119 @@ def _parse_gate(words: list[str], width: int) -> Gate:
     return _build_gate(name, args, width)
 
 
+# The text reader takes a document in chunks of about this many characters,
+# each cut right after a "\n".
+_CHUNK = 1 << 16
+
+
+def _text_chunks(text: str) -> Iterator[str]:
+    """`text` in chunks, each cut right after the first "\n" at least _CHUNK - 1 characters in, or at its end."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK - 1) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _file_chunks(file: TextIO) -> Iterator[str]:
+    """An open text file in chunks, each but the last ending right after a "\n".
+
+    The unfinished line at the end of a read is carried as a list of pieces,
+    so a line longer than a chunk is joined once.
+    """
+    pieces: list[str] = []
+    while block := file.read(_CHUNK):
+        cut = block.rfind("\n") + 1
+        if cut:
+            pieces.append(block[:cut])
+            yield "".join(pieces)
+            pieces = [block[cut:]]
+        else:
+            pieces.append(block)
+    yield "".join(pieces)
+
+
 def parse(text: str) -> Circuit:
     """Parse a text circuit document back into a Circuit.
 
-    One pass reads the lines in order. The first occurrence of each
-    distinct raw gate line goes through every check and gets a code, the
-    index of its gate in the table; a repeat of it, which can only follow
-    the directives that made the first one valid, costs one lookup. Every
-    other line is checked where it stands, so an error names its own line.
+    Lines are those of text.splitlines(), numbered from 1. One pass reads
+    them in order, a chunk of about 64 K characters at a time; each chunk
+    ends right after a "\n", so no line break, "\r\n" included, spans two
+    chunks and the chunks' lines are the document's. The first occurrence
+    of each distinct raw gate line goes through every check and gets a
+    code, the index of its gate in the table; a repeat of it, which can
+    only follow the directives that made the first one valid, costs one
+    lookup. Every other line is checked where it stands, so an error names
+    its own line.
     """
+    return _parse_chunks(_text_chunks(text))
+
+
+def _parse_chunks(chunks: Iterable[str]) -> Circuit:
+    """parse over a document given as chunks that each end with a whole line."""
     header: dict[str, int | None] = {"width": None, "controls": None}
     label: str | None = None
     table: list[Gate] = []  # the gate of each distinct gate line
     known: dict[str, int] = {}  # each distinct raw gate line and its code
-    codes: list[int] = []  # one per gate line so far
+    parts: list[np.ndarray] = []  # the codes of each chunk read
+    gates = 0  # gate lines in the chunks before this one
     others = 0  # lines so far that hold no gate
     saw_header = False
-    for raw in text.splitlines():
-        code = known.get(raw)
-        if code is None:
-            try:
-                stripped = raw.strip()
-                content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
-                if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
-                    if not saw_header:
-                        raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
-                    if label is not None:
-                        raise ParseError("duplicate label directive")
-                    label = raw.lstrip()[len("label "):]
-                elif not content:
-                    pass
-                elif not saw_header:
-                    if content != FORMAT_HEADER:
-                        raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
-                    saw_header = True
-                elif content == FORMAT_HEADER:
-                    raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
-                else:
-                    fields = content.split()
-                    word = fields[0]
-                    if word in header:
-                        if len(fields) != 2:
-                            raise ParseError(f"{word} takes one integer")
-                        value = _int_field(fields[1], word)
-                        if header[word] is not None:
-                            raise ParseError(f"duplicate {word} directive")
-                        header[word] = value
-                    elif word in _GATES:
-                        if None in header.values():
-                            raise ParseError("gate line before width/controls directives")
-                        table.append(_parse_gate(fields, header["width"]))
-                        code = known[raw] = len(table) - 1
-                    else:
-                        raise ParseError(f"unknown directive {word!r}")
-            except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
-                raise ParseError(str(exc), len(codes) + others + 1) from None
+    for chunk in chunks:
+        codes: list[int] = []  # one per gate line of this chunk so far
+        for raw in chunk.splitlines():
+            code = known.get(raw)
             if code is None:
-                others += 1
-                continue
-        codes.append(code)
+                try:
+                    stripped = raw.strip()
+                    content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
+                    if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
+                        if not saw_header:
+                            raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
+                        if label is not None:
+                            raise ParseError("duplicate label directive")
+                        label = raw.lstrip()[len("label "):]
+                    elif not content:
+                        pass
+                    elif not saw_header:
+                        if content != FORMAT_HEADER:
+                            raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
+                        saw_header = True
+                    elif content == FORMAT_HEADER:
+                        raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
+                    else:
+                        fields = content.split()
+                        word = fields[0]
+                        if word in header:
+                            if len(fields) != 2:
+                                raise ParseError(f"{word} takes one integer")
+                            value = _int_field(fields[1], word)
+                            if header[word] is not None:
+                                raise ParseError(f"duplicate {word} directive")
+                            header[word] = value
+                        elif word in _GATES:
+                            if None in header.values():
+                                raise ParseError("gate line before width/controls directives")
+                            table.append(_parse_gate(fields, header["width"]))
+                            code = known[raw] = len(table) - 1
+                        else:
+                            raise ParseError(f"unknown directive {word!r}")
+                except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
+                    raise ParseError(str(exc), gates + len(codes) + others + 1) from None
+                if code is None:
+                    others += 1
+                    continue
+            codes.append(code)
+        parts.append(np.array(codes, dtype=np.intp))
+        gates += len(codes)
     if not saw_header:
         raise ParseError("empty document: missing header")
     for word, value in header.items():
         if value is None:
             raise ParseError(f"missing {word} directive")
-    return _circuit(header["width"], header["controls"], table, np.array(codes, dtype=np.intp), label or "")
+    codes_read = np.concatenate(parts)  # a document with a header has a chunk
+    del parts  # so that building the circuit holds one copy of the codes
+    return _circuit(header["width"], header["controls"], table, codes_read, label or "")
 
 
 def serialize_json(circuit: Circuit) -> str:
@@ -319,12 +372,19 @@ def parse_json(text: str) -> Circuit:
 
 
 def load_circuit(path: str | Path) -> Circuit:
-    """Read a UTF-8 circuit file, with or without a byte-order mark, dispatching on the .json extension."""
+    """Read a UTF-8 circuit file, with or without a byte-order mark, dispatching on the .json extension.
+
+    The file is read in text mode, "\r\n" and "\r" reading as "\n". A
+    text file is parsed as parse does, a chunk at a time from the open file,
+    so its lines are numbered as str.splitlines numbers them; a byte that is
+    not UTF-8 raises UnicodeDecodeError, a ValueError, when its chunk is
+    read. A JSON file is read whole.
+    """
     p = Path(path)
-    text = p.read_text(encoding="utf-8-sig")
     if p.suffix == ".json":
-        return parse_json(text)
-    return parse(text)
+        return parse_json(p.read_text(encoding="utf-8-sig"))
+    with p.open(encoding="utf-8-sig") as file:
+        return _parse_chunks(_file_chunks(file))
 
 
 def _column(g: Gate, width: int) -> list[str]:

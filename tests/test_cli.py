@@ -128,6 +128,16 @@ def test_verify_reads_a_file_with_a_byte_order_mark(tmp_path, capsys, suffix):
     assert "pass (16 inputs checked)" in capsys.readouterr().out
 
 
+def test_a_byte_that_is_not_utf8_past_the_first_chunk_exits_2(tmp_path, capsys):
+    data = serialize(synth_toffoli(13)).encode()
+    at = data.index(b"\n", 3 << 16) + 1  # past the reader's first chunk of 64 K characters
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    assert cli.main(["cost", "--circuit", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.startswith("error: ") and "can't decode byte 0xff" in err
+
+
 @pytest.mark.parametrize("family", ["peres", "toffoli", "barenco", "orgate", "andzero"])
 @pytest.mark.parametrize("n", [MAX_N + 1, 40])
 def test_n_above_the_limit_exits_2_before_building(monkeypatch, capsys, family, n):

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -472,7 +473,7 @@ class TestLinearFormMatchesReference:
                 m.setattr(simulate, name, refuse)
             with pytest.raises(WidthLimitError, match=f"n = {n} is above the limit of {MAX_N} controls"):
                 exponent_simulate(circuit, (1, 0) * 20 + (1,))
-        assert simulate._last_form[0] is not circuit
+        assert simulate._last_form[0] is None or simulate._last_form[0]() is not circuit
 
     def test_every_entry_point_refuses_more_than_max_n_controls(self, tmp_path, monkeypatch):
         n = 40
@@ -504,7 +505,31 @@ class TestLinearFormMatchesReference:
         circuit = Circuit(3, random_layered_circuit(random.Random(7), 3, 8, 40))
         bits = (1, 0, 1, 0)
         assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits, circuit.gates)
-        assert simulate._last_form[0] is circuit and simulate._last_form[1].table is not None
+        assert simulate._last_form[0]() is circuit and simulate._last_form[1].table is not None
+
+    def test_a_dropped_circuit_takes_its_compiled_form_with_it(self):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            circuit = synth_toffoli(16, (1, 0) * 8)
+            assert activation_set(circuit) == {(1, 0) * 8}
+            del circuit
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert kept <= 64 << 10, kept
+        assert simulate._last_form == (None, None)
+
+    def test_a_later_circuit_keeps_its_form_when_an_earlier_one_dies(self):
+        a, b = synth_toffoli(3), synth_peres(3)
+        exponent_simulate(a, (1, 1, 1, 0))
+        ref = simulate._last_form[0]
+        exponent_simulate(b, (1, 1, 1, 0))
+        del a
+        gc.collect()
+        assert ref() is None and simulate._last_form[0]() is b
 
     def test_alternating_circuits(self):
         a, b = synth_peres(4, (1, 0, 1, 1)), synth_toffoli(4, (0, 1, 1, 0))

@@ -1,10 +1,14 @@
 import dataclasses
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import timeit
+import tracemalloc
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -13,7 +17,7 @@ from references import diagram, json_document, reading, reference_parse, referen
 from test_simulate import random_circuits
 
 import rootsynth
-from rootsynth import cli
+from rootsynth import cli, textio
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
 from rootsynth.synth import (
@@ -622,6 +626,14 @@ def reader_result(read, text):
         return at and (at[1], int(at[2]))
 
 
+def reader_outcome(read, source):
+    """What read gives on source: a reading, or the ParseError's message and line number."""
+    try:
+        return reading(read(source))
+    except ParseError as exc:
+        return str(exc), exc.line_no
+
+
 class TestAgainstTheReferenceReaders:
     @pytest.mark.parametrize("read,reference,make", [(parse, reference_parse, random_text),
                                                      (parse_json, reference_parse_json, random_json)],
@@ -640,6 +652,136 @@ class TestAgainstTheReferenceReaders:
         every = "".join(map(chr, range(0x110000))).splitlines(keepends=True)
         assert {line[-1] for line in every[:-1]} == set(BREAKS) - {"\r\n"}
         assert not set(SPACES).intersection(BREAKS) and all(space.isspace() for space in SPACES)
+
+
+CHUNK = textio._CHUNK
+EDGE_BREAKS = sorted(set(BREAKS))
+# No empty line: after a "\r" break, an empty line's "\n" would make one "\r\n" break.
+EDGE_LINES = GOOD_LINES + ["# note", "  #", "\t# c1 c2"]
+
+
+def edge_document(rng, bad, shift):
+    """A text document of four chunk edges, with chosen lines at and beside each edge.
+
+    parse cuts a chunk right after the first "\n" at least CHUNK - 1
+    characters into it, and load_circuit right after the last "\n" of each
+    read of CHUNK characters, in which "\r\n" reads as one "\n". So the
+    line that ends at an edge ends in "\n" or "\r\n" at the last character
+    of a read, and has no fewer characters than its chunk has "\r\n"
+    breaks: both readers cut right after it. With shift, each read ends
+    inside the line after the edge instead, which load_circuit carries to
+    its next chunk, and parse's cuts fall where they may. Around the edge,
+    lines of gates repeated from the filler end in every break in seeded
+    order. A bad document holds one bad line, just before, at or just after
+    an edge.
+
+    Returns the document, each edge as (its position in the document, its
+    position as the file reads it), and the bad line's number or None.
+    """
+    pieces = ["circuit v1\nwidth 4\ncontrols 3\n"]
+    size = read = len(pieces[0])  # characters so far, in the document and as the file reads them
+    lines, crlf = 3, 0  # lines so far; "\r\n" breaks since the last edge
+    edges, planted = [], None
+    plant = (rng.randrange(4), rng.randrange(3)) if bad else None
+
+    def add(line, brk):
+        nonlocal size, read, lines, crlf
+        pieces.append(line + brk)
+        size, read, lines, crlf = size + len(line) + len(brk), read + len(line) + 1, lines + 1, crlf + (brk == "\r\n")
+
+    def around():
+        return [[rng.choice(EDGE_LINES), brk] for brk in rng.sample(EDGE_BREAKS, len(EDGE_BREAKS))]
+
+    for k in range(4):
+        before, edge, after = around(), [rng.choice(EDGE_LINES), rng.choice(["\n", "\r\n"])], around()
+        if plant and plant[0] == k:
+            (before[-1], edge, after[0])[plant[1]][0] = rng.choice(BAD_LINES)
+        edge[0] = edge[0].ljust(crlf + sum(brk == "\r\n" for _, brk in before + [edge]))
+        carried = rng.randint(1, len(after[0][0])) if shift else 0  # characters of the next line in the read
+        target = (k + 1) * CHUNK - carried - sum(len(line) + 1 for line, _ in before + [edge])
+        while target - read > 80:  # longer than any filler line
+            add(rng.choice(GOOD_LINES), "\n")
+        add("#" * (target - read - 1), "\n")
+        for i, (line, brk) in enumerate(before + [edge] + after):
+            if plant and plant[0] == k and i == len(before) + plant[1] - 1:
+                planted = lines + 1
+            add(line, brk)
+            if i == len(before):
+                edges.append((size, read))
+                crlf = 0
+    for _ in range(rng.randrange(50)):
+        add(rng.choice(GOOD_LINES), "\n")
+    return "".join(pieces), edges, planted
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lines_at_and_beside_every_chunk_edge_read_as_the_reference_reads_them(self, tmp_path, seed):
+        shift = seed % 4 >= 2
+        text, edges, planted = edge_document(random.Random(f"edges {seed}"), bad=seed % 2 == 1, shift=shift)
+        assert len(text) > 3 * CHUNK
+        want = reference_parse(text)
+        assert want == planted if planted else isinstance(want, tuple)
+        if not shift:
+            assert list(accumulate(map(len, textio._text_chunks(text)))) == [at for at, _ in edges] + [len(text)]
+        results = {"parse": reader_outcome(parse, text)}
+        for bom in (b"", b"\xef\xbb\xbf"):
+            path = tmp_path / f"doc{len(bom)}.txt"
+            path.write_bytes(bom + text.encode("utf-8"))
+            with path.open(encoding="utf-8-sig") as file:
+                assert {at for _, at in edges} < set(accumulate(map(len, textio._file_chunks(file))))
+            results[f"load {bom!r}"] = reader_outcome(load_circuit, path)
+        for outcome in results.values():
+            assert outcome == results["parse"]
+        assert reader_result(parse, text) == want
+
+    def test_a_line_longer_than_three_chunks_reads_in_linear_time(self, tmp_path, monkeypatch):
+        def seconds(length):
+            label = "x" * length
+            text = f"circuit v1\nwidth 2\ncontrols 1\nlabel {label}\ncnot 1 2\n"
+            path = tmp_path / f"long{length}.txt"
+            path.write_text(text)
+            for read, source in ((parse, text), (load_circuit, path)):
+                circuit = read(source)
+                assert circuit.label == label and circuit.gates == (feynman(1, 2),)
+            return min(timeit.repeat(lambda: (parse(text), load_circuit(path)), number=1, repeat=5))
+
+        seconds(3 * CHUNK + 1)
+        # In chunks of 256 characters, a reader that joined the carried line
+        # again at every chunk would take about 64 times as long on 8 times
+        # the characters.
+        monkeypatch.setattr(textio, "_CHUNK", 256)
+        short, long = seconds(3 * CHUNK + 1), seconds(24 * CHUNK + 8)
+        assert long < 24 * short, (short, long)
+
+    def test_loading_a_16_control_text_file_peaks_within_four_times_its_codes(self, tmp_path):
+        circuit = synth_toffoli(16)
+        path = tmp_path / "t16.txt"
+        path.write_text(serialize(circuit))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_circuit(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == circuit
+        assert peak <= 4 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
+
+    def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_a_value_error(self, tmp_path):
+        data = serialize(synth_toffoli(13)).encode()
+        at = data.index(b"\n", 2 * CHUNK) + 1
+        assert len(data) > at + CHUNK
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        with pytest.raises(ValueError, match="can't decode byte 0xff"):
+            load_circuit(path)
+        # A bad line in an earlier chunk is reported first.
+        lines = data[:at].split(b"\n")
+        lines[4] = b"not 15"
+        path.write_bytes(b"\n".join(lines) + b"\xff" + data[at:])
+        with pytest.raises(ParseError, match="^line 5: line 15 out of range"):
+            load_circuit(path)
 
 
 WRITER_CASES = [
