@@ -29,12 +29,11 @@ the codes. The gate tuple is built only when asked for.
 """
 from __future__ import annotations
 
-import dataclasses
-import operator
 import threading
 import weakref
 from dataclasses import dataclass
 from enum import Enum
+from operator import index as _index
 from typing import Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -48,10 +47,13 @@ class GateKind(Enum):
     NOT = "not"
 
 
+_FEYNMAN, _ROOT, _NOT = GateKind.FEYNMAN, GateKind.ROOT, GateKind.NOT  # GateKind.X is a lookup in Python
+
+
 def control_count(n: object) -> int:
     """n as an int: True and numpy integers pass; 2.0, "2" and counts below 1 do not."""
     try:
-        count = operator.index(n)
+        count = _index(n)
     except TypeError:
         raise ValueError(f"control count must be an integer, got {n!r}") from None
     if count < 1:
@@ -76,7 +78,8 @@ class Gate:
     """One elementary gate; build via feynman(), controlled_root(), not_gate().
 
     Each gate value has one object, so equality is identity; Gate(...),
-    dataclasses.replace, copy and pickle all return that object.
+    dataclasses.replace, copy and pickle all return that object. Its lines,
+    (control, target) or (target,), are stored as `lines` when it is interned.
     """
 
     kind: GateKind
@@ -90,62 +93,55 @@ class Gate:
         if not isinstance(kind, GateKind):
             raise ValueError(f"kind must be a GateKind, got {kind!r}")
         try:  # True and numpy integers are stored as int; 1.0 and "1" are refused
-            target, kappa, direction = map(operator.index, (target, kappa, direction))
-            control = None if control is None else operator.index(control)
+            target, kappa, direction = _index(target), _index(kappa), _index(direction)
+            control = None if control is None else _index(control)
         except TypeError:
             fields = f"target {target!r}, control {control!r}, kappa {kappa!r}, direction {direction!r}"
             raise ValueError(f"gate fields must be integers, got {fields}") from None
+        key = (kind._value_, target, control, kappa, direction)  # a str hashes in C, a GateKind in Python
+        g = _interned.get(key)
+        if g is not None:  # its checks passed when it entered
+            return g
         if target < 1:
             raise ValueError(f"target line {target} must be >= 1")
-        if kind is GateKind.NOT:
-            if control is not None:
-                raise ValueError("a NOT gate acts on a single line")
-        else:
-            if control is None or control < 1:
-                raise ValueError(f"control line {control} must be >= 1")
-            if control == target:
-                raise ValueError(f"control and target coincide on line {target}")
-        if kind is GateKind.ROOT:
+        if kind is _NOT and control is not None:
+            raise ValueError("a NOT gate acts on a single line")
+        if kind is not _NOT and (control is None or control < 1):
+            raise ValueError(f"control line {control} must be >= 1")
+        if control == target:
+            raise ValueError(f"control and target coincide on line {target}")
+        if kind is _ROOT:
             check_kappa(kappa)
             if direction not in (1, -1):
                 raise ValueError(f"direction must be +1 or -1, got {direction}")
         elif kappa != 1 or direction != 1:
-            raise ValueError(f"kappa/direction only apply to {GateKind.ROOT}")
-        key = (kind, target, control, kappa, direction)
-        g = _interned.get(key)
-        if g is None:
-            new = object.__new__(cls)
-            vars(new).update(zip(("kind", "target", "control", "kappa", "direction"), key))
-            with _intern_lock:
-                g = _interned.setdefault(key, new)
-        return g
+            raise ValueError(f"kappa/direction only apply to {_ROOT}")
+        new = object.__new__(cls)
+        vars(new).update(kind=kind, target=target, control=control, kappa=kappa, direction=direction,
+                         lines=(target,) if control is None else (control, target))
+        with _intern_lock:
+            return _interned.setdefault(key, new)
 
     def __reduce__(self) -> tuple:
         return Gate, (self.kind, self.target, self.control, self.kappa, self.direction)
 
-    @property
-    def lines(self) -> tuple[int, ...]:
-        if self.control is None:
-            return (self.target,)
-        return (self.control, self.target)
-
     def adjoint(self) -> "Gate":
         """Inverse gate: roots flip direction, Feynman and NOT are involutions."""
-        if self.kind is GateKind.ROOT:
-            return dataclasses.replace(self, direction=-self.direction)
+        if self.kind is _ROOT:
+            return Gate(_ROOT, self.target, self.control, self.kappa, -self.direction)
         return self
 
 
 def feynman(control: int, target: int) -> Gate:
-    return Gate(GateKind.FEYNMAN, target=target, control=control)
+    return Gate(_FEYNMAN, target, control)
 
 
 def controlled_root(kappa: int, direction: int, control: int, target: int) -> Gate:
-    return Gate(GateKind.ROOT, target=target, control=control, kappa=kappa, direction=direction)
+    return Gate(_ROOT, target, control, kappa, direction)
 
 
 def not_gate(line: int) -> Gate:
-    return Gate(GateKind.NOT, target=line)
+    return Gate(_NOT, line)
 
 
 def check_lines(g: Gate, width: int) -> None:
@@ -252,7 +248,7 @@ class Circuit:
                 raise ValueError(f"gate {position} is {g!r}, not a Gate")
             check_lines(g, width)
             lookup[i] = index.setdefault(g, len(index))
-        codes = np.array(lookup, dtype=np.intp)[codes]
+        codes = codes.astype(np.intp) if lookup == [*range(len(table))] else np.array(lookup, dtype=np.intp)[codes]
         codes.flags.writeable = False
         object.__setattr__(self, "table", tuple(index))
         object.__setattr__(self, "codes", codes)
@@ -309,9 +305,9 @@ class Circuit:
     def census(self) -> GateCensus:
         feyn = roots = adjs = nots = 0
         for g, count in zip(self.table, np.bincount(self.codes, minlength=len(self.table)).tolist()):
-            if g.kind is GateKind.FEYNMAN:
+            if g.kind is _FEYNMAN:
                 feyn += count
-            elif g.kind is GateKind.NOT:
+            elif g.kind is _NOT:
                 nots += count
             elif g.direction == 1:
                 roots += count

@@ -37,7 +37,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bits import Bits, as_index, index_to_bits
-from .circuit import Circuit, Gate, GateKind, check_kappa, gather
+from .circuit import _FEYNMAN, _ROOT, Circuit, Gate, check_kappa, gather
 
 # A Toffoli circuit on the monomial path takes about 0.008 s at width 9, 0.03 s
 # at width 10 and 0.12 s at width 11, a 64 MiB matrix (one core of a 2-CPU
@@ -96,7 +96,7 @@ def _monomial_lines(table: Sequence[Gate]) -> set[int] | None:
     rotated line is a phase. Every generated circuit qualifies.
     """
     rotated = {g.target for g in table} - {g.control for g in table}
-    return rotated if all(g.target in rotated for g in table if g.kind is GateKind.ROOT) else None
+    return rotated if all(g.target in rotated for g in table if g.kind is _ROOT) else None
 
 
 def dense_unitary(circuit: Circuit) -> np.ndarray:
@@ -117,9 +117,9 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     if width > DENSE_WIDTH_LIMIT:
         raise WidthLimitError(f"width {width} exceeds the dense limit of {DENSE_WIDTH_LIMIT} lines")
     table = circuit.table
-    roots = {kappa: complex(root_of_not(kappa)[0, 1]) for kappa in {g.kappa for g in table if g.kind is GateKind.ROOT}}
+    roots = {kappa: complex(root_of_not(kappa)[0, 1]) for kappa in {g.kappa for g in table if g.kind is _ROOT}}
     # V is symmetric, so its adjoint's q is the conjugate.
-    qs = [1 if g.kind is not GateKind.ROOT else
+    qs = [1 if g.kind is not _ROOT else
           roots[g.kappa] if g.direction == 1 else roots[g.kappa].conjugate() for g in table]
     rotated = _monomial_lines(table)
     return _swap_mix_unitary(circuit, qs) if rotated is None else _monomial_unitary(circuit, qs, rotated)
@@ -238,11 +238,11 @@ def _step(g: Gate, n: int, kappa: int) -> tuple[int, int, int]:
     n + 1, a constant 0, so the empty mask's coefficient counts them.
     """
     w = n + 1
-    if g.kind is GateKind.FEYNMAN:
+    if g.kind is _FEYNMAN:
         if g.control == w:
             raise UnsupportedShapeError("Feynman gate reads the target line")
         return g.control - 1, g.target - 1, kappa if g.target == w else 0
-    if g.kind is GateKind.ROOT:
+    if g.kind is _ROOT:
         if g.target != w or g.control == w:
             raise UnsupportedShapeError("controlled root must drive the target line")
         return g.control - 1, n, g.direction
@@ -261,7 +261,7 @@ def _walk(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray, int]:
     first use, so the first offending gate raises as a gate-by-gate walk would.
     """
     n, table = circuit.n_controls, circuit.table
-    kappas = {g.kappa for g in table if g.kind is GateKind.ROOT}
+    kappas = {g.kappa for g in table if g.kind is _ROOT}
     if len(kappas) > 1:
         raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
     kappa = max(kappas, default=1)

@@ -17,9 +17,10 @@ label verbatim after that word and the one whitespace character following
 it, a `#` and outer spaces included, and a blank one holds the empty label.
 load_circuit skips a leading UTF-8 byte-order mark.
 
-Both formats read and write a gate through one table of gate names and
-their fields in argument order; a text line writes the fields in that
-order, a JSON record names each one. Both readers build each gate in one
+Both formats read and write a gate through one table, _GATES, of gate
+names and their fields in argument order, from which each name's line
+format, line pattern and record keys are derived once; the field-by-field
+checks run only to name a fault. Both readers build each gate in one
 helper and end in one more, which checks that width is controls + 1.
 
 Files ending in .json hold the same schema as one JSON object, and every
@@ -41,13 +42,9 @@ v1" document, one record per gate and no "sequence", is still read.
 serialize_json writes a circuit's two columns (see circuit.Circuit) as
 they are; serialize and render_ascii format each table entry once and
 gather the gate lines, or the diagram's rows, over the codes. The text
-reader takes a document, a string or an open file, in one pass over chunks
-of about 64 K characters, each cut right after a "\n". No line break spans
-a cut, "\r\n" included, so the lines of the chunks are those of
-str.splitlines on the whole document, numbered as it numbers them. It
-checks each distinct raw gate line once, maps a repeat to its code by one
-lookup, and keeps one numpy array of codes per chunk, joined once at the
-end. The JSON reader checks each record once and the sequence in numpy.
+reader (see parse) checks each distinct raw gate line once and maps a
+repeat to its code by one lookup; the JSON reader checks each record once
+and the sequence in numpy.
 """
 from __future__ import annotations
 
@@ -58,7 +55,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind, check_lines, controlled_root, feynman, gather, not_gate
+from .circuit import _FEYNMAN, _NOT, Circuit, Gate, check_lines, controlled_root, feynman, gather, not_gate
 
 FORMAT_HEADER = "circuit v1"
 # The format serialize_json writes; parse_json also reads FORMAT_HEADER.
@@ -75,6 +72,15 @@ _GATES = {
 _FIELDS = dict.fromkeys(f for _, fields in _GATES.values() for f in fields)  # every field, in table order
 # The text format writes a direction signed, and reads 1 as +1.
 _DIRECTIONS = {"+1": 1, "1": 1, "-1": -1}
+# An optional sign and ASCII digits: int() would also take '1_0' and '١'.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# Per gate name: (field, attribute) pairs, the line's format and its words' pattern, a record's and others' keys.
+_ATTRIBUTES = {name: [(f, "target" if f == "line" else f) for f in fields] for name, (_, fields) in _GATES.items()}
+_LINES = {name: " ".join([name] + [f"{{{a}:+d}}" if f == "direction" else f"{{{a}}}" for f, a in pairs]) + "\n"
+          for name, pairs in _ATTRIBUTES.items()}
+_PATTERNS = {name: re.compile(" ".join([name] + [r"(\+?1|-1)" if f == "direction" else f"({_INTEGER.pattern})"
+                                                 for f, _ in pairs])) for name, pairs in _ATTRIBUTES.items()}
+_KEYS = {name: (frozenset(fields), frozenset(_FIELDS) - set(fields)) for name, (_, fields) in _GATES.items()}
 
 
 class ParseError(ValueError):
@@ -87,28 +93,18 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-def _gate_fields(g: Gate) -> tuple[str, dict[str, int]]:
-    """A gate's name and its field values by name, in the gate table's order."""
-    name = g.kind.value
-    return name, {f: g.target if f == "line" else getattr(g, f) for f in _GATES[name][1]}
-
-
-def _gate_line(g: Gate) -> str:
-    name, fields = _gate_fields(g)
-    return " ".join([name, *(f"{v:+d}" if f == "direction" else str(v) for f, v in fields.items())])
+def _record(g: Gate) -> dict[str, object]:
+    """A gate's JSON record: its name, then its fields in the gate table's order."""
+    name, values = g.kind._value_, vars(g)
+    return {"gate": name, **{f: values[a] for f, a in _ATTRIBUTES[name]}}
 
 
 def serialize(circuit: Circuit) -> str:
-    """Render a circuit document; deterministic, ends with a newline."""
-    lines = [FORMAT_HEADER, f"width {circuit.width}", f"controls {circuit.n_controls}"]
-    if circuit.label:
-        lines.append(f"label {circuit.label}")
-    lines += gather([_gate_line(g) for g in circuit.table], circuit.codes)
-    return "\n".join(lines) + "\n"
-
-
-# An optional sign and ASCII digits: int() would also take '1_0' and '١'.
-_INTEGER = re.compile(r"[+-]?[0-9]+")
+    """Render a circuit document, deterministic and ending in a newline, in one join led by the directives."""
+    lines = gather([_LINES[g.kind._value_].format_map(vars(g)) for g in circuit.table], circuit.codes) or [""]
+    label = f"label {circuit.label}\n" if circuit.label else ""
+    lines[0] = f"{FORMAT_HEADER}\nwidth {circuit.width}\ncontrols {circuit.n_controls}\n{label}{lines[0]}"
+    return "".join(lines)
 
 
 def _int_field(word: str, what: str) -> int:
@@ -139,15 +135,18 @@ def _circuit(width: int, controls: int, table: list[Gate], codes: np.ndarray, la
 
 def _parse_gate(words: list[str], width: int) -> Gate:
     name = words[0]
-    fields = _GATES[name][1]
-    if len(words) != len(fields) + 1:
-        usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
-        raise ParseError(f"{name} takes {usage}")
-    args = []
-    for f, word in zip(fields, words[1:]):
-        if f == "direction" and word not in _DIRECTIONS:
-            raise ParseError(f"direction must be +1 or -1, got {word!r}")
-        args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f))
+    try:  # the checks below run only to name a fault: no match (None has no groups), or a field past int()'s limit
+        args = list(map(int, _PATTERNS[name].fullmatch(" ".join(words)).groups()))
+    except (AttributeError, ValueError):
+        fields = _GATES[name][1]
+        if len(words) != len(fields) + 1:
+            usage = " ".join("<+1|-1>" if f == "direction" else f"<{f}>" for f in fields)
+            raise ParseError(f"{name} takes {usage}") from None
+        args = []
+        for f, word in zip(fields, words[1:]):
+            if f == "direction" and word not in _DIRECTIONS:
+                raise ParseError(f"direction must be +1 or -1, got {word!r}") from None
+            args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f))
     return _build_gate(name, args, width)
 
 
@@ -276,7 +275,7 @@ def serialize_json(circuit: Circuit) -> str:
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": [{"gate": name, **fields} for name, fields in map(_gate_fields, circuit.table)],
+        "gates": list(map(_record, circuit.table)),
         "sequence": [],
     })
     # json.dumps writes a list of ints as their decimal forms joined by ", ":
@@ -299,12 +298,11 @@ def _record_gate(entry: object, width: int) -> Gate:
     if not isinstance(name, str) or name not in _GATES:
         raise ParseError(f"unknown gate {name!r}")
     fields = _GATES[name][1]
-    missing = [f for f in fields if f not in entry]
-    if missing:
-        raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(missing)}")
-    stray = [f for f in _FIELDS if f in entry and f not in fields]  # another gate kind's field
-    if stray:
-        raise ParseError(f"{name} takes no {', '.join(stray)}")
+    required, others = _KEYS[name]
+    if not entry.keys() >= required:
+        raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(f for f in fields if f not in entry)}")
+    if not others.isdisjoint(entry):  # another gate kind's field
+        raise ParseError(f"{name} takes no {', '.join(f for f in _FIELDS if f in others and f in entry)}")
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
@@ -371,28 +369,49 @@ def parse_json(text: str) -> Circuit:
     return _circuit(width, controls, table, codes, label)
 
 
+def _undecodable(data: bytes) -> ParseError:
+    """The error of a text file's first byte that is not UTF-8, naming its line and offset; a bad line before raises."""
+    try:
+        data.decode()  # a byte-order mark is UTF-8 too, so start is the offset in the file
+    except UnicodeDecodeError as exc:
+        at, reason = exc.start, exc.reason
+    text, line = (data[:at] + b"x").decode("utf-8-sig"), 0  # "x" stands for the bad byte
+    for chunk in _text_chunks(text):
+        lines = chunk.splitlines()
+        line += len(lines)
+    try:  # the lines before its line, read as load_circuit reads them
+        _parse_chunks(_text_chunks(text[:len(text) - len(lines[-1])]))
+    except ParseError as exc:
+        if exc.line_no is not None:
+            raise
+    return ParseError(f"can't decode byte 0x{data[at]:02x} at byte offset {at}: {reason}", line)
+
+
 def load_circuit(path: str | Path) -> Circuit:
     """Read a UTF-8 circuit file, with or without a byte-order mark, dispatching on the .json extension.
 
     The file is read in text mode, "\r\n" and "\r" reading as "\n". A
     text file is parsed as parse does, a chunk at a time from the open file,
     so its lines are numbered as str.splitlines numbers them; a byte that is
-    not UTF-8 raises UnicodeDecodeError, a ValueError, when its chunk is
-    read. A JSON file is read whole.
+    not UTF-8 is a ParseError naming its line and its offset in the file,
+    unless a line before it is bad. A JSON file is read whole.
     """
     p = Path(path)
     if p.suffix == ".json":
         return parse_json(p.read_text(encoding="utf-8-sig"))
     with p.open(encoding="utf-8-sig") as file:
-        return _parse_chunks(_file_chunks(file))
+        try:
+            return _parse_chunks(_file_chunks(file))
+        except UnicodeDecodeError:  # read the file again, as bytes, to place the byte
+            raise _undecodable(p.read_bytes()) from None
 
 
 def _column(g: Gate, width: int) -> list[str]:
     """A gate's diagram column: one cell per line, each centred on its wire to the column's width."""
-    if g.kind is GateKind.NOT:
+    if g.kind is _NOT:
         cells = {g.target: "[X]"}
     else:
-        target = "⊕" if g.kind is GateKind.FEYNMAN else f"[V{g.kappa}{'' if g.direction == 1 else '†'}]"
+        target = "⊕" if g.kind is _FEYNMAN else f"[V{g.kappa}{'' if g.direction == 1 else '†'}]"
         cells = dict.fromkeys(range(min(g.lines) + 1, max(g.lines)), "│") | {g.control: "●", g.target: target}
     cw = max(map(len, cells.values()))
     return [f"{cells.get(row, ''):─^{cw}}─" for row in range(1, width + 1)]

@@ -324,6 +324,69 @@ class TestDistinctGateObjects:
         assert adj.gates == tuple(g.adjoint() for g in reversed(c.gates))
 
 
+# One gate of each kind, by its gate function and arguments; the arguments
+# hold a 1 where True can stand for it.
+GATE_CALLS = [(feynman, (1, 2)), (controlled_root, (8, 1, 1, 3)), (controlled_root, (8, -1, 2, 3)), (not_gate, (1,))]
+
+
+class TestGateContract:
+    """What a Gate promises, whichever path builds it."""
+
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    def test_true_and_numpy_integers_intern_to_the_gate_of_ints(self, make, args):
+        g = make(*args)
+        for convert in (np.int8, np.int64, np.intp, lambda a: True if a == 1 else a):
+            assert make(*map(convert, args)) is g
+
+    @pytest.mark.parametrize("make,args,message", [
+        (feynman, (1.0, 2), "target 2, control 1.0, kappa 1, direction 1"),
+        (feynman, ("1", 2), "target 2, control '1', kappa 1, direction 1"),
+        (feynman, (1, 2.0), "target 2.0, control 1, kappa 1, direction 1"),
+        (not_gate, (1.0,), "target 1.0, control None, kappa 1, direction 1"),
+        (not_gate, ("1",), "target '1', control None, kappa 1, direction 1"),
+        (controlled_root, (2, 1.0, 1, 3), "target 3, control 1, kappa 2, direction 1.0"),
+        (controlled_root, (2, "1", 1, 3), "target 3, control 1, kappa 2, direction '1'"),
+        (controlled_root, (2.0, 1, 1, 3), "target 3, control 1, kappa 2.0, direction 1"),
+        (controlled_root, (np.int64(2), 1, "1", 3), "target 3, control '1', kappa 2, direction 1"),
+    ], ids=repr)
+    def test_a_float_or_string_field_is_refused_naming_every_field(self, make, args, message):
+        with pytest.raises(ValueError) as info:
+            make(*args)
+        assert str(info.value) == f"gate fields must be integers, got {message}"
+
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    def test_copy_pickle_and_replace_keep_the_object(self, make, args):
+        g = make(*args)
+        assert copy.copy(g) is g and copy.deepcopy(g) is g and dataclasses.replace(g) is g
+        assert all(pickle.loads(pickle.dumps(g, protocol)) is g for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
+        assert dataclasses.replace(g, target=g.target + 5) is make(*args[:-1], args[-1] + 5)
+
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    def test_lines_are_the_control_then_the_target(self, make, args):
+        g = make(*args)
+        assert type(g.lines) is tuple
+        assert g.lines == (args if make is not_gate else args[-2:])
+        # lines is stored, not a field: it takes no part in repr, fields or replace.
+        assert "lines" not in repr(g) and [f.name for f in dataclasses.fields(g)] == [
+            "kind", "target", "control", "kappa", "direction"]
+
+    def test_gate_kind_keeps_its_members_values_and_hash(self):
+        assert [(m.name, m.value) for m in GateKind] == [("FEYNMAN", "cnot"), ("ROOT", "croot"), ("NOT", "not")]
+        assert GateKind("croot") is GateKind.ROOT and GateKind.ROOT == GateKind.ROOT != GateKind.NOT
+        assert hash(GateKind.ROOT) == hash("ROOT") and GateKind.ROOT != "croot"
+
+    def test_building_a_gate_hashes_no_gate_kind(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"hashed {self}")
+
+        monkeypatch.setattr(GateKind, "__hash__", refuse)
+        with pytest.raises(AssertionError):
+            hash(GateKind.ROOT)
+        assert feynman(1, 2) is feynman(1, 2)  # a gate already interned
+        new = controlled_root(1 << 40, -1, 977, 978)  # a gate no other test builds
+        assert controlled_root(1 << 40, -1, 977, 978) is new and new.adjoint().adjoint() is new
+
+
 class TestInterning:
     """Each gate value has one live object."""
 

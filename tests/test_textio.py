@@ -21,6 +21,7 @@ from rootsynth import cli, textio
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, controlled_root, feynman, not_gate
 from rootsynth.synth import (
+    _gate_table,
     iterative_polarity_flip,
     synth_barenco_toffoli,
     synth_peres,
@@ -768,19 +769,48 @@ class TestChunkedReader:
         assert loaded == circuit
         assert peak <= 4 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
 
-    def test_a_byte_that_is_not_utf8_past_the_first_chunk_is_a_value_error(self, tmp_path):
+    @pytest.mark.parametrize("bom,newline", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")], ids=["plain", "bom-crlf"])
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_file_offset_at_every_chunk_edge(
+            self, tmp_path, bom, newline):
+        circuit = dataclasses.replace(synth_toffoli(13), label="Σ über → ok")  # characters of two and three bytes
+        data = bom + serialize(circuit).encode().replace(b"\n", newline)
+        line_start = data.index(b"\n", 2 * CHUNK) + 1
+        assert len(data) > 3 * CHUNK + 2
+        path = tmp_path / "bad.txt"
+
+        def load_with(at, bad):
+            path.write_bytes(data[:at] + bad + data[at:])
+            with pytest.raises(ParseError) as info:
+                load_circuit(path)
+            return str(info.value)
+
+        for at in [k * CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)] + [line_start, len(data)]:
+            line = len((data[:at].decode("utf-8-sig") + "x").splitlines())  # the lines up to the bad byte's
+            assert load_with(at, b"\xff") == f"line {line}: can't decode byte 0xff at byte offset {at}: invalid start byte"
+            reason = "unexpected end of data" if at == len(data) else "invalid continuation byte"
+            truncated = "€".encode()[:2]
+            assert load_with(at, truncated) == f"line {line}: can't decode byte 0xe2 at byte offset {at}: {reason}"
+        with pytest.raises(ValueError):  # a ParseError is a ValueError
+            load_circuit(path)
+
+    def test_a_bad_line_before_the_undecodable_byte_is_reported_first(self, tmp_path):
         data = serialize(synth_toffoli(13)).encode()
         at = data.index(b"\n", 2 * CHUNK) + 1
         assert len(data) > at + CHUNK
         path = tmp_path / "bad.txt"
-        path.write_bytes(data[:at] + b"\xff" + data[at:])
-        with pytest.raises(ValueError, match="can't decode byte 0xff"):
-            load_circuit(path)
-        # A bad line in an earlier chunk is reported first.
-        lines = data[:at].split(b"\n")
-        lines[4] = b"not 15"
-        path.write_bytes(b"\n".join(lines) + b"\xff" + data[at:])
-        with pytest.raises(ParseError, match="^line 5: line 15 out of range"):
+        bad_line = data[:at].count(b"\n") + 1  # the line the bad byte starts
+        for number, want in [(5, "line 5: line 15 out of range"),  # in the first chunk
+                             (bad_line - 1, f"line {bad_line - 1}: line 15 out of range"),  # in the byte's chunk
+                             (bad_line + 1, f"line {bad_line}: can't decode byte 0xff")]:  # after the byte's line
+            lines = data.split(b"\n")
+            lines[number - 1] = b"not 15"
+            lines[bad_line - 1] = b"\xff" + lines[bad_line - 1]
+            path.write_bytes(b"\n".join(lines))
+            with pytest.raises(ParseError, match=f"^{want}"):
+                load_circuit(path)
+        # The part of the byte's line before it is not read as a line of its own.
+        path.write_bytes(data[:at] + b"cnot 1 \xff2\n" + data[at:])
+        with pytest.raises(ParseError, match=f"^line {bad_line}: can't decode byte 0xff at byte offset {at + 7}: "):
             load_circuit(path)
 
 
@@ -815,6 +845,108 @@ class TestWritersMatchTheGateByGateReference:
         assert back.table == c.table and back.label == c.label
         assert serialize_json(back) == serialize_json(c) == json_document(c)
         assert serialize(back) == text_document(c)
+
+
+# Gate lines, after HEADER's width 4, whose words int() or the file format
+# might read otherwise, with the gate or the message each must give.
+ADVERSARIAL_LINES = [
+    ("cnot +01 2", feynman(1, 2)),
+    ("cnot -0 2", "control line 0 must be >= 1"),
+    ("cnot 00 2", "control line 0 must be >= 1"),
+    ("cnot 1_0 2", "control must be an integer, got '1_0'"),
+    ("cnot \u0661 2", "control must be an integer, got '\u0661'"),
+    ("cnot \u00b2 2", "control must be an integer, got '\u00b2'"),
+    ("cnot ++1 2", "control must be an integer, got '++1'"),
+    ("not " + "1" * 4301, "line has too many digits (4301)"),
+    ("not -" + "0" * 4300 + "4", "line has too many digits (4301)"),
+    ("not " + "0" * 4299 + "4", not_gate(4)),
+    ("croot 4 +01 1 4", "direction must be +1 or -1, got '+01'"),
+    ("croot 4 -01 1 4", "direction must be +1 or -1, got '-01'"),
+    ("croot 4 -1 1 4", controlled_root(4, -1, 1, 4)),
+    ("croot 4 1 1 4", controlled_root(4, 1, 1, 4)),
+    ("croot +4 +1 +1 +4", controlled_root(4, 1, 1, 4)),
+    ("cnot\t1\t2", feynman(1, 2)),
+    ("cnot\u30001\u30002", feynman(1, 2)),
+    ("cnot 1\x1f2", feynman(1, 2)),
+    ("cnot 1 2 # 3", feynman(1, 2)),
+    ("croot 4 -1 1 4#x y", controlled_root(4, -1, 1, 4)),
+    ("not 4 #", not_gate(4)),
+    ("cnot 1 # 2", "cnot takes <control> <target>"),
+    ("cnot 1 2 3", "cnot takes <control> <target>"),
+]
+# Words for random gate lines: good, malformed, past the digit limit and unusually spaced.
+ADVERSARIAL_WORDS = ["1", "2", "3", "4", "+1", "-1", "01", "+01", "-0", "00", "0", "5", "8", "1_0", "\u0661", "\u00b2",
+                     "x", "+", "1" * 4301, "0" * 4299 + "2", "2" * 40]
+
+
+class TestDerivedCodecs:
+    """The writers and readers derived from the gate table match the gate-by-gate path."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_generated_gate_is_written_as_the_reference_writes_it_and_read_back(self, n):
+        c = Circuit(n, _gate_table(n), label=f"every gate n={n}")
+        assert len(c.table) == len(set(_gate_table(n)))
+        text, doc = serialize(c), serialize_json(c)
+        assert text == text_document(c) and doc == json_document(c)
+        assert parse(text) == c == parse_json(doc)
+
+    @pytest.mark.parametrize("line,want", ADVERSARIAL_LINES, ids=[repr(line[:20]) for line, _ in ADVERSARIAL_LINES])
+    def test_adversarial_words_read_as_the_reference_reads_them(self, line, want):
+        text = "\n".join(HEADER[:3] + ["cnot 1 2", line, "not 4"]) + "\n"
+        outcome = reader_outcome(parse, text)
+        if isinstance(want, str):
+            assert outcome == (f"line 5: {want}", 5)
+            assert reference_parse(text) == 5
+        else:
+            assert outcome == reading(Circuit(3, [feynman(1, 2), want, not_gate(4)]))
+            assert reference_parse(text) == outcome
+
+    def test_the_line_patterns_read_as_the_field_by_field_checks(self, monkeypatch):
+        rng = random.Random("line patterns")
+        lines = []
+        for _ in range(1500):  # a good line with each number swapped for an adversarial word at random
+            name, *words = rng.choice(GOOD_LINES).split()
+            words = [rng.choice(ADVERSARIAL_WORDS) if rng.random() < 0.15 else word for word in words]
+            words += rng.choices(ADVERSARIAL_WORDS, k=rng.random() < 0.05)
+            lines.append(" ".join([name, *words[:len(words) - (rng.random() < 0.05)]]))
+        texts = ["\n".join(HEADER[:3] + ["cnot 1 2", line]) + "\n" for line in lines]
+        derived = [reader_outcome(parse, text) for text in texts]
+        assert 0.1 * len(texts) < sum(len(outcome) == 4 for outcome in derived) < 0.9 * len(texts)
+        never = re.compile("(?!)")
+        monkeypatch.setattr(textio, "_PATTERNS", dict.fromkeys(textio._PATTERNS, never))
+        assert [reader_outcome(parse, text) for text in texts] == derived
+        assert [reader_result(parse, text) for text in texts] == list(map(reference_parse, texts))
+
+    def test_record_keys_are_refused_as_the_field_by_field_checks_refuse_them(self):
+        fields = {"cnot": ["control", "target"], "croot": ["kappa", "direction", "control", "target"], "not": ["line"]}
+        values = {"control": 1, "target": 2, "kappa": 2, "direction": -1, "line": 2}
+        every = list(values)
+        for name, own in fields.items():
+            for mask in range(1 << len(every)):
+                record = {"gate": name} | {f: values[f] for i, f in enumerate(every) if mask >> i & 1}
+                missing = [f for f in own if f not in record]
+                stray = [f for f in every if f in record and f not in own]
+                doc = json.dumps({"format": "circuit v1", "width": 2, "controls": 1, "gates": [record]})
+                outcome = reader_outcome(parse_json, doc)
+                if missing:
+                    assert outcome == (f"gate 0: {name} takes {', '.join(own)}; missing {', '.join(missing)}", None)
+                elif stray:
+                    assert outcome == (f"gate 0: {name} takes no {', '.join(stray)}", None)
+                else:
+                    assert outcome[3] == ((name, *(values[f] for f in own)),)
+
+    def test_serializing_a_16_control_circuit_peaks_within_three_and_a_quarter_times_its_codes(self):
+        circuit = synth_toffoli(16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            text = serialize(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The document is about 1.94 times the codes and the list of its lines once more: a copy of it would pass 4.8.
+        assert len(text) < 2 * circuit.codes.nbytes
+        assert peak <= 3.25 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
