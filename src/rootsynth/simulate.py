@@ -11,22 +11,23 @@ with one axis per line and applies each gate in place to the slice it
 touches, at O(gates * 4^width). It accepts any gate on any line, so it
 checks the layered executor without sharing its assumptions.
 
-exponent_simulate exploits the layered shape of all generated circuits:
-control bits propagate classically through the Feynman gates, and the gates
-on the target line only ever apply powers of one kappa-th root of NOT, so it
-suffices to track the net power mod 2*kappa. The root is the principal one
-(eigenvalues 1 and exp(i*pi/kappa)), whose kappa-th power is NOT exactly, so
-both executors agree with no residual phase.
+exponent_simulate exploits the layered shape of all generated circuits
+(stated there): control bits propagate classically through the Feynman and
+NOT gates, and each gate on the target line applies a power of V, the
+principal kappa-th root of NOT (eigenvalues 1 and exp(i*pi/kappa)) for the
+largest root order kappa, so it suffices to track the net power mod
+2*kappa. V^kappa is NOT exactly: the executors agree with no residual phase.
 
-In a layered circuit every control line holds a GF(2) linear form of the
-control inputs (the mask of inputs it XORs), and every gate on the target
-line adds its power to the coefficient f[m] of the mask m it reads. The net
-power on control vector c is the sum of f[m] over the masks of odd parity
-on c, which for all c at once is (sum(f) - WHT(f)(c)) / 2 mod 2*kappa, WHT
-being the Walsh-Hadamard transform, exact for every kappa. The compiled
-form holds that table and every input's output, which exponent_simulate
-(one input), truth_table (all) and verify.activation_set read alike; all
-refuse more than MAX_N controls.
+Each control line holds an affine GF(2) form of the control inputs: the
+mask of inputs it XORs, bit n standing for a constant-1 line that a NOT
+gate reads as a Feynman gate reads its control. Each gate on the target
+line adds its power to the coefficient f[m] of the mask m it reads, and the
+net power on control vector c, over the masks of odd parity on (1, c), is
+(sum(f) - WHT(f)(1, c)) / 2 mod 2*kappa for all c at once, WHT being the
+Walsh-Hadamard transform, exact for every kappa. The compiled form holds
+that table and every input's output, which exponent_simulate (one input),
+truth_table (all) and verify.activation_set read alike; all refuse more
+than MAX_N controls.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bits import Bits, as_index, index_to_bits
-from .circuit import _FEYNMAN, _ROOT, Circuit, Gate, check_kappa, gather
+from .circuit import _ROOT, Circuit, Gate, check_kappa, gather
 
 # A Toffoli circuit on the monomial path takes about 0.008 s at width 9, 0.03 s
 # at width 10 and 0.12 s at width 11, a 64 MiB matrix (one core of a 2-CPU
@@ -190,7 +191,7 @@ def _swap_mix_unitary(circuit: Circuit, qs: list[complex]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NonClassical:
-    """Marker value: the residual root power leaves the target in superposition."""
+    """Marker value: the target's operator V^exponent (see exponent_simulate) leaves it in superposition."""
 
     exponent: int
     kappa: int
@@ -198,11 +199,11 @@ class NonClassical:
 
 @dataclass(frozen=True)
 class _LinearForm:
-    """A layered circuit compiled from its control lines' GF(2) linear forms.
+    """A layered circuit compiled from its control lines' affine GF(2) forms.
 
     Inputs x = c << 1 | t are ints, line 1 most significant. table[c] is the
-    net root power mod 2*kappa on controls c; outputs[x] (int32) is x's
-    output index, or -1 where table[x >> 1] leaves the target non-classical.
+    target's power on controls c (see exponent_simulate); outputs[x] (int32)
+    is x's output index, or -1 where table[x >> 1] leaves it non-classical.
     """
 
     table: np.ndarray
@@ -211,17 +212,18 @@ class _LinearForm:
 
 
 def _root_power_table(f: np.ndarray, kappa: int) -> np.ndarray:
-    """E(c) = sum of f[m] * <m, c> mod 2*kappa for all 2^n control vectors c, f[m] being mask m's coefficient.
+    """E(c) = sum of f[m] * <m, (1, c)> mod 2*kappa for all 2^n control vectors c, f[m] being mask m's coefficient.
 
-    With <m, c> = (1 - (-1)^|m & c|) / 2, E = (sum(f) - WHT(f)) / 2, in which
-    f[0] cancels (WHT: one butterfly per input bit; Fino and Algazi, IEEE
-    Trans. Computers 1976). E is exact for every kappa: up to kappa = 2^62 f is
-    uint64, whose wrap-around is arithmetic mod 2^64, and the halving leaves E
-    exact mod 2^63, which 2*kappa divides; above that f holds Python ints.
-    The butterflies run in place on one copy of f.
+    With <m, x> = (1 - (-1)^|m & x|) / 2, E = (sum(f) - WHT(f)(1, c)) / 2,
+    and WHT(f)(1, c) is the n-bit WHT of lo - hi, f's halves without and
+    with bit n, the constant line's (one butterfly per input bit, in place;
+    Fino and Algazi, IEEE Trans. Computers 1976). E is exact for every
+    kappa: up to kappa = 2^62 f is uint64, whose wrap-around is arithmetic
+    mod 2^64, and the halving leaves E exact mod 2^63, which 2*kappa
+    divides; above that f holds Python ints.
     """
-    h = f.copy()
-    for bit in range(f.size.bit_length() - 1):
+    h = np.subtract(*f.reshape(2, -1))  # lo - hi
+    for bit in range(h.size.bit_length() - 1):
         lo, hi = h.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
         lo += hi
         hi *= 2
@@ -234,39 +236,33 @@ def _step(g: Gate, n: int, kappa: int) -> tuple[int, int, int]:
     """One gate as (source line, destination line, power), 0-based.
 
     The destination takes the XOR of the source's mask, and the power adds to
-    the coefficient of the mask read. Line n is the target; NOT gates read line
-    n + 1, a constant 0, so the empty mask's coefficient counts them.
+    the coefficient of the mask read. Line n is the target and line n + 1 the
+    constant 1, the source of a NOT gate. A root of order k adds its
+    direction times kappa / k, and any other gate onto the target kappa.
     """
     w = n + 1
-    if g.kind is _FEYNMAN:
-        if g.control == w:
-            raise UnsupportedShapeError("Feynman gate reads the target line")
-        return g.control - 1, g.target - 1, kappa if g.target == w else 0
     if g.kind is _ROOT:
         if g.target != w or g.control == w:
             raise UnsupportedShapeError("controlled root must drive the target line")
-        return g.control - 1, n, g.direction
-    if g.target != w:
-        raise UnsupportedShapeError("NOT gate off the target line")
-    return w, n, 1
+        return g.control - 1, n, g.direction * (kappa // g.kappa)
+    if g.control == w:
+        raise UnsupportedShapeError("Feynman gate reads the target line")
+    return w if g.control is None else g.control - 1, g.target - 1, kappa if g.target == w else 0
 
 
 def _walk(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray, int]:
     """Check the layered shape and run each line's mask through the gates once.
 
     Returns the final control masks; the mask each gate reads, in circuit
-    order, as int64 (a target-line gate's driving function, 0 for a NOT gate);
-    each gate's power mod 2*kappa, uint64 up to kappa = 2^62 and Python ints
-    above; and kappa. The shape checks run once per table entry, in order of
-    first use, so the first offending gate raises as a gate-by-gate walk would.
+    order, as int64, a NOT gate's being 1 << n; each gate's power mod 2*kappa,
+    uint64 up to kappa = 2^62 and Python ints above; and kappa. The shape
+    checks run once per table entry, in order of first use, so the first
+    offending gate raises as a gate-by-gate walk would.
     """
     n, table = circuit.n_controls, circuit.table
-    kappas = {g.kappa for g in table if g.kind is _ROOT}
-    if len(kappas) > 1:
-        raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
-    kappa = max(kappas, default=1)
+    kappa = max((g.kappa for g in table if g.kind is _ROOT), default=1)
     steps = [_step(g, n, kappa) for g in table]
-    masks = [1 << (n - 1 - i) for i in range(n)] + [0, 0]
+    masks = [1 << (n - 1 - i) for i in range(n)] + [0, 1 << n]
 
     def read_masks() -> Iterator[int]:
         for source, dest, _ in gather(steps, circuit.codes):
@@ -283,22 +279,22 @@ def _walk(circuit: Circuit) -> tuple[list[int], np.ndarray, np.ndarray, int]:
 def _linear_form(circuit: Circuit) -> _LinearForm:
     """The circuit's _LinearForm, and the one statement of the output rule.
 
-    Outputs are GF(2)-linear in the inputs, so they double from the target
-    up, each control bit XOR-ing in its column of the final masks. Each NOT
-    gate (f[0] counts them) and a root power of kappa flip the target; any
-    other power leaves it non-classical.
+    Outputs are GF(2)-affine in the inputs, so they double from the target
+    up, starting from the constant bits of the final masks, each control bit
+    XOR-ing in its column of them. A power of kappa flips the target; any
+    other power but 0 leaves it non-classical.
     """
     n = circuit.n_controls
     masks, reads, powers, kappa = _walk(circuit)
-    f = np.zeros(1 << n, dtype=powers.dtype)
+    f = np.zeros(2 << n, dtype=powers.dtype)
     np.add.at(f, reads, powers)
     del reads, powers  # folded into f; the rest of the compile holds no per-gate array
     table = _root_power_table(f, kappa)
     outputs = np.empty(2 << n, dtype=np.int32)
-    outputs[:2] = (int(f[0]) & 1) ^ np.arange(2)
+    column = [sum(2 << (n - 1 - i) for i, m in enumerate(masks) if m >> bit & 1) for bit in range(n + 1)]
+    outputs[:2] = column[n] ^ np.arange(2)
     for bit in range(n):
-        column = sum(2 << (n - 1 - i) for i, m in enumerate(masks) if m >> bit & 1)
-        np.bitwise_xor(outputs[: 2 << bit], column, out=outputs[2 << bit : 4 << bit])
+        np.bitwise_xor(outputs[: 2 << bit], column[bit], out=outputs[2 << bit : 4 << bit])
     outputs ^= np.repeat(table == kappa, 2)
     outputs[np.repeat((table != 0) & (table != kappa), 2)] = -1
     return _LinearForm(table, kappa, outputs)
@@ -331,16 +327,15 @@ def _form_of(circuit: Circuit) -> _LinearForm:
 def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | NonClassical:
     """Output of a layered circuit on one basis input, or a NonClassical marker.
 
-    Layered means: Feynman gates combine control lines (or drive the target
-    line, which is exact because NOT is the kappa-th power of the root), all
-    controlled roots share one kappa and target the target line, and NOT
-    gates act on the target line only. Each control line then carries a
-    GF(2) linear form of the inputs, and each active root adds its
-    direction to the exponent, accumulated mod 2*kappa. The net target
-    operator is V^exponent (times NOT per target flip); it is classical
-    exactly when the exponent is 0 or kappa mod 2*kappa, flipping the
-    target in the latter case, and otherwise the result is
-    NonClassical(exponent, kappa).
+    Layered means: every controlled root drives the target line from a
+    control line, and no gate reads the target line. Each control line then
+    carries an affine GF(2) form of the inputs, and each active gate on the
+    target adds its power to the exponent mod 2*kappa, kappa being the
+    largest root order: a root of order k adds its direction times kappa /
+    k, and a Feynman or NOT gate kappa, since NOT = V^kappa. The target's
+    operator is V^exponent; it is classical exactly when the exponent is 0
+    or kappa mod 2*kappa, flipping the target in the latter case, and
+    otherwise the result is NonClassical(exponent, kappa).
 
     An input of ints 0 and 1 is packed in one pass, any other through
     as_bits, whose rule and messages hold (see as_index). The form of the

@@ -246,18 +246,20 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     """Complement control i of a layered circuit by swapping gate directions.
 
     Each gate on the target line is driven by the function its control line
-    holds when the gate runs, the XOR of the inputs c_j whose alpha_j is 1.
-    Every such gate whose driving function contains c_i (alpha_i = 1)
-    becomes its adjoint: a root turns into the adjoint root and back. Since
-    a gate is the root exactly when alpha and the activation vector a share
-    an odd number of ones, the result equals synthesizing with bit i of a
-    complemented when a xor e_i is nonzero. For any classical layered
-    circuit C, its target on (c, t) is C's on (c xor e_i, t) xor f, f = 1
-    exactly when C's target on (e_i, 0) and on (0, 0) differ: flipping bit
-    1 of synth_toffoli(2, (1, 0)) fires on 01, 10 and 11, not on 00. The
-    label gains " flip i", so it names the activation the circuit was built
-    for and each flip since. Flipping the same i twice restores the gates.
-    Raises UnsupportedShapeError when the circuit is not layered, and
+    holds when the gate runs, the XOR of the inputs c_j whose alpha_j is 1,
+    and each whose function holds c_i becomes its adjoint: a root turns into
+    the adjoint root and back. A gate is the root exactly when alpha and the
+    activation vector a share an odd number of ones, so the result equals
+    synthesizing with bit i of a complemented when a xor e_i is nonzero. For
+    any layered circuit C, the flip's root power on c is C's on c xor e_i
+    less S, the adjointed gates' summed power. With no NOT gate on a control
+    line S is C's power on e_i less that on 0, so for classical C the flip's
+    target on (c, t) is C's on (c xor e_i, t) xor f, f = 1 exactly when C's
+    target on (e_i, 0) and on (0, 0) differ: flipping bit 1 of
+    synth_toffoli(2, (1, 0)) fires on 01, 10 and 11, not on 00. The label
+    gains " flip i", naming the activation the circuit was built for and
+    each flip since. Flipping the same i twice restores the gates. Raises
+    UnsupportedShapeError when the circuit is not layered, and
     WidthLimitError above MAX_N controls.
     """
     n = circuit.n_controls

@@ -369,8 +369,8 @@ def parse_json(text: str) -> Circuit:
     return _circuit(width, controls, table, codes, label)
 
 
-def _undecodable(data: bytes) -> ParseError:
-    """The error of a text file's first byte that is not UTF-8, naming its line and offset; a bad line before raises."""
+def _undecodable(data: bytes, text_file: bool) -> ParseError:
+    """The error of a file's first byte that is not UTF-8, naming its line and offset; in a text file a bad line before raises."""
     try:
         data.decode()  # a byte-order mark is UTF-8 too, so start is the offset in the file
     except UnicodeDecodeError as exc:
@@ -380,7 +380,8 @@ def _undecodable(data: bytes) -> ParseError:
         lines = chunk.splitlines()
         line += len(lines)
     try:  # the lines before its line, read as load_circuit reads them
-        _parse_chunks(_text_chunks(text[:len(text) - len(lines[-1])]))
+        if text_file:
+            _parse_chunks(_text_chunks(text[:len(text) - len(lines[-1])]))
     except ParseError as exc:
         if exc.line_no is not None:
             raise
@@ -392,18 +393,18 @@ def load_circuit(path: str | Path) -> Circuit:
 
     The file is read in text mode, "\r\n" and "\r" reading as "\n". A
     text file is parsed as parse does, a chunk at a time from the open file,
-    so its lines are numbered as str.splitlines numbers them; a byte that is
-    not UTF-8 is a ParseError naming its line and its offset in the file,
-    unless a line before it is bad. A JSON file is read whole.
+    so its lines are numbered as str.splitlines numbers them; a JSON file is
+    read whole. A byte that is not UTF-8 is a ParseError naming its line and
+    its offset in the file, unless a line of a text file before it is bad.
     """
     p = Path(path)
-    if p.suffix == ".json":
-        return parse_json(p.read_text(encoding="utf-8-sig"))
-    with p.open(encoding="utf-8-sig") as file:
-        try:
+    try:
+        if p.suffix == ".json":
+            return parse_json(p.read_text(encoding="utf-8-sig"))
+        with p.open(encoding="utf-8-sig") as file:
             return _parse_chunks(_file_chunks(file))
-        except UnicodeDecodeError:  # read the file again, as bytes, to place the byte
-            raise _undecodable(p.read_bytes()) from None
+    except UnicodeDecodeError:  # read the file again, as bytes, to place the byte
+        raise _undecodable(p.read_bytes(), p.suffix != ".json") from None
 
 
 def _column(g: Gate, width: int) -> list[str]:

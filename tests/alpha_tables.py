@@ -78,13 +78,12 @@ def driving_alphas(circuit):
     """The derived driving function of each target gate, as an LSB-first alpha.
 
     Of the masks the gates read, these are the ones read by gates on the
-    target line. NOT gates read the empty mask, which drives no generated
-    root: a root reading it would shorten the list.
+    target line, less the NOT gates' reads of the constant line, mask 1 << n.
     """
     n = circuit.n_controls
     on_target = np.array([g.target == circuit.target_line for g in circuit.gates], dtype=bool)
     reads = _walk(circuit)[1]
-    reads = reads[on_target & (reads != 0)]
+    reads = reads[on_target & (reads != 1 << n)]
     return list(map(tuple, (reads[:, None] >> np.arange(n - 1, -1, -1) & 1).tolist()))
 
 

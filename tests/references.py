@@ -16,6 +16,8 @@ with their own loops, apart from src's bits helpers, which the executors use.
 reference_parse and reference_parse_json read the two file formats from the
 rules in textio's docstring, one line or one record at a time, and name
 where a bad document first goes wrong; reading is a circuit as they return it.
+not_conjugated_toffoli and split_root_toffoli build Toffoli gates the
+generators do not: polarity set by NOT gates, and a root split in two.
 """
 import json
 import re
@@ -23,9 +25,9 @@ import re
 import numpy as np
 
 from rootsynth.bits import Bits, as_bits
-from rootsynth.circuit import GateKind, feynman
+from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import _check_controls, dense_unitary, exponent_simulate
-from rootsynth.synth import _OR_GATE
+from rootsynth.synth import _OR_GATE, synth_toffoli
 from rootsynth.verify import EquivalenceReport, GateFamilySpec
 
 
@@ -329,3 +331,21 @@ def reference_parse_json(text: str):
                 return "sequence", i
         gates = [gates[index] for index in sequence]
     return _document(width, controls, label, gates)
+
+
+def not_conjugated_toffoli(n: int, activation) -> Circuit:
+    """synth_toffoli(n) between two NOT gates on each control line whose bit of the activation is 0.
+
+    The textbook way to set a Toffoli gate's polarity, which the paper's
+    circuits replace by the directions of their roots.
+    """
+    nots = tuple(not_gate(line) for line, bit in enumerate(activation, 1) if not bit)
+    return Circuit(n, nots + synth_toffoli(n).gates + nots)
+
+
+def split_root_toffoli() -> Circuit:
+    """synth_toffoli(2) with its last root, an adjoint square root, split into two adjoint fourth roots."""
+    gates = list(synth_toffoli(2).gates)
+    assert gates[3] == controlled_root(2, -1, 2, 3)
+    gates[3:4] = [controlled_root(4, -1, 2, 3)] * 2
+    return Circuit(2, gates)

@@ -466,7 +466,10 @@ COLUMN_CASES = _column_cases()
 
 
 def flip_gate_by_gate(c, i):
-    """iterative_polarity_flip on the gate tuple: each line's mask run through the gates in order."""
+    """iterative_polarity_flip on the gate tuple: each line's mask run through the gates in order.
+
+    A NOT gate adds the constant 1, which leaves its line's bits of the inputs as they are.
+    """
     w = c.target_line
     masks = {line: 1 << (line - 1) for line in range(1, w)}  # alpha_line is bit line - 1
     gates = []
@@ -474,7 +477,7 @@ def flip_gate_by_gate(c, i):
         if g.target == w:
             gates.append(g.adjoint() if masks.get(g.control, 0) >> (i - 1) & 1 else g)
         else:
-            masks[g.target] ^= masks[g.control]
+            masks[g.target] ^= masks.get(g.control, 0)
             gates.append(g)
     return tuple(gates)
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from references import split_root_toffoli
 
 import rootsynth
 from rootsynth import cli, simulate, synth
@@ -29,6 +30,8 @@ def files(tmp_path):
         "deep": tmp_path / "deep.json",
         "halfroot": tmp_path / "halfroot.txt",
         "long": tmp_path / "long.txt",
+        "splitroot": tmp_path / "splitroot.txt",
+        "notroot": tmp_path / "notroot.txt",
     }
     paths["toffoli"].write_text(serialize(synth_toffoli(3, (1, 0, 1))))
     paths["wrong"].write_text(serialize(synth_toffoli(3, (1, 1, 1))))
@@ -37,6 +40,8 @@ def files(tmp_path):
     paths["deep"].write_text("[" * 100_000)
     paths["halfroot"].write_text("circuit v1\nwidth 2\ncontrols 1\ncroot 2 +1 1 2\n")
     paths["long"].write_text("circuit v1\nwidth 2\ncontrols 1\n" + "cnot 1 2\n" * 65_537)
+    paths["splitroot"].write_text(serialize(split_root_toffoli()))
+    paths["notroot"].write_text("circuit v1\nwidth 2\ncontrols 1\ncroot 2 +1 1 2\nnot 2\n")
     paths["missing"] = tmp_path / "missing.txt"
     return {name: str(path) for name, path in paths.items()}
 
@@ -67,6 +72,8 @@ CASES = [
     (["table", "--max-n", str(MAX_N + 1)], 2, f"above the limit of {MAX_N} controls"),
     (["frobnicate"], 2, "invalid choice"),
     (["simulate", "--circuit", "{halfroot}", "--input", "10"], 0, "non-classical (root exponent 1 mod 4)"),
+    (["simulate", "--circuit", "{notroot}", "--input", "10"], 0, "non-classical (root exponent 3 mod 4)"),
+    (["verify", "--circuit", "{splitroot}", "--family", "toffoli", "--n", "2"], 0, "pass (8 inputs checked)"),
     (["draw", "--circuit", "{long}"], 2, "at most 65,536 gates, got 65537"),
     (["synth", "peres", "--n", "3", "--activation", ""], 2, "expected a nonempty string of 0/1, got ''"),
     (["verify", "--circuit", "{toffoli}", "--family", "toffoli", "--n", "3", "--activation", ""], 2,
@@ -137,6 +144,15 @@ def test_a_byte_that_is_not_utf8_past_the_first_chunk_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     line = data[:at].count(b"\n") + 1
     assert not out and err == f"error: line {line}: can't decode byte 0xff at byte offset {at}: invalid start byte\n"
+
+
+def test_a_byte_that_is_not_utf8_in_a_json_file_exits_2(tmp_path, capsys):
+    data = b"\xef\xbb\xbf" + serialize_json(synth_toffoli(3)).encode()
+    path = tmp_path / "bad.json"
+    path.write_bytes(data[:43] + b"\xff" + data[43:])
+    assert cli.main(["cost", "--circuit", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err == "error: line 1: can't decode byte 0xff at byte offset 43: invalid start byte\n"
 
 
 @pytest.mark.parametrize("family", ["peres", "toffoli", "barenco", "orgate", "andzero"])

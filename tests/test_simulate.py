@@ -137,10 +137,11 @@ class TestExponentSimulate:
         with pytest.raises(ValueError):
             exponent_simulate(synth_peres(2), (1, 1))
 
-    def test_rejects_mixed_root_orders(self):
+    def test_mixed_root_orders_count_in_units_of_the_finest_root(self):
         c = Circuit(2, (controlled_root(2, 1, 1, 3), controlled_root(4, 1, 2, 3)))
-        with pytest.raises(UnsupportedShapeError):
-            exponent_simulate(c, (0, 0, 0))
+        assert exponent_simulate(c, (1, 0, 0)) == NonClassical(2, 4)
+        assert exponent_simulate(c, (1, 1, 0)) == NonClassical(3, 4)
+        assert_matches_dense(c)
 
     def test_rejects_root_off_target_line(self):
         c = Circuit(2, (controlled_root(2, 1, 1, 2),))
@@ -152,10 +153,20 @@ class TestExponentSimulate:
         with pytest.raises(UnsupportedShapeError):
             exponent_simulate(c, (0, 0, 0))
 
-    def test_rejects_not_on_control_line(self):
-        c = Circuit(2, (not_gate(1),))
-        with pytest.raises(UnsupportedShapeError):
-            exponent_simulate(c, (0, 0, 0))
+    def test_not_on_a_control_line_toggles_it(self):
+        # The Feynman gate reads not c1 and adds kappa = 2; the root adds c2.
+        c = Circuit(2, (not_gate(1), feynman(1, 3), controlled_root(2, 1, 2, 3), not_gate(1)))
+        assert exponent_simulate(c, (0, 0, 0)) == (0, 0, 1)
+        assert exponent_simulate(c, (1, 0, 0)) == (1, 0, 0)
+        assert exponent_simulate(c, (0, 1, 0)) == NonClassical(3, 2)
+        assert_matches_dense(c)
+
+    def test_not_on_the_target_counts_in_the_non_classical_exponent(self):
+        # NOT * V = V^3: the NOT adds kappa to the root's power of 1.
+        c = Circuit(1, (controlled_root(2, 1, 1, 2), not_gate(2)))
+        assert exponent_simulate(c, (1, 0)) == NonClassical(3, 2)
+        assert exponent_simulate(c, (0, 0)) == (0, 1)
+        assert_matches_dense(c)
 
     def test_feynman_driving_target_counts_as_full_power(self):
         # The n = 1 construction conditions NOT itself on the control.
@@ -300,18 +311,25 @@ class TestNetRootExponent:
 
 def reference_walk(circuit, bits, gates):
     """The gate-by-gate walk over gates, which is circuit.gates decoded once by
-    the caller: (control bits, exponent mod 2*kappa, target flips, kappa)."""
+    the caller: (control bits, exponent mod 2*kappa, kappa).
+
+    kappa is the largest root order. A NOT gate toggles its control line's
+    bit or adds kappa on the target, a Feynman gate onto the target adds
+    kappa when its control is 1, and a root of order k adds direction *
+    kappa / k.
+    """
     w = circuit.target_line
-    kappas = {g.kappa for g in gates if g.kind is GateKind.ROOT}
-    if len(kappas) > 1:
-        raise UnsupportedShapeError(f"mixed root orders {sorted(kappas)} are not layered")
-    kappa = kappas.pop() if kappas else 1
+    kappa = max((g.kappa for g in gates if g.kind is GateKind.ROOT), default=1)
     modulus = 2 * kappa
     controls = list(bits[: circuit.n_controls])
     exponent = 0
-    flips = 0
     for g in gates:
-        if g.kind is GateKind.FEYNMAN:
+        if g.kind is GateKind.NOT:
+            if g.target == w:
+                exponent = (exponent + kappa) % modulus
+            else:
+                controls[g.target - 1] ^= 1
+        elif g.kind is GateKind.FEYNMAN:
             if g.control == w:
                 raise UnsupportedShapeError("Feynman gate reads the target line")
             if g.target == w:
@@ -321,21 +339,17 @@ def reference_walk(circuit, bits, gates):
         elif g.kind is GateKind.ROOT:
             if g.target != w or g.control == w:
                 raise UnsupportedShapeError("controlled root must drive the target line")
-            exponent = (exponent + g.direction * controls[g.control - 1]) % modulus
-        else:
-            if g.target != w:
-                raise UnsupportedShapeError("NOT gate off the target line")
-            flips ^= 1
-    return tuple(controls), exponent, flips, kappa
+            exponent = (exponent + g.direction * (kappa // g.kappa) * controls[g.control - 1]) % modulus
+    return tuple(controls), exponent, kappa
 
 
 def reference_exponent_simulate(circuit, input_bits, gates):
     """The gate-by-gate walk exponent_simulate replaced, over gates (circuit.gates), then the target rule."""
     bits = as_bits(input_bits, length=circuit.width)
-    controls, exponent, flips, kappa = reference_walk(circuit, bits, gates)
+    controls, exponent, kappa = reference_walk(circuit, bits, gates)
     if exponent % kappa:
         return NonClassical(exponent, kappa)
-    return controls + ((bits[-1] + flips + exponent // kappa) % 2,)
+    return controls + ((bits[-1] + exponent // kappa) % 2,)
 
 
 def outcome(simulator, circuit, *args):
@@ -356,6 +370,30 @@ def every_input(circuit):
     return [reference_index_to_bits(x, circuit.width) for x in range(1 << circuit.width)]
 
 
+def assert_matches_dense(circuit):
+    """Every input's exponent_simulate result against its column of dense_unitary; returns the results.
+
+    A classical result is the column's basis vector. For NonClassical(e,
+    kappa) the column is zero but for one pair of rows, those of some
+    control output, which holds column t of V^e, V = root_of_not(kappa).
+    """
+    u = dense_unitary(circuit)
+    results = []
+    for x, bits in enumerate(every_input(circuit)):
+        got = exponent_simulate(circuit, bits)
+        if isinstance(got, NonClassical):
+            pairs = u[:, x].reshape(-1, 2)
+            rows = np.flatnonzero(np.abs(pairs).max(axis=1) > 1e-9)
+            want = np.linalg.matrix_power(root_of_not(got.kappa), got.exponent)[:, bits[-1]]
+            assert rows.size == 1 and np.max(np.abs(pairs[rows[0]] - want)) < 1e-9, (circuit, bits, got)
+        else:
+            want = np.zeros(u.shape[0])
+            want[reference_bits_to_index(got)] = 1
+            assert np.max(np.abs(u[:, x] - want)) < 1e-9, (circuit, bits, got)
+        results.append(got)
+    return results
+
+
 FAMILY_BUILDERS = {
     "peres": lambda n, a: synth_peres(n, a),
     "toffoli": lambda n, a: synth_toffoli(n, a),
@@ -368,8 +406,12 @@ FAMILY_BUILDERS = {
 
 
 def random_layered_circuit(rng, n, kappa, size):
-    """Gates of every layered kind: Feynman ladders, Feynman and roots on the target, NOT."""
+    """Gates of every layered kind: Feynman ladders, Feynman gates and roots onto the target, NOT gates on any line.
+
+    Each root's order is kappa or one of the n + 1 powers of two below it, down to 1.
+    """
     w = n + 1
+    orders = [kappa >> j for j in range(min(n + 2, kappa.bit_length()))]
     gates = []
     for _ in range(size):
         kind = rng.randrange(4)
@@ -379,18 +421,18 @@ def random_layered_circuit(rng, n, kappa, size):
         elif kind == 1:
             gates.append(feynman(line, w))
         elif kind == 2:
-            gates.append(controlled_root(kappa, rng.choice((1, -1)), line, w))
+            gates.append(controlled_root(rng.choice(orders), rng.choice((1, -1)), line, w))
         else:
-            gates.append(not_gate(w))
+            gates.append(not_gate(rng.randrange(1, w + 1)))
     return gates
 
 
 def random_circuits(seed):
-    """Ten seeded circuits of up to 5 controls; about 4 in 10 leave the layered shape."""
+    """Ten seeded circuits of up to 5 controls and root orders up to 2^(n+1); about 4 in 10 leave the layered shape."""
     rng = random.Random(seed)
     for _ in range(10):
         n = rng.randrange(1, 6)
-        kappa = 1 << rng.randrange(0, n + 1)
+        kappa = 1 << rng.randrange(0, n + 2)
         gates = random_layered_circuit(rng, n, kappa, rng.randrange(0, 4 << n))
         if rng.random() < 0.4:
             gates = break_shape(rng, n, kappa, gates)
@@ -403,10 +445,8 @@ def break_shape(rng, n, kappa, gates):
     line = rng.randrange(1, w)
     other = line % n + 1
     bad = rng.choice([
-        controlled_root(kappa * 2, 1, line, w),  # mixed root orders
         feynman(w, line),  # Feynman gate reading the target
         controlled_root(kappa, 1, w, line),  # root off the target line
-        not_gate(line),  # NOT off the target line
     ] + ([controlled_root(kappa, -1, line, other)] if n > 1 else []))  # root between controls
     gates.insert(rng.randrange(len(gates) + 1), bad)
     return gates
@@ -553,6 +593,21 @@ class TestLinearFormMatchesReference:
         assert tt.permutation == oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0)))
 
 
+class TestLayeredMatchesDense:
+    # Root orders 1..2^(n+1) mixed in one circuit and NOT gates on every line,
+    # each input checked against the dense unitary, not the reference walk.
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_layered_circuits(self, seed):
+        rng = random.Random(seed)
+        kinds, mixed, not_on_a_control = set(), 0, 0
+        for n in range(1, 6):
+            circuit = Circuit(n, random_layered_circuit(rng, n, 1 << rng.randrange(0, n + 2), rng.randrange(0, 4 << n)))
+            kinds |= {type(got) for got in assert_matches_dense(circuit)}
+            mixed += len({g.kappa for g in circuit.table if g.kind is GateKind.ROOT}) > 1
+            not_on_a_control += any(g.kind is GateKind.NOT and g.target <= n for g in circuit.table)
+        assert kinds == {tuple, NonClassical} and mixed and not_on_a_control, (kinds, mixed, not_on_a_control)
+
+
 def reference_truth_table(circuit):
     """Every input through the gate-by-gate walk, as truth_table's reference.
 
@@ -622,8 +677,8 @@ class TestTruthTableMatchesReference:
         gates = [controlled_root(4, 1, 1, w), feynman(2, 3), controlled_root(4, -1, 3, w), not_gate(w)]
         circuit = Circuit(3, gates)
         got = assert_table_matches_reference(circuit)
-        # E(c) = c1 - (c2 xor c3) mod 8 is 1 or 7 where c1 = not (c2 xor c3),
-        # on c = 001, 010, 100 and 111; the first input is 001 with target 0.
+        # E(c) = c1 - (c2 xor c3) + 4 mod 8, the NOT adding kappa, is 5 or 3 where
+        # c1 = not (c2 xor c3), on c = 001, 010, 100 and 111; the first input is 001 with target 0.
         assert got.non_classical == ((0, 0, 1, 0),)
 
     def test_makes_no_exponent_simulate_call(self, monkeypatch):
@@ -676,9 +731,10 @@ def reference_dense_unitary(circuit):
 def random_general_circuit(rng, n, size):
     """Gates of every kind on any lines, with each shape the layered executor rejects.
 
-    Besides `size` random gates it holds a NOT on a control line, a root
-    that targets a control line, a Feynman gate that reads the target line
-    and roots of two orders.
+    Besides `size` random gates it holds a root that targets a control line
+    and a Feynman gate that reads the target line, which the layered
+    executor rejects, and a NOT on a control line and roots of two orders,
+    which it accepts.
     """
     w = n + 1
 

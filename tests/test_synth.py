@@ -21,11 +21,11 @@ from alpha_tables import (
     table_driven_flip,
     target_gates,
 )
-from references import reference_ladder, reference_slots
+from references import not_conjugated_toffoli, reference_ladder, reference_slots
 from test_simulate import random_circuits
 
 import rootsynth
-from rootsynth import synth
+from rootsynth import simulate, synth
 from rootsynth.bits import index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import UnsupportedShapeError, WidthLimitError, _walk, truth_table
@@ -438,6 +438,8 @@ class TestIterativePolarityFlip:
         checked = 0
         for seed in range(40):
             for c in random_circuits(seed):
+                # The rule's f holds with no NOT gate on a control line.
+                c = Circuit(c.n_controls, [g for g in c.gates if g.kind is not GateKind.NOT or g.target == c.target_line])
                 try:
                     if not truth_table(c).is_classical:
                         continue
@@ -446,6 +448,45 @@ class TestIterativePolarityFlip:
                 assert all(self.flip_identity_holds(c, i) for i in range(1, c.n_controls + 1)), (seed, c)
                 checked += 1
         assert checked >= 100
+
+    @staticmethod
+    def flip_shifts_the_power(c, i):
+        """The flip's power on c is C's on c xor e_i less one S for every c."""
+        before, after = (simulate._linear_form(x) for x in (c, iterative_polarity_flip(c, i)))
+        e = 1 << (c.n_controls - i)  # the control vector e_i
+        shift = (before.table[np.arange(before.table.size) ^ e] - after.table) % (2 * before.kappa)
+        return after.kappa == before.kappa and len(set(shift.tolist())) == 1
+
+    def test_the_power_of_every_layered_flip_is_shifted(self):
+        checked = 0
+        for seed in range(40):
+            for c in random_circuits(seed):
+                try:
+                    simulate._walk(c)
+                except UnsupportedShapeError:
+                    continue
+                assert all(self.flip_shifts_the_power(c, i) for i in range(1, c.n_controls + 1)), (seed, c)
+                checked += 1
+        assert checked >= 200
+
+    def test_a_not_gate_on_a_control_line_can_leave_a_classical_flip_non_classical(self):
+        # Powers in units of the fourth root: 5 on c1, 1 on not c1, 7 on c2 and 7 on not c2 sum to 4 * c1.
+        w = 3
+        c = Circuit(2, [controlled_root(1, 1, 1, w), controlled_root(4, 1, 1, w),
+                        not_gate(1), controlled_root(4, 1, 1, w), not_gate(1),
+                        controlled_root(4, -1, 2, w), not_gate(2), controlled_root(4, -1, 2, w), not_gate(2)])
+        assert activation_set(c) == {(1, 0), (1, 1)}
+        assert not truth_table(iterative_polarity_flip(c, 1)).is_classical
+        assert self.flip_shifts_the_power(c, 1)
+
+    @pytest.mark.parametrize("n", range(2, 5))
+    def test_a_not_conjugated_toffoli_flips_onto_a_xor_e_i(self, n):
+        for a in nonzero_activations(n):
+            c = not_conjugated_toffoli(n, a)
+            for i in range(1, n + 1):
+                b = a[: i - 1] + (1 - a[i - 1],) + a[i:]
+                assert activation_set(iterative_polarity_flip(c, i)) == {b}, (a, i)
+                assert self.flip_shifts_the_power(c, i), (a, i)
 
     def test_a_flip_onto_the_zero_vector_fires_on_every_other_and_names_the_flip_in_its_label(self):
         flipped = iterative_polarity_flip(synth_toffoli(2, (1, 0)), 1)

@@ -793,6 +793,19 @@ class TestChunkedReader:
         with pytest.raises(ValueError):  # a ParseError is a ValueError
             load_circuit(path)
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_a_json_file_names_a_byte_that_is_not_utf8_by_its_line_and_file_offset(self, tmp_path, bom):
+        one_line = serialize_json(synth_toffoli(3))
+        path = tmp_path / "bad.json"
+        for text in (one_line, json.dumps(json.loads(one_line), indent=1)):
+            data = bom + text.encode()
+            for at in (43, data.index(b"\n") + 1, len(data) - 5):
+                path.write_bytes(data[:at] + b"\xff" + data[at:])
+                line = len((data[:at].decode("utf-8-sig") + "x").splitlines())
+                with pytest.raises(ParseError) as info:
+                    load_circuit(path)
+                assert str(info.value) == f"line {line}: can't decode byte 0xff at byte offset {at}: invalid start byte"
+
     def test_a_bad_line_before_the_undecodable_byte_is_reported_first(self, tmp_path):
         data = serialize(synth_toffoli(13)).encode()
         at = data.index(b"\n", 2 * CHUNK) + 1

@@ -8,16 +8,26 @@ import pytest
 import references
 from references import (
     dense_matches,
+    not_conjugated_toffoli,
     oracle_permutation,
     permutation_matrix,
     reference_check_equivalence,
     reference_spec_output,
+    split_root_toffoli,
 )
 
 from rootsynth import simulate, verify
 from rootsynth.bits import index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman
-from rootsynth.simulate import DENSE_WIDTH_LIMIT, MAX_N, NonClassical, WidthLimitError, exponent_simulate, truth_table
+from rootsynth.simulate import (
+    DENSE_WIDTH_LIMIT,
+    MAX_N,
+    NonClassical,
+    WidthLimitError,
+    dense_unitary,
+    exponent_simulate,
+    truth_table,
+)
 from rootsynth.synth import (
     ZeroActivationError,
     converter_peres_to_toffoli,
@@ -375,6 +385,29 @@ class TestSameReportsAsThePerInputLoop:
         assert report == reference_check_equivalence(circuit, spec)
         if wrong:
             assert_rows_of_ints(report)
+
+
+class TestToffoliGatesTheGeneratorsDoNotBuild:
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_not_conjugation_sets_the_polarity_of_every_activation(self, n):
+        for a in nonzero_activations(n):
+            c = not_conjugated_toffoli(n, a)
+            spec = GateFamilySpec("toffoli", n, a)
+            assert check_equivalence(c, spec).ok and dense_matches(c, oracle_permutation(spec)), a
+            assert check_equivalence(c, GateFamilySpec("toffoli", n)).ok == (a == (1,) * n), a
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_not_conjugation_sets_one_seeded_polarity(self, n):
+        a = index_to_bits(random.Random(f"conjugated{n}").randrange(1, (1 << n) - 1), n)
+        c = not_conjugated_toffoli(n, a)
+        report = check_equivalence(c, GateFamilySpec("toffoli", n, a))
+        assert report.ok and report.inputs_checked == 2 << n
+        assert not check_equivalence(c, GateFamilySpec("toffoli", n))
+
+    def test_a_root_split_into_two_roots_of_twice_the_order(self):
+        c = split_root_toffoli()
+        assert check_equivalence(c, GateFamilySpec("toffoli", 2)).ok
+        assert np.max(np.abs(dense_unitary(c) - dense_unitary(synth_toffoli(2)))) < 1e-12
 
 
 class TestActivationSet:
