@@ -183,7 +183,10 @@ class Circuit:
 
     table holds each distinct gate once, in order of first use, and codes
     is a read-only numpy intp array of one index into table per gate. The
-    form is canonical, so equality and hashing read the columns.
+    form is canonical, so equality and hashing read the columns. simulate
+    keeps a circuit's compiled linear form on the instance as _form, which
+    is not a field: equality, hashing, repr, replace, copy and pickle
+    ignore it.
     """
 
     n_controls: int

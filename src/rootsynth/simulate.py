@@ -25,13 +25,13 @@ line adds its power to the coefficient f[m] of the mask m it reads, and the
 net power on control vector c, over the masks of odd parity on (1, c), is
 (sum(f) - WHT(f)(1, c)) / 2 mod 2*kappa for all c at once, WHT being the
 Walsh-Hadamard transform, exact for every kappa. The compiled form holds
-that table and every input's output, which exponent_simulate (one input),
-truth_table (all) and verify.activation_set read alike; all refuse more
-than MAX_N controls.
+that table and every input's output. It is built on a circuit's first use
+and kept on the circuit, which is immutable, so each circuit compiles once;
+exponent_simulate (one input), truth_table (all) and verify.activation_set
+read it alike, and all refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -300,27 +300,15 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
     return _LinearForm(table, kappa, outputs)
 
 
-# A weak reference to the last circuit exponent_simulate saw, and its linear
-# form. A dead reference returns None, so the `is` test cannot be fooled by a
-# reused id, and dropping the circuit drops the form with it.
-_last_form: tuple[weakref.ref[Circuit] | None, _LinearForm | None] = (None, None)
-
-
-def _forget(ref: weakref.ref[Circuit]) -> None:
-    """Drop the kept form when its circuit dies, unless a later circuit's has replaced it."""
-    global _last_form
-    if _last_form[0] is ref:
-        _last_form = (None, None)
-
-
 def _form_of(circuit: Circuit) -> _LinearForm:
-    """The linear form of `circuit`, kept for the next call; refuses above MAX_N controls."""
-    global _last_form
-    ref, form = _last_form
-    if ref is None or ref() is not circuit:
-        _check_controls(circuit.n_controls)
-        form = _linear_form(circuit)
-        _last_form = (weakref.ref(circuit, _forget), form)
+    """The linear form of `circuit`, compiled on first use and kept on it; refuses above MAX_N controls."""
+    try:
+        return circuit._form
+    except AttributeError:  # compile outside the handler, so a refusal carries no AttributeError context
+        pass
+    _check_controls(circuit.n_controls)
+    form = _linear_form(circuit)
+    object.__setattr__(circuit, "_form", form)
     return form
 
 
@@ -338,11 +326,10 @@ def exponent_simulate(circuit: Circuit, input_bits: Sequence[int]) -> Bits | Non
     otherwise the result is NonClassical(exponent, kappa).
 
     An input of ints 0 and 1 is packed in one pass, any other through
-    as_bits, whose rule and messages hold (see as_index). The form of the
-    last circuit object passed in is kept and holds every input's output
-    (see _linear_form), so a repeated call on one circuit is one read;
-    circuits that alternate compile on each call. WidthLimitError refuses
-    above MAX_N controls, before any work.
+    as_bits, whose rule and messages hold (see as_index). The circuit's
+    compiled form holds every input's output (see _linear_form), so every
+    call after its first is one read. WidthLimitError refuses above MAX_N
+    controls, before any work.
     """
     width = circuit.width
     x = as_index(input_bits, width)

@@ -91,10 +91,10 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     significant, in blocks of 4,096. Each block is one array per line
     holding that line's bit of every input, and _outputs maps those columns
     to the block's expected rows, tuples of ints, at once. Each input is one
-    exponent_simulate call (the first compiles the circuit, later ones read
-    one output entry) and one tuple compare. The first failing input is
-    reported, which makes the counterexample the lexicographically smallest
-    one, with its expected row from the block. GateFamilySpec refuses more
+    exponent_simulate call (a circuit compiles on its first simulation, and
+    each call reads one output entry) and one tuple compare. The first
+    failing input is reported, which makes the counterexample the
+    lexicographically smallest one, with its expected row from the block. GateFamilySpec refuses more
     than MAX_N controls, so no check runs above the limit.
     """
     if circuit.n_controls != spec.n:

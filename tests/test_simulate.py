@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import gc
+import pickle
 import random
 import tracemalloc
 
@@ -370,6 +373,19 @@ def every_input(circuit):
     return [reference_index_to_bits(x, circuit.width) for x in range(1 << circuit.width)]
 
 
+def counted_compiles(monkeypatch):
+    """The circuits _linear_form compiles from here on, in call order."""
+    calls = []
+    original = simulate._linear_form
+
+    def counting(circuit):
+        calls.append(circuit)
+        return original(circuit)
+
+    monkeypatch.setattr(simulate, "_linear_form", counting)
+    return calls
+
+
 def assert_matches_dense(circuit):
     """Every input's exponent_simulate result against its column of dense_unitary; returns the results.
 
@@ -511,9 +527,9 @@ class TestLinearFormMatchesReference:
         with monkeypatch.context() as m:
             for name in ("_walk", "_linear_form", "_root_power_table"):
                 m.setattr(simulate, name, refuse)
-            with pytest.raises(WidthLimitError, match=f"n = {n} is above the limit of {MAX_N} controls"):
+            with pytest.raises(WidthLimitError, match=f"n = {n} is above the limit of {MAX_N} controls") as refusal:
                 exponent_simulate(circuit, (1, 0) * 20 + (1,))
-        assert simulate._last_form[0] is None or simulate._last_form[0]() is not circuit
+        assert refusal.value.__context__ is None and not hasattr(circuit, "_form")
 
     def test_every_entry_point_refuses_more_than_max_n_controls(self, tmp_path, monkeypatch):
         n = 40
@@ -540,14 +556,15 @@ class TestLinearFormMatchesReference:
         with pytest.raises(WidthLimitError, match="n = 4 is above the limit of 3 controls"):
             truth_table(synth_toffoli(4))
 
-    def test_first_call_builds_the_table(self, monkeypatch):
-        monkeypatch.setattr(simulate, "_last_form", (None, None))
+    def test_first_call_builds_the_table(self):
         circuit = Circuit(3, random_layered_circuit(random.Random(7), 3, 8, 40))
+        assert not hasattr(circuit, "_form")
         bits = (1, 0, 1, 0)
         assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits, circuit.gates)
-        assert simulate._last_form[0]() is circuit and simulate._last_form[1].table is not None
+        assert circuit._form.table is not None
 
     def test_a_dropped_circuit_takes_its_compiled_form_with_it(self):
+        synth_toffoli(16)  # the generators keep each n's gate table for the life of the process
         gc.collect()
         tracemalloc.start()
         try:
@@ -560,16 +577,6 @@ class TestLinearFormMatchesReference:
         finally:
             tracemalloc.stop()
         assert kept <= 64 << 10, kept
-        assert simulate._last_form == (None, None)
-
-    def test_a_later_circuit_keeps_its_form_when_an_earlier_one_dies(self):
-        a, b = synth_toffoli(3), synth_peres(3)
-        exponent_simulate(a, (1, 1, 1, 0))
-        ref = simulate._last_form[0]
-        exponent_simulate(b, (1, 1, 1, 0))
-        del a
-        gc.collect()
-        assert ref() is None and simulate._last_form[0]() is b
 
     def test_alternating_circuits(self):
         a, b = synth_peres(4, (1, 0, 1, 1)), synth_toffoli(4, (0, 1, 1, 0))
@@ -578,15 +585,26 @@ class TestLinearFormMatchesReference:
             for circuit, gates in ((a, a_gates), (b, b_gates)):
                 assert exponent_simulate(circuit, bits) == reference_exponent_simulate(circuit, bits, gates)
 
+    def test_alternating_calls_compile_each_circuit_once(self, monkeypatch):
+        calls = counted_compiles(monkeypatch)
+        self.test_alternating_circuits()
+        assert len(calls) == 2
+
+    def test_a_simulated_circuit_is_the_same_value_as_a_fresh_one(self):
+        simulated, fresh = (synth_peres(4, (1, 0, 1, 1)) for _ in range(2))
+        truth_table(simulated)
+        assert hasattr(simulated, "_form") and not hasattr(fresh, "_form")
+
+        def views(c):
+            copies = [dataclasses.replace(c, label="x"), copy.copy(c), pickle.loads(pickle.dumps(c))]
+            return copies, [(x, hash(x), repr(x)) for x in [c, *copies]]
+
+        (copies, seen), (_, want) = views(simulated), views(fresh)
+        assert seen == want
+        assert not any(hasattr(c, "_form") for c in copies)
+
     def test_truth_table_compiles_the_circuit_once(self, monkeypatch):
-        calls = []
-        original = simulate._linear_form
-
-        def counting(circuit):
-            calls.append(circuit)
-            return original(circuit)
-
-        monkeypatch.setattr(simulate, "_linear_form", counting)
+        calls = counted_compiles(monkeypatch)
         circuit = synth_toffoli(6, (1, 0, 0, 1, 1, 0))
         tt = truth_table(circuit)
         assert calls == [circuit]

@@ -166,7 +166,7 @@ class TestSpecOutput:
         assert sorted(perm) == list(range(1 << (n + 1)))
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 @pytest.mark.parametrize(
     "generator,family",
     [(synth_peres, "peres"), (synth_toffoli, "toffoli"), (synth_barenco_toffoli, "toffoli")],
@@ -498,15 +498,12 @@ def single_gate_mutants(circuit):
         yield mutant(circuit.n_controls, gates, i, new)
 
 
-MUTATED = [(n, a) for n in range(1, 5) for a in nonzero_activations(n)] + [
-    (5, (1, 0, 1, 1, 0)),
-    (6, (0, 1, 1, 0, 0, 1)),
-]
+EVERY_SMALL_ACTIVATION = [(n, a) for n in range(1, 5) for a in nonzero_activations(n)]
+MUTATED = EVERY_SMALL_ACTIVATION + [(5, (1, 0, 1, 1, 0)), (6, (0, 1, 1, 0, 0, 1))]
+ACTIVATED_GENERATORS = [("peres", synth_peres), ("toffoli", synth_toffoli), ("toffoli", synth_barenco_toffoli)]
 
 
-@pytest.mark.parametrize(
-    "family, make", [("peres", synth_peres), ("toffoli", synth_toffoli), ("toffoli", synth_barenco_toffoli)]
-)
+@pytest.mark.parametrize("family, make", ACTIVATED_GENERATORS)
 @pytest.mark.parametrize("n, activation", MUTATED, ids=["".join(map(str, a)) for _, a in MUTATED])
 def test_every_single_gate_mutant_fails(family, make, n, activation):
     spec = GateFamilySpec(family, n, activation)
@@ -518,6 +515,28 @@ def test_every_single_gate_mutant_fails(family, make, n, activation):
     survivors = [m for m, report in zip(mutants, reports) if report.ok]
     assert survivors == []
     assert reports == [reference_check_equivalence(m, spec) for m in mutants]
+
+
+def commute(n, a, b):
+    """Whether gates a and b on n controls commute: the dense unitaries of [a, b] and [b, a] agree."""
+    return np.allclose(dense_unitary(Circuit(n, (a, b))), dense_unitary(Circuit(n, (b, a))))
+
+
+@pytest.mark.parametrize("family, make", ACTIVATED_GENERATORS)
+@pytest.mark.parametrize(
+    "n, activation", EVERY_SMALL_ACTIVATION, ids=["".join(map(str, a)) for _, a in EVERY_SMALL_ACTIVATION]
+)
+def test_swapping_adjacent_gates_passes_exactly_when_they_commute(family, make, n, activation):
+    spec = GateFamilySpec(family, n, activation)
+    gates = make(n, activation).gates
+    swaps = [i for i in range(len(gates) - 1) if gates[i] is not gates[i + 1]]
+    assert swaps or len(gates) == 1
+    for i in swaps:
+        a, b = gates[i : i + 2]
+        swapped = Circuit(n, gates[:i] + (b, a) + gates[i + 2 :])
+        report = check_equivalence(swapped, spec)
+        assert report.ok == commute(n, a, b), (i, a, b)
+        assert report == reference_check_equivalence(swapped, spec)
 
 
 @pytest.mark.parametrize("family, make", [("peres", synth_peres), ("toffoli", synth_toffoli)])
