@@ -216,18 +216,23 @@ def _root_power_table(f: np.ndarray, kappa: int) -> np.ndarray:
 
     With <m, x> = (1 - (-1)^|m & x|) / 2, E = (sum(f) - WHT(f)(1, c)) / 2,
     and WHT(f)(1, c) is the n-bit WHT of lo - hi, f's halves without and
-    with bit n, the constant line's (one butterfly per input bit, in place;
-    Fino and Algazi, IEEE Trans. Computers 1976). E is exact for every
-    kappa: up to kappa = 2^62 f is uint64, whose wrap-around is arithmetic
-    mod 2^64, and the halving leaves E exact mod 2^63, which 2*kappa
-    divides; above that f holds Python ints.
+    with bit n, the constant line's. The WHT runs in constant geometry
+    (Pease, "An adaptation of the fast Fourier transform for parallel
+    processing", JACM 1968): each of its n levels writes the sum and the
+    difference of the pair (2i, 2i + 1) to i and i + 2^(n-1) of a second
+    buffer, so it combines the lowest bit and rotates it to the top, and
+    after n levels every bit is combined and back in its place. E is exact
+    for every kappa: up to kappa = 2^62 f is uint64, whose wrap-around is
+    arithmetic mod 2^64, and the halving leaves E exact mod 2^63, which
+    2*kappa divides; above that f holds Python ints.
     """
     h = np.subtract(*f.reshape(2, -1))  # lo - hi
-    for bit in range(h.size.bit_length() - 1):
-        lo, hi = h.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
-        lo += hi
-        hi *= 2
-        np.subtract(lo, hi, out=hi)
+    spare, half = np.empty_like(h), h.size // 2
+    for _ in range(h.size.bit_length() - 1):
+        even, odd = h.reshape(-1, 2).T
+        np.add(even, odd, out=spare[:half])
+        np.subtract(even, odd, out=spare[half:])
+        h, spare = spare, h
     one, low_bits = np.array([1, 2 * kappa - 1], dtype=f.dtype)
     return ((f.sum() - h) >> one) & low_bits
 

@@ -44,7 +44,9 @@ they are; serialize and render_ascii format each table entry once and
 gather the gate lines, or the diagram's rows, over the codes. The text
 reader (see parse) checks each distinct raw gate line once and maps a
 repeat to its code by one lookup; the JSON reader checks each record once
-and the sequence in numpy.
+and the sequence in numpy. Text is read in chunks by one rule, from a
+string or an open file: 64 K - 1 characters and the rest of the line they
+end in.
 """
 from __future__ import annotations
 
@@ -150,8 +152,8 @@ def _parse_gate(words: list[str], width: int) -> Gate:
     return _build_gate(name, args, width)
 
 
-# The text reader takes a document in chunks of about this many characters,
-# each cut right after a "\n".
+# The text reader takes a document in chunks: _CHUNK - 1 characters and the
+# rest of the line they end in.
 _CHUNK = 1 << 16
 
 
@@ -165,35 +167,26 @@ def _text_chunks(text: str) -> Iterator[str]:
 
 
 def _file_chunks(file: TextIO) -> Iterator[str]:
-    """An open text file in chunks, each but the last ending right after a "\n".
+    """An open text file in chunks, cut as _text_chunks cuts the text the file reads.
 
-    The unfinished line at the end of a read is carried as a list of pieces,
-    so a line longer than a chunk is joined once.
+    Each chunk is _CHUNK - 1 characters and the rest of the line they end
+    in, which readline takes whole, however long it is.
     """
-    pieces: list[str] = []
-    while block := file.read(_CHUNK):
-        cut = block.rfind("\n") + 1
-        if cut:
-            pieces.append(block[:cut])
-            yield "".join(pieces)
-            pieces = [block[cut:]]
-        else:
-            pieces.append(block)
-    yield "".join(pieces)
+    return iter(lambda: file.read(_CHUNK - 1) + file.readline(), "")
 
 
 def parse(text: str) -> Circuit:
     """Parse a text circuit document back into a Circuit.
 
     Lines are those of text.splitlines(), numbered from 1. One pass reads
-    them in order, a chunk of about 64 K characters at a time; each chunk
-    ends right after a "\n", so no line break, "\r\n" included, spans two
-    chunks and the chunks' lines are the document's. The first occurrence
-    of each distinct raw gate line goes through every check and gets a
-    code, the index of its gate in the table; a repeat of it, which can
-    only follow the directives that made the first one valid, costs one
-    lookup. Every other line is checked where it stands, so an error names
-    its own line.
+    them in order, a chunk at a time: 64 K - 1 characters and the rest of
+    the line they end in. Each chunk but the last ends right after a "\n",
+    so no line break, "\r\n" included, spans two chunks and the chunks'
+    lines are the document's. The first occurrence of each distinct raw
+    gate line goes through every check and gets a code, the index of its
+    gate in the table; a repeat of it, which can only follow the directives
+    that made the first one valid, costs one lookup. Every other line is
+    checked where it stands, so an error names its own line.
     """
     return _parse_chunks(_text_chunks(text))
 
@@ -393,16 +386,15 @@ def load_circuit(path: str | Path) -> Circuit:
 
     The file is read in text mode, "\r\n" and "\r" reading as "\n". A
     text file is parsed as parse does, a chunk at a time from the open file,
-    so its lines are numbered as str.splitlines numbers them; a JSON file is
-    read whole. A byte that is not UTF-8 is a ParseError naming its line and
-    its offset in the file, unless a line of a text file before it is bad.
+    cut where parse cuts the text the file reads, so its lines are numbered
+    as str.splitlines numbers them; a JSON file is read whole. A byte that
+    is not UTF-8 is a ParseError naming its line and its offset in the
+    file, unless a line of a text file before it is bad.
     """
     p = Path(path)
     try:
-        if p.suffix == ".json":
-            return parse_json(p.read_text(encoding="utf-8-sig"))
         with p.open(encoding="utf-8-sig") as file:
-            return _parse_chunks(_file_chunks(file))
+            return parse_json(file.read()) if p.suffix == ".json" else _parse_chunks(_file_chunks(file))
     except UnicodeDecodeError:  # read the file again, as bytes, to place the byte
         raise _undecodable(p.read_bytes(), p.suffix != ".json") from None
 

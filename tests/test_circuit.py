@@ -329,10 +329,15 @@ class TestDistinctGateObjects:
 GATE_CALLS = [(feynman, (1, 2)), (controlled_root, (8, 1, 1, 3)), (controlled_root, (8, -1, 2, 3)), (not_gate, (1,))]
 
 
+def call_id(value):
+    """A test id part that is the same in every process: a gate function's name, or an argument's repr."""
+    return value.__name__ if callable(value) else repr(value)
+
+
 class TestGateContract:
     """What a Gate promises, whichever path builds it."""
 
-    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=call_id)
     def test_true_and_numpy_integers_intern_to_the_gate_of_ints(self, make, args):
         g = make(*args)
         for convert in (np.int8, np.int64, np.intp, lambda a: True if a == 1 else a):
@@ -348,20 +353,20 @@ class TestGateContract:
         (controlled_root, (2, "1", 1, 3), "target 3, control 1, kappa 2, direction '1'"),
         (controlled_root, (2.0, 1, 1, 3), "target 3, control 1, kappa 2.0, direction 1"),
         (controlled_root, (np.int64(2), 1, "1", 3), "target 3, control '1', kappa 2, direction 1"),
-    ], ids=repr)
+    ], ids=call_id)
     def test_a_float_or_string_field_is_refused_naming_every_field(self, make, args, message):
         with pytest.raises(ValueError) as info:
             make(*args)
         assert str(info.value) == f"gate fields must be integers, got {message}"
 
-    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=call_id)
     def test_copy_pickle_and_replace_keep_the_object(self, make, args):
         g = make(*args)
         assert copy.copy(g) is g and copy.deepcopy(g) is g and dataclasses.replace(g) is g
         assert all(pickle.loads(pickle.dumps(g, protocol)) is g for protocol in range(pickle.HIGHEST_PROTOCOL + 1))
         assert dataclasses.replace(g, target=g.target + 5) is make(*args[:-1], args[-1] + 5)
 
-    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=repr)
+    @pytest.mark.parametrize("make,args", GATE_CALLS, ids=call_id)
     def test_lines_are_the_control_then_the_target(self, make, args):
         g = make(*args)
         assert type(g.lines) is tuple

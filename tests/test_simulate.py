@@ -468,6 +468,21 @@ def break_shape(rng, n, kappa, gates):
     return gates
 
 
+class TestRootPowerTable:
+    @pytest.mark.parametrize("kappa", [1, 2, 4, 16, 1 << 62, 1 << 63, 1 << 70])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_its_defining_sum(self, n, kappa):
+        rng = random.Random(f"root power table {n} {kappa}")
+        dtype = np.uint64 if kappa <= 1 << 62 else object  # as _walk chooses
+        # A uint64 coefficient may have wrapped round 2^64, which 2*kappa divides.
+        f = [rng.randrange(1 << 64 if dtype is np.uint64 else 8 * kappa) for _ in range(2 << n)]
+        # E(c) = sum of f[m] * <m, (1, c)> mod 2*kappa, the constant line being bit n.
+        want = [sum(f[m] for m in range(2 << n) if bin(m & (1 << n | c)).count("1") % 2) % (2 * kappa)
+                for c in range(1 << n)]
+        table = simulate._root_power_table(np.array(f, dtype=dtype), kappa)
+        assert table.dtype == dtype and list(map(int, table)) == want
+
+
 class TestLinearFormMatchesReference:
     @pytest.mark.parametrize(
         "family, n",

@@ -664,17 +664,19 @@ EDGE_LINES = GOOD_LINES + ["# note", "  #", "\t# c1 c2"]
 def edge_document(rng, bad, shift):
     """A text document of four chunk edges, with chosen lines at and beside each edge.
 
-    parse cuts a chunk right after the first "\n" at least CHUNK - 1
-    characters into it, and load_circuit right after the last "\n" of each
-    read of CHUNK characters, in which "\r\n" reads as one "\n". So the
-    line that ends at an edge ends in "\n" or "\r\n" at the last character
-    of a read, and has no fewer characters than its chunk has "\r\n"
-    breaks: both readers cut right after it. With shift, each read ends
-    inside the line after the edge instead, which load_circuit carries to
-    its next chunk, and parse's cuts fall where they may. Around the edge,
-    lines of gates repeated from the filler end in every break in seeded
-    order. A bad document holds one bad line, just before, at or just after
-    an edge.
+    Both readers cut a chunk right after the first "\n" at least CHUNK - 1
+    characters into it: parse in the document, and load_circuit in the text
+    the file reads, in which "\r\n" and "\r" read as one "\n". So the line
+    at an edge holds its chunk's character CHUNK - 1 (from 0) as the file
+    reads it. Without shift, that character is its break, the rest of the
+    line that readline takes after a read of CHUNK - 1 characters. With
+    shift, the read ends earlier in the line, or right before it, and
+    readline takes more of it. The line at an edge ends in "\n" or "\r\n"
+    and has no fewer characters than its chunk has "\r\n" breaks, so
+    without shift parse cuts the document right after it too. Around the
+    edge, lines of gates repeated from the filler end in every break in
+    seeded order. A bad document holds one bad line, just before, at or
+    just after an edge.
 
     Returns the document, each edge as (its position in the document, its
     position as the file reads it), and the bad line's number or None.
@@ -698,8 +700,9 @@ def edge_document(rng, bad, shift):
         if plant and plant[0] == k:
             (before[-1], edge, after[0])[plant[1]][0] = rng.choice(BAD_LINES)
         edge[0] = edge[0].ljust(crlf + sum(brk == "\r\n" for _, brk in before + [edge]))
-        carried = rng.randint(1, len(after[0][0])) if shift else 0  # characters of the next line in the read
-        target = (k + 1) * CHUNK - carried - sum(len(line) + 1 for line, _ in before + [edge])
+        taken = rng.randint(2, len(edge[0]) + 1) if shift else 1  # the edge line's characters that readline takes
+        start = edges[-1][1] if edges else 0
+        target = start + CHUNK - 1 + taken - sum(len(line) + 1 for line, _ in before + [edge])
         while target - read > 80:  # longer than any filler line
             add(rng.choice(GOOD_LINES), "\n")
         add("#" * (target - read - 1), "\n")
@@ -725,12 +728,15 @@ class TestChunkedReader:
         assert want == planted if planted else isinstance(want, tuple)
         if not shift:
             assert list(accumulate(map(len, textio._text_chunks(text)))) == [at for at, _ in edges] + [len(text)]
+        as_read = text.replace("\r\n", "\n").replace("\r", "\n")  # the text as the file reads it
+        chunks = list(textio._text_chunks(as_read))
+        assert list(accumulate(map(len, chunks))) == [at for _, at in edges] + [len(as_read)]
         results = {"parse": reader_outcome(parse, text)}
         for bom in (b"", b"\xef\xbb\xbf"):
             path = tmp_path / f"doc{len(bom)}.txt"
             path.write_bytes(bom + text.encode("utf-8"))
             with path.open(encoding="utf-8-sig") as file:
-                assert {at for _, at in edges} < set(accumulate(map(len, textio._file_chunks(file))))
+                assert list(textio._file_chunks(file)) == chunks
             results[f"load {bom!r}"] = reader_outcome(load_circuit, path)
         for outcome in results.values():
             assert outcome == results["parse"]
