@@ -25,7 +25,6 @@ from .simulate import (
     truth_table,
 )
 from .synth import (
-    ZeroActivationError,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
     iterative_polarity_flip,

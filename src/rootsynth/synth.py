@@ -18,6 +18,8 @@ prod_{i in S} c_i in F, (-2)^(|S|-1) times the sum of f[m] over m holding
 S, must equal that of kappa * [c = a], 0 or +-2^(n-1), mod 2^n: the sum is
 odd for S = all n lines, even for any other nonempty S. By induction down
 |S| every f[m] is odd, so every one of the 2^n - 1 functions drives a root.
+Without a NOT, F(0) = 0 for every layered circuit, so none fires on a = 0;
+a NOT on the target adds kappa to F(c) for every c, which no nonempty S reads.
 
 Nor with fewer Feynman gates: 2^n - 1 - n for Peres, 2^n - 2 for Toffoli.
 Each control line holds a mask, the inputs whose parity it carries, and
@@ -39,21 +41,22 @@ comes first unless k is a power of two, and the control lines end holding
 prefix parities c1 xor ... xor ci. In the baseline generator's Gray order
 (alpha = k xor (k >> 1)) one comes first for every k >= 2, from line j, or
 from b - 1 when j = b, and the control lines end restored. A root is +1
-exactly when popcount(alpha & a) is odd, a packed LSB-first; both
-zero-polarity modes use +1 for every root. The one Feynman ladder, _ladder,
-ends synth_toffoli, and it and its reverse are the two converter circuits.
+exactly when popcount(alpha & a) is odd, a packed LSB-first, for a nonzero
+a; at a = 0 and in both zero-polarity modes every root is +1. The one
+Feynman ladder, _ladder, ends synth_toffoli, and it and its reverse are the
+two converter circuits.
 
 The mask each target-line gate reads, which the exponent simulator's walk
 derives, is that gate's alpha with its n bits reversed (alpha_1 is the
 mask's highest bit); iterative_polarity_flip reads the alphas there.
 
 Activation vectors: a circuit "fires on a" when its target flips exactly
-for control input a. Direct synthesis requires a nonzero a; the all-zero
-case is served by synth_zero_polarity, which forces every controlled gate
-to the plain root so the target output becomes t xor OR(c1..cn), plus an
-optional inverter to fire on the all-zero vector only. _activation states
-the rule for a once, for the generators and verify.GateFamilySpec alike,
-and _emit alone packs a.
+for control input a, any of the 2^n. At a = 0 every root is +1, so the
+target output becomes t xor OR(c1..cn), and one NOT on the target, last,
+makes it fire on the all-zero vector only, at one gate more than any other
+a. synth_zero_polarity's two modes are that circuit without and with the
+NOT. _activation states the rule for a once, for the generators and
+verify.GateFamilySpec alike, and _emit alone packs a and places the NOT.
 
 Every generator and converter accepts at most MAX_N controls. A circuit over
 n controls holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n
@@ -81,10 +84,6 @@ ZeroPolarityMode = Literal["or-gate", "and-complemented"]
 _OR_GATE, _AND_COMPLEMENTED = _ZERO_MODES = get_args(ZeroPolarityMode)
 
 
-class ZeroActivationError(ValueError):
-    """Raised when direct synthesis is asked to fire on the all-zero vector."""
-
-
 def _check_n(n: int) -> int:
     """n as an int, refused below 1 or above MAX_N controls."""
     n = control_count(n)
@@ -93,14 +92,8 @@ def _check_n(n: int) -> int:
 
 
 def _activation(n: int, activation: Sequence[int] | None) -> Bits:
-    """The activation vector of a checked n: n bits, not all zero; None means all ones."""
-    if activation is None:
-        return (1,) * n
-    act = as_bits(activation, length=n)
-    if not any(act):
-        raise ZeroActivationError("direct synthesis cannot fire on the all-zero vector; "
-                                  "use synth_zero_polarity instead")
-    return act
+    """The activation vector of a checked n: any n bits, the all-zero vector too; None means all ones."""
+    return (1,) * n if activation is None else as_bits(activation, length=n)
 
 
 @cache
@@ -155,13 +148,16 @@ def _slots(n: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _emit(n: int, gray: bool, activation: Bits | None) -> np.ndarray:
-    """Each slot's code into _gate_table(n) for the activation; None makes every root +1."""
+    """Each slot's code into _gate_table(n) for the activation; None and the all-zero a make every root +1.
+
+    At a = 0 the NOT gate, code n(n+1), comes last: t xor OR(c) becomes t xor [c = 0].
+    """
     codes, alphas = _slots(n, gray)
-    if activation is None:
+    if activation is None or not any(activation):
         codes += alphas != 0
-    else:
-        alphas &= bits_to_index(activation[::-1])
-        codes += np.bitwise_count(alphas)
+        return codes if activation is None else np.append(codes, n * (n + 1))
+    alphas &= bits_to_index(activation[::-1])
+    codes += np.bitwise_count(alphas)
     return codes
 
 
@@ -174,7 +170,7 @@ def synth_peres(n: int, activation: Sequence[int] | None = None) -> Circuit:
     alpha_i is bit i-1 of k, and it is the root when that function is 1 on
     the activation vector, the adjoint root otherwise. Quantum cost is
     2^(n+1) - n - 2: 2^n - 1 controlled gates, n of them driven directly,
-    plus one Feynman gate for each of the other 2^n - 1 - n.
+    plus one Feynman gate for each of the other 2^n - 1 - n, and a NOT at a = 0.
     """
     n = _check_n(n)
     act = _activation(n, activation)
@@ -199,7 +195,7 @@ def synth_toffoli(n: int, activation: Sequence[int] | None = None) -> Circuit:
 
     All control outputs equal the control inputs; the target output is
     t xor [c = activation]. Quantum cost (2^(n+1) - n - 2) + (n - 1)
-    = 2^(n+1) - 3.
+    = 2^(n+1) - 3; the NOT of a = 0 makes it 2^(n+1) - 2.
     """
     n = _check_n(n)
     act = _activation(n, activation)
@@ -215,8 +211,8 @@ def synth_barenco_toffoli(n: int, activation: Sequence[int] | None = None) -> Ci
     (control 1 is the Gray LSB). The running subset parity is held on the
     line of the subset's largest element; each transition costs one Feynman
     gate, and each subset conditions one root gate on the target. The control
-    lines end restored to c1..cn. Quantum cost 2^(n+1) - 3, for any n >= 1:
-    at n = 1 the one root has order 1, so it is feynman(1, 2).
+    lines end restored to c1..cn. Quantum cost 2^(n+1) - 3 (a = 0 adds a NOT),
+    for any n >= 1: at n = 1 the one root has order 1, so it is feynman(1, 2).
     """
     n = _check_n(n)
     act = _activation(n, activation)
@@ -229,17 +225,15 @@ def synth_zero_polarity(n: int, mode: ZeroPolarityMode = _OR_GATE) -> Circuit:
 
     mode "or-gate": the target output is t xor (c1 or ... or cn), i.e. the
     target flips on every nonzero control vector. mode "and-complemented"
-    adds one inverter on the target line, so the circuit fires exactly on
-    the all-zero control vector. Control outputs are prefix parities in
-    both modes.
+    is synth_peres at the all-zero activation, whose NOT on the target line
+    makes the circuit fire exactly on the all-zero control vector. Control
+    outputs are prefix parities in both modes.
     """
     n = _check_n(n)
     if mode not in _ZERO_MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    codes = _emit(n, gray=False, activation=None)
-    if mode == _AND_COMPLEMENTED:
-        codes = np.append(codes, n * (n + 1))  # the NOT gate's code
-    return Circuit._of_codes(n, _gate_table(n), codes, label=f"{mode} n={n}")
+    act = (0,) * n if mode == _AND_COMPLEMENTED else None
+    return Circuit._of_codes(n, _gate_table(n), _emit(n, gray=False, activation=act), label=f"{mode} n={n}")
 
 
 def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
@@ -250,7 +244,9 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     and each whose function holds c_i becomes its adjoint: a root turns into
     the adjoint root and back. A gate is the root exactly when alpha and the
     activation vector a share an odd number of ones, so the result equals
-    synthesizing with bit i of a complemented when a xor e_i is nonzero. For
+    synthesizing with bit i of a complemented when a and a xor e_i are both
+    nonzero: synthesis at 0 adds a NOT that no flip adds or removes, and
+    flipping bit 1 of synth_peres(3, (0, 0, 0)) fires on every c but 100. For
     any layered circuit C, the flip's root power on c is C's on c xor e_i
     less S, the adjointed gates' summed power. With no NOT gate on a control
     line S is C's power on e_i less that on 0, so for classical C the flip's

@@ -94,8 +94,10 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     exponent_simulate call (a circuit compiles on its first simulation, and
     each call reads one output entry) and one tuple compare. The first
     failing input is reported, which makes the counterexample the
-    lexicographically smallest one, with its expected row from the block. GateFamilySpec refuses more
-    than MAX_N controls, so no check runs above the limit.
+    lexicographically smallest one, with its expected row from the block. In
+    a layered circuit (c, 0) and (c, 1) fail together, so the first failure
+    has t = 0. GateFamilySpec refuses more than MAX_N controls, so no check
+    runs above the limit.
     """
     if circuit.n_controls != spec.n:
         raise ValueError(f"control count mismatch: circuit {circuit.n_controls}, spec {spec.n}")

@@ -51,7 +51,7 @@ CASES = [
     (["synth", "toffoli", "--n", "3", "--activation", "101"], 0, "croot 4"),
     (["synth", "orgate", "--n", "2", "--out", "{missing}"], 0, ""),
     (["synth", "barenco", "--n", "1"], 0, "cnot 1 2"),
-    (["synth", "peres", "--n", "2", "--activation", "00"], 2, "all-zero vector"),
+    (["synth", "peres", "--n", "2", "--activation", "00"], 0, "not 3"),
     (["synth", "andzero", "--n", "2", "--activation", "11"], 2, "does not take an activation"),
     (["synth", "toffoli"], 2, "--n"),
     (["verify", "--circuit", "{toffoli}", "--family", "toffoli", "--n", "3", "--activation", "101"], 0, "pass (16 inputs checked)"),

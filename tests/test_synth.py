@@ -31,7 +31,6 @@ from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_g
 from rootsynth.simulate import UnsupportedShapeError, WidthLimitError, _walk, truth_table
 from rootsynth.synth import (
     MAX_N,
-    ZeroActivationError,
     converter_peres_to_toffoli,
     converter_toffoli_to_peres,
     iterative_polarity_flip,
@@ -149,9 +148,10 @@ class TestSynthPeres:
     def test_default_activation_is_all_ones(self):
         assert synth_peres(3) == synth_peres(3, (1, 1, 1))
 
-    def test_rejects_zero_activation(self):
-        with pytest.raises(ZeroActivationError):
-            synth_peres(2, (0, 0))
+    def test_zero_activation_makes_every_root_plus_one_and_ends_in_a_not(self):
+        c = synth_peres(2, (0, 0))
+        assert c.gates == (controlled_root(2, 1, 1, 3), controlled_root(2, 1, 2, 3), feynman(1, 2),
+                           controlled_root(2, 1, 2, 3), not_gate(3))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -260,9 +260,10 @@ class TestSynthToffoli:
         a = (1, 0, 1)
         assert synth_toffoli(3, a) == synth_peres(3, a).compose(converter_peres_to_toffoli(3))
 
-    def test_rejects_zero_activation(self):
-        with pytest.raises(ZeroActivationError):
-            synth_toffoli(3, (0, 0, 0))
+    def test_zero_activation_is_peres_plus_reversed_converter(self):
+        a = (0, 0, 0)
+        assert synth_toffoli(3, a) == synth_peres(3, a).compose(converter_peres_to_toffoli(3))
+        assert synth_toffoli(3, a).quantum_cost == 14
 
 
 class TestBarenco:
@@ -493,6 +494,11 @@ class TestIterativePolarityFlip:
         assert activation_set(flipped) == {(0, 1), (1, 0), (1, 1)}
         assert flipped.label == "toffoli n=2 a=10 flip 1"
 
+    def test_no_flip_adds_or_removes_the_not_of_the_zero_activation(self):
+        flipped = iterative_polarity_flip(synth_peres(3, (0, 0, 0)), 1)
+        assert flipped.census().not_count == 1
+        assert activation_set(flipped) == {index_to_bits(c, 3) for c in range(8)} - {(1, 0, 0)}
+
     def test_the_label_names_each_flip_after_the_activation_it_was_built_for(self):
         flipped = iterative_polarity_flip(synth_peres(3), 3)
         assert activation_set(flipped) == {(1, 1, 0)}
@@ -503,28 +509,35 @@ class TestIterativePolarityFlip:
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 2), (3, 32)])
 def test_every_root_coefficient_vector_that_fires_on_a_is_odd(n, count):
-    """Every f in Z_2kappa^(2^n - 1) with sum_m f[m] parity(m & c) = kappa [c = a] mod 2 kappa.
+    """Every f in Z_2kappa^(2^n - 1) with sum_m f[m] parity(m & c) + kappa N = kappa [c = a] mod 2 kappa.
 
-    uint8 arithmetic wraps mod 256, which 2 kappa divides. The count of
-    solutions is the same for every a, every entry is odd (the parity
-    induction in synth's docstring), and each generator's coefficients, as
-    the walk derives them, are one of them.
+    N counts the NOT gates on the target: a = 0 needs one, since without it
+    the sum is 0 at c = 0, and no other a takes one. uint8 arithmetic wraps
+    mod 256, which 2 kappa divides. The count of solutions is the same for
+    every a, every entry is odd (the parity induction in synth's docstring),
+    and each generator's coefficients, as the walk derives them, are one of
+    them, with its NOT's kappa on the constant mask 1 << n.
     """
-    kappa, masks = 1 << (n - 1), np.arange(1, 1 << n)  # the masks m, and the control vectors c
+    kappa, masks, vectors = 1 << (n - 1), np.arange(1, 1 << n), np.arange(1 << n)  # the masks m, the vectors c
     every = np.arange((2 * kappa) ** masks.size, dtype=np.uint32)
     f = np.empty((every.size, masks.size), dtype=np.uint8)
     for m in range(masks.size):  # f[:, m] is digit m of the index in base 2 kappa
         f[:, m] = every >> (n * m) & (2 * kappa - 1)
-    parity = (np.bitwise_count(masks[:, None] & masks) & 1).astype(np.uint8)
+    parity = (np.bitwise_count(masks[:, None] & vectors) & 1).astype(np.uint8)
     powers = f @ parity & (2 * kappa - 1)
-    for a in masks:
-        solutions = f[(powers == kappa * (masks == a)).all(axis=1)]
+    for a in vectors:
+        fires, nots = kappa * (vectors == a), int(a == 0)
+        if nots:
+            assert not (powers == fires).all(axis=1).any()
+        solutions = f[(powers + nots * kappa & (2 * kappa - 1) == fires).all(axis=1)]
         assert len(solutions) == count and (solutions & 1).all()
         for family in ACTIVATED:
             _, reads, gate_powers, _ = _walk(generate(family, n, index_to_bits(int(a), n)))
-            coefficients = np.zeros(1 << n, dtype=np.uint64)
+            coefficients = np.zeros(2 << n, dtype=np.uint64)
             np.add.at(coefficients, reads, gate_powers)
-            assert (coefficients[1:] % (2 * kappa) == solutions).all(axis=1).any(), (family, a)
+            coefficients %= 2 * kappa
+            assert coefficients[1 << n] == nots * kappa and not coefficients[(1 << n) + 1 :].any(), (family, a)
+            assert (coefficients[1 : 1 << n] == solutions).all(axis=1).any(), (family, a)
 
 
 def fewest_feynman_gates(n, final):

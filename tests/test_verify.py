@@ -29,7 +29,6 @@ from rootsynth.simulate import (
     truth_table,
 )
 from rootsynth.synth import (
-    ZeroActivationError,
     converter_peres_to_toffoli,
     synth_barenco_toffoli,
     synth_peres,
@@ -48,6 +47,10 @@ from rootsynth.verify import (
 
 def nonzero_activations(n):
     return [index_to_bits(i, n) for i in range(1, 1 << n)]
+
+
+def every_activation(n):
+    return [index_to_bits(i, n) for i in range(1 << n)]
 
 
 def family_specs(n):
@@ -72,7 +75,7 @@ def family_circuits(n):
     yield synth_zero_polarity(n, "and-complemented")
 
 
-BAD_ACTIVATIONS = [(0, 0, 0), (1, 1), (1, 1, 1, 1), (1, 2, 1), (1, "1", 1)]
+BAD_ACTIVATIONS = [(1, 1), (1, 1, 1, 1), (1, 2, 1), (1, "1", 1)]
 
 
 class TestGateFamilySpec:
@@ -97,18 +100,14 @@ class TestGateFamilySpec:
                 make(3, activation)
             raised.add((type(info.value), str(info.value)))
         assert len(raised) == 1, raised
-        if not any(activation):
-            (kind, message), = raised
-            assert kind is ZeroActivationError and "all-zero vector" in message
 
     def test_zero_polarity_families_take_no_activation(self):
         assert GateFamilySpec("or-gate", 2).activation is None
         with pytest.raises(ValueError):
             GateFamilySpec("or-gate", 2, (1, 0))
 
-    def test_rejects_zero_activation(self):
-        with pytest.raises(ValueError):
-            GateFamilySpec("peres", 2, (0, 0))
+    def test_accepts_zero_activation(self):
+        assert GateFamilySpec("peres", 2, (0, 0)).activation == (0, 0)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
@@ -166,15 +165,35 @@ class TestSpecOutput:
         assert sorted(perm) == list(range(1 << (n + 1)))
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
-@pytest.mark.parametrize(
+EACH_GENERATOR = pytest.mark.parametrize(
     "generator,family",
     [(synth_peres, "peres"), (synth_toffoli, "toffoli"), (synth_barenco_toffoli, "toffoli")],
     ids=["peres", "toffoli", "barenco"],
 )
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@EACH_GENERATOR
 def test_every_activation_matches_the_oracle(generator, family, n):
-    for a in nonzero_activations(n):
+    for a in every_activation(n):
         assert truth_table(generator(n, a)).permutation == oracle_permutation(GateFamilySpec(family, n, a)), a
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_peres_at_the_zero_activation_is_the_and_complemented_circuit(n):
+    assert synth_peres(n, (0,) * n) == synth_zero_polarity(n, "and-complemented")
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+@EACH_GENERATOR
+def test_the_zero_activation_costs_one_not_more_and_passes_the_check(generator, family, n):
+    zero = (0,) * n
+    circuit = generator(n, zero)
+    assert circuit.census().not_count == 1
+    assert circuit.quantum_cost == generator(n).quantum_cost + 1
+    assert check_equivalence(circuit, GateFamilySpec(family, n, zero)).ok
+    if n <= 8:
+        assert dense_matches(circuit, truth_table(circuit).permutation)
 
 
 def packed_oracle(spec):
@@ -263,6 +282,13 @@ class TestCheckEquivalence:
         assert report == EquivalenceReport(
             False, 2 * int("1111111110", 2) + 1, activation + (0,), activation + (1,), activation + (0,)
         )
+
+    def test_the_first_failure_against_all_ones_is_the_activation_with_target_0(self):
+        spec = GateFamilySpec("toffoli", 8)
+        for a in range(255):
+            bits = index_to_bits(a, 8)
+            report = check_equivalence(synth_toffoli(8, bits), spec)
+            assert report == EquivalenceReport(False, 2 * a + 1, bits + (0,), bits + (0,), bits + (1,)), a
 
     def test_every_input_is_checked_at_n10(self):
         report = check_equivalence(synth_peres(10, (0, 1) * 5), GateFamilySpec("peres", 10, (0, 1) * 5))
