@@ -26,6 +26,14 @@ table per gate in a read-only numpy array. A circuit of 2^(n+1) gates
 holds only O(n^2) distinct ones, so validation, census, adjoint, the
 writers and the executors work once per table entry and then in numpy over
 the codes. The gate tuple is built only when asked for.
+
+The codes take the smallest unsigned dtype that holds the last code of the
+canonical table, as column stores size a dictionary's codes to it: uint8 up
+to 256 distinct gates, uint16 up to 65,536. A generated circuit over n
+controls uses at most n(n-1)/2 + 2n + 1 distinct gates, 231 at MAX_N, so
+its codes take one byte a gate. Under numpy 2 a uint8 array plus a Python
+int stays uint8 and wraps, so every operation that adds to codes first
+casts them to the dtype of the table it builds (_code_dtype).
 """
 from __future__ import annotations
 
@@ -151,9 +159,25 @@ def check_lines(g: Gate, width: int) -> None:
             raise ValueError(f"line {line} out of range for width {width}")
 
 
+_UINT8 = np.dtype(np.uint8)
+
+
+def _code_dtype(size: int) -> np.dtype:
+    """The dtype of the codes into a table of `size` gates: the smallest unsigned one that holds size - 1.
+
+    Every generated circuit takes the first branch, which spares the 0.7 us of a min_scalar_type call.
+    """
+    return _UINT8 if size <= 256 else np.min_scalar_type(size - 1)
+
+
 def gather(values: Sequence[_T], codes: np.ndarray) -> list[_T]:
-    """[values[k] for k in codes], in one numpy gather: values holds one entry per table entry."""
-    return np.fromiter(values, dtype=object, count=len(values))[codes].tolist()
+    """[values[k] for k in codes], in one numpy gather: values holds one entry per table entry.
+
+    take casts narrow codes to intp in one pass, where indexing casts them
+    a buffer at a time at up to three times the cost; the intp copy is
+    freed before the list is built, which is as large.
+    """
+    return np.fromiter(values, dtype=object, count=len(values)).take(codes).tolist()
 
 
 @dataclass(frozen=True)
@@ -182,11 +206,12 @@ class Circuit:
     """An ordered gate sequence over n_controls + 1 lines, stored as columns.
 
     table holds each distinct gate once, in order of first use, and codes
-    is a read-only numpy intp array of one index into table per gate. The
-    form is canonical, so equality and hashing read the columns. simulate
-    keeps a circuit's compiled linear form on the instance as _form, which
-    is not a field: equality, hashing, repr, replace, copy and pickle
-    ignore it.
+    is a read-only numpy array of one index into table per gate, in the
+    smallest unsigned dtype that holds len(table) - 1 (uint8 for every
+    generated circuit). The form, dtype included, is canonical, so equality
+    and hashing read the columns. simulate keeps a circuit's compiled
+    linear form on the instance as _form, which is not a field: equality,
+    hashing, repr, replace, copy and pickle ignore it.
     """
 
     n_controls: int
@@ -201,7 +226,7 @@ class Circuit:
         try:
             table = tuple(dict.fromkeys(gates))
             index = {g: i for i, g in enumerate(table)}
-            codes = np.fromiter(map(index.__getitem__, gates), np.intp, len(gates))
+            codes = np.fromiter(map(index.__getitem__, gates), _code_dtype(len(table)), len(gates))
         except TypeError:  # an unhashable entry, which no Gate is: validation names it
             table, codes = gates, np.arange(len(gates), dtype=np.intp)
         self._set(n_controls, table, codes, label)
@@ -227,7 +252,7 @@ class Circuit:
         The table may repeat a gate or hold one that no code uses. Each used
         entry is checked once, in order of first use, so the first bad gate
         in circuit order raises; the canonical table holds each used gate
-        once, in that order.
+        once, in that order, and the codes take its _code_dtype.
         """
         object.__setattr__(self, "n_controls", control_count(self.n_controls))
         if not isinstance(self.label, str):
@@ -251,7 +276,8 @@ class Circuit:
                 raise ValueError(f"gate {position} is {g!r}, not a Gate")
             check_lines(g, width)
             lookup[i] = index.setdefault(g, len(index))
-        codes = codes.astype(np.intp) if lookup == [*range(len(table))] else np.array(lookup, dtype=np.intp)[codes]
+        dtype = _code_dtype(len(index))
+        codes = codes.astype(dtype) if lookup == [*range(len(table))] else np.array(lookup, dtype=dtype)[codes]
         codes.flags.writeable = False
         object.__setattr__(self, "table", tuple(index))
         object.__setattr__(self, "codes", codes)
@@ -290,14 +316,16 @@ class Circuit:
 
     def append(self, g: Gate) -> "Circuit":
         """New circuit with g appended."""
-        codes = np.append(self.codes, len(self.table))
+        codes = np.empty(len(self.codes) + 1, _code_dtype(len(self.table) + 1))
+        codes[:-1], codes[-1] = self.codes, len(self.table)
         return self._of_codes(self.n_controls, self.table + (g,), codes, self.label)
 
     def compose(self, other: "Circuit") -> "Circuit":
         """Concatenate gate sequences; widths must agree. Keeps this label."""
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
-        codes = np.concatenate((self.codes, other.codes + len(self.table)))
+        codes = np.concatenate((self.codes, other.codes), dtype=_code_dtype(len(self.table) + len(other.table)))
+        codes[len(self.codes):] += len(self.table)
         return self._of_codes(self.n_controls, self.table + other.table, codes, self.label)
 
     def adjoint(self) -> "Circuit":

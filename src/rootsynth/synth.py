@@ -61,12 +61,12 @@ verify.GateFamilySpec alike, and _emit alone packs a and places the NOT.
 Every generator and converter accepts at most MAX_N controls. A circuit over
 n controls holds at most n(n-1)/2 + 2n + 1 distinct gates, built once per n
 in _gate_table, the NOT gate last at code n(n+1); one numpy pass computes
-each gate's code into that table, and the circuit keeps the codes (see
-circuit.Circuit). The gate table alone is kept between calls: it holds at
-most 231 distinct gates, about 90 KB at MAX_N, and keeping it spares each
-call building and checking them again. Each generator call builds its slot
-arrays in _slots, 6 bytes a slot (12 MB at MAX_N), and drops them before
-the circuit is built.
+each gate's code into that table, and the circuit keeps the codes, one
+byte a gate (see circuit.Circuit). The gate table alone is kept between
+calls: it holds at most 231 distinct gates, about 90 KB at MAX_N, and
+keeping it spares each call building and checking them again. Each
+generator call builds its slot arrays in _slots, 6 bytes a slot (12 MB at
+MAX_N), and drops them before the circuit is built.
 """
 from __future__ import annotations
 
@@ -77,7 +77,7 @@ from typing import Literal, Sequence, get_args
 import numpy as np
 
 from .bits import Bits, as_bits, bits_to_index, format_bits
-from .circuit import Circuit, Gate, control_count, controlled_root, feynman, not_gate
+from .circuit import Circuit, Gate, _code_dtype, control_count, controlled_root, feynman, not_gate
 from .simulate import MAX_N, _check_controls, _walk
 
 ZeroPolarityMode = Literal["or-gate", "and-complemented"]
@@ -268,6 +268,7 @@ def iterative_polarity_flip(circuit: Circuit, i: int) -> Circuit:
     _check_controls(n)
     # A gate whose mask holds c_i (line 1's bit is highest) becomes its adjoint: no change for Feynman and NOT.
     table = circuit.table
-    codes = circuit.codes + len(table) * (_walk(circuit)[1] & 1 << (n - i) != 0)
+    codes = circuit.codes.astype(_code_dtype(2 * len(table)))
+    codes[_walk(circuit)[1] & 1 << (n - i) != 0] += len(table)
     label = f"{circuit.label} flip {i}".lstrip()
     return circuit._of_codes(n, table + tuple(g.adjoint() for g in table), codes, label)

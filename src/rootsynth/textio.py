@@ -47,6 +47,13 @@ repeat to its code by one lookup; the JSON reader checks each record once
 and the sequence in numpy. Text is read in chunks by one rule, from a
 string or an open file: 64 K - 1 characters and the rest of the line they
 end in.
+
+Both readers build their codes in the dtype the circuit keeps (see
+circuit.Circuit): the smallest unsigned one that holds the last index
+into the gate table read so far, one byte a gate for every generated
+circuit, which uses at most 231 distinct gates. The text reader sizes each
+chunk's codes to the table as it stands after that chunk, so a table that
+grows past 256 gates widens the chunks from there on.
 """
 from __future__ import annotations
 
@@ -57,7 +64,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .circuit import _FEYNMAN, _NOT, Circuit, Gate, check_lines, controlled_root, feynman, gather, not_gate
+from .circuit import _FEYNMAN, _NOT, Circuit, Gate, _code_dtype, check_lines, controlled_root, feynman, gather, not_gate
 
 FORMAT_HEADER = "circuit v1"
 # The format serialize_json writes; parse_json also reads FORMAT_HEADER.
@@ -246,7 +253,7 @@ def _parse_chunks(chunks: Iterable[str]) -> Circuit:
                     others += 1
                     continue
             codes.append(code)
-        parts.append(np.array(codes, dtype=np.intp))
+        parts.append(np.array(codes, dtype=_code_dtype(len(table))))
         gates += len(codes)
     if not saw_header:
         raise ParseError("empty document: missing header")
@@ -308,11 +315,11 @@ def _sequence_codes(doc: dict, size: int) -> np.ndarray:
         raise ParseError("sequence must be a list of gate indices")
     # true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
     # from 0 to size - 1 pass. codes stays None when an index is no int or
-    # beyond intp; the loop then names the first index that fails.
+    # outside the codes' dtype; the loop then names the first index that fails.
     codes = None
     if set(map(type, sequence)) <= {int}:
         try:
-            codes = np.array(sequence, dtype=np.intp)
+            codes = np.array(sequence, dtype=_code_dtype(size))
         except OverflowError:
             pass
     if codes is None or codes.size and not 0 <= codes.min() <= codes.max() < size:
@@ -358,7 +365,7 @@ def parse_json(text: str) -> Circuit:
     if version == JSON_FORMAT:
         codes = _sequence_codes(doc, len(table))
     else:
-        codes = np.arange(len(table), dtype=np.intp)
+        codes = np.arange(len(table), dtype=_code_dtype(len(table)))
     return _circuit(width, controls, table, codes, label)
 
 

@@ -496,7 +496,7 @@ class TestColumns:
         gates = c.gates
         assert isinstance(gates, tuple) and tuple(c) == gates and len(c) == len(gates)
         assert c.table == tuple(dict.fromkeys(gates))
-        assert c.codes.dtype == np.intp and not c.codes.flags.writeable
+        assert c.codes.dtype == np.min_scalar_type(len(c.table) - 1) == np.uint8 and not c.codes.flags.writeable
         rebuilt = Circuit(n, gates)
         assert rebuilt == c and hash(rebuilt) == hash(c)
 
@@ -567,3 +567,78 @@ class TestColumns:
         doc = serialize_json(Circuit(2, table))
         with pytest.raises(ParseError, match=f"^sequence {position}: index {code} out of range for 2 gate records$"):
             parse_json(doc.replace('"sequence": [0, 1]', f'"sequence": {codes}'))
+
+
+def layered_gates(n):
+    """Every distinct gate of a layered circuit over n controls with roots of order 2..2^(n-1), in a seeded order.
+
+    There are n(n-1) Feynman gates between control lines, n onto the target,
+    2n(n-1) roots and n + 1 NOT gates: 421 at n = 12.
+    """
+    w = n + 1
+    gates = [feynman(c, t) for t in range(1, w + 1) for c in range(1, w) if c != t]
+    gates += [controlled_root(1 << k, d, c, w) for k in range(1, n) for d in (1, -1) for c in range(1, w)]
+    gates += [not_gate(line) for line in range(1, w + 1)]
+    random.Random(n).shuffle(gates)
+    return gates
+
+
+WIDE_N = 12
+POOL = layered_gates(WIDE_N)
+
+
+def wide_circuit(table, size, seed=0):
+    """A circuit of `size` >= len(table) gates over WIDE_N controls, using each gate of `table`, in a seeded order."""
+    rng = random.Random(seed)
+    gates = list(table) + rng.choices(table, k=size - len(table)) if table else []
+    rng.shuffle(gates)
+    return Circuit(WIDE_N, gates, label=f"wide {len(table)}")
+
+
+class TestWideTables:
+    """Past 256 distinct gates the codes take uint16, and every operation that adds to them widens them first."""
+
+    @pytest.mark.parametrize("distinct,dtype", [(0, np.uint8), (1, np.uint8), (256, np.uint8), (257, np.uint16),
+                                                (421, np.uint16)])
+    def test_the_codes_take_the_smallest_unsigned_dtype_of_the_table(self, distinct, dtype):
+        c = wide_circuit(POOL[:distinct], 3 * distinct)
+        assert len(c.table) == distinct and c.codes.dtype == dtype
+        # The dtype is the canonical table's: unused and repeated entries past 256 leave it as it is.
+        for table in (c.table, c.table + tuple(POOL[distinct:]) + c.table):
+            for codes in (c.codes.astype(np.int64), c.codes.astype(np.uint32)):
+                rebuilt = Circuit._of_codes(WIDE_N, table, codes)
+                assert rebuilt == c and hash(rebuilt) == hash(c) and rebuilt.codes.dtype == dtype
+
+    @pytest.mark.parametrize("left,right", [(200, 200), (100, 321), (256, 1), (1, 256), (421, 0)])
+    def test_compose_past_256_gates(self, left, right):
+        a = wide_circuit(POOL[:left], 3 * left, seed=1)
+        b = wide_circuit(POOL[-right:] if right else [], 3 * right, seed=2)
+        composed = a.compose(b)
+        want = Circuit(WIDE_N, a.gates + b.gates)
+        assert composed.gates == a.gates + b.gates
+        assert composed == want and hash(composed) == hash(want) and composed.codes.dtype == want.codes.dtype
+        assert composed.label == a.label
+
+    @pytest.mark.parametrize("distinct", [255, 256, 300])
+    def test_append_past_256_gates(self, distinct):
+        c = wide_circuit(POOL[:distinct], 2 * distinct)
+        for g in (POOL[distinct], POOL[0]):  # a new gate, then one the table holds
+            appended = c.append(g)
+            want = Circuit(WIDE_N, c.gates + (g,))
+            assert appended.gates == c.gates + (g,)
+            assert appended == want and hash(appended) == hash(want) and appended.codes.dtype == want.codes.dtype
+
+    def test_adjoint_past_256_gates(self):
+        c = wide_circuit(POOL, 1500)
+        adjoint = c.adjoint()
+        assert adjoint.gates == tuple(g.adjoint() for g in reversed(c.gates))
+        assert adjoint.codes.dtype == np.uint16 and adjoint.adjoint() == c
+
+    @pytest.mark.parametrize("distinct", [129, 200, 256, 421])
+    def test_flip_past_256_gates(self, distinct):
+        # The flip's table is the circuit's and its adjoints: past 256 entries from 129 on.
+        c = wide_circuit(POOL[:distinct], 3 * distinct)
+        for i in (1, 7, WIDE_N):
+            flipped = iterative_polarity_flip(c, i)
+            assert flipped != c and flipped.gates == flip_gate_by_gate(c, i), i
+            assert iterative_polarity_flip(flipped, i) == c, i

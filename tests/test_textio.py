@@ -11,9 +11,11 @@ import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
+import numpy as np
 import pytest
 from alpha_tables import ACTIVATED, FAMILIES, generate
 from references import diagram, json_document, reading, reference_parse, reference_parse_json, text_document
+from test_circuit import POOL, WIDE_N, wide_circuit
 from test_simulate import random_circuits
 
 import rootsynth
@@ -773,7 +775,8 @@ class TestChunkedReader:
         finally:
             tracemalloc.stop()
         assert loaded == circuit
-        assert peak <= 4 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
+        # Bounds on peaks are stated per gate in units of an 8-byte (intp) code, whatever dtype the codes take.
+        assert peak <= 4 * 8 * len(circuit), (peak, len(circuit))
 
     @pytest.mark.parametrize("bom,newline", [(b"", b"\n"), (b"\xef\xbb\xbf", b"\r\n")], ids=["plain", "bom-crlf"])
     def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_file_offset_at_every_chunk_edge(
@@ -838,6 +841,60 @@ WRITER_CASES = [
     for family in ("peres", "toffoli", "barenco", "or-gate", "and-complemented")
     for n in range(1, 13)
 ]
+
+
+class TestCodeColumns:
+    """Both readers build codes in the circuit's dtype, one byte a gate up to 256 distinct gates."""
+
+    @pytest.mark.parametrize("suffix,bound", [(".txt", 12), (".json", 26)])
+    def test_loading_a_16_control_file_peaks_within_its_bound_in_bytes_a_gate(self, tmp_path, suffix, bound):
+        circuit = synth_toffoli(16)
+        path = tmp_path / f"t16{suffix}"
+        path.write_text(serialize_json(circuit) if suffix == ".json" else serialize(circuit))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loaded = load_circuit(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == circuit and loaded.codes.dtype == np.uint8
+        assert peak <= bound * len(circuit), (peak / len(circuit), bound)
+
+    @pytest.mark.parametrize("chunk", [64, 256, 4096, CHUNK])
+    def test_a_table_past_256_gates_reads_back_in_chunks_of_any_size(self, tmp_path, monkeypatch, chunk):
+        circuit = wide_circuit(POOL, 2000)
+        text = serialize(circuit)
+        assert text == text_document(circuit)
+        path = tmp_path / "wide.txt"
+        path.write_text(text)
+        monkeypatch.setattr(textio, "_CHUNK", chunk)
+        # The table passes 256 gates inside the one chunk of CHUNK, and between chunks of the smaller sizes.
+        assert (len(list(textio._text_chunks(text))) == 1) == (chunk == CHUNK)
+        for back in (parse(text), load_circuit(path)):
+            assert back == circuit and hash(back) == hash(circuit) and back.label == circuit.label
+            assert back.gates == circuit.gates and back.codes.dtype == np.uint16
+            rebuilt = Circuit(WIDE_N, back.gates)
+            assert rebuilt == back and hash(rebuilt) == hash(back)
+
+    def test_json_of_a_table_past_256_gates_reads_back(self):
+        circuit = wide_circuit(POOL, 2000)
+        doc = serialize_json(circuit)
+        assert doc == json_document(circuit)
+        v2 = json.loads(doc)
+        sequence = v2.pop("sequence")  # a v1 document holds one record per gate
+        v1 = json.dumps(dict(v2, format="circuit v1", gates=[v2["gates"][i] for i in sequence]))
+        for back in (parse_json(doc), parse_json(v1)):
+            assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == np.uint16
+            rebuilt = Circuit(WIDE_N, back.gates)
+            assert rebuilt == back and hash(rebuilt) == hash(back)
+
+    @pytest.mark.parametrize("index", [421, 65_535, 65_536, 2**40, -1])
+    def test_an_index_past_a_wide_table_is_named(self, index):
+        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc["sequence"][300] = index
+        with pytest.raises(ParseError, match=f"^sequence 300: index {index} out of range for 421 gate records$"):
+            parse_json(json.dumps(doc))
 
 
 class TestWritersMatchTheGateByGateReference:
@@ -963,9 +1020,10 @@ class TestDerivedCodecs:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # The document is about 1.94 times the codes and the list of its lines once more: a copy of it would pass 4.8.
-        assert len(text) < 2 * circuit.codes.nbytes
-        assert peak <= 3.25 * circuit.codes.nbytes, (peak, circuit.codes.nbytes)
+        # Per gate, in units of an 8-byte (intp) code, whatever dtype the codes take: the document is about
+        # 1.94 of them and the list of its lines once more, and a copy of it would pass 4.8.
+        assert len(text) < 2 * 8 * len(circuit)
+        assert peak <= 3.25 * 8 * len(circuit), (peak, len(circuit))
 
 
 V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
