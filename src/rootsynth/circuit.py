@@ -160,6 +160,8 @@ def check_lines(g: Gate, width: int) -> None:
 
 
 _UINT8 = np.dtype(np.uint8)
+# Codes Circuit.census counts at a time: bincount's intp copy of a block is 256 KiB.
+_CENSUS_BLOCK = 1 << 15
 
 
 def _code_dtype(size: int) -> np.dtype:
@@ -334,8 +336,18 @@ class Circuit:
         return self._of_codes(self.n_controls, table, self.codes[::-1], self.label)
 
     def census(self) -> GateCensus:
+        """Per-kind counts, from each table entry's count of codes.
+
+        bincount casts the codes it counts to intp, so the codes are counted
+        _CENSUS_BLOCK at a time: the cast copy stays that short however long
+        the circuit is.
+        """
+        codes = self.codes
+        counts = np.bincount(codes[:_CENSUS_BLOCK], minlength=len(self.table))
+        for start in range(_CENSUS_BLOCK, len(codes), _CENSUS_BLOCK):
+            counts += np.bincount(codes[start:start + _CENSUS_BLOCK], minlength=len(counts))
         feyn = roots = adjs = nots = 0
-        for g, count in zip(self.table, np.bincount(self.codes, minlength=len(self.table)).tolist()):
+        for g, count in zip(self.table, counts.tolist()):
             if g.kind is _FEYNMAN:
                 feyn += count
             elif g.kind is _NOT:

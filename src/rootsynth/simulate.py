@@ -40,10 +40,10 @@ import numpy as np
 from .bits import Bits, as_index, index_to_bits
 from .circuit import _ROOT, Circuit, Gate, check_kappa, gather
 
-# A Toffoli circuit on the monomial path takes about 0.008 s at width 9, 0.03 s
-# at width 10 and 0.12 s at width 11, a 64 MiB matrix (one core of a 2-CPU
-# Xeon box). The same gates on the swap/mix path take 0.3, 2.3 and 30 s:
-# twice the gates at each width, each touching 4x the memory.
+# A Toffoli circuit on the monomial path takes about 0.001 s at width 9, 0.003 s
+# at width 10 and 0.017 s at width 11, a 64 MiB matrix (one core of a 2-CPU
+# Xeon box, best of 7). The same gates on the swap/mix path take 0.3, 2.3 and
+# 30 s: twice the gates at each width, each touching 4x the memory.
 DENSE_WIDTH_LIMIT = 11
 
 MAX_N = 20
@@ -134,10 +134,13 @@ def _monomial_unitary(circuit: Circuit, qs: list[complex], rotated: set[int]) ->
     one amplitude amp[x]: a NOT or Feynman gate on a read line is the
     gather idx = perm[idx], and any gate on a rotated line is amp *=
     phase[idx], the phase w where it fires on the line's hi half. Each
-    entry's perm or phase is built once per table entry. Then u[idx, x] =
-    amp * 0.5 ** len(rotated), and an unnormalised butterfly sqrt(2)*H runs
-    on each rotated line's row and column axes, so a circuit of NOT and
-    Feynman gates gives an exact 0/1 matrix.
+    entry's perm or phase is built once per table entry. A permutation
+    step targets and reads only read lines, so it commutes with the
+    unnormalised butterflies B = sqrt(2)*H on the r rotated lines, and U =
+    P (B diag(amp) B) / 2^r. B diag(amp) B holds at (x ^ v, x), for each v
+    in the span of the rotated bits R, amp's butterflies at (x & ~R) | v:
+    they run on the dim-long amp, and u is filled by 2^r scatters, so a
+    circuit of NOT and Feynman gates gives an exact 0/1 matrix.
     """
     width, table = circuit.width, circuit.table
     dim = 1 << width
@@ -153,13 +156,16 @@ def _monomial_unitary(circuit: Circuit, qs: list[complex], rotated: set[int]) ->
             amp *= step[idx]
         else:
             idx = step[idx]
-    u = np.zeros((dim, dim), dtype=complex)
-    u[idx, x] = amp * 0.5 ** len(rotated)
-    for bit in [width - line + side for line in rotated for side in (width, 0)]:  # row axis, then column axis
-        lo, hi = u.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
+    amp *= 0.5 ** len(rotated)
+    for line in rotated:
+        lo, hi = amp.reshape(-1, 2, 1 << (width - line)).swapaxes(0, 1)  # (lo, hi) -> (lo + hi, lo - hi)
         lo += hi
         hi *= -2
         hi += lo
+    rot = sum(1 << (width - line) for line in rotated)
+    u = np.zeros((dim, dim), dtype=complex)
+    for v in x[x & rot == x]:  # the span of the rotated bits
+        u[idx[x ^ v], x] = amp[x & ~rot | v]
     return u
 
 

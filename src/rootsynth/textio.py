@@ -41,12 +41,14 @@ v1" document, one record per gate and no "sequence", is still read.
 
 serialize_json writes a circuit's two columns (see circuit.Circuit) as
 they are; serialize and render_ascii format each table entry once and
-gather the gate lines, or the diagram's rows, over the codes. The text
-reader (see parse) checks each distinct raw gate line once and maps a
-repeat to its code by one lookup; the JSON reader checks each record once
-and the sequence in numpy. Text is read in chunks by one rule, from a
-string or an open file: 64 K - 1 characters and the rest of the line they
-end in.
+gather the gate lines, or the diagram's rows, over the codes. Both readers
+decode the repeats at C speed. The text reader (see parse) maps each
+chunk's lines to codes through one map over a dict of the distinct raw
+gate lines, whose __missing__ checks a line it has not seen; the JSON
+reader checks each record once, and packs a sequence into a table of at
+most 256 records in one bytes() pass (see _sequence_codes). Text is read in
+chunks by one rule, from a string or an open file: 64 K - 1 characters and
+the rest of the line they end in.
 
 Both readers build their codes in the dtype the circuit keeps (see
 circuit.Circuit): the smallest unsigned one that holds the last index
@@ -59,6 +61,7 @@ from __future__ import annotations
 
 import json
 import re
+from operator import length_hint
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -189,80 +192,104 @@ def parse(text: str) -> Circuit:
     them in order, a chunk at a time: 64 K - 1 characters and the rest of
     the line they end in. Each chunk but the last ends right after a "\n",
     so no line break, "\r\n" included, spans two chunks and the chunks'
-    lines are the document's. The first occurrence of each distinct raw
-    gate line goes through every check and gets a code, the index of its
-    gate in the table; a repeat of it, which can only follow the directives
-    that made the first one valid, costs one lookup. Every other line is
-    checked where it stands, so an error names its own line.
+    lines are the document's. A chunk's lines are mapped to codes by one
+    map over a dict's lookup (see _Reader): the first occurrence of each
+    distinct raw gate line goes through every check and gets a code, the
+    index of its gate in the table; a repeat of it, which can only follow
+    the directives that made the first one valid, costs one lookup at C
+    speed. Every other line is checked where it stands, so an error names
+    its own line, counted by the lines the map has taken.
     """
     return _parse_chunks(_text_chunks(text))
 
 
+class _Reader(dict):
+    """parse's state: each distinct raw gate line read so far and its code, which a line it lacks gets from __missing__.
+
+    Lines are read in order through __getitem__, so the first occurrence
+    of a line runs every check, with the directives read before it. A gate
+    line is stored with its code, the index of its gate in table; a
+    directive, comment or blank line is never stored, so a repeat of it is
+    checked again where it stands, and reads as None.
+    """
+
+    __slots__ = ("header", "label", "table", "read", "others", "saw_header")  # quicker for __missing__ than a __dict__
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.header: dict[str, int | None] = {"width": None, "controls": None}
+        self.label: str | None = None
+        self.table: list[Gate] = []  # the gate of each distinct gate line
+        self.read = 0  # lines read so far
+        self.others = 0  # lines read so far that hold no gate
+        self.saw_header = False
+
+    def __missing__(self, raw: str) -> int | None:
+        stripped = raw.strip()
+        content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
+        if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
+            if not self.saw_header:
+                raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
+            if self.label is not None:
+                raise ParseError("duplicate label directive")
+            self.label = raw.lstrip()[len("label "):]
+        elif not content:
+            pass
+        elif not self.saw_header:
+            if content != FORMAT_HEADER:
+                raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
+            self.saw_header = True
+        elif content == FORMAT_HEADER:
+            raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
+        else:
+            fields = content.split()
+            word, header = fields[0], self.header
+            if word in header:
+                if len(fields) != 2:
+                    raise ParseError(f"{word} takes one integer")
+                value = _int_field(fields[1], word)
+                if header[word] is not None:
+                    raise ParseError(f"duplicate {word} directive")
+                header[word] = value
+            elif word in _GATES:
+                if None in header.values():
+                    raise ParseError("gate line before width/controls directives")
+                self.table.append(_parse_gate(fields, header["width"]))
+                code = self[raw] = len(self.table) - 1
+                return code
+            else:
+                raise ParseError(f"unknown directive {word!r}")
+        self.others += 1
+        return None
+
+    def codes(self, lines: list[str]) -> np.ndarray:
+        """The codes of the gate lines among `lines`, the next lines of the document, in the table's dtype."""
+        others, it = self.others, iter(lines)
+        try:
+            codes = list(map(self.__getitem__, it))  # one per line: a code, or None for a line with no gate
+        except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
+            raise ParseError(str(exc), self.read + len(lines) - length_hint(it)) from None
+        self.read += len(lines)
+        if self.others != others:
+            codes = [code for code in codes if code is not None]
+        size = len(self.table)  # bytes() packs codes below 256 at C speed, at a third of np.array's cost
+        return np.frombuffer(bytes(codes), np.uint8) if size <= 256 else np.array(codes, _code_dtype(size))
+
+
 def _parse_chunks(chunks: Iterable[str]) -> Circuit:
     """parse over a document given as chunks that each end with a whole line."""
-    header: dict[str, int | None] = {"width": None, "controls": None}
-    label: str | None = None
-    table: list[Gate] = []  # the gate of each distinct gate line
-    known: dict[str, int] = {}  # each distinct raw gate line and its code
-    parts: list[np.ndarray] = []  # the codes of each chunk read
-    gates = 0  # gate lines in the chunks before this one
-    others = 0  # lines so far that hold no gate
-    saw_header = False
-    for chunk in chunks:
-        codes: list[int] = []  # one per gate line of this chunk so far
-        for raw in chunk.splitlines():
-            code = known.get(raw)
-            if code is None:
-                try:
-                    stripped = raw.strip()
-                    content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
-                    if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
-                        if not saw_header:
-                            raise ParseError(f"expected {FORMAT_HEADER!r} before directives")
-                        if label is not None:
-                            raise ParseError("duplicate label directive")
-                        label = raw.lstrip()[len("label "):]
-                    elif not content:
-                        pass
-                    elif not saw_header:
-                        if content != FORMAT_HEADER:
-                            raise ParseError(f"expected header {FORMAT_HEADER!r}, got {content!r}")
-                        saw_header = True
-                    elif content == FORMAT_HEADER:
-                        raise ParseError(f"duplicate header {FORMAT_HEADER!r}")
-                    else:
-                        fields = content.split()
-                        word = fields[0]
-                        if word in header:
-                            if len(fields) != 2:
-                                raise ParseError(f"{word} takes one integer")
-                            value = _int_field(fields[1], word)
-                            if header[word] is not None:
-                                raise ParseError(f"duplicate {word} directive")
-                            header[word] = value
-                        elif word in _GATES:
-                            if None in header.values():
-                                raise ParseError("gate line before width/controls directives")
-                            table.append(_parse_gate(fields, header["width"]))
-                            code = known[raw] = len(table) - 1
-                        else:
-                            raise ParseError(f"unknown directive {word!r}")
-                except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
-                    raise ParseError(str(exc), gates + len(codes) + others + 1) from None
-                if code is None:
-                    others += 1
-                    continue
-            codes.append(code)
-        parts.append(np.array(codes, dtype=_code_dtype(len(table))))
-        gates += len(codes)
-    if not saw_header:
+    reader = _Reader()
+    # The maps drop each chunk once it is split, and its lines once they are read, before the next chunk is split.
+    parts = list(map(reader.codes, map(str.splitlines, chunks)))
+    if not reader.saw_header:
         raise ParseError("empty document: missing header")
+    header = reader.header
     for word, value in header.items():
         if value is None:
             raise ParseError(f"missing {word} directive")
-    codes_read = np.concatenate(parts)  # a document with a header has a chunk
+    codes = np.concatenate(parts)  # a document with a header has a chunk
     del parts  # so that building the circuit holds one copy of the codes
-    return _circuit(header["width"], header["controls"], table, codes_read, label or "")
+    return _circuit(header["width"], header["controls"], reader.table, codes, reader.label or "")
 
 
 def serialize_json(circuit: Circuit) -> str:
@@ -306,18 +333,31 @@ def _record_gate(entry: object, width: int) -> Gate:
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
-def _sequence_codes(doc: dict, size: int) -> np.ndarray:
-    """A v2 document's "sequence" as codes into its table of `size` records."""
+def _sequence_codes(doc: dict, size: int, text: str) -> np.ndarray:
+    """A v2 document's "sequence" as codes into its table of `size` records; `text` is the document.
+
+    true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
+    from 0 to size - 1 pass. Up to 256 records one bytes() pass checks and
+    packs the sequence at C speed, refusing every decoded value but an int
+    in 0..255 and a bool; a bool can only come from a literal true or false
+    in the text, so only a text that holds one, a document given as bytes
+    (whose encoding json.loads detects, so it is not searched), or a wider
+    table takes a pass over the entries' types and then np.array. codes
+    stays None when an index is refused there; the loop then names the
+    first index that fails.
+    """
     if "sequence" not in doc:
         raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
     sequence = doc["sequence"]
     if not isinstance(sequence, list):
         raise ParseError("sequence must be a list of gate indices")
-    # true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
-    # from 0 to size - 1 pass. codes stays None when an index is no int or
-    # outside the codes' dtype; the loop then names the first index that fails.
     codes = None
-    if set(map(type, sequence)) <= {int}:
+    if size <= 256 and isinstance(text, str) and "true" not in text and "false" not in text:
+        try:
+            codes = np.frombuffer(bytes(sequence), np.uint8)
+        except (TypeError, ValueError):
+            pass
+    elif set(map(type, sequence)) <= {int}:
         try:
             codes = np.array(sequence, dtype=_code_dtype(size))
         except OverflowError:
@@ -337,7 +377,10 @@ def parse_json(text: str) -> Circuit:
 
     Each record of "gates" is checked once, in order and against the width,
     and an error in it names its index. A v1 document's gates are those
-    records; a v2 document takes its gates from them through "sequence".
+    records; a v2 document takes its gates from them through "sequence",
+    which is checked and packed at C speed and whose first bad index is
+    named (see _sequence_codes). Like json.loads, it also reads a document
+    given as bytes in UTF-8, UTF-16 or UTF-32.
     """
     try:
         doc = json.loads(text)
@@ -363,7 +406,7 @@ def parse_json(text: str) -> Circuit:
         except ValueError as exc:
             raise ParseError(f"gate {index}: {exc}") from None
     if version == JSON_FORMAT:
-        codes = _sequence_codes(doc, len(table))
+        codes = _sequence_codes(doc, len(table), text)
     else:
         codes = np.arange(len(table), dtype=_code_dtype(len(table)))
     return _circuit(width, controls, table, codes, label)

@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import re
 import sys
 import threading
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -267,6 +270,31 @@ class TestCensus:
     def test_counts_sum_to_cost(self, n):
         for c in (synth_peres(n), synth_toffoli(n), synth_barenco_toffoli(n)):
             assert c.census().total == c.quantum_cost
+
+    @staticmethod
+    def gate_by_gate(c):
+        kinds = Counter((g.kind, g.direction if g.kind is GateKind.ROOT else 0) for g in c.gates)
+        return GateCensus(kinds[GateKind.FEYNMAN, 0], kinds[GateKind.ROOT, 1], kinds[GateKind.ROOT, -1],
+                          kinds[GateKind.NOT, 0])
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_blocks_of_any_size_count_as_gate_by_gate(self, monkeypatch, block):
+        monkeypatch.setattr(circuit, "_CENSUS_BLOCK", block)
+        for c in (synth_toffoli(6), synth_peres(5).adjoint(), Circuit(2)):
+            assert c.census() == self.gate_by_gate(c)
+
+    def test_a_16_control_census_peaks_within_three_bytes_a_gate(self):
+        c = synth_toffoli(16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            census = c.census()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert census == self.gate_by_gate(c) and census.total == len(c) > 2 * circuit._CENSUS_BLOCK
+        # A census that cast every code to intp at once would peak at 8 bytes a gate.
+        assert peak <= 3 * len(c), (peak / len(c))
 
     def test_target_gates_are_the_controlled_slots(self):
         c = synth_peres(3)

@@ -264,6 +264,30 @@ class TestParseErrors:
             parse("\n".join(lines))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "directive,message",
+        [("width 4", "duplicate width directive"), ("controls 3", "duplicate controls directive"),
+         ("label a", "duplicate label directive"), ("circuit v1", "duplicate header 'circuit v1'")],
+        ids=["width", "controls", "label", "header"],
+    )
+    def test_a_repeated_directive_past_the_first_chunk_names_its_own_line(self, tmp_path, directive, message):
+        # Only gate lines are stored: the same directive line read again is checked again, in the chunk it is in.
+        lines = ["circuit v1", "width 4", "controls 3", "label a"] + ["cnot 1 2"] * (CHUNK // 8) + [directive, "not 4"]
+        text = "\n".join(lines)
+        assert text.rindex(f"\n{directive}\n") > CHUNK
+        path = tmp_path / "repeat.txt"
+        path.write_text(text)
+        for read, source in ((parse, text), (load_circuit, path)):
+            with pytest.raises(ParseError) as info:
+                read(source)
+            assert info.value.line_no == len(lines) - 1 and str(info.value) == f"line {len(lines) - 1}: {message}"
+
+    def test_a_repeated_one_character_unknown_line_is_named_at_its_first_occurrence(self):
+        lines = HEADER + ["label x", "not 4  # x", "", "x"] + ["cnot 1 2", "x"] * 3
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines))
+        assert info.value.line_no == 9 and str(info.value) == "line 9: unknown directive 'x'"
+
     @pytest.mark.parametrize("value", ["1_0", "\u0663"])
     @pytest.mark.parametrize("directive", ["width", "controls"])
     def test_directive_integers_are_ascii_digits(self, directive, value):
@@ -508,6 +532,27 @@ class TestJsonV2:
         with pytest.raises(ParseError) as info:
             parse_json(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("label", ["true", "false", "true or false"])
+    def test_a_label_holding_true_or_false_reads_back(self, label):
+        c = parse_json(v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2], label=label))
+        cnot, root, inv = feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4)
+        assert c.label == label and c.gates == (inv, cnot, cnot, root, inv) and c.codes.dtype == np.uint8
+
+    @pytest.mark.parametrize("label", ["", "true", "false"])
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_a_bool_index_is_refused_whatever_the_label_holds(self, entry, label):
+        text = v2_doc(GOOD_RECORDS, [0, 1, entry, 2], label=label)
+        with pytest.raises(ParseError, match=f"^sequence 2: index must be an integer, got {json.dumps(entry)}$"):
+            parse_json(text)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32"])
+    def test_a_document_given_as_bytes_reads_as_its_text(self, encoding):
+        text = v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2], label="a")
+        assert parse_json(text.encode(encoding)) == parse_json(text)
+        # Bytes are not searched for a literal true: a bool index is still refused by name.
+        with pytest.raises(ParseError, match="^sequence 2: index must be an integer, got true$"):
+            parse_json(v2_doc(GOOD_RECORDS, [0, 1, True, 2], label="a").encode(encoding))
 
     def test_empty_table_takes_only_an_empty_sequence(self):
         assert parse_json(v2_doc([], [])) == Circuit(3)
@@ -894,6 +939,13 @@ class TestCodeColumns:
         doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
         doc["sequence"][300] = index
         with pytest.raises(ParseError, match=f"^sequence 300: index {index} out of range for 421 gate records$"):
+            parse_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("index", [True, False, 1.0], ids=repr)
+    def test_an_index_of_another_type_in_a_wide_table_is_named(self, index):
+        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc["sequence"][300] = index
+        with pytest.raises(ParseError, match=f"^sequence 300: index must be an integer, got {json.dumps(index)}$"):
             parse_json(json.dumps(doc))
 
 
