@@ -24,36 +24,42 @@ checks run only to name a fault. Both readers build each gate in one
 helper and end in one more, which checks that width is controls + 1.
 
 Files ending in .json hold the same schema as one JSON object, and every
-number in it must be a JSON integer. The writer emits format "circuit v2":
+number in it must be a JSON integer. The writer emits format "circuit v3":
 "gates" is a table holding each distinct gate record once, in order of
-first use, and "sequence" lists one index into that table per gate, in
-circuit order:
+first use, and "sequence" is one string of hex digits holding one index
+into that table per gate, in circuit order. Each index is big-endian and
+takes two digits a byte of the codes' dtype (see below) for the table's
+size: two digits a gate for every generated circuit, four for a table
+past 256 records. The reader takes hex digits of either case.
 
-    {"format": "circuit v2", "width": 3, "controls": 2, "label": "",
+    {"format": "circuit v3", "width": 3, "controls": 2, "label": "",
      "gates": [{"gate": "cnot", "control": 1, "target": 2},
                {"gate": "not", "line": 3}],
-     "sequence": [0, 1, 0]}
+     "sequence": "000100"}
 
 A record may hold keys that are no gate's field, but not a field of
 another gate kind. A generated circuit of about 2^(n+1) gates holds only
-O(n^2) distinct ones, so the table keeps the document small. A "circuit
-v1" document, one record per gate and no "sequence", is still read.
+O(n^2) distinct ones, so the table keeps the document small. Documents of
+the two formats before it are still read: "circuit v2", whose "sequence"
+is a list of JSON integer indices, and "circuit v1", one record per gate
+and no "sequence".
 
 serialize_json writes a circuit's two columns (see circuit.Circuit) as
-they are; serialize and render_ascii format each table entry once and
-gather the gate lines, or the diagram's rows, over the codes. Both readers
-decode the repeats at C speed. The text reader (see parse) maps each
-chunk's lines to codes through one map over a dict of the distinct raw
-gate lines, whose __missing__ checks a line it has not seen; the JSON
-reader checks each record once, and packs a sequence into a table of at
-most 256 records in one bytes() pass (see _sequence_codes). Text is read in
+they are, its codes in one tobytes().hex(); serialize and render_ascii
+format each table entry once and gather the gate lines, or the diagram's
+rows, over the codes. Both readers decode the repeats at C speed. The text
+reader (see parse) maps each chunk's lines to codes through one map over a
+dict of the distinct raw gate lines, whose __missing__ checks a line it
+has not seen; the JSON reader checks each record once, and decodes a v3
+sequence in one bytes.fromhex pass (see _hex_codes). Text is read in
 chunks by one rule, from a string or an open file: 64 K - 1 characters and
 the rest of the line they end in.
 
 Both readers build their codes in the dtype the circuit keeps (see
 circuit.Circuit): the smallest unsigned one that holds the last index
 into the gate table read so far, one byte a gate for every generated
-circuit, which uses at most 231 distinct gates. The text reader sizes each
+circuit, which uses at most 231 distinct gates; wider v3 codes are read
+big-endian, and the circuit casts them. The text reader sizes each
 chunk's codes to the table as it stands after that chunk, so a table that
 grows past 256 gates widens the chunks from there on.
 """
@@ -70,8 +76,8 @@ import numpy as np
 from .circuit import _FEYNMAN, _NOT, Circuit, Gate, _code_dtype, check_lines, controlled_root, feynman, gather, not_gate
 
 FORMAT_HEADER = "circuit v1"
-# The format serialize_json writes; parse_json also reads FORMAT_HEADER.
-JSON_FORMAT = "circuit v2"
+# The format serialize_json writes; parse_json also reads "circuit v2" and FORMAT_HEADER.
+JSON_FORMAT = "circuit v3"
 
 # Each gate name, which is its GateKind's value, with its gate function and
 # fields, in argument order. A field is the Gate attribute of its name; a
@@ -86,6 +92,7 @@ _FIELDS = dict.fromkeys(f for _, fields in _GATES.values() for f in fields)  # e
 _DIRECTIONS = {"+1": 1, "1": 1, "-1": -1}
 # An optional sign and ASCII digits: int() would also take '1_0' and '١'.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
+_NOT_HEX = re.compile("[^0-9a-fA-F]")
 # Per gate name: (field, attribute) pairs, the line's format and its words' pattern, a record's and others' keys.
 _ATTRIBUTES = {name: [(f, "target" if f == "line" else f) for f in fields] for name, (_, fields) in _GATES.items()}
 _LINES = {name: " ".join([name] + [f"{{{a}:+d}}" if f == "direction" else f"{{{a}}}" for f, a in pairs]) + "\n"
@@ -210,21 +217,24 @@ class _Reader(dict):
     of a line runs every check, with the directives read before it. A gate
     line is stored with its code, the index of its gate in table; a
     directive, comment or blank line is never stored, so a repeat of it is
-    checked again where it stands, and reads as None.
+    checked again where it stands. It reads as code 0, and its place in its
+    chunk goes to skipped, so that the chunk's codes are packed at C speed
+    and then drop it.
     """
 
-    __slots__ = ("header", "label", "table", "read", "others", "saw_header")  # quicker for __missing__ than a __dict__
+    __slots__ = ("header", "label", "table", "read", "rest", "skipped", "saw_header")  # quicker for __missing__
 
     def __init__(self) -> None:
         super().__init__()
         self.header: dict[str, int | None] = {"width": None, "controls": None}
         self.label: str | None = None
         self.table: list[Gate] = []  # the gate of each distinct gate line
-        self.read = 0  # lines read so far
-        self.others = 0  # lines read so far that hold no gate
+        self.read = 0  # lines read so far, before the chunk being read
+        self.rest: Iterator[str] = iter(())  # the lines of the chunk being read that are not read yet
+        self.skipped: list[int] = []  # the chunk's lines read so far that hold no gate, indexed from its end
         self.saw_header = False
 
-    def __missing__(self, raw: str) -> int | None:
+    def __missing__(self, raw: str) -> int:
         stripped = raw.strip()
         content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
         if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
@@ -259,21 +269,21 @@ class _Reader(dict):
                 return code
             else:
                 raise ParseError(f"unknown directive {word!r}")
-        self.others += 1
-        return None
+        self.skipped.append(~length_hint(self.rest))  # -1 - the lines after this one
+        return 0
 
     def codes(self, lines: list[str]) -> np.ndarray:
         """The codes of the gate lines among `lines`, the next lines of the document, in the table's dtype."""
-        others, it = self.others, iter(lines)
+        self.rest = it = iter(lines)
         try:
-            codes = list(map(self.__getitem__, it))  # one per line: a code, or None for a line with no gate
+            codes = list(map(self.__getitem__, it))  # one per line: a code, or 0 for a line with no gate
         except ValueError as exc:  # a ParseError, or a gate's own check from _build_gate
             raise ParseError(str(exc), self.read + len(lines) - length_hint(it)) from None
         self.read += len(lines)
-        if self.others != others:
-            codes = [code for code in codes if code is not None]
         size = len(self.table)  # bytes() packs codes below 256 at C speed, at a third of np.array's cost
-        return np.frombuffer(bytes(codes), np.uint8) if size <= 256 else np.array(codes, _code_dtype(size))
+        packed = np.frombuffer(bytes(codes), np.uint8) if size <= 256 else np.array(codes, _code_dtype(size))
+        skipped, self.skipped = self.skipped, []
+        return np.delete(packed, skipped) if skipped else packed
 
 
 def _parse_chunks(chunks: Iterable[str]) -> Circuit:
@@ -293,22 +303,20 @@ def _parse_chunks(chunks: Iterable[str]) -> Circuit:
 
 
 def serialize_json(circuit: Circuit) -> str:
-    """The circuit as a format circuit v2 JSON document, on one line.
+    """The circuit as a format circuit v3 JSON document, on one line.
 
-    The records are the circuit's gate table and the sequence its codes.
+    The records are the circuit's gate table, and the sequence its codes as
+    one string of hex digits, each code big-endian in its dtype's width.
     """
-    doc = json.dumps({
+    codes = circuit.codes
+    return json.dumps({
         "format": JSON_FORMAT,
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
         "gates": list(map(_record, circuit.table)),
-        "sequence": [],
-    })
-    # json.dumps writes a list of ints as their decimal forms joined by ", ":
-    # splice the joined index strings into the trailing '[]}'.
-    indices = [str(i) for i in range(len(circuit.table))]
-    return doc[:-2] + ", ".join(gather(indices, circuit.codes)) + "]}\n"
+        "sequence": codes.astype(codes.dtype.newbyteorder(">"), copy=False).tobytes().hex(),
+    }) + "\n"
 
 
 def _json_int(value: object, what: str) -> int:
@@ -333,31 +341,18 @@ def _record_gate(entry: object, width: int) -> Gate:
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
-def _sequence_codes(doc: dict, size: int, text: str) -> np.ndarray:
-    """A v2 document's "sequence" as codes into its table of `size` records; `text` is the document.
+def _sequence_codes(sequence: object, size: int) -> np.ndarray:
+    """A v2 document's "sequence", a list of indices, as codes into its table of `size` records.
 
     true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
-    from 0 to size - 1 pass. Up to 256 records one bytes() pass checks and
-    packs the sequence at C speed, refusing every decoded value but an int
-    in 0..255 and a bool; a bool can only come from a literal true or false
-    in the text, so only a text that holds one, a document given as bytes
-    (whose encoding json.loads detects, so it is not searched), or a wider
-    table takes a pass over the entries' types and then np.array. codes
-    stays None when an index is refused there; the loop then names the
-    first index that fails.
+    from 0 to size - 1 pass. A pass over the entries' types lets a list of
+    ints through to np.array; codes stays None when an index is refused
+    there, and the loop then names the first index that fails.
     """
-    if "sequence" not in doc:
-        raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
-    sequence = doc["sequence"]
     if not isinstance(sequence, list):
         raise ParseError("sequence must be a list of gate indices")
     codes = None
-    if size <= 256 and isinstance(text, str) and "true" not in text and "false" not in text:
-        try:
-            codes = np.frombuffer(bytes(sequence), np.uint8)
-        except (TypeError, ValueError):
-            pass
-    elif set(map(type, sequence)) <= {int}:
+    if set(map(type, sequence)) <= {int}:
         try:
             codes = np.array(sequence, dtype=_code_dtype(size))
         except OverflowError:
@@ -372,23 +367,52 @@ def _sequence_codes(doc: dict, size: int, text: str) -> np.ndarray:
     return codes
 
 
+def _hex_codes(sequence: object, size: int) -> np.ndarray:
+    """A v3 document's "sequence", one string of hex digits, as codes into its table of `size` records.
+
+    Each code is big-endian in 2 digits a byte of its _code_dtype. One
+    bytes.fromhex pass decodes the string, which holds nothing else:
+    fromhex skips whitespace, so a string of twice the decoded length is
+    all hex digits. One max finds a code out of range, and argmax names
+    the first.
+    """
+    if not isinstance(sequence, str):
+        raise ParseError("sequence must be a string of hex digits")
+    dtype = _code_dtype(size)
+    try:
+        raw = bytes.fromhex(sequence)
+    except ValueError:  # a character that is no hex digit, or an odd count of digits
+        raw = b""
+    if 2 * len(raw) != len(sequence) and (bad := _NOT_HEX.search(sequence)):
+        raise ParseError(f"sequence: non-hex character {bad[0]!r} at digit {bad.start()}")
+    if len(sequence) % (2 * dtype.itemsize):
+        raise ParseError(f"sequence has {len(sequence)} hex digits, not a whole number of "
+                         f"{2 * dtype.itemsize}-digit codes for {size} gate records")
+    codes = np.frombuffer(raw, dtype.newbyteorder(">"))
+    if codes.size and codes.max() >= size:
+        position = int(np.argmax(codes >= size))
+        raise ParseError(f"sequence {position}: index {codes[position]} out of range for {size} gate records")
+    return codes
+
+
 def parse_json(text: str) -> Circuit:
-    """Parse a JSON circuit document of format circuit v2 or circuit v1.
+    """Parse a JSON circuit document of format circuit v3, v2 or v1.
 
     Each record of "gates" is checked once, in order and against the width,
     and an error in it names its index. A v1 document's gates are those
-    records; a v2 document takes its gates from them through "sequence",
-    which is checked and packed at C speed and whose first bad index is
-    named (see _sequence_codes). Like json.loads, it also reads a document
-    given as bytes in UTF-8, UTF-16 or UTF-32.
+    records; a v3 or v2 document takes its gates from them through
+    "sequence", a string of hex codes (see _hex_codes) or a list of indices
+    (see _sequence_codes), decoded at C speed and whose first bad index is
+    named. Like json.loads, it also reads a document given as bytes in
+    UTF-8, UTF-16 or UTF-32.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or a number of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     version = doc.get("format") if isinstance(doc, dict) else None
-    if version not in (JSON_FORMAT, FORMAT_HEADER):
-        raise ParseError(f"expected a document with format {JSON_FORMAT!r} or {FORMAT_HEADER!r}")
+    if version not in (JSON_FORMAT, "circuit v2", FORMAT_HEADER):
+        raise ParseError(f"expected a document with format {JSON_FORMAT!r}, 'circuit v2' or {FORMAT_HEADER!r}")
     if "controls" not in doc or "width" not in doc:
         raise ParseError("missing width/controls")
     controls = _json_int(doc["controls"], "controls")
@@ -405,10 +429,12 @@ def parse_json(text: str) -> Circuit:
             table.append(_record_gate(entry, width))
         except ValueError as exc:
             raise ParseError(f"gate {index}: {exc}") from None
-    if version == JSON_FORMAT:
-        codes = _sequence_codes(doc, len(table), text)
-    else:
+    if version == FORMAT_HEADER:
         codes = np.arange(len(table), dtype=_code_dtype(len(table)))
+    elif "sequence" not in doc:
+        raise ParseError(f"{version} takes a sequence of gate indices; missing sequence")
+    else:
+        codes = (_hex_codes if version == JSON_FORMAT else _sequence_codes)(doc["sequence"], len(table))
     return _circuit(width, controls, table, codes, label)
 
 

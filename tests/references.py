@@ -8,6 +8,7 @@ and dense_matches compares the two. reference_check_equivalence is
 check_equivalence's per-input loop, one reference_spec_output call per
 input, as its reference. text_document and json_document write a circuit's
 file formats gate by gate from its gate tuple, as the writers' reference,
+json_v2_document the JSON format before it, which the reader still reads,
 and diagram draws render_ascii's wire diagram one column per gate.
 reference_slots builds synth._slots's arrays one block of slots per line,
 and reference_ladder the converters' Feynman ladder gate by gate.
@@ -127,10 +128,34 @@ def text_document(circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def json_document(circuit) -> str:
-    """The circuit v2 JSON document, numbering each gate's record at its first use."""
+def _numbered(circuit) -> tuple[dict, list]:
+    """Each distinct gate of circuit.gates numbered at its first use, and the gates' numbers in circuit order."""
     records: dict = {}
-    sequence = [records.setdefault(g, len(records)) for g in circuit.gates]
+    return records, [records.setdefault(g, len(records)) for g in circuit.gates]
+
+
+def code_digits(size: int) -> int:
+    """Hex digits a code into a table of `size` records: two per byte of the fewest bytes that hold size - 1."""
+    return 2 * next(k for k in (1, 2, 4, 8) if size <= 1 << 8 * k)
+
+
+def json_document(circuit) -> str:
+    """The circuit v3 JSON document, one hex code per gate, numbering each gate's record at its first use."""
+    records, sequence = _numbered(circuit)
+    digits = code_digits(len(records))
+    return json.dumps({
+        "format": "circuit v3",
+        "width": circuit.width,
+        "controls": circuit.n_controls,
+        "label": circuit.label,
+        "gates": [_record(g) for g in records],
+        "sequence": "".join(format(code, f"0{digits}x") for code in sequence),
+    }) + "\n"
+
+
+def json_v2_document(circuit) -> str:
+    """The circuit v2 JSON document, which parse_json still reads: a list of one index per gate."""
+    records, sequence = _numbered(circuit)
     return json.dumps({
         "format": "circuit v2",
         "width": circuit.width,
@@ -298,19 +323,42 @@ def _json_gate(record, width: int):
     return _gate(name, [record[f] for f in fields], width)
 
 
+def _hex_sequence(sequence, size: int):
+    """A v3 sequence's indices into `size` records, two hex digits a byte, or where it first goes wrong.
+
+    That is ("digit", i) for its first character that is no hex digit,
+    ("sequence", i) for its first index out of range, or None for a
+    sequence that is not a string or whose digits make no whole codes.
+    """
+    if type(sequence) is not str:
+        return None
+    for i, ch in enumerate(sequence):
+        if ch not in "0123456789abcdefABCDEF":
+            return "digit", i
+    digits = code_digits(size)
+    if len(sequence) % digits:
+        return None
+    indices = [int(sequence[at:at + digits], 16) for at in range(0, len(sequence), digits)]
+    for i, index in enumerate(indices):
+        if index >= size:
+            return "sequence", i
+    return indices
+
+
 def reference_parse_json(text: str):
     """textio.parse_json over json.loads: (width, controls, label, gates) as reading gives.
 
     A bad document gives ("gate", i) for its first bad record, ("sequence",
-    i) for the first bad index of a v2 sequence, or None when no one record
-    or index is bad. Records are read before the sequence, and both before
-    the width is compared with the controls.
+    i) for the first bad index of a v3 or v2 sequence, ("digit", i) for the
+    first character of a v3 sequence that is no hex digit, or None when no
+    one record, index or digit is bad. Records are read before the
+    sequence, and both before the width is compared with the controls.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError):
         return None
-    if not isinstance(doc, dict) or doc.get("format") not in ("circuit v2", "circuit v1"):
+    if not isinstance(doc, dict) or doc.get("format") not in ("circuit v3", "circuit v2", "circuit v1"):
         return None
     width, controls = doc.get("width"), doc.get("controls")
     label, records = doc.get("label", ""), doc.get("gates", [])
@@ -322,7 +370,12 @@ def reference_parse_json(text: str):
         if gate is None:
             return "gate", i
         gates.append(gate)
-    if doc["format"] == "circuit v2":
+    if doc["format"] == "circuit v3":
+        sequence = _hex_sequence(doc.get("sequence"), len(gates))
+        if type(sequence) is not list:
+            return sequence
+        gates = [gates[index] for index in sequence]
+    elif doc["format"] == "circuit v2":
         sequence = doc.get("sequence")
         if type(sequence) is not list:
             return None

@@ -14,7 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from alpha_tables import ACTIVATED, FAMILIES, generate
-from references import diagram, json_document, reading, reference_parse, reference_parse_json, text_document
+from references import (
+    diagram,
+    json_document,
+    json_v2_document,
+    reading,
+    reference_parse,
+    reference_parse_json,
+    text_document,
+)
 from test_circuit import POOL, WIDE_N, wide_circuit
 from test_simulate import random_circuits
 
@@ -432,6 +440,9 @@ class TestParseJsonIntegers:
             ("{", "invalid JSON"),
             ("[" * 100_000, "invalid JSON"),
             ("[]", "expected a document with format"),
+            ('{"format": {}}', "expected a document with format"),
+            ('{"format": ["circuit v3"]}', "expected a document with format"),
+            ('{"format": "circuit v4"}', "expected a document with format 'circuit v3', 'circuit v2' or 'circuit v1'"),
             ('{"format": "circuit v1", "width": 3}', "missing width/controls"),
             (json_doc([], width=5), "width 5 does not match controls 3 + 1"),
             (json_doc([], label="two\nlines"), "label must be a single line"),
@@ -468,7 +479,7 @@ class TestParseJsonIntegers:
 
 class TestParseJsonLabel:
     @pytest.mark.parametrize("value", [None, 5, True, [1], {"a": 1}], ids=repr)
-    @pytest.mark.parametrize("version", ["circuit v1", "circuit v2"])
+    @pytest.mark.parametrize("version", ["circuit v1", "circuit v2", "circuit v3"])
     def test_label_must_be_a_string(self, version, value):
         with pytest.raises(ParseError) as info:
             parse_json(json_doc([], format=version, sequence=[], label=value))
@@ -484,22 +495,106 @@ def v2_doc(records, sequence, **fields):
     return json_doc(records, format="circuit v2", sequence=sequence, **fields)
 
 
-class TestJsonV2:
+def v3_doc(records, sequence, **fields):
+    return json_doc(records, format="circuit v3", sequence=sequence, **fields)
+
+
+class TestJsonV3:
     def test_writer_emits_each_distinct_record_once_in_order_of_first_use(self):
         cnot, root = feynman(1, 2), controlled_root(4, -1, 2, 4)
         # Equal copies of one gate share its record.
         gates = [root, cnot, dataclasses.replace(root), not_gate(4), dataclasses.replace(cnot), root]
         doc = json.loads(serialize_json(Circuit(3, gates)))
-        assert doc["format"] == "circuit v2"
+        assert doc["format"] == "circuit v3"
         assert doc["gates"] == [GOOD_RECORDS[1], GOOD_RECORDS[0], GOOD_RECORDS[2]]
-        assert doc["sequence"] == [0, 1, 0, 2, 1, 0]
+        assert doc["sequence"] == "000100020100"
 
-    def test_generated_circuit_holds_few_records(self):
+    def test_generated_circuit_holds_few_records_and_two_hex_digits_a_gate(self):
         c = synth_peres(12)
         doc = json.loads(serialize_json(c))
-        assert len(doc["sequence"]) == len(c.gates) == 8178
+        assert len(doc["sequence"]) == 2 * len(c.gates) == 2 * 8178
         assert len(doc["gates"]) == len(set(c.gates)) == 89
         assert parse_json(serialize_json(c)) == c
+
+    def test_sequence_maps_the_table_in_circuit_order(self):
+        c = parse_json(v3_doc(GOOD_RECORDS, "0200000102"))
+        cnot, root, inv = feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4)
+        assert c.gates == (inv, cnot, cnot, root, inv) and c.codes.dtype == np.uint8
+
+    @pytest.mark.parametrize("sequence", ["0a0b00", "0A0B00", "0a0B00"])
+    def test_hex_digits_read_in_either_case(self, sequence):
+        c = parse_json(v3_doc(GOOD_RECORDS * 4, sequence))  # records 10 and 11 are GOOD_RECORDS[1] and [2]
+        assert c.gates == (controlled_root(4, -1, 2, 4), not_gate(4), feynman(1, 2))
+
+    @pytest.mark.parametrize(
+        "sequence,message",
+        [
+            ("missing", "circuit v3 takes a sequence of gate indices; missing sequence"),
+            ([0, 1], "sequence must be a string of hex digits"),
+            (None, "sequence must be a string of hex digits"),
+            (1, "sequence must be a string of hex digits"),
+            ({"0": 1}, "sequence must be a string of hex digits"),
+            ("00 01", "sequence: non-hex character ' ' at digit 2"),
+            (" 0001", "sequence: non-hex character ' ' at digit 0"),
+            ("0001\n", "sequence: non-hex character '\\n' at digit 4"),
+            ("00\t01", "sequence: non-hex character '\\t' at digit 2"),
+            ("0x01", "sequence: non-hex character 'x' at digit 1"),
+            ("000g", "sequence: non-hex character 'g' at digit 3"),
+            ("00-1", "sequence: non-hex character '-' at digit 2"),
+            ("00\u0661\u0661", "sequence: non-hex character '\u0661' at digit 2"),
+            ("02x", "sequence: non-hex character 'x' at digit 2"),
+            ("020", "sequence has 3 hex digits, not a whole number of 2-digit codes for 3 gate records"),
+            ("2", "sequence has 1 hex digits, not a whole number of 2-digit codes for 3 gate records"),
+            ("0003", "sequence 1: index 3 out of range for 3 gate records"),
+            ("02ff07", "sequence 1: index 255 out of range for 3 gate records"),
+            ("00" * 3000 + "0A" + "07", "sequence 3000: index 10 out of range for 3 gate records"),
+        ],
+        ids=["missing", "list", "null", "int", "object", "space", "leading-space", "newline", "tab", "x", "g",
+             "minus", "other-script-digit", "non-hex-before-odd-count", "odd-count", "one-digit", "len-gates", "ff",
+             "after-thousands"],
+    )
+    def test_bad_sequences(self, sequence, message):
+        text = v3_doc(GOOD_RECORDS, sequence)
+        if sequence == "missing":
+            doc = json.loads(text)
+            del doc["sequence"]
+            text = json.dumps(doc)
+        with pytest.raises(ParseError) as info:
+            parse_json(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32"])
+    def test_a_document_given_as_bytes_reads_as_its_text(self, encoding):
+        text = serialize_json(synth_peres(4))
+        assert parse_json(text.encode(encoding)) == parse_json(text) == synth_peres(4)
+
+    def test_empty_table_takes_only_an_empty_sequence(self):
+        assert parse_json(v3_doc([], "")) == Circuit(3)
+        assert parse_json(serialize_json(Circuit(3))) == Circuit(3)
+        with pytest.raises(ParseError, match="^sequence 0: index 0 out of range for 0 gate records$"):
+            parse_json(v3_doc([], "00"))
+
+    def test_duplicate_records_build_equal_gates(self):
+        records = GOOD_RECORDS + [dict(GOOD_RECORDS[0]), dict(GOOD_RECORDS[0])]
+        c = parse_json(v3_doc(records, "030004"))
+        assert c.gates == (feynman(1, 2),) * 3
+
+
+class TestJsonV2:
+    """Documents of the format before circuit v3, which parse_json still reads."""
+
+    def test_the_v2_writer_reference_reads_back(self):
+        c = synth_peres(12)
+        doc = json.loads(json_v2_document(c))
+        assert doc["format"] == "circuit v2" and len(doc["sequence"]) == len(c.gates) == 8178
+        assert parse_json(json_v2_document(c)) == c
+
+    def test_cli_verifies_a_v2_file(self, tmp_path, capsys):
+        path = tmp_path / "peres.json"
+        path.write_text(json_v2_document(synth_peres(5, (1, 0, 1, 1, 0))))
+        argv = ["verify", "--circuit", str(path), "--family", "peres", "--n", "5", "--activation", "10110"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "pass (64 inputs checked)\n"
 
     def test_sequence_maps_the_table_in_circuit_order(self):
         c = parse_json(v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2]))
@@ -638,16 +733,41 @@ BAD_JSON_RECORDS = [
     {"gate": "croot", "kappa": 4, "direction": True, "control": 1, "target": 4},
 ]
 BAD_INDICES = [-1, 7, True, 1.0, "0", None, 2**70, [0]]
+# Characters a v3 sequence may not hold: whitespace, which bytes.fromhex skips, letters past f, other scripts' digits.
+BAD_HEX = [" ", "\n", "\t", "x", "g", "-", "\u0661", "\uff10"]
+
+
+def hex_sequence(rng, indices):
+    """indices as a v3 sequence, two hex digits each, in either case, with at most one planted fault.
+
+    The fault is a code out of range, a character that is no hex digit, or
+    one digit too few.
+    """
+    codes = [f"{index:02x}" for index in indices]
+    fault = rng.random()
+    if fault < 0.1 and codes:
+        codes[rng.randrange(len(codes))] = f"{rng.choice([6, 7, 16, 255]):02x}"
+    text = "".join(codes)
+    if 0.1 <= fault < 0.2:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(BAD_HEX) + text[at:]
+    elif 0.2 <= fault < 0.25 and text:
+        at = rng.randrange(len(text))
+        text = text[:at] + text[at + 1:]
+    return text.upper() if rng.random() < 0.1 else text
 
 
 def random_json(rng):
-    """A JSON document, v2 or v1, with good and bad records and indices, odd fields and, rarely, no valid JSON."""
+    """A JSON document, v3, v2 or v1, with good and bad records, indices and hex digits, odd fields and, rarely, no
+    valid JSON."""
     records = [dict(rng.choice(GOOD_JSON_RECORDS)) for _ in range(rng.randrange(1, 6))]
     if rng.random() < 0.4:
         records.insert(rng.randrange(len(records) + 1), rng.choice(BAD_JSON_RECORDS))
-    doc = {"format": rng.choice(["circuit v2"] * 12 + ["circuit v1"] * 6 + ["circuit v3"]),
+    doc = {"format": rng.choice(["circuit v3"] * 8 + ["circuit v2"] * 6 + ["circuit v1"] * 4 + ["circuit v4"]),
            "width": 4, "controls": 3, "label": rng.choice(["", "x # y", "  ", "a\x1fb"] * 4 + ["a\nb", "a\u2028b"]),
            "gates": records, "sequence": [rng.randrange(len(records)) for _ in range(rng.randrange(12))]}
+    if doc["format"] == "circuit v3" and rng.random() < 0.95:  # else a list, which v3 refuses
+        doc["sequence"] = hex_sequence(rng, doc["sequence"])
     if rng.random() < 0.15:
         doc[rng.choice(["width", "controls", "label", "gates", "sequence", "format"])] = rng.choice(
             [5, 0, -1, True, 4.0, "4", None, {}, 10**30, "x"])
@@ -670,7 +790,7 @@ def reader_result(read, text):
     except ParseError as exc:
         if read is parse:
             return exc.line_no
-        at = re.match(r"(gate|sequence) (\d+): ", str(exc))
+        at = re.match(r"(gate|sequence) (\d+): ", str(exc)) or re.fullmatch(r"sequence: .+ at (digit) (\d+)", str(exc))
         return at and (at[1], int(at[2]))
 
 
@@ -891,7 +1011,9 @@ WRITER_CASES = [
 class TestCodeColumns:
     """Both readers build codes in the circuit's dtype, one byte a gate up to 256 distinct gates."""
 
-    @pytest.mark.parametrize("suffix,bound", [(".txt", 12), (".json", 26)])
+    # JSON: the document and its sequence string, 2 bytes a gate each, the decoded bytes and the circuit's
+    # codes, 1 each, and Circuit's arange of positions, 8; 14.3 measured.
+    @pytest.mark.parametrize("suffix,bound", [(".txt", 12), (".json", 16)])
     def test_loading_a_16_control_file_peaks_within_its_bound_in_bytes_a_gate(self, tmp_path, suffix, bound):
         circuit = synth_toffoli(16)
         path = tmp_path / f"t16{suffix}"
@@ -926,24 +1048,50 @@ class TestCodeColumns:
         circuit = wide_circuit(POOL, 2000)
         doc = serialize_json(circuit)
         assert doc == json_document(circuit)
-        v2 = json.loads(doc)
-        sequence = v2.pop("sequence")  # a v1 document holds one record per gate
-        v1 = json.dumps(dict(v2, format="circuit v1", gates=[v2["gates"][i] for i in sequence]))
-        for back in (parse_json(doc), parse_json(v1)):
+        assert len(json.loads(doc)["sequence"]) == 4 * len(circuit)  # 4 hex digits a code for 421 records
+        v2 = json_v2_document(circuit)
+        v1 = json.loads(v2)
+        sequence = v1.pop("sequence")  # a v1 document holds one record per gate
+        v1 = json.dumps(dict(v1, format="circuit v1", gates=[v1["gates"][i] for i in sequence]))
+        for back in (parse_json(doc), parse_json(v2), parse_json(v1)):
             assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == np.uint16
             rebuilt = Circuit(WIDE_N, back.gates)
             assert rebuilt == back and hash(rebuilt) == hash(back)
 
+    @pytest.mark.parametrize("size,digits,dtype", [(256, 2, np.uint8), (257, 4, np.uint16)])
+    def test_json_codes_widen_past_256_records(self, size, digits, dtype):
+        circuit = wide_circuit(POOL[:size], 600, seed=size)
+        doc = serialize_json(circuit)
+        assert doc == json_document(circuit) and len(json.loads(doc)["sequence"]) == digits * len(circuit)
+        back = parse_json(doc)
+        assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == dtype
+
     @pytest.mark.parametrize("index", [421, 65_535, 65_536, 2**40, -1])
     def test_an_index_past_a_wide_table_is_named(self, index):
-        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc = json.loads(json_v2_document(wide_circuit(POOL, 600)))
         doc["sequence"][300] = index
         with pytest.raises(ParseError, match=f"^sequence 300: index {index} out of range for 421 gate records$"):
             parse_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("code", ["01a5", "ffff"])
+    def test_a_code_past_a_wide_table_is_named_by_its_position(self, code):
+        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc["sequence"] = doc["sequence"][:1200] + code + doc["sequence"][1204:]
+        message = f"^sequence 300: index {int(code, 16)} out of range for 421 gate records$"
+        with pytest.raises(ParseError, match=message):
+            parse_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_a_wide_sequence_takes_whole_four_digit_codes(self, cut):
+        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc["sequence"] = doc["sequence"][:-cut]
+        message = f"^sequence has {2400 - cut} hex digits, not a whole number of 4-digit codes for 421 gate records$"
+        with pytest.raises(ParseError, match=message):
+            parse_json(json.dumps(doc))
+
     @pytest.mark.parametrize("index", [True, False, 1.0], ids=repr)
     def test_an_index_of_another_type_in_a_wide_table_is_named(self, index):
-        doc = json.loads(serialize_json(wide_circuit(POOL, 600)))
+        doc = json.loads(json_v2_document(wide_circuit(POOL, 600)))
         doc["sequence"][300] = index
         with pytest.raises(ParseError, match=f"^sequence 300: index must be an integer, got {json.dumps(index)}$"):
             parse_json(json.dumps(doc))
@@ -959,7 +1107,7 @@ class TestWritersMatchTheGateByGateReference:
     @pytest.mark.parametrize("n", [3, 5])
     def test_a_document_out_of_first_use_order_reads_canonically(self, n):
         c = synth_toffoli(n, mixed_activation(n))
-        doc = json.loads(serialize_json(c))
+        doc = json.loads(json_v2_document(c))
         size, seq = len(doc["gates"]), doc["sequence"]
         common = max(range(size), key=seq.count)
         # Records reversed after one unused record, and a second copy of the
@@ -968,11 +1116,12 @@ class TestWritersMatchTheGateByGateReference:
         uses = iter(range(len(seq)))
         sequence = [size + 1 if i == common and next(uses) % 2 else size - i for i in seq]
         assert size + 1 in sequence and size - common in sequence
-        back = parse_json(json.dumps(dict(doc, gates=records, sequence=sequence)))
-        assert back == c and hash(back) == hash(c)
-        assert back.table == c.table and back.label == c.label
-        assert serialize_json(back) == serialize_json(c) == json_document(c)
-        assert serialize(back) == text_document(c)
+        for version, codes in (("circuit v3", bytes(sequence).hex()), ("circuit v2", sequence)):
+            back = parse_json(json.dumps(dict(doc, format=version, gates=records, sequence=codes)))
+            assert back == c and hash(back) == hash(c)
+            assert back.table == c.table and back.label == c.label
+            assert serialize_json(back) == serialize_json(c) == json_document(c)
+            assert serialize(back) == text_document(c)
 
 
 # Gate lines, after HEADER's width 4, whose words int() or the file format
@@ -1077,6 +1226,21 @@ class TestDerivedCodecs:
         assert len(text) < 2 * 8 * len(circuit)
         assert peak <= 3.25 * 8 * len(circuit), (peak, len(circuit))
 
+    def test_serializing_a_16_control_circuit_to_json_holds_its_hex_sequence_at_most_three_times(self):
+        circuit = synth_toffoli(16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            doc = serialize_json(circuit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The hex string, its quoted copy and the document take 2 bytes a gate each. The records and the
+        # encoder's pieces of them take 106 KB more on Python 3.12 and 3.13, 117 KB on 3.11 and 126 KB on
+        # 3.10; a fourth copy would take 262 KB. v2 peaked at 16.3 bytes a gate.
+        assert len(doc) < 2.1 * len(circuit)
+        assert peak <= 6 * len(circuit) + 160_000, (peak - 6 * len(circuit))
+
 
 V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
 
@@ -1106,11 +1270,13 @@ class TestJsonV1Fixture:
 
 
 GOLDEN_TEXT = Path(__file__).parent / "data" / "mixed-3.txt"
-GOLDEN_JSON = Path(__file__).parent / "data" / "mixed-3.json"
+GOLDEN_JSON = Path(__file__).parent / "data" / "mixed-3-v3.json"
+# The same circuit as the circuit v2 writer wrote it, kept as a file to read.
+V2_FIXTURE = Path(__file__).parent / "data" / "mixed-3.json"
 
 
 class TestGoldenDocuments:
-    """Both writers' exact bytes for a circuit of every gate kind, kept as files."""
+    """Both writers' exact bytes for a circuit of every gate kind, kept as files, and a v2 document of it."""
 
     circuit = Circuit(3, (
         controlled_root(4, 1, 1, 4),
@@ -1129,11 +1295,23 @@ class TestGoldenDocuments:
     def test_serialize_json_writes_the_json_file(self):
         assert serialize_json(self.circuit).encode() == GOLDEN_JSON.read_bytes()
 
-    @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON], ids=["text", "json"])
+    def test_the_v2_fixture_is_v2(self):
+        doc = json.loads(V2_FIXTURE.read_text())
+        assert doc["format"] == "circuit v2" and doc["sequence"] == [0, 1, 2, 3, 4, 0, 5, 2]
+        assert V2_FIXTURE.read_text() == json_v2_document(self.circuit)
+
+    @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON, V2_FIXTURE], ids=["text", "json", "json-v2"])
     def test_reader_gives_the_circuit_back(self, path):
         c = load_circuit(path)
         assert c == self.circuit
         assert c.label == "  mixed #1  "
+
+    @pytest.mark.parametrize("path", [GOLDEN_JSON, V2_FIXTURE], ids=["json", "json-v2"])
+    def test_cli_costs_the_json_files_as_the_text_file(self, capsys, path):
+        assert cli.main(["cost", "--circuit", str(GOLDEN_TEXT)]) == 0
+        want = capsys.readouterr().out
+        assert cli.main(["cost", "--circuit", str(path)]) == 0
+        assert capsys.readouterr().out == want
 
 
 class TestRenderAscii:
