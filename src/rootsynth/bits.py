@@ -1,8 +1,8 @@
 """Small helpers for binary vectors and their integer packings.
 
 One rule, as_bits's, decides what a binary vector is: each value is found in
-{0, 1} by hash and equality. as_index packs by that rule and words its errors;
-bits_to_index packs only the ints 0 and 1, checked as as_index checks them.
+{0, 1} by hash and equality. as_index packs by that rule and words its errors
+as as_bits does; index_to_bits unpacks.
 """
 from __future__ import annotations
 
@@ -46,30 +46,14 @@ def format_bits(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
 
 
-def bits_to_index(bits: Iterable[int]) -> int:
-    """Pack the 0/1 ints tuple() reads (an ndarray's values, not its buffer), first bit most significant.
-
-    Each entry must equal its byte and be found in {0, 1}, the check as_index
-    makes before it packs. Any other entry, or a vector that is not iterable,
-    raises ValueError.
-    """
-    try:
-        bits = tuple(bits)
-        digits = bytes(bits)
-        if bits == tuple(digits) and _BIT_SET.issuperset(bits):
-            return int(digits.translate(_DIGITS) or b"0", 2)
-    except (TypeError, ValueError):
-        pass
-    raise _not_binary(bits)
-
-
 def as_index(values: Iterable[int], length: int) -> int:
-    """bits_to_index(as_bits(values, length)), in one pass when the values are ints 0 and 1.
+    """Pack as_bits(values, length), first bit most significant, in one pass when the values are ints 0 and 1.
 
     The values are read once by tuple(), and their bytes() are packed when each
     equals its byte and is found in {0, 1} as as_bits finds it: equality alone
     would pass a 0-d array, bytes() alone an object whose __index__ is 1. Any
-    other vector (1.0, np.bool_, a bad value or length) goes through as_bits.
+    other vector (1.0, np.bool_, a bad value or length) goes through as_bits,
+    whose ints are packed the same way.
     """
     try:
         values = tuple(values)
@@ -77,11 +61,12 @@ def as_index(values: Iterable[int], length: int) -> int:
         raise _not_binary(values) from None
     try:
         digits = bytes(values)
-        if len(digits) == length and values == tuple(digits) and _BIT_SET.issuperset(values):
-            return int(digits.translate(_DIGITS) or b"0", 2)
+        one_pass = len(digits) == length and values == tuple(digits) and _BIT_SET.issuperset(values)
     except (TypeError, ValueError):
-        pass
-    return bits_to_index(as_bits(values, length))
+        one_pass = False
+    if not one_pass:
+        digits = bytes(as_bits(values, length))
+    return int(digits.translate(_DIGITS) or b"0", 2)
 
 
 def index_to_bits(index: int, width: int) -> Bits:

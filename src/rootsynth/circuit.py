@@ -159,17 +159,13 @@ def check_lines(g: Gate, width: int) -> None:
             raise ValueError(f"line {line} out of range for width {width}")
 
 
-_UINT8 = np.dtype(np.uint8)
 # Codes Circuit.census counts at a time: bincount's intp copy of a block is 256 KiB.
 _CENSUS_BLOCK = 1 << 15
 
 
 def _code_dtype(size: int) -> np.dtype:
-    """The dtype of the codes into a table of `size` gates: the smallest unsigned one that holds size - 1.
-
-    Every generated circuit takes the first branch, which spares the 0.7 us of a min_scalar_type call.
-    """
-    return _UINT8 if size <= 256 else np.min_scalar_type(size - 1)
+    """The dtype of the codes into a table of `size` gates: the smallest unsigned one that holds size - 1."""
+    return np.min_scalar_type(max(size - 1, 0))
 
 
 def gather(values: Sequence[_T], codes: np.ndarray) -> list[_T]:

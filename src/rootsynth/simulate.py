@@ -104,7 +104,7 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
     """Product of the gate unitaries in circuit order.
 
     Basis states are indexed with line 1 as the most significant bit, so
-    column bits_to_index((c1..cn,t)) holds the image of that input. Each
+    column as_index((c1..cn,t), width) holds the image of that input. Each
     gate is p*I + q*NOT on its target inside its control = 1 slice, with
     p + q = 1: q = 1 for NOT and Feynman gates, and a controlled root takes
     its q from root_of_not. Any gate on any line is accepted. When every

@@ -76,7 +76,7 @@ from typing import Literal, Sequence, get_args
 
 import numpy as np
 
-from .bits import Bits, as_bits, bits_to_index, format_bits
+from .bits import Bits, as_bits, as_index, format_bits
 from .circuit import Circuit, Gate, _code_dtype, control_count, controlled_root, feynman, not_gate
 from .simulate import MAX_N, _check_controls, _walk
 
@@ -156,7 +156,7 @@ def _emit(n: int, gray: bool, activation: Bits | None) -> np.ndarray:
     if activation is None or not any(activation):
         codes += alphas != 0
         return codes if activation is None else np.append(codes, n * (n + 1))
-    alphas &= bits_to_index(activation[::-1])
+    alphas &= as_index(activation[::-1], n)
     codes += np.bitwise_count(alphas)
     return codes
 

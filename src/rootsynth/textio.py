@@ -89,7 +89,7 @@ _GATES = {
 }
 _FIELDS = dict.fromkeys(f for _, fields in _GATES.values() for f in fields)  # every field, in table order
 # The text format writes a direction signed, and reads 1 as +1.
-_DIRECTIONS = {"+1": 1, "1": 1, "-1": -1}
+_DIRECTION = re.compile(r"\+?1|-1")
 # An optional sign and ASCII digits: int() would also take '1_0' and '١'.
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _NOT_HEX = re.compile("[^0-9a-fA-F]")
@@ -97,7 +97,7 @@ _NOT_HEX = re.compile("[^0-9a-fA-F]")
 _ATTRIBUTES = {name: [(f, "target" if f == "line" else f) for f in fields] for name, (_, fields) in _GATES.items()}
 _LINES = {name: " ".join([name] + [f"{{{a}:+d}}" if f == "direction" else f"{{{a}}}" for f, a in pairs]) + "\n"
           for name, pairs in _ATTRIBUTES.items()}
-_PATTERNS = {name: re.compile(" ".join([name] + [r"(\+?1|-1)" if f == "direction" else f"({_INTEGER.pattern})"
+_PATTERNS = {name: re.compile(" ".join([name] + [f"({(_DIRECTION if f == 'direction' else _INTEGER).pattern})"
                                                  for f, _ in pairs])) for name, pairs in _ATTRIBUTES.items()}
 _KEYS = {name: (frozenset(fields), frozenset(_FIELDS) - set(fields)) for name, (_, fields) in _GATES.items()}
 
@@ -163,9 +163,9 @@ def _parse_gate(words: list[str], width: int) -> Gate:
             raise ParseError(f"{name} takes {usage}") from None
         args = []
         for f, word in zip(fields, words[1:]):
-            if f == "direction" and word not in _DIRECTIONS:
+            if f == "direction" and _DIRECTION.fullmatch(word) is None:
                 raise ParseError(f"direction must be +1 or -1, got {word!r}") from None
-            args.append(_DIRECTIONS[word] if f == "direction" else _int_field(word, f))
+            args.append(_int_field(word, f))
     return _build_gate(name, args, width)
 
 
@@ -307,16 +307,19 @@ def serialize_json(circuit: Circuit) -> str:
 
     The records are the circuit's gate table, and the sequence its codes as
     one string of hex digits, each code big-endian in its dtype's width.
+    The digits need no JSON escape, so they are joined after the dumped
+    header as they are, which spares the quoted copy json.dumps makes.
     """
     codes = circuit.codes
-    return json.dumps({
+    header = json.dumps({
         "format": JSON_FORMAT,
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
         "gates": list(map(_record, circuit.table)),
-        "sequence": codes.astype(codes.dtype.newbyteorder(">"), copy=False).tobytes().hex(),
-    }) + "\n"
+    })
+    sequence = codes.astype(codes.dtype.newbyteorder(">"), copy=False).tobytes().hex()
+    return f'{header[:-1]}, "sequence": "{sequence}"}}\n'
 
 
 def _json_int(value: object, what: str) -> int:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from references import reference_bits_to_index, reference_index_to_bits
 
-from rootsynth.bits import as_bits, as_index, bits_to_index, index_to_bits, parse_bitstring
+from rootsynth.bits import as_bits, as_index, index_to_bits, parse_bitstring
 from rootsynth.circuit import Circuit
 from rootsynth.simulate import exponent_simulate
 from rootsynth.synth import synth_peres, synth_toffoli
@@ -141,42 +141,47 @@ def test_packers_round_trip_at_every_width(width):
         bits = index_to_bits(x, width)
         assert bits == reference_index_to_bits(x, width)
         assert all(type(b) is int for b in bits)
-        assert bits_to_index(bits) == bits_to_index(list(bits)) == reference_bits_to_index(bits) == x
+        assert reference_bits_to_index(bits) == x
         assert as_index(bits, width) == as_index(list(bits), width) == x
 
 
 def test_the_empty_vector_packs_as_zero():
-    assert bits_to_index(()) == 0
+    assert as_index((), 0) == 0
     assert index_to_bits(0, 0) == ()
 
 
 def test_a_bool_or_numpy_one_packs_as_one():
-    assert bits_to_index((True,)) == bits_to_index((np.int64(1),)) == 1
-    assert bits_to_index((True, False, np.int64(1))) == 5
+    assert as_index((True,), 1) == as_index((np.int64(1),), 1) == 1
+    assert as_index((True, False, np.int64(1)), 3) == 5
+
+
+# as_index reads every accepted vector as as_bits does: 1.0 as 1, and EqualsOneIndexZero() as 1, though bytes() reads 0.
+@pytest.mark.parametrize("values, bits", ACCEPTED)
+def test_an_accepted_vector_packs_to_its_ints_index(values, bits):
+    assert as_index(values, len(bits)) == reference_bits_to_index(bits)
 
 
 # 48 and 49 are the bytes of the digits "0" and "1"; 256 and -1 are no byte at all. bytes() reads
-# np.array(1) and IndexOne() as 1 and EqualsOneIndexZero() as 0, so each is refused as as_index's guard refuses it.
-@pytest.mark.parametrize("entry", [2, 3, 48, 49, 255, 256, -1, np.array(1), IndexOne(), EqualsOneIndexZero()])
+# np.array(1) and IndexOne() as 1, so each is refused as as_bits refuses it.
+@pytest.mark.parametrize("entry", [2, 3, 48, 49, 255, 256, -1, np.array(1), IndexOne()])
 def test_an_entry_other_than_a_bit_is_not_mixed_in(entry):
-    with pytest.raises(ValueError):
-        bits_to_index((1, entry, 0))
+    with pytest.raises(ValueError, match="expected a binary vector"):
+        as_index((1, entry, 0), 3)
 
 
 # tuple() reads the entries: an ndarray packs its values, not its buffer, and an int is no vector.
 @pytest.mark.parametrize("bits, index", [(np.array([1, 0]), 2), (np.array([1, 0, 1], dtype=np.uint8), 5)])
 def test_an_array_packs_its_entries(bits, index):
-    assert bits_to_index(bits) == index
+    assert as_index(bits, len(bits)) == index
 
 
 @pytest.mark.parametrize("bits, message", [
     (5, "expected a binary vector, got 5"),
-    ((1.0,), "expected a binary vector, got (1.0,)"),
     (("1",), "expected a binary vector, got ('1',)"),
     ((None,), "expected a binary vector, got (None,)"),
     ((1, 2, 0), "expected a binary vector, got (1, 2, 0)"),
 ])
 def test_a_non_vector_or_non_int_entry_raises_value_error(bits, message):
     with pytest.raises(ValueError) as excinfo:
-        bits_to_index(bits)
+        as_index(bits, 3)
     assert str(excinfo.value) == message

@@ -15,7 +15,7 @@ from references import (
 )
 
 from rootsynth import simulate, verify
-from rootsynth.bits import as_bits, bits_to_index, index_to_bits
+from rootsynth.bits import as_bits, as_index, index_to_bits
 from rootsynth.circuit import Circuit, GateKind, controlled_root, feynman, not_gate
 from rootsynth.simulate import (
     DENSE_WIDTH_LIMIT,
@@ -202,8 +202,8 @@ class TestTruthTable:
         tt = truth_table(synth_peres(2))
         assert tt.is_classical
         perm = tt.permutation
-        assert perm[bits_to_index((1, 1, 0))] == bits_to_index((1, 0, 1))
-        assert perm[bits_to_index((1, 0, 0))] == bits_to_index((1, 1, 0))
+        assert perm[as_index((1, 1, 0), 3)] == as_index((1, 0, 1), 3)
+        assert perm[as_index((1, 0, 0), 3)] == as_index((1, 1, 0), 3)
         assert perm[0] == 0
 
     def test_converters_permute_controls_only(self):
@@ -265,7 +265,7 @@ def net_root_exponent(activation, controls):
     root, i.e. NOT.
     """
     act = as_bits(activation, len(activation))
-    a_int, c_int = bits_to_index(act), bits_to_index(as_bits(controls, length=len(act)))
+    a_int, c_int = reference_bits_to_index(act), reference_bits_to_index(as_bits(controls, length=len(act)))
     total = 0
     for alpha in range(1, 1 << len(act)):
         direction = 1 if (alpha & a_int).bit_count() & 1 else -1
@@ -276,7 +276,7 @@ def net_root_exponent(activation, controls):
 def net_all_root_exponent(controls):
     """Same sum with every direction +1: 2^(n-1) on any nonzero input, else 0."""
     ctl = as_bits(controls, len(controls))
-    c_int = bits_to_index(ctl)
+    c_int = reference_bits_to_index(ctl)
     return sum((alpha & c_int).bit_count() & 1 for alpha in range(1, 1 << len(ctl)))
 
 
@@ -829,7 +829,7 @@ def classical_permutation_matrix(circuit):
         bits = list(index_to_bits(x, w))
         for g in circuit.gates:
             bits[g.target - 1] ^= 1 if g.kind is GateKind.NOT else bits[g.control - 1]
-        m[bits_to_index(bits), x] = 1.0
+        m[reference_bits_to_index(bits), x] = 1.0
     return m
 
 

@@ -30,6 +30,7 @@ from rootsynth.simulate import (
 )
 from rootsynth.synth import (
     converter_peres_to_toffoli,
+    iterative_polarity_flip,
     synth_barenco_toffoli,
     synth_peres,
     synth_toffoli,
@@ -177,6 +178,22 @@ EACH_GENERATOR = pytest.mark.parametrize(
 def test_every_activation_matches_the_oracle(generator, family, n):
     for a in every_activation(n):
         assert truth_table(generator(n, a)).permutation == oracle_permutation(GateFamilySpec(family, n, a)), a
+
+
+# g = k ^ (k >> 1) for k = 1..255 visits every nonzero activation once, one bit apart, and never 0,
+# which no flip reaches or leaves. Bit p of g is control n - p, as index_to_bits reads it.
+@EACH_GENERATOR
+def test_a_gray_code_walk_flips_through_every_nonzero_activation_at_n8(generator, family):
+    n = 8
+    circuit = generator(n, index_to_bits(1, n))
+    for k in range(2, 1 << n):
+        g, changed = k ^ (k >> 1), k ^ (k >> 1) ^ (k - 1) ^ ((k - 1) >> 1)
+        circuit = iterative_polarity_flip(circuit, n + 1 - changed.bit_length())
+        a = index_to_bits(g, n)
+        fresh = generator(n, a)
+        assert circuit == fresh and circuit.table == fresh.table, a
+        assert circuit.codes.dtype == fresh.codes.dtype and np.array_equal(circuit.codes, fresh.codes), a
+        assert check_equivalence(circuit, GateFamilySpec(family, n, a)).ok, a
 
 
 @pytest.mark.parametrize("n", range(1, 11))
