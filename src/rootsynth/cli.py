@@ -8,6 +8,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .bits import format_bits, parse_bitstring
 from .simulate import NonClassical, exponent_simulate
@@ -19,7 +20,7 @@ from .synth import (
     synth_toffoli,
     synth_zero_polarity,
 )
-from .textio import load_circuit, render_ascii, serialize, serialize_json
+from .textio import _text_pieces, load_circuit, render_ascii, serialize_json
 from .verify import GateFamilySpec, check_equivalence
 
 # CLI family: (the GateFamilySpec family it builds, its generator); barenco builds a toffoli.
@@ -76,13 +77,13 @@ def _spec(args: argparse.Namespace) -> GateFamilySpec:
     return GateFamilySpec(_FAMILIES[args.family][0], args.n, activation)
 
 
-def _write_utf8(text: str) -> None:
-    """Write text to stdout as UTF-8, which an ASCII locale cannot encode; a StringIO takes it as is."""
+def _write_utf8(pieces: Iterable[str]) -> None:
+    """Write each piece to stdout as UTF-8, which an ASCII locale cannot encode; a StringIO takes them as they are."""
     stream = sys.stdout
     if hasattr(stream, "buffer"):
         stream.flush()
-        stream, text = stream.buffer, text.encode("utf-8")
-    stream.write(text)
+        stream, pieces = stream.buffer, map(str.encode, pieces)  # one piece at a time, in UTF-8
+    stream.writelines(pieces)
     stream.flush()
 
 
@@ -90,13 +91,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     spec, generate = _spec(args), _FAMILIES[args.family][1]
     # A zero-polarity generator takes its family as its mode.
     circuit = generate(spec.n, spec.family if spec.activation is None else spec.activation)
-    if args.out:
-        # The writer follows the suffix, as load_circuit's reader does.
+    if args.out:  # the writer follows the suffix, as load_circuit's reader does; text goes a piece at a time
         out = Path(args.out)
-        text = serialize_json(circuit) if out.suffix == ".json" else serialize(circuit)
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as file:
+            file.writelines([serialize_json(circuit)] if out.suffix == ".json" else _text_pieces(circuit))
     else:
-        _write_utf8(serialize(circuit))
+        _write_utf8(_text_pieces(circuit))
     return 0
 
 
@@ -127,7 +127,7 @@ def _cmd_cost(args: argparse.Namespace) -> int:
 
 
 def _cmd_draw(args: argparse.Namespace) -> int:
-    _write_utf8(render_ascii(load_circuit(args.circuit)) + "\n")
+    _write_utf8([render_ascii(load_circuit(args.circuit)), "\n"])
     return 0
 
 

@@ -24,11 +24,11 @@ checks run only to name a fault. Both readers build each gate in one
 helper and end in one more, which checks that width is controls + 1.
 
 Files ending in .json hold the same schema as one JSON object, and every
-number in it must be a JSON integer. The writer emits format "circuit v3":
-"gates" is a table holding each distinct gate record once, in order of
-first use, and "sequence" is one string of hex digits holding one index
-into that table per gate, in circuit order. Each index is big-endian and
-takes two digits a byte of the codes' dtype (see below) for the table's
+number in it must be a JSON integer. Its format is "circuit v3", the only
+one read: "gates" is a table holding each distinct gate record once, in
+order of first use, and "sequence" is one string of hex digits holding one
+index into that table per gate, in circuit order. Each index is big-endian
+and takes two digits a byte of the codes' dtype (see below) for the table's
 size: two digits a gate for every generated circuit, four for a table
 past 256 records. The reader takes hex digits of either case.
 
@@ -39,26 +39,24 @@ past 256 records. The reader takes hex digits of either case.
 
 A record may hold keys that are no gate's field, but not a field of
 another gate kind. A generated circuit of about 2^(n+1) gates holds only
-O(n^2) distinct ones, so the table keeps the document small. Documents of
-the two formats before it are still read: "circuit v2", whose "sequence"
-is a list of JSON integer indices, and "circuit v1", one record per gate
-and no "sequence".
+O(n^2) distinct ones, so the table keeps the document small.
 
 serialize_json writes a circuit's two columns (see circuit.Circuit) as
 they are, its codes in one tobytes().hex(); serialize and render_ascii
 format each table entry once and gather the gate lines, or the diagram's
-rows, over the codes. Both readers decode the repeats at C speed. The text
-reader (see parse) maps each chunk's lines to codes through one map over a
-dict of the distinct raw gate lines, whose __missing__ checks a line it
-has not seen; the JSON reader checks each record once, and decodes a v3
-sequence in one bytes.fromhex pass (see _hex_codes). Text is read in
+rows, over the codes; the CLI writes a text document a block of gates at a
+time (see _text_pieces). Both readers decode the repeats at C speed. The
+text reader (see parse) maps each chunk's lines to codes through one map
+over a dict of the distinct raw gate lines, whose __missing__ checks a
+line it has not seen; the JSON reader checks each record once, and decodes
+the sequence in one bytes.fromhex pass (see _hex_codes). Text is read in
 chunks by one rule, from a string or an open file: 64 K - 1 characters and
 the rest of the line they end in.
 
 Both readers build their codes in the dtype the circuit keeps (see
 circuit.Circuit): the smallest unsigned one that holds the last index
 into the gate table read so far, one byte a gate for every generated
-circuit, which uses at most 231 distinct gates; wider v3 codes are read
+circuit, which uses at most 231 distinct gates; wider JSON codes are read
 big-endian, and the circuit casts them. The text reader sizes each
 chunk's codes to the table as it stands after that chunk, so a table that
 grows past 256 gates widens the chunks from there on.
@@ -76,8 +74,7 @@ import numpy as np
 from .circuit import _FEYNMAN, _NOT, Circuit, Gate, _code_dtype, check_lines, controlled_root, feynman, gather, not_gate
 
 FORMAT_HEADER = "circuit v1"
-# The format serialize_json writes; parse_json also reads "circuit v2" and FORMAT_HEADER.
-JSON_FORMAT = "circuit v3"
+JSON_FORMAT = "circuit v3"  # the format serialize_json writes, and the only one parse_json reads
 
 # Each gate name, which is its GateKind's value, with its gate function and
 # fields, in argument order. A field is the Gate attribute of its name; a
@@ -118,12 +115,29 @@ def _record(g: Gate) -> dict[str, object]:
     return {"gate": name, **{f: values[a] for f, a in _ATTRIBUTES[name]}}
 
 
+def _directives(circuit: Circuit) -> str:
+    """A text document's lines before its gates: the header, width, controls and any label."""
+    label = f"label {circuit.label}\n" if circuit.label else ""
+    return f"{FORMAT_HEADER}\nwidth {circuit.width}\ncontrols {circuit.n_controls}\n{label}"
+
+
+def _table_lines(circuit: Circuit) -> list[str]:
+    """The gate line of each entry of the circuit's table, in table order."""
+    return [_LINES[g.kind._value_].format_map(vars(g)) for g in circuit.table]
+
+
 def serialize(circuit: Circuit) -> str:
     """Render a circuit document, deterministic and ending in a newline, in one join led by the directives."""
-    lines = gather([_LINES[g.kind._value_].format_map(vars(g)) for g in circuit.table], circuit.codes) or [""]
-    label = f"label {circuit.label}\n" if circuit.label else ""
-    lines[0] = f"{FORMAT_HEADER}\nwidth {circuit.width}\ncontrols {circuit.n_controls}\n{label}{lines[0]}"
+    lines = gather(_table_lines(circuit), circuit.codes) or [""]
+    lines[0] = _directives(circuit) + lines[0]
     return "".join(lines)
+
+
+def _text_pieces(circuit: Circuit) -> Iterator[str]:
+    """serialize's document for a writer, a piece at a time: the directives, then the lines of each 4,096 gates."""
+    yield _directives(circuit)
+    lines, codes = _table_lines(circuit), circuit.codes
+    yield from ("".join(gather(lines, codes[at:at + 4096])) for at in range(0, len(codes), 4096))
 
 
 def _int_field(word: str, what: str) -> int:
@@ -344,34 +358,8 @@ def _record_gate(entry: object, width: int) -> Gate:
     return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
 
 
-def _sequence_codes(sequence: object, size: int) -> np.ndarray:
-    """A v2 document's "sequence", a list of indices, as codes into its table of `size` records.
-
-    true and 1.0 would pass as 1, and -1 as a valid code: only exact ints
-    from 0 to size - 1 pass. A pass over the entries' types lets a list of
-    ints through to np.array; codes stays None when an index is refused
-    there, and the loop then names the first index that fails.
-    """
-    if not isinstance(sequence, list):
-        raise ParseError("sequence must be a list of gate indices")
-    codes = None
-    if set(map(type, sequence)) <= {int}:
-        try:
-            codes = np.array(sequence, dtype=_code_dtype(size))
-        except OverflowError:
-            pass
-    if codes is None or codes.size and not 0 <= codes.min() <= codes.max() < size:
-        for position, value in enumerate(sequence):
-            try:
-                if not 0 <= _json_int(value, "index") < size:
-                    raise ParseError(f"index {value} out of range for {size} gate records")
-            except ParseError as exc:
-                raise ParseError(f"sequence {position}: {exc}") from None
-    return codes
-
-
 def _hex_codes(sequence: object, size: int) -> np.ndarray:
-    """A v3 document's "sequence", one string of hex digits, as codes into its table of `size` records.
+    """A document's "sequence", one string of hex digits, as codes into its table of `size` records.
 
     Each code is big-endian in 2 digits a byte of its _code_dtype. One
     bytes.fromhex pass decodes the string, which holds nothing else:
@@ -399,27 +387,23 @@ def _hex_codes(sequence: object, size: int) -> np.ndarray:
 
 
 def parse_json(text: str) -> Circuit:
-    """Parse a JSON circuit document of format circuit v3, v2 or v1.
+    """Parse a JSON circuit document of format circuit v3, naming the format of any other.
 
     Each record of "gates" is checked once, in order and against the width,
-    and an error in it names its index. A v1 document's gates are those
-    records; a v3 or v2 document takes its gates from them through
-    "sequence", a string of hex codes (see _hex_codes) or a list of indices
-    (see _sequence_codes), decoded at C speed and whose first bad index is
-    named. Like json.loads, it also reads a document given as bytes in
-    UTF-8, UTF-16 or UTF-32.
+    and an error in it names its index. "sequence" maps the records to the
+    gates (see _hex_codes). Like json.loads, it also reads a document given
+    as bytes in UTF-8, UTF-16 or UTF-32.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or a number of too many digits
         raise ParseError(f"invalid JSON: {exc}") from None
     version = doc.get("format") if isinstance(doc, dict) else None
-    if version not in (JSON_FORMAT, "circuit v2", FORMAT_HEADER):
-        raise ParseError(f"expected a document with format {JSON_FORMAT!r}, 'circuit v2' or {FORMAT_HEADER!r}")
+    if version != JSON_FORMAT:
+        raise ParseError(f"expected a document with format {JSON_FORMAT!r}, got format {version!r}")
     if "controls" not in doc or "width" not in doc:
         raise ParseError("missing width/controls")
-    controls = _json_int(doc["controls"], "controls")
-    width = _json_int(doc["width"], "width")
+    controls, width = _json_int(doc["controls"], "controls"), _json_int(doc["width"], "width")
     label = doc.get("label", "")
     if not isinstance(label, str):
         raise ParseError(f"label must be a string, got {json.dumps(label)}")
@@ -432,13 +416,9 @@ def parse_json(text: str) -> Circuit:
             table.append(_record_gate(entry, width))
         except ValueError as exc:
             raise ParseError(f"gate {index}: {exc}") from None
-    if version == FORMAT_HEADER:
-        codes = np.arange(len(table), dtype=_code_dtype(len(table)))
-    elif "sequence" not in doc:
-        raise ParseError(f"{version} takes a sequence of gate indices; missing sequence")
-    else:
-        codes = (_hex_codes if version == JSON_FORMAT else _sequence_codes)(doc["sequence"], len(table))
-    return _circuit(width, controls, table, codes, label)
+    if "sequence" not in doc:
+        raise ParseError(f"{JSON_FORMAT} takes a sequence of gate indices; missing sequence")
+    return _circuit(width, controls, table, _hex_codes(doc["sequence"], len(table)), label)
 
 
 def _undecodable(data: bytes, text_file: bool) -> ParseError:

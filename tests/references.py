@@ -8,7 +8,6 @@ and dense_matches compares the two. reference_check_equivalence is
 check_equivalence's per-input loop, one reference_spec_output call per
 input, as its reference. text_document and json_document write a circuit's
 file formats gate by gate from its gate tuple, as the writers' reference,
-json_v2_document the JSON format before it, which the reader still reads,
 and diagram draws render_ascii's wire diagram one column per gate.
 reference_slots builds synth._slots's arrays one block of slots per line,
 and reference_ladder the converters' Feynman ladder gate by gate.
@@ -150,19 +149,6 @@ def json_document(circuit) -> str:
         "label": circuit.label,
         "gates": [_record(g) for g in records],
         "sequence": "".join(format(code, f"0{digits}x") for code in sequence),
-    }) + "\n"
-
-
-def json_v2_document(circuit) -> str:
-    """The circuit v2 JSON document, which parse_json still reads: a list of one index per gate."""
-    records, sequence = _numbered(circuit)
-    return json.dumps({
-        "format": "circuit v2",
-        "width": circuit.width,
-        "controls": circuit.n_controls,
-        "label": circuit.label,
-        "gates": [_record(g) for g in records],
-        "sequence": sequence,
     }) + "\n"
 
 
@@ -349,16 +335,17 @@ def reference_parse_json(text: str):
     """textio.parse_json over json.loads: (width, controls, label, gates) as reading gives.
 
     A bad document gives ("gate", i) for its first bad record, ("sequence",
-    i) for the first bad index of a v3 or v2 sequence, ("digit", i) for the
-    first character of a v3 sequence that is no hex digit, or None when no
-    one record, index or digit is bad. Records are read before the
-    sequence, and both before the width is compared with the controls.
+    i) for the first bad index of its sequence, ("digit", i) for the first
+    character of its sequence that is no hex digit, or None when no one
+    record, index or digit is bad, as for a format other than circuit v3.
+    Records are read before the sequence, and both before the width is
+    compared with the controls.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError):
         return None
-    if not isinstance(doc, dict) or doc.get("format") not in ("circuit v3", "circuit v2", "circuit v1"):
+    if not isinstance(doc, dict) or doc.get("format") != "circuit v3":
         return None
     width, controls = doc.get("width"), doc.get("controls")
     label, records = doc.get("label", ""), doc.get("gates", [])
@@ -370,20 +357,10 @@ def reference_parse_json(text: str):
         if gate is None:
             return "gate", i
         gates.append(gate)
-    if doc["format"] == "circuit v3":
-        sequence = _hex_sequence(doc.get("sequence"), len(gates))
-        if type(sequence) is not list:
-            return sequence
-        gates = [gates[index] for index in sequence]
-    elif doc["format"] == "circuit v2":
-        sequence = doc.get("sequence")
-        if type(sequence) is not list:
-            return None
-        for i, index in enumerate(sequence):
-            if type(index) is not int or not 0 <= index < len(gates):
-                return "sequence", i
-        gates = [gates[index] for index in sequence]
-    return _document(width, controls, label, gates)
+    sequence = _hex_sequence(doc.get("sequence"), len(gates))
+    if type(sequence) is not list:
+        return sequence
+    return _document(width, controls, label, [gates[index] for index in sequence])
 
 
 def not_conjugated_toffoli(n: int, activation) -> Circuit:

@@ -234,6 +234,16 @@ def test_draw_and_synth_print_what_the_writers_give(files, capsys):
     assert out.getvalue() == render_ascii(synth_peres(2)) + "\n"
 
 
+def test_synth_writes_what_the_writers_give_across_pieces(tmp_path, capsys):
+    c = synth_toffoli(12)  # 8,189 gates: the text writer's directives and three pieces
+    assert cli.main(["synth", "toffoli", "--n", "12"]) == 0
+    assert capsys.readouterr().out == serialize(c)
+    for suffix, write in ((".txt", serialize), (".json", serialize_json)):
+        path = tmp_path / f"t12{suffix}"
+        assert cli.main(["synth", "toffoli", "--n", "12", "--out", str(path)]) == 0
+        assert path.read_bytes() == write(c).encode("utf-8")
+
+
 @pytest.mark.parametrize("argv", [["draw", "--circuit", "{json}"], ["synth", "peres", "--n", "2"]])
 def test_stdout_is_utf8_under_an_ascii_locale(files, argv):
     env = {**os.environ, "PYTHONPATH": SRC, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 from alpha_tables import ACTIVATED, FAMILIES, generate
 from references import (
+    code_digits,
     diagram,
     json_document,
-    json_v2_document,
     reading,
     reference_parse,
     reference_parse_json,
@@ -350,7 +350,10 @@ class TestParseErrors:
 
 
 def json_doc(gates, **fields):
-    doc = {"format": "circuit v1", "width": 4, "controls": 3, "label": "", "gates": gates}
+    """A circuit v3 document of width 4 whose sequence takes each of its records once, in order."""
+    digits = code_digits(len(gates))
+    doc = {"format": "circuit v3", "width": 4, "controls": 3, "label": "", "gates": gates,
+           "sequence": "".join(f"{i:0{digits}x}" for i in range(len(gates)))}
     doc.update(fields)
     return json.dumps(doc)
 
@@ -442,8 +445,8 @@ class TestParseJsonIntegers:
             ("[]", "expected a document with format"),
             ('{"format": {}}', "expected a document with format"),
             ('{"format": ["circuit v3"]}', "expected a document with format"),
-            ('{"format": "circuit v4"}', "expected a document with format 'circuit v3', 'circuit v2' or 'circuit v1'"),
-            ('{"format": "circuit v1", "width": 3}', "missing width/controls"),
+            ('{"format": "circuit v4"}', "expected a document with format 'circuit v3', got format 'circuit v4'"),
+            ('{"format": "circuit v3", "width": 3}', "missing width/controls"),
             (json_doc([], width=5), "width 5 does not match controls 3 + 1"),
             (json_doc([], label="two\nlines"), "label must be a single line"),
         ],
@@ -457,8 +460,7 @@ class TestParseJsonIntegers:
         [
             (json_doc([]), '"width": 4'),
             (json_doc([{"gate": "not", "line": 4}]), '"line": 4'),
-            (json.dumps({"format": "circuit v2", "width": 4, "controls": 3, "gates": [GOOD_RECORDS[2]],
-                         "sequence": [0, 1]}), "1]"),
+            (json_doc([GOOD_RECORDS[2]], sequence=1), "1}"),
         ],
         ids=["width", "gate-field", "sequence-index"],
     )
@@ -479,10 +481,9 @@ class TestParseJsonIntegers:
 
 class TestParseJsonLabel:
     @pytest.mark.parametrize("value", [None, 5, True, [1], {"a": 1}], ids=repr)
-    @pytest.mark.parametrize("version", ["circuit v1", "circuit v2", "circuit v3"])
-    def test_label_must_be_a_string(self, version, value):
+    def test_label_must_be_a_string(self, value):
         with pytest.raises(ParseError) as info:
-            parse_json(json_doc([], format=version, sequence=[], label=value))
+            parse_json(json_doc([], label=value))
         assert str(info.value) == f"label must be a string, got {json.dumps(value)}"
 
     def test_missing_label_is_empty(self):
@@ -491,12 +492,8 @@ class TestParseJsonLabel:
         assert parse_json(json.dumps(doc)) == Circuit(3, [feynman(1, 2)])
 
 
-def v2_doc(records, sequence, **fields):
-    return json_doc(records, format="circuit v2", sequence=sequence, **fields)
-
-
 def v3_doc(records, sequence, **fields):
-    return json_doc(records, format="circuit v3", sequence=sequence, **fields)
+    return json_doc(records, sequence=sequence, **fields)
 
 
 class TestJsonV3:
@@ -580,79 +577,22 @@ class TestJsonV3:
         assert c.gates == (feynman(1, 2),) * 3
 
 
-class TestJsonV2:
-    """Documents of the format before circuit v3, which parse_json still reads."""
-
-    def test_the_v2_writer_reference_reads_back(self):
-        c = synth_peres(12)
-        doc = json.loads(json_v2_document(c))
-        assert doc["format"] == "circuit v2" and len(doc["sequence"]) == len(c.gates) == 8178
-        assert parse_json(json_v2_document(c)) == c
-
-    def test_cli_verifies_a_v2_file(self, tmp_path, capsys):
-        path = tmp_path / "peres.json"
-        path.write_text(json_v2_document(synth_peres(5, (1, 0, 1, 1, 0))))
-        argv = ["verify", "--circuit", str(path), "--family", "peres", "--n", "5", "--activation", "10110"]
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == "pass (64 inputs checked)\n"
-
-    def test_sequence_maps_the_table_in_circuit_order(self):
-        c = parse_json(v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2]))
-        cnot, root, inv = feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4)
-        assert c.gates == (inv, cnot, cnot, root, inv)
-
-    @pytest.mark.parametrize(
-        "sequence,message",
-        [
-            ("missing", "circuit v2 takes a sequence of gate indices; missing sequence"),
-            ({"0": 1}, "sequence must be a list of gate indices"),
-            (None, "sequence must be a list of gate indices"),
-            ([0, 1, True], "sequence 2: index must be an integer, got true"),
-            ([0, 1.0], "sequence 1: index must be an integer, got 1.0"),
-            ([0, "1", 1.0], 'sequence 1: index must be an integer, got "1"'),
-            ([0, 2, -1, 7], "sequence 2: index -1 out of range for 3 gate records"),
-            ([0, 3], "sequence 1: index 3 out of range for 3 gate records"),
-            ([0] * 3000 + [3] + [True], "sequence 3000: index 3 out of range for 3 gate records"),
-            ([0, 2**70], f"sequence 1: index {2**70} out of range for 3 gate records"),
-        ],
-        ids=["missing", "object", "null", "true", "float", "string", "negative", "len-gates", "after-thousands",
-             "beyond-intp"],
-    )
-    def test_bad_sequences(self, sequence, message):
-        text = v2_doc(GOOD_RECORDS, sequence)
-        if sequence == "missing":
-            doc = json.loads(text)
-            del doc["sequence"]
-            text = json.dumps(doc)
-        with pytest.raises(ParseError) as info:
-            parse_json(text)
-        assert str(info.value) == message
+class TestJsonDocuments:
+    """v3 documents built record by record, and the formats before v3, which parse_json refuses by name."""
 
     @pytest.mark.parametrize("label", ["true", "false", "true or false"])
     def test_a_label_holding_true_or_false_reads_back(self, label):
-        c = parse_json(v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2], label=label))
+        c = parse_json(v3_doc(GOOD_RECORDS, "0200000102", label=label))
         cnot, root, inv = feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4)
         assert c.label == label and c.gates == (inv, cnot, cnot, root, inv) and c.codes.dtype == np.uint8
 
-    @pytest.mark.parametrize("label", ["", "true", "false"])
-    @pytest.mark.parametrize("entry", [True, False])
-    def test_a_bool_index_is_refused_whatever_the_label_holds(self, entry, label):
-        text = v2_doc(GOOD_RECORDS, [0, 1, entry, 2], label=label)
-        with pytest.raises(ParseError, match=f"^sequence 2: index must be an integer, got {json.dumps(entry)}$"):
-            parse_json(text)
-
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-16", "utf-32"])
     def test_a_document_given_as_bytes_reads_as_its_text(self, encoding):
-        text = v2_doc(GOOD_RECORDS, [2, 0, 0, 1, 2], label="a")
+        text = v3_doc(GOOD_RECORDS, "0200000102", label="a")
         assert parse_json(text.encode(encoding)) == parse_json(text)
-        # Bytes are not searched for a literal true: a bool index is still refused by name.
-        with pytest.raises(ParseError, match="^sequence 2: index must be an integer, got true$"):
-            parse_json(v2_doc(GOOD_RECORDS, [0, 1, True, 2], label="a").encode(encoding))
-
-    def test_empty_table_takes_only_an_empty_sequence(self):
-        assert parse_json(v2_doc([], [])) == Circuit(3)
-        with pytest.raises(ParseError, match="^sequence 0: index 0 out of range for 0 gate records$"):
-            parse_json(v2_doc([], [0]))
+        # A fault in a document given as bytes is named as in its text.
+        with pytest.raises(ParseError, match="^sequence: non-hex character 'x' at digit 4$"):
+            parse_json(v3_doc(GOOD_RECORDS, "0001x2", label="a").encode(encoding))
 
     @pytest.mark.parametrize(
         "records,message",
@@ -667,17 +607,30 @@ class TestJsonV2:
     )
     def test_every_record_is_checked_used_or_not(self, records, message):
         with pytest.raises(ParseError) as info:
-            parse_json(v2_doc(records, [0, 1, 2]))
+            parse_json(v3_doc(records, "000102"))
         assert str(info.value) == message
 
-    def test_duplicate_records_build_equal_gates(self):
-        records = GOOD_RECORDS + [dict(GOOD_RECORDS[0]), dict(GOOD_RECORDS[0])]
-        c = parse_json(v2_doc(records, [3, 0, 4]))
-        assert c.gates == (feynman(1, 2),) * 3
-
-    def test_sequence_is_ignored_by_v1(self):
-        c = parse_json(json_doc(GOOD_RECORDS, sequence=[True, -1]))
-        assert c.gates == (feynman(1, 2), controlled_root(4, -1, 2, 4), not_gate(4))
+    @pytest.mark.parametrize("version", ["circuit v2", "circuit v1"])
+    @pytest.mark.parametrize("reader", ["load_circuit", "parse_json", "cli"])
+    def test_a_document_of_a_format_before_v3_is_refused(self, capsys, reader, version):
+        # The two writers before v3, kept as files, and documents of each built by hand.
+        fixture = V2_FIXTURE if version == "circuit v2" else V1_FIXTURE
+        message = f"expected a document with format 'circuit v3', got format '{version}'"
+        assert json.loads(fixture.read_text())["format"] == version
+        if reader == "cli":
+            assert cli.main(["cost", "--circuit", str(fixture)]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+            return
+        if reader == "load_circuit":
+            read, source = load_circuit, fixture
+        else:  # a v2 document holds a list of indices, a v1 document one record per gate and no sequence
+            doc = json.loads(json_doc(GOOD_RECORDS, format=version, sequence=[2, 0, 0, 1, 2]))
+            if version == "circuit v1":
+                del doc["sequence"]
+            read, source = parse_json, json.dumps(doc)
+        with pytest.raises(ParseError) as info:
+            read(source)
+        assert str(info.value) == message and info.value.line_no is None
 
 
 # Every line break str.splitlines honours, "\n" most often; whitespace that breaks no line.
@@ -732,7 +685,6 @@ BAD_JSON_RECORDS = [
     {"gate": "croot", "kappa": 4, "direction": 0, "control": 1, "target": 4},
     {"gate": "croot", "kappa": 4, "direction": True, "control": 1, "target": 4},
 ]
-BAD_INDICES = [-1, 7, True, 1.0, "0", None, 2**70, [0]]
 # Characters a v3 sequence may not hold: whitespace, which bytes.fromhex skips, letters past f, other scripts' digits.
 BAD_HEX = [" ", "\n", "\t", "x", "g", "-", "\u0661", "\uff10"]
 
@@ -758,12 +710,12 @@ def hex_sequence(rng, indices):
 
 
 def random_json(rng):
-    """A JSON document, v3, v2 or v1, with good and bad records, indices and hex digits, odd fields and, rarely, no
-    valid JSON."""
+    """A JSON document, v3 but for a few of other formats, with good and bad records and hex digits, odd fields
+    and, rarely, no valid JSON."""
     records = [dict(rng.choice(GOOD_JSON_RECORDS)) for _ in range(rng.randrange(1, 6))]
     if rng.random() < 0.4:
         records.insert(rng.randrange(len(records) + 1), rng.choice(BAD_JSON_RECORDS))
-    doc = {"format": rng.choice(["circuit v3"] * 8 + ["circuit v2"] * 6 + ["circuit v1"] * 4 + ["circuit v4"]),
+    doc = {"format": rng.choice(["circuit v3"] * 16 + ["circuit v2", "circuit v1", "circuit v4"]),
            "width": 4, "controls": 3, "label": rng.choice(["", "x # y", "  ", "a\x1fb"] * 4 + ["a\nb", "a\u2028b"]),
            "gates": records, "sequence": [rng.randrange(len(records)) for _ in range(rng.randrange(12))]}
     if doc["format"] == "circuit v3" and rng.random() < 0.95:  # else a list, which v3 refuses
@@ -771,8 +723,6 @@ def random_json(rng):
     if rng.random() < 0.15:
         doc[rng.choice(["width", "controls", "label", "gates", "sequence", "format"])] = rng.choice(
             [5, 0, -1, True, 4.0, "4", None, {}, 10**30, "x"])
-    if rng.random() < 0.2 and isinstance(doc["sequence"], list):
-        doc["sequence"].insert(rng.randrange(len(doc["sequence"]) + 1), rng.choice(BAD_INDICES))
     if rng.random() < 0.05:
         del doc[rng.choice(list(doc))]
     text = json.dumps(doc)
@@ -1049,14 +999,10 @@ class TestCodeColumns:
         doc = serialize_json(circuit)
         assert doc == json_document(circuit)
         assert len(json.loads(doc)["sequence"]) == 4 * len(circuit)  # 4 hex digits a code for 421 records
-        v2 = json_v2_document(circuit)
-        v1 = json.loads(v2)
-        sequence = v1.pop("sequence")  # a v1 document holds one record per gate
-        v1 = json.dumps(dict(v1, format="circuit v1", gates=[v1["gates"][i] for i in sequence]))
-        for back in (parse_json(doc), parse_json(v2), parse_json(v1)):
-            assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == np.uint16
-            rebuilt = Circuit(WIDE_N, back.gates)
-            assert rebuilt == back and hash(rebuilt) == hash(back)
+        back = parse_json(doc)
+        assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == np.uint16
+        rebuilt = Circuit(WIDE_N, back.gates)
+        assert rebuilt == back and hash(rebuilt) == hash(back)
 
     @pytest.mark.parametrize("size,digits,dtype", [(256, 2, np.uint8), (257, 4, np.uint16)])
     def test_json_codes_widen_past_256_records(self, size, digits, dtype):
@@ -1065,13 +1011,6 @@ class TestCodeColumns:
         assert doc == json_document(circuit) and len(json.loads(doc)["sequence"]) == digits * len(circuit)
         back = parse_json(doc)
         assert back == circuit and hash(back) == hash(circuit) and back.codes.dtype == dtype
-
-    @pytest.mark.parametrize("index", [421, 65_535, 65_536, 2**40, -1])
-    def test_an_index_past_a_wide_table_is_named(self, index):
-        doc = json.loads(json_v2_document(wide_circuit(POOL, 600)))
-        doc["sequence"][300] = index
-        with pytest.raises(ParseError, match=f"^sequence 300: index {index} out of range for 421 gate records$"):
-            parse_json(json.dumps(doc))
 
     @pytest.mark.parametrize("code", ["01a5", "ffff"])
     def test_a_code_past_a_wide_table_is_named_by_its_position(self, code):
@@ -1089,13 +1028,6 @@ class TestCodeColumns:
         with pytest.raises(ParseError, match=message):
             parse_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("index", [True, False, 1.0], ids=repr)
-    def test_an_index_of_another_type_in_a_wide_table_is_named(self, index):
-        doc = json.loads(json_v2_document(wide_circuit(POOL, 600)))
-        doc["sequence"][300] = index
-        with pytest.raises(ParseError, match=f"^sequence 300: index must be an integer, got {json.dumps(index)}$"):
-            parse_json(json.dumps(doc))
-
 
 class TestWritersMatchTheGateByGateReference:
     @pytest.mark.parametrize("family,n", WRITER_CASES)
@@ -1104,11 +1036,27 @@ class TestWritersMatchTheGateByGateReference:
         assert serialize(c) == text_document(c)
         assert serialize_json(c) == json_document(c)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_pieces_the_cli_writes_join_to_the_document(self, family):
+        for n in range(1, 17):
+            c = family_circuit(family, n)
+            assert "".join(textio._text_pieces(c)) == serialize(c), n
+
+    @pytest.mark.parametrize("gates", [0, 1, 4095, 4096, 4097, 8193])
+    def test_the_pieces_break_after_each_4096_gates(self, gates):
+        c = Circuit(3, [feynman(1, 2), not_gate(4), controlled_root(4, -1, 2, 4)] * (gates // 3 + 1), label="# x")
+        c = Circuit(3, c.gates[:gates], label=c.label)
+        pieces = list(textio._text_pieces(c))
+        assert pieces[0] == "circuit v1\nwidth 4\ncontrols 3\nlabel # x\n"
+        full, rest = divmod(gates, 4096)
+        assert [piece.count("\n") for piece in pieces[1:]] == [4096] * full + [rest] * (rest > 0)
+        assert "".join(pieces) == serialize(c) == text_document(c)
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_a_document_out_of_first_use_order_reads_canonically(self, n):
         c = synth_toffoli(n, mixed_activation(n))
-        doc = json.loads(json_v2_document(c))
-        size, seq = len(doc["gates"]), doc["sequence"]
+        doc = json.loads(json_document(c))
+        size, seq = len(doc["gates"]), list(bytes.fromhex(doc["sequence"]))
         common = max(range(size), key=seq.count)
         # Records reversed after one unused record, and a second copy of the
         # most used record last, which every second use of it takes.
@@ -1116,12 +1064,11 @@ class TestWritersMatchTheGateByGateReference:
         uses = iter(range(len(seq)))
         sequence = [size + 1 if i == common and next(uses) % 2 else size - i for i in seq]
         assert size + 1 in sequence and size - common in sequence
-        for version, codes in (("circuit v3", bytes(sequence).hex()), ("circuit v2", sequence)):
-            back = parse_json(json.dumps(dict(doc, format=version, gates=records, sequence=codes)))
-            assert back == c and hash(back) == hash(c)
-            assert back.table == c.table and back.label == c.label
-            assert serialize_json(back) == serialize_json(c) == json_document(c)
-            assert serialize(back) == text_document(c)
+        back = parse_json(json.dumps(dict(doc, gates=records, sequence=bytes(sequence).hex())))
+        assert back == c and hash(back) == hash(c)
+        assert back.table == c.table and back.label == c.label
+        assert serialize_json(back) == serialize_json(c) == json_document(c)
+        assert serialize(back) == text_document(c)
 
 
 # Gate lines, after HEADER's width 4, whose words int() or the file format
@@ -1203,7 +1150,8 @@ class TestDerivedCodecs:
                 record = {"gate": name} | {f: values[f] for i, f in enumerate(every) if mask >> i & 1}
                 missing = [f for f in own if f not in record]
                 stray = [f for f in every if f in record and f not in own]
-                doc = json.dumps({"format": "circuit v1", "width": 2, "controls": 1, "gates": [record]})
+                doc = json.dumps({"format": "circuit v3", "width": 2, "controls": 1, "gates": [record],
+                                  "sequence": "00"})
                 outcome = reader_outcome(parse_json, doc)
                 if missing:
                     assert outcome == (f"gate 0: {name} takes {', '.join(own)}; missing {', '.join(missing)}", None)
@@ -1247,7 +1195,7 @@ V1_FIXTURE = Path(__file__).parent / "data" / "peres-5-v1.json"
 
 
 class TestJsonV1Fixture:
-    """A document written by the circuit v1 writer, kept as a file."""
+    """A document written by the circuit v1 writer, kept as a file that parse_json refuses."""
 
     expected = synth_peres(5, (1, 0, 1, 1, 0))
 
@@ -1256,28 +1204,15 @@ class TestJsonV1Fixture:
         assert doc["format"] == "circuit v1" and "sequence" not in doc
         assert len(doc["gates"]) == len(self.expected.gates)
 
-    def test_parse_json_reads_it(self):
-        c = parse_json(V1_FIXTURE.read_text())
-        assert c == self.expected
-        assert c.label == self.expected.label
-
-    def test_load_circuit_reads_it(self):
-        assert load_circuit(V1_FIXTURE) == self.expected
-
-    def test_cli_verifies_it(self, capsys):
-        argv = ["verify", "--circuit", str(V1_FIXTURE), "--family", "peres", "--n", "5", "--activation", "10110"]
-        assert cli.main(argv) == 0
-        assert "pass (64 inputs checked)" in capsys.readouterr().out
-
 
 GOLDEN_TEXT = Path(__file__).parent / "data" / "mixed-3.txt"
 GOLDEN_JSON = Path(__file__).parent / "data" / "mixed-3-v3.json"
-# The same circuit as the circuit v2 writer wrote it, kept as a file to read.
+# The same circuit as the circuit v2 writer wrote it, kept as a file that parse_json refuses.
 V2_FIXTURE = Path(__file__).parent / "data" / "mixed-3.json"
 
 
 class TestGoldenDocuments:
-    """Both writers' exact bytes for a circuit of every gate kind, kept as files, and a v2 document of it."""
+    """Both writers' exact bytes for a circuit of every gate kind, kept as files."""
 
     circuit = Circuit(3, (
         controlled_root(4, 1, 1, 4),
@@ -1296,18 +1231,13 @@ class TestGoldenDocuments:
     def test_serialize_json_writes_the_json_file(self):
         assert serialize_json(self.circuit).encode() == GOLDEN_JSON.read_bytes()
 
-    def test_the_v2_fixture_is_v2(self):
-        doc = json.loads(V2_FIXTURE.read_text())
-        assert doc["format"] == "circuit v2" and doc["sequence"] == [0, 1, 2, 3, 4, 0, 5, 2]
-        assert V2_FIXTURE.read_text() == json_v2_document(self.circuit)
-
-    @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON, V2_FIXTURE], ids=["text", "json", "json-v2"])
+    @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON], ids=["text", "json"])
     def test_reader_gives_the_circuit_back(self, path):
         c = load_circuit(path)
         assert c == self.circuit
         assert c.label == "  mixed #1  "
 
-    @pytest.mark.parametrize("path", [GOLDEN_JSON, V2_FIXTURE], ids=["json", "json-v2"])
+    @pytest.mark.parametrize("path", [GOLDEN_JSON], ids=["json"])
     def test_cli_costs_the_json_files_as_the_text_file(self, capsys, path):
         assert cli.main(["cost", "--circuit", str(GOLDEN_TEXT)]) == 0
         want = capsys.readouterr().out
