@@ -234,13 +234,24 @@ def test_draw_and_synth_print_what_the_writers_give(files, capsys):
     assert out.getvalue() == render_ascii(synth_peres(2)) + "\n"
 
 
-def test_synth_writes_what_the_writers_give_across_pieces(tmp_path, capsys):
-    c = synth_toffoli(12)  # 8,189 gates: the text writer's directives and three pieces
-    assert cli.main(["synth", "toffoli", "--n", "12"]) == 0
+# Each CLI family's circuit at n = 12, of 8,178 to 8,189 gates: the text writer's directives and three pieces.
+SYNTH_12 = {
+    "peres": lambda: synth_peres(12),
+    "toffoli": lambda: synth_toffoli(12),
+    "barenco": lambda: synth.synth_barenco_toffoli(12),
+    "orgate": lambda: synth.synth_zero_polarity(12, "or-gate"),
+    "andzero": lambda: synth.synth_zero_polarity(12, "and-complemented"),
+}
+
+
+@pytest.mark.parametrize("family", SYNTH_12)
+def test_synth_writes_what_the_writers_give_across_pieces(tmp_path, capsys, family):
+    c = SYNTH_12[family]()
+    assert cli.main(["synth", family, "--n", "12"]) == 0
     assert capsys.readouterr().out == serialize(c)
     for suffix, write in ((".txt", serialize), (".json", serialize_json)):
-        path = tmp_path / f"t12{suffix}"
-        assert cli.main(["synth", "toffoli", "--n", "12", "--out", str(path)]) == 0
+        path = tmp_path / f"{family}-12{suffix}"
+        assert cli.main(["synth", family, "--n", "12", "--out", str(path)]) == 0
         assert path.read_bytes() == write(c).encode("utf-8")
 
 

@@ -632,6 +632,49 @@ class TestJsonDocuments:
             read(source)
         assert str(info.value) == message and info.value.line_no is None
 
+    @pytest.mark.parametrize("version", ["circuit v2", "circuit v1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--family", "peres", "--n", "5"], ["simulate", "--input", "101101"], ["draw"]],
+        ids=["verify", "simulate", "draw"],
+    )
+    def test_every_command_that_reads_a_circuit_exits_2_on_a_format_before_v3(self, capsys, argv, version):
+        fixture = V2_FIXTURE if version == "circuit v2" else V1_FIXTURE
+        assert cli.main([*argv, "--circuit", str(fixture)]) == 2
+        message = f"expected a document with format 'circuit v3', got format '{version}'"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "version,named",
+        [
+            ("circuit v4", "'circuit v4'"),
+            ("circuit v0", "'circuit v0'"),
+            ("", "''"),
+            ("Circuit v3", "'Circuit v3'"),
+            ("circuit v3 ", "'circuit v3 '"),
+            ("circuit\u00a0v3", "'circuit\\xa0v3'"),
+            (3, "3"),
+            (None, "None"),
+            (["circuit v3"], "['circuit v3']"),
+            ("missing", "None"),
+        ],
+        ids=["v4", "v0", "empty", "capital", "trailing-space", "no-break-space", "int", "null", "list", "missing"],
+    )
+    def test_a_format_other_than_circuit_v3_is_named_in_the_refusal(self, version, named):
+        # Every other field is that of a good v3 document: the format alone is refused, as written.
+        doc = json.loads(v3_doc(GOOD_RECORDS, "0200000102", format=version))
+        if version == "missing":
+            del doc["format"]
+        with pytest.raises(ParseError) as info:
+            parse_json(json.dumps(doc))
+        assert str(info.value) == f"expected a document with format 'circuit v3', got format {named}"
+
+    @pytest.mark.parametrize("label", ["", "true", "false"])
+    @pytest.mark.parametrize("sequence", [True, False])
+    def test_a_bool_sequence_is_refused_whatever_the_label_holds(self, sequence, label):
+        with pytest.raises(ParseError, match="^sequence must be a string of hex digits$"):
+            parse_json(v3_doc(GOOD_RECORDS, sequence, label=label))
+
 
 # Every line break str.splitlines honours, "\n" most often; whitespace that breaks no line.
 BREAKS = ["\n"] * 10 + ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
@@ -1204,6 +1247,26 @@ class TestJsonV1Fixture:
         assert doc["format"] == "circuit v1" and "sequence" not in doc
         assert len(doc["gates"]) == len(self.expected.gates)
 
+    @staticmethod
+    def as_v3() -> str:
+        """The fixture's records, one a gate, given the v3 format and a sequence that takes each once, in order."""
+        doc = json.loads(V1_FIXTURE.read_text())
+        digits = code_digits(len(doc["gates"]))
+        sequence = "".join(f"{i:0{digits}x}" for i in range(len(doc["gates"])))
+        return json.dumps(dict(doc, format="circuit v3", sequence=sequence))
+
+    def test_its_records_read_as_a_v3_document(self):
+        c = parse_json(self.as_v3())
+        assert c == self.expected and c.label == self.expected.label
+        assert serialize_json(c) == json_document(self.expected)
+
+    def test_cli_verifies_its_records_as_a_v3_file(self, tmp_path, capsys):
+        path = tmp_path / "peres-5.json"
+        path.write_text(self.as_v3())
+        argv = ["verify", "--circuit", str(path), "--family", "peres", "--n", "5", "--activation", "10110"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "pass (64 inputs checked)\n"
+
 
 GOLDEN_TEXT = Path(__file__).parent / "data" / "mixed-3.txt"
 GOLDEN_JSON = Path(__file__).parent / "data" / "mixed-3-v3.json"
@@ -1230,6 +1293,13 @@ class TestGoldenDocuments:
 
     def test_serialize_json_writes_the_json_file(self):
         assert serialize_json(self.circuit).encode() == GOLDEN_JSON.read_bytes()
+
+    def test_the_v2_fixture_is_v2(self):
+        doc = json.loads(V2_FIXTURE.read_text())
+        assert doc["format"] == "circuit v2" and doc["sequence"] == [0, 1, 2, 3, 4, 0, 5, 2]
+        # The v3 file's records and codes: a list of indices there, hex digits here.
+        golden = json.loads(GOLDEN_JSON.read_text())
+        assert dict(doc, format="circuit v3", sequence=bytes(doc["sequence"]).hex()) == golden
 
     @pytest.mark.parametrize("path", [GOLDEN_TEXT, GOLDEN_JSON], ids=["text", "json"])
     def test_reader_gives_the_circuit_back(self, path):
