@@ -25,10 +25,12 @@ line adds its power to the coefficient f[m] of the mask m it reads, and the
 net power on control vector c, over the masks of odd parity on (1, c), is
 (sum(f) - WHT(f)(1, c)) / 2 mod 2*kappa for all c at once, WHT being the
 Walsh-Hadamard transform, exact for every kappa. The compiled form holds
-that table and every input's output. It is built on a circuit's first use
-and kept on the circuit, which is immutable, so each circuit compiles once;
-exponent_simulate (one input), truth_table (all) and verify.activation_set
-read it alike, and all refuse more than MAX_N controls.
+that table and every input's output, both read-only arrays. It is built on
+a circuit's first use and kept on the circuit, which is immutable, so each
+circuit compiles once; exponent_simulate reads one input's output, and
+truth_table returns the whole int32 output array: entry x is input x's
+output index, line 1 most significant, or -1 where x leaves the target
+non-classical. Both refuse more than MAX_N controls.
 """
 from __future__ import annotations
 
@@ -308,6 +310,7 @@ def _linear_form(circuit: Circuit) -> _LinearForm:
         np.bitwise_xor(outputs[: 2 << bit], column[bit], out=outputs[2 << bit : 4 << bit])
     outputs ^= np.repeat(table == kappa, 2)
     outputs[np.repeat((table != 0) & (table != kappa), 2)] = -1
+    table.flags.writeable = outputs.flags.writeable = False  # kept on the circuit, and truth_table returns outputs
     return _LinearForm(table, kappa, outputs)
 
 
@@ -357,31 +360,16 @@ def _check_controls(n: int) -> None:
         raise WidthLimitError(f"n = {n} is above the limit of {MAX_N} controls")
 
 
-@dataclass(frozen=True)
-class TruthTableResult:
-    """Permutation over 2^width basis inputs, or the first input left non-classical.
+def truth_table(circuit: Circuit) -> np.ndarray:
+    """Every basis input's output index, as the compiled form's read-only int32 array of 2^width entries.
 
-    non_classical holds at most one input: the smallest index whose target
-    is left in superposition.
+    Entry x is input x's output index, line 1 the most significant bit and
+    the target the lowest, or -1 where x leaves the target non-classical; the
+    two inputs (c, 0) and (c, 1) of a control vector are both classical or
+    both -1. The array is the one _linear_form keeps on the circuit, so every
+    call returns the same object and exponent_simulate reads the same
+    entries one at a time. Raises WidthLimitError above MAX_N controls,
+    before any work, and UnsupportedShapeError at the first gate that breaks
+    the layered shape (see exponent_simulate).
     """
-
-    width: int
-    permutation: tuple[int, ...] | None
-    non_classical: tuple[Bits, ...] = ()
-
-    @property
-    def is_classical(self) -> bool:
-        return self.permutation is not None
-
-
-def truth_table(circuit: Circuit) -> TruthTableResult:
-    """Every basis input of a layered circuit: the outputs _linear_form doubles over the final masks.
-
-    exponent_simulate reads the same entries one at a time. Raises
-    WidthLimitError above MAX_N controls, before any work.
-    """
-    outputs = _form_of(circuit).outputs
-    bad = np.flatnonzero(outputs < 0)
-    if bad.size:  # both targets of a control vector are non-classical, so bad[0] has target 0
-        return TruthTableResult(circuit.width, None, (index_to_bits(int(bad[0]), circuit.width),))
-    return TruthTableResult(circuit.width, tuple(outputs.tolist()))
+    return _form_of(circuit).outputs

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bits import Bits, as_bits, index_to_bits
 from .circuit import Circuit
-from .simulate import NonClassical, _form_of, exponent_simulate
+from .simulate import NonClassical, exponent_simulate, truth_table
 from .synth import _OR_GATE, _ZERO_MODES, _activation, _check_n
 
 FAMILIES = ("peres", "toffoli") + _ZERO_MODES
@@ -115,9 +115,15 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
 
 
 def activation_set(circuit: Circuit) -> set[Bits]:
-    """Control vectors on which the circuit flips its target bit."""
+    """Control vectors on which the circuit flips its target bit.
+
+    They are read from truth_table's entries at even indices, the images of
+    (c, t = 0): entry c is -1 where c leaves the target non-classical, which
+    raises ValueError naming the first such c, and otherwise its low bit is
+    the target's output.
+    """
     n = circuit.n_controls
-    targets = _form_of(circuit).outputs[0::2]  # the images of (c, t = 0), whose low bit is the target
+    targets = truth_table(circuit)[0::2]
     bad = np.flatnonzero(targets < 0)
     if bad.size:
         raise ValueError(f"non-classical target for control vector {index_to_bits(int(bad[0]), n)}")

@@ -362,6 +362,20 @@ def call_id(value):
     return value.__name__ if callable(value) else repr(value)
 
 
+# A gate call with a float or string field, and the fields its refusal names.
+FIELD_TYPE_CALLS = [
+    (feynman, (1.0, 2), "target 2, control 1.0, kappa 1, direction 1"),
+    (feynman, ("1", 2), "target 2, control '1', kappa 1, direction 1"),
+    (feynman, (1, 2.0), "target 2.0, control 1, kappa 1, direction 1"),
+    (not_gate, (1.0,), "target 1.0, control None, kappa 1, direction 1"),
+    (not_gate, ("1",), "target '1', control None, kappa 1, direction 1"),
+    (controlled_root, (2, 1.0, 1, 3), "target 3, control 1, kappa 2, direction 1.0"),
+    (controlled_root, (2, "1", 1, 3), "target 3, control 1, kappa 2, direction '1'"),
+    (controlled_root, (2.0, 1, 1, 3), "target 3, control 1, kappa 2.0, direction 1"),
+    (controlled_root, (np.int64(2), 1, "1", 3), "target 3, control '1', kappa 2, direction 1"),
+]
+
+
 class TestGateContract:
     """What a Gate promises, whichever path builds it."""
 
@@ -371,17 +385,8 @@ class TestGateContract:
         for convert in (np.int8, np.int64, np.intp, lambda a: True if a == 1 else a):
             assert make(*map(convert, args)) is g
 
-    @pytest.mark.parametrize("make,args,message", [
-        (feynman, (1.0, 2), "target 2, control 1.0, kappa 1, direction 1"),
-        (feynman, ("1", 2), "target 2, control '1', kappa 1, direction 1"),
-        (feynman, (1, 2.0), "target 2.0, control 1, kappa 1, direction 1"),
-        (not_gate, (1.0,), "target 1.0, control None, kappa 1, direction 1"),
-        (not_gate, ("1",), "target '1', control None, kappa 1, direction 1"),
-        (controlled_root, (2, 1.0, 1, 3), "target 3, control 1, kappa 2, direction 1.0"),
-        (controlled_root, (2, "1", 1, 3), "target 3, control 1, kappa 2, direction '1'"),
-        (controlled_root, (2.0, 1, 1, 3), "target 3, control 1, kappa 2.0, direction 1"),
-        (controlled_root, (np.int64(2), 1, "1", 3), "target 3, control '1', kappa 2, direction 1"),
-    ], ids=call_id)
+    @pytest.mark.parametrize("make,args,message", FIELD_TYPE_CALLS,
+                             ids=[f"{make.__name__}{args!r}" for make, args, _ in FIELD_TYPE_CALLS])
     def test_a_float_or_string_field_is_refused_naming_every_field(self, make, args, message):
         with pytest.raises(ValueError) as info:
             make(*args)

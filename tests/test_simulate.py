@@ -22,7 +22,6 @@ from rootsynth.simulate import (
     MAX_N,
     NOT_MATRIX,
     NonClassical,
-    TruthTableResult,
     UnsupportedShapeError,
     WidthLimitError,
     dense_unitary,
@@ -199,9 +198,8 @@ class TestClassicalOutput:
 
 class TestTruthTable:
     def test_peres_two_controls(self):
-        tt = truth_table(synth_peres(2))
-        assert tt.is_classical
-        perm = tt.permutation
+        perm = truth_table(synth_peres(2))
+        assert perm.dtype == np.int32 and perm.shape == (8,) and (perm >= 0).all()
         assert perm[as_index((1, 1, 0), 3)] == as_index((1, 0, 1), 3)
         assert perm[as_index((1, 0, 0), 3)] == as_index((1, 1, 0), 3)
         assert perm[0] == 0
@@ -209,21 +207,49 @@ class TestTruthTable:
     def test_converters_permute_controls_only(self):
         for n in (2, 3, 4):
             tt = truth_table(converter_toffoli_to_peres(n))
-            assert tt.is_classical
-            for x, y in enumerate(tt.permutation):
+            assert (tt >= 0).all()
+            for x, y in enumerate(tt.tolist()):
                 assert x & 1 == y & 1  # target untouched
 
     def test_round_trip_converters_compose_to_identity(self):
         for n in (2, 3, 4, 5):
             c = converter_toffoli_to_peres(n).compose(converter_peres_to_toffoli(n))
-            assert truth_table(c).permutation == tuple(range(1 << (n + 1)))
+            assert np.array_equal(truth_table(c), np.arange(1 << (n + 1)))
 
     def test_non_classical_inputs_reported(self):
         c = Circuit(1, (controlled_root(2, 1, 1, 2),))
         tt = truth_table(c)
-        assert not tt.is_classical
-        assert tt.permutation is None
-        assert tt.non_classical == ((1, 0),)  # the first of (1, 0) and (1, 1)
+        assert tt.tolist() == [0, 1, -1, -1]  # both inputs of control vector 1
+        assert reference_index_to_bits(int(np.flatnonzero(tt < 0)[0]), 2) == (1, 0)
+
+
+class TestTruthTableIsTheKeptForm:
+    def test_two_calls_return_the_same_array(self):
+        c = synth_peres(4, (1, 0, 1, 1))
+        assert truth_table(c) is truth_table(c)
+        assert truth_table(c) is c._form.outputs
+
+    def test_writing_into_it_is_refused_and_later_simulation_is_unchanged(self):
+        c = Circuit(3, random_layered_circuit(random.Random(11), 3, 8, 40))
+        tt = truth_table(c)
+        for write in (lambda: tt.__setitem__(0, 5), lambda: tt.fill(-1), lambda: np.add(tt, 1, out=tt)):
+            with pytest.raises(ValueError, match="read-only"):
+                write()
+        with pytest.raises(ValueError, match="read-only"):
+            c._form.table[0] = 1
+        assert_matches_reference(c, every_input(c))
+
+    def test_a_compiled_circuit_returns_it_allocating_under_4_kib(self):
+        c = synth_toffoli(16)
+        exponent_simulate(c, (0,) * 17)  # compiles the form
+        tracemalloc.start()
+        try:
+            tt = truth_table(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 10, peak
+        assert tt.size == 1 << 17 and tt[-1] == (1 << 17) - 2
 
 
 class TestDenseAgreesWithExponent:
@@ -243,14 +269,14 @@ class TestDenseAgreesWithExponent:
     def test_same_permutation(self, make):
         c = make()
         tt = truth_table(c)
-        assert tt.is_classical
-        assert dense_matches(c, tt.permutation)
+        assert (tt >= 0).all()
+        assert dense_matches(c, tt)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_adjoint_composition_is_identity(self, n):
         for c in (synth_peres(n), synth_toffoli(n), synth_barenco_toffoli(n)):
             tt = truth_table(c.compose(c.adjoint()))
-            assert tt.permutation == tuple(range(1 << (n + 1)))
+            assert np.array_equal(tt, np.arange(1 << (n + 1)))
 
 
 def net_root_exponent(activation, controls):
@@ -567,7 +593,7 @@ class TestLinearFormMatchesReference:
 
     def test_the_control_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(simulate, "MAX_N", 3)
-        assert truth_table(synth_toffoli(3)).is_classical
+        assert (truth_table(synth_toffoli(3)) >= 0).all()
         assert check_equivalence(synth_toffoli(3), GateFamilySpec("toffoli", 3)).ok
         with pytest.raises(WidthLimitError, match="n = 4 is above the limit of 3 controls"):
             truth_table(synth_toffoli(4))
@@ -624,7 +650,7 @@ class TestLinearFormMatchesReference:
         circuit = synth_toffoli(6, (1, 0, 0, 1, 1, 0))
         tt = truth_table(circuit)
         assert calls == [circuit]
-        assert tt.permutation == oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0)))
+        assert np.array_equal(tt, oracle_permutation(GateFamilySpec("toffoli", 6, (1, 0, 0, 1, 1, 0))))
 
 
 class TestLayeredMatchesDense:
@@ -643,27 +669,26 @@ class TestLayeredMatchesDense:
 
 
 def reference_truth_table(circuit):
-    """Every input through the gate-by-gate walk, as truth_table's reference.
+    """Every input through the gate-by-gate walk, as truth_table's reference: output indices, -1 where non-classical.
 
     It reads no compiled form, so truth_table is not compared with the
     outputs it shares with exponent_simulate.
     """
     w, gates = circuit.width, circuit.gates
-    perm = [0] * (1 << w)
-    for x in range(1 << w):
-        bits = reference_index_to_bits(x, w)
-        out = reference_exponent_simulate(circuit, bits, gates)
-        if isinstance(out, NonClassical):
-            return TruthTableResult(w, None, (bits,))
-        perm[x] = reference_bits_to_index(out)
-    return TruthTableResult(w, tuple(perm))
+    outputs = [reference_exponent_simulate(circuit, reference_index_to_bits(x, w), gates) for x in range(1 << w)]
+    return np.array([-1 if isinstance(y, NonClassical) else reference_bits_to_index(y) for y in outputs])
 
 
 def assert_table_matches_reference(circuit):
-    """Same result, or the same exception type and message; returns the result."""
+    """Every entry the same, or the same exception type and message; returns truth_table's result."""
     want = outcome(reference_truth_table, circuit)
     got = outcome(truth_table, circuit)
-    assert got == want, circuit
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got == want, circuit
+    else:
+        assert got.dtype == np.int32 and not got.flags.writeable, circuit
+        assert got.tolist() == want.tolist(), circuit
+        assert np.array_equal(got[0::2] < 0, got[1::2] < 0), circuit  # a control vector's two inputs alike
     return got
 
 
@@ -675,17 +700,17 @@ class TestTruthTableMatchesReference:
     def test_every_family(self, family, n):
         rng = random.Random(31 * n + len(family))
         activation = index_to_bits(rng.randrange(1, 1 << n), n)
-        assert assert_table_matches_reference(FAMILY_BUILDERS[family](n, activation)).is_classical
+        assert (assert_table_matches_reference(FAMILY_BUILDERS[family](n, activation)) >= 0).all()
 
     def test_random_circuits_including_rejected_and_non_classical(self):
         kinds = {"raises": 0, "non-classical": 0, "classical": 0}
         for seed in range(40):
             for circuit in random_circuits(seed):
                 got = assert_table_matches_reference(circuit)
-                if not isinstance(got, TruthTableResult):
+                if isinstance(got, tuple):
                     kinds["raises"] += 1
                 else:
-                    kinds["classical" if got.is_classical else "non-classical"] += 1
+                    kinds["classical" if (got >= 0).all() else "non-classical"] += 1
         assert sum(kinds.values()) == 400 and min(kinds.values()) >= 50, kinds
 
     @pytest.mark.parametrize("kappa", [1 << 62, 1 << 63, 1 << 70])
@@ -713,7 +738,7 @@ class TestTruthTableMatchesReference:
         got = assert_table_matches_reference(circuit)
         # E(c) = c1 - (c2 xor c3) + 4 mod 8, the NOT adding kappa, is 5 or 3 where
         # c1 = not (c2 xor c3), on c = 001, 010, 100 and 111; the first input is 001 with target 0.
-        assert got.non_classical == ((0, 0, 1, 0),)
+        assert reference_index_to_bits(int(np.flatnonzero(got < 0)[0]), w) == (0, 0, 1, 0)
 
     def test_makes_no_exponent_simulate_call(self, monkeypatch):
         calls = []
@@ -724,7 +749,7 @@ class TestTruthTableMatchesReference:
 
         monkeypatch.setattr(simulate, "exponent_simulate", counting)
         tt = truth_table(synth_peres(5, (1, 0, 1, 1, 0)))
-        assert calls == [] and tt.permutation == oracle_permutation(GateFamilySpec("peres", 5, (1, 0, 1, 1, 0)))
+        assert calls == [] and np.array_equal(tt, oracle_permutation(GateFamilySpec("peres", 5, (1, 0, 1, 1, 0))))
 
 
 def reference_gate_unitary(g, width):

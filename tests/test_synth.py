@@ -423,8 +423,8 @@ class TestIterativePolarityFlip:
     def flip_identity_holds(c, i):
         """The flip's target on x is C's on x xor (e_i, 0), xor whether C's differs on (e_i, 0) and (0, 0)."""
         flipped = truth_table(iterative_polarity_flip(c, i))
-        assert flipped.is_classical
-        before, after = (np.array(t.permutation) & 1 for t in (truth_table(c), flipped))
+        assert (flipped >= 0).all()
+        before, after = (t & 1 for t in (truth_table(c), flipped))
         e = 2 << (c.n_controls - i)  # the input index of (e_i, 0)
         return np.array_equal(after, before[np.arange(before.size) ^ e] ^ before[e] ^ before[0])
 
@@ -442,7 +442,7 @@ class TestIterativePolarityFlip:
                 # The rule's f holds with no NOT gate on a control line.
                 c = Circuit(c.n_controls, [g for g in c.gates if g.kind is not GateKind.NOT or g.target == c.target_line])
                 try:
-                    if not truth_table(c).is_classical:
+                    if (truth_table(c) < 0).any():
                         continue
                 except UnsupportedShapeError:
                     continue
@@ -477,7 +477,7 @@ class TestIterativePolarityFlip:
                         not_gate(1), controlled_root(4, 1, 1, w), not_gate(1),
                         controlled_root(4, -1, 2, w), not_gate(2), controlled_root(4, -1, 2, w), not_gate(2)])
         assert activation_set(c) == {(1, 0), (1, 1)}
-        assert not truth_table(iterative_polarity_flip(c, 1)).is_classical
+        assert (truth_table(iterative_polarity_flip(c, 1)) < 0).any()
         assert self.flip_shifts_the_power(c, 1)
 
     @pytest.mark.parametrize("n", range(2, 5))

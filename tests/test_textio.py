@@ -450,6 +450,8 @@ class TestParseJsonIntegers:
             (json_doc([], width=5), "width 5 does not match controls 3 + 1"),
             (json_doc([], label="two\nlines"), "label must be a single line"),
         ],
+        ids=["unclosed", "nested-100000", "a-list", "format-an-object", "format-a-list", "format-v4",
+             "no-controls", "width-mismatch", "two-line-label"],
     )
     def test_document_errors(self, text, message):
         with pytest.raises(ParseError, match=re.escape(message)):
