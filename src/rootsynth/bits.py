@@ -36,8 +36,8 @@ def _not_binary(values: object) -> ValueError:
 
 
 def parse_bitstring(text: str) -> Bits:
-    """Read a string like '110' left to right into (1, 1, 0)."""
-    if not text or any(ch not in "01" for ch in text):
+    """Read a string like '110' left to right into (1, 1, 0); anything else is a ValueError."""
+    if not isinstance(text, str) or not text or any(ch not in "01" for ch in text):
         raise ValueError(f"expected a nonempty string of 0/1, got {text!r}")
     return tuple(int(ch) for ch in text)
 

@@ -320,6 +320,8 @@ class Circuit:
 
     def compose(self, other: "Circuit") -> "Circuit":
         """Concatenate gate sequences; widths must agree. Keeps this label."""
+        if not isinstance(other, Circuit):
+            raise ValueError(f"{other!r} is not a Circuit")
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} vs {other.width}")
         codes = np.concatenate((self.codes, other.codes), dtype=_code_dtype(len(self.table) + len(other.table)))

@@ -44,9 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a circuit and write its document")
     p.add_argument("family", choices=_FAMILIES)
-    p.add_argument(
-        "--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}"
-    )
+    p.add_argument("--n", type=int, required=True, help=f"number of control lines, at most {MAX_N}")
     p.add_argument("--activation", help="activation bitstring a1..an (default all ones)")
     p.add_argument("--out", help="output path, JSON if it ends in .json (default: text to stdout)")
 

@@ -5,7 +5,8 @@ independently of any circuit, on bits that are ints or arrays: spec_output
 applies it to one input, and check_equivalence to blocks of inputs at once.
 So checking a circuit is a genuine two-route comparison: exponent simulation
 per input on one side, the closed form on the other. The tests and the
-dense-small benchmark compare the dense executor with the same oracle.
+dense-small benchmark compare the dense executor with the same oracle, and
+activation_set reads the control indices that fire from truth_table.
 """
 from __future__ import annotations
 
@@ -114,17 +115,16 @@ def check_equivalence(circuit: Circuit, spec: GateFamilySpec) -> EquivalenceRepo
     return EquivalenceReport(True, space)
 
 
-def activation_set(circuit: Circuit) -> set[Bits]:
-    """Control vectors on which the circuit flips its target bit.
+def activation_set(circuit: Circuit) -> np.ndarray:
+    """The control vectors on which the circuit flips its target bit, as an ascending intp index array.
 
-    They are read from truth_table's entries at even indices, the images of
-    (c, t = 0): entry c is -1 where c leaves the target non-classical, which
-    raises ValueError naming the first such c, and otherwise its low bit is
-    the target's output.
+    Index c has line 1 as the most significant of n bits, as in truth_table,
+    whose entries at even indices are the images of (c, t = 0): entry c is -1
+    where c leaves the target non-classical, which raises ValueError naming
+    the first such c as bits, and otherwise its low bit is the target's output.
     """
-    n = circuit.n_controls
     targets = truth_table(circuit)[0::2]
     bad = np.flatnonzero(targets < 0)
     if bad.size:
-        raise ValueError(f"non-classical target for control vector {index_to_bits(int(bad[0]), n)}")
-    return {index_to_bits(c, n) for c in np.flatnonzero(targets & 1).tolist()}
+        raise ValueError(f"non-classical target for control vector {index_to_bits(int(bad[0]), circuit.n_controls)}")
+    return np.flatnonzero(targets & 1)

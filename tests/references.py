@@ -12,7 +12,8 @@ and diagram draws render_ascii's wire diagram one column per gate.
 reference_slots builds synth._slots's arrays one block of slots per line,
 and reference_ladder the converters' Feynman ladder gate by gate.
 reference_index_to_bits and reference_bits_to_index pack and unpack bits
-with their own loops, apart from src's bits helpers, which the executors use.
+with their own loops, apart from src's bits helpers, which the executors use;
+activation_indices packs a set of control vectors as activation_set lists them.
 reference_parse and reference_parse_json read the two file formats from the
 rules in textio's docstring, one line or one record at a time, and name
 where a bad document first goes wrong; reading is a circuit as they return it.
@@ -42,6 +43,11 @@ def reference_bits_to_index(bits) -> int:
     for b in bits:
         index = (index << 1) | b
     return index
+
+
+def activation_indices(vectors) -> list[int]:
+    """The control vectors as activation_set returns them: ascending indices, first bit most significant."""
+    return sorted(map(reference_bits_to_index, vectors))
 
 
 def reference_spec_output(spec: GateFamilySpec, input_bits) -> Bits:

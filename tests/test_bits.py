@@ -119,6 +119,11 @@ def test_empty_bitstring_is_rejected():
         parse_bitstring("")
 
 
+def test_a_bitstring_that_is_not_a_string_is_a_value_error():
+    with pytest.raises(ValueError, match="expected a nonempty string of 0/1, got 101$"):
+        parse_bitstring(101)
+
+
 def test_index_past_the_width_is_rejected():
     assert index_to_bits(7, 3) == (1, 1, 1)
     with pytest.raises(ValueError, match="index 8 out of range for width 3"):

@@ -244,6 +244,13 @@ class TestCompose:
         with pytest.raises(ValueError):
             synth_peres(2).compose(synth_peres(3))
 
+    def test_only_a_circuit_composes_as_only_a_gate_appends(self):
+        c = synth_peres(3)
+        with pytest.raises(ValueError, match="^3 is not a Circuit$"):
+            c.compose(3)
+        with pytest.raises(ValueError, match="is 3, not a Gate$"):
+            c.append(3)
+
     def test_toffoli_cost_via_composition(self):
         from rootsynth.synth import converter_peres_to_toffoli
 

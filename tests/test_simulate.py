@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from references import (
+    activation_indices,
     dense_matches,
     oracle_permutation,
     reference_bits_to_index,
@@ -612,7 +613,7 @@ class TestLinearFormMatchesReference:
         try:
             start = tracemalloc.get_traced_memory()[0]
             circuit = synth_toffoli(16, (1, 0) * 8)
-            assert activation_set(circuit) == {(1, 0) * 8}
+            assert activation_set(circuit).tolist() == activation_indices({(1, 0) * 8})
             del circuit
             gc.collect()
             kept = tracemalloc.get_traced_memory()[0] - start
@@ -692,6 +693,22 @@ def assert_table_matches_reference(circuit):
     return got
 
 
+def assert_activation_set_matches_reference(circuit):
+    """The vectors that fire read from the reference walk's targets of (c, 0), or the same refusal."""
+    want = outcome(reference_truth_table, circuit)
+    try:
+        got = activation_set(circuit)
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    if isinstance(want, tuple):
+        assert got == want, circuit
+    elif (want < 0).any():
+        first = reference_index_to_bits(int(np.flatnonzero(want[0::2] < 0)[0]), circuit.n_controls)
+        assert got == (ValueError, f"non-classical target for control vector {first}"), circuit
+    else:
+        assert got.dtype == np.intp and got.tolist() == np.flatnonzero(want[0::2] & 1).tolist(), circuit
+
+
 class TestTruthTableMatchesReference:
     @pytest.mark.parametrize(
         "family, n",
@@ -707,6 +724,7 @@ class TestTruthTableMatchesReference:
         for seed in range(40):
             for circuit in random_circuits(seed):
                 got = assert_table_matches_reference(circuit)
+                assert_activation_set_matches_reference(circuit)
                 if isinstance(got, tuple):
                     kinds["raises"] += 1
                 else:

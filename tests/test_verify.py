@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 import references
 from references import (
+    activation_indices,
     dense_matches,
     not_conjugated_toffoli,
     oracle_permutation,
     permutation_matrix,
     reference_check_equivalence,
+    reference_index_to_bits,
     reference_spec_output,
     split_root_toffoli,
 )
@@ -454,19 +456,24 @@ class TestToffoliGatesTheGeneratorsDoNotBuild:
 
 class TestActivationSet:
     def test_peres_fires_only_on_its_activation(self):
-        assert activation_set(synth_peres(3, (1, 0, 1))) == {(1, 0, 1)}
+        assert activation_set(synth_peres(3, (1, 0, 1))).tolist() == activation_indices({(1, 0, 1)})
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_peres_and_toffoli_all_activations(self, n):
         for a in nonzero_activations(n):
-            assert activation_set(synth_peres(n, a)) == {a}
-            assert activation_set(synth_toffoli(n, a)) == {a}
+            assert activation_set(synth_peres(n, a)).tolist() == activation_indices({a})
+            assert activation_set(synth_toffoli(n, a)).tolist() == activation_indices({a})
+
+    @pytest.mark.parametrize("generate", [synth_peres, synth_toffoli, synth_barenco_toffoli])
+    def test_every_activation_at_n_10_fires_on_it_alone(self, generate):
+        for v in range(1 << 10):  # zero included
+            assert activation_set(generate(10, reference_index_to_bits(v, 10))).tolist() == [v], v
 
     def test_or_gate_fires_on_every_nonzero_vector(self):
-        assert activation_set(synth_zero_polarity(2, "or-gate")) == {(0, 1), (1, 0), (1, 1)}
+        assert activation_set(synth_zero_polarity(2, "or-gate")).tolist() == activation_indices({(0, 1), (1, 0), (1, 1)})
 
     def test_and_complemented_fires_on_zero(self):
-        assert activation_set(synth_zero_polarity(2, "and-complemented")) == {(0, 0)}
+        assert activation_set(synth_zero_polarity(2, "and-complemented")).tolist() == activation_indices({(0, 0)})
 
     def test_non_classical_circuit_rejected(self):
         c = Circuit(1, (controlled_root(2, 1, 1, 2),))
@@ -481,20 +488,25 @@ class TestActivationSet:
     def test_feynman_ladder_never_fires(self):
         from rootsynth.synth import converter_toffoli_to_peres
 
-        assert activation_set(converter_toffoli_to_peres(3)) == set()
+        fired = activation_set(converter_toffoli_to_peres(3))
+        assert fired.dtype == np.intp and fired.tolist() == []
 
     def test_reading_the_compiled_outputs_peaks_within_twice_their_size(self):
-        # Compiled first, so the peak is activation_set's own: a permutation
-        # tuple of every input's output would hold 2^(n+1) Python ints.
-        circuit = synth_toffoli(16, (1, 0) * 8)
-        outputs = truth_table(circuit)
-        tracemalloc.start()
-        try:
-            assert activation_set(circuit) == {(1, 0) * 8}
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * outputs.nbytes, (peak, outputs.nbytes)
+        # Compiled first, so the peak is activation_set's own. A tuple of every
+        # input's output would hold 2^(n+1) Python ints, and a set of bit tuples
+        # about 200 bytes a firing vector; the or-gate fires on all 65,535
+        # nonzero control vectors.
+        for circuit, want in ((synth_toffoli(16, (1, 0) * 8), activation_indices({(1, 0) * 8})),
+                              (synth_zero_polarity(16), list(range(1, 1 << 16)))):
+            outputs = truth_table(circuit)
+            tracemalloc.start()
+            try:
+                fired = activation_set(circuit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert fired.tolist() == want, circuit.label
+            assert peak <= 2 * outputs.nbytes, (circuit.label, peak, outputs.nbytes)
 
 
 class TestPermutationHelpers:
