@@ -87,7 +87,10 @@ class Gate:
 
     Each gate value has one object, so equality is identity; Gate(...),
     dataclasses.replace, copy and pickle all return that object. Its lines,
-    (control, target) or (target,), are stored as `lines` when it is interned.
+    (control, target) or (target,), are stored as `lines` when it is interned;
+    textio keeps its text line and JSON record text on it as _line and
+    _record_text once it first writes or reads them. None of them is a
+    field: repr, replace and pickle ignore them.
     """
 
     kind: GateKind
@@ -261,7 +264,7 @@ class Circuit:
             # One rule for both file formats: text has no line for a blank label.
             object.__setattr__(self, "label", "")
         table, codes, size, width = self.table, self.codes, self.codes.size, self.width
-        if size and not 0 <= codes.min() <= codes.max() < len(table):
+        if size and (codes.max() >= len(table) or codes.dtype.kind != "u" and codes.min() < 0):  # min of signed codes
             position = int(np.flatnonzero((codes < 0) | (codes >= len(table)))[0])
             raise ValueError(f"gate {position} has code {codes[position]}, out of range for {len(table)} gates")
         first = np.full(len(table), size, dtype=np.intp)

@@ -53,6 +53,18 @@ the sequence in one bytes.fromhex pass (see _hex_codes). Text is read in
 chunks by one rule, from a string or an open file: 64 K - 1 characters and
 the rest of the line they end in.
 
+Each gate's two forms are made once per process, not once per document:
+its text line and its JSON record text are formatted on first use and
+kept on the interned Gate, as simulate keeps _form on a Circuit, and the
+writers gather them. Two maps with weak values take each kept form back to
+its gate, so a reader finds the gate of a first-seen line or record that
+is a live gate's own form with one lookup and then runs only the check that
+depends on the document, its lines against the width; every other line or
+record, and every error, takes the full path, which then keeps the forms
+of the gate it built. A generated gate stays alive between documents,
+since synth keeps its gate table, so only a process's first document over
+a gate pays to format or parse it.
+
 Both readers build their codes in the dtype the circuit keeps (see
 circuit.Circuit): the smallest unsigned one that holds the last index
 into the gate table read so far, one byte a gate for every generated
@@ -65,6 +77,7 @@ from __future__ import annotations
 
 import json
 import re
+import weakref
 from operator import length_hint
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -97,6 +110,12 @@ _LINES = {name: " ".join([name] + [f"{{{a}:+d}}" if f == "direction" else f"{{{a
 _PATTERNS = {name: re.compile(" ".join([name] + [f"({(_DIRECTION if f == 'direction' else _INTEGER).pattern})"
                                                  for f, _ in pairs])) for name, pairs in _ATTRIBUTES.items()}
 _KEYS = {name: (frozenset(fields), frozenset(_FIELDS) - set(fields)) for name, (_, fields) in _GATES.items()}
+# The readers' keys of each gate that _line or _record_text has formatted: its text line without the "\n", and
+# the items of its JSON record. Only a live gate's own forms are keys, and no entry outlives its gate.
+_LINE_GATES: weakref.WeakValueDictionary[str, Gate] = weakref.WeakValueDictionary()
+_RECORD_GATES: weakref.WeakValueDictionary[tuple, Gate] = weakref.WeakValueDictionary()
+# The types of the values of a record that finds its gate: true and 1.0 equal 1 and hash alike, and are refused.
+_EXACT = {int, str}
 
 
 class ParseError(ValueError):
@@ -115,6 +134,27 @@ def _record(g: Gate) -> dict[str, object]:
     return {"gate": name, **{f: values[a] for f, a in _ATTRIBUTES[name]}}
 
 
+def _line(g: Gate) -> str:
+    """g's text line, ending in "\n": formatted on first use and kept on g as _line, then a key of g."""
+    form = vars(g)
+    line = form.get("_line")
+    if line is None:
+        line = form["_line"] = _LINES[g.kind._value_].format_map(form)
+        _LINE_GATES[line[:-1]] = g
+    return line
+
+
+def _record_text(g: Gate) -> str:
+    """g's JSON record as json.dumps writes it: made on first use and kept on g as _record_text, then a key of g."""
+    form = vars(g)
+    text = form.get("_record_text")
+    if text is None:
+        record = _record(g)
+        text = form["_record_text"] = json.dumps(record)
+        _RECORD_GATES[tuple(record.items())] = g
+    return text
+
+
 def _directives(circuit: Circuit) -> str:
     """A text document's lines before its gates: the header, width, controls and any label."""
     label = f"label {circuit.label}\n" if circuit.label else ""
@@ -123,7 +163,7 @@ def _directives(circuit: Circuit) -> str:
 
 def _table_lines(circuit: Circuit) -> list[str]:
     """The gate line of each entry of the circuit's table, in table order."""
-    return [_LINES[g.kind._value_].format_map(vars(g)) for g in circuit.table]
+    return list(map(_line, circuit.table))
 
 
 def serialize(circuit: Circuit) -> str:
@@ -215,11 +255,14 @@ def parse(text: str) -> Circuit:
     so no line break, "\r\n" included, spans two chunks and the chunks'
     lines are the document's. A chunk's lines are mapped to codes by one
     map over a dict's lookup (see _Reader): the first occurrence of each
-    distinct raw gate line goes through every check and gets a code, the
-    index of its gate in the table; a repeat of it, which can only follow
-    the directives that made the first one valid, costs one lookup at C
-    speed. Every other line is checked where it stands, so an error names
-    its own line, counted by the lines the map has taken.
+    distinct raw gate line gets a code, the index of its gate in the table.
+    If it is a live gate's own line, as serialize writes it, read after the
+    header, width and controls, it finds its gate with one lookup and is
+    checked against the width; any other goes through every check. A repeat
+    of it, which can only follow the directives that made the first one
+    valid, costs one lookup at C speed. Every other line is checked where it
+    stands, so an error names its own line, counted by the lines the map
+    has taken.
     """
     return _parse_chunks(_text_chunks(text))
 
@@ -228,12 +271,13 @@ class _Reader(dict):
     """parse's state: each distinct raw gate line read so far and its code, which a line it lacks gets from __missing__.
 
     Lines are read in order through __getitem__, so the first occurrence
-    of a line runs every check, with the directives read before it. A gate
-    line is stored with its code, the index of its gate in table; a
-    directive, comment or blank line is never stored, so a repeat of it is
-    checked again where it stands. It reads as code 0, and its place in its
-    chunk goes to skipped, so that the chunk's codes are packed at C speed
-    and then drop it.
+    of a line is checked with the directives read before it: a live gate's
+    own line, once width and controls are read, against the width alone
+    (see parse), and any other line by _check. A gate line is stored with
+    its code, the index of its gate in table; a directive, comment or blank
+    line is never stored, so a repeat of it is checked again where it
+    stands. It reads as code 0, and its place in its chunk goes to skipped,
+    so that the chunk's codes are packed at C speed and then drop it.
     """
 
     __slots__ = ("header", "label", "table", "read", "rest", "skipped", "saw_header")  # quicker for __missing__
@@ -249,6 +293,18 @@ class _Reader(dict):
         self.saw_header = False
 
     def __missing__(self, raw: str) -> int:
+        g, header = _LINE_GATES.get(raw), self.header
+        if g is not None and None not in header.values():  # a live gate's own line, once the directives are read
+            check_lines(g, header["width"])
+        elif (g := self._check(raw)) is None:
+            self.skipped.append(~length_hint(self.rest))  # -1 - the lines after this one
+            return 0
+        self.table.append(g)
+        code = self[raw] = len(self.table) - 1
+        return code
+
+    def _check(self, raw: str) -> Gate | None:
+        """Read a line by every check, with the directives read before it: its gate, or None for a line with none."""
         stripped = raw.strip()
         content = stripped.split("#", 1)[0].strip()  # the line without its comment; a label keeps '#'
         if stripped.split(maxsplit=1)[:1] == ["label"]:  # a blank label may have lost its space to strip
@@ -278,13 +334,12 @@ class _Reader(dict):
             elif word in _GATES:
                 if None in header.values():
                     raise ParseError("gate line before width/controls directives")
-                self.table.append(_parse_gate(fields, header["width"]))
-                code = self[raw] = len(self.table) - 1
-                return code
+                g = _parse_gate(fields, header["width"])
+                _line(g)  # so that the gate's own line finds it from now on
+                return g
             else:
                 raise ParseError(f"unknown directive {word!r}")
-        self.skipped.append(~length_hint(self.rest))  # -1 - the lines after this one
-        return 0
+        return None
 
     def codes(self, lines: list[str]) -> np.ndarray:
         """The codes of the gate lines among `lines`, the next lines of the document, in the table's dtype."""
@@ -319,10 +374,12 @@ def _parse_chunks(chunks: Iterable[str]) -> Circuit:
 def serialize_json(circuit: Circuit) -> str:
     """The circuit as a format circuit v3 JSON document, on one line.
 
-    The records are the circuit's gate table, and the sequence its codes as
-    one string of hex digits, each code big-endian in its dtype's width.
-    The digits need no JSON escape, so they are joined after the dumped
-    header as they are, which spares the quoted copy json.dumps makes.
+    The records are the circuit's gate table, each entry's kept record text
+    (see _record_text) joined into the dumped header's empty "gates" list,
+    and the sequence its codes as one string of hex digits, each code
+    big-endian in its dtype's width. The digits need no JSON escape, so
+    they are joined after the header as they are, which spares the quoted
+    copy json.dumps makes.
     """
     codes = circuit.codes
     header = json.dumps({
@@ -330,10 +387,11 @@ def serialize_json(circuit: Circuit) -> str:
         "width": circuit.width,
         "controls": circuit.n_controls,
         "label": circuit.label,
-        "gates": list(map(_record, circuit.table)),
+        "gates": [],
     })
+    records = ", ".join(map(_record_text, circuit.table))  # json.dumps's item separator
     sequence = codes.astype(codes.dtype.newbyteorder(">"), copy=False).tobytes().hex()
-    return f'{header[:-1]}, "sequence": "{sequence}"}}\n'
+    return f'{header[:-2]}{records}], "sequence": "{sequence}"}}\n'
 
 
 def _json_int(value: object, what: str) -> int:
@@ -346,6 +404,13 @@ def _json_int(value: object, what: str) -> int:
 def _record_gate(entry: object, width: int) -> Gate:
     if not isinstance(entry, dict):
         raise ParseError("malformed gate entry")
+    try:
+        g = _RECORD_GATES.get(tuple(entry.items()))
+    except TypeError:  # an unhashable value, which no gate's own record holds
+        g = None
+    if g is not None and _EXACT.issuperset(map(type, entry.values())):  # a live gate's own record
+        check_lines(g, width)
+        return g
     name = entry.get("gate")
     if not isinstance(name, str) or name not in _GATES:
         raise ParseError(f"unknown gate {name!r}")
@@ -355,7 +420,9 @@ def _record_gate(entry: object, width: int) -> Gate:
         raise ParseError(f"{name} takes {', '.join(fields)}; missing {', '.join(f for f in fields if f not in entry)}")
     if not others.isdisjoint(entry):  # another gate kind's field
         raise ParseError(f"{name} takes no {', '.join(f for f in _FIELDS if f in others and f in entry)}")
-    return _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
+    g = _build_gate(name, [_json_int(entry[f], f) for f in fields], width)
+    _record_text(g)  # so that the gate's own record finds it from now on
+    return g
 
 
 def _hex_codes(sequence: object, size: int) -> np.ndarray:
@@ -390,9 +457,12 @@ def parse_json(text: str) -> Circuit:
     """Parse a JSON circuit document of format circuit v3, naming the format of any other.
 
     Each record of "gates" is checked once, in order and against the width,
-    and an error in it names its index. "sequence" maps the records to the
-    gates (see _hex_codes). Like json.loads, it also reads a document given
-    as bytes in UTF-8, UTF-16 or UTF-32.
+    and an error in it names its index: a live gate's own record, whose
+    values are all exact ints and strings, finds its gate with one lookup
+    and is checked against the width, and every other record goes through
+    every check. "sequence" maps the records to the gates (see _hex_codes).
+    Like json.loads, it also reads a document given as bytes in UTF-8,
+    UTF-16 or UTF-32.
     """
     try:
         doc = json.loads(text)

@@ -598,7 +598,12 @@ class TestColumns:
         with pytest.raises(ValueError, match=r"^gate 3 is 'x', not a Gate$"):
             Circuit._of_codes(2, (feynman(1, 2), "x"), np.array([0, 0, 0, 1, 1]))
 
-    @pytest.mark.parametrize("codes,position", [([0, 2, 1], 1), ([0, 1, -1, 5], 2)])
+    @pytest.mark.parametrize("codes,position", [
+        ([0, 2, 1], 1),
+        ([0, 1, -1, 5], 2),
+        (np.array([0, 1, -1], np.int16), 2),  # synth's dtype: signed codes are still checked for a negative one
+        (np.array([-3, 0], np.intp), 0),
+    ])
     def test_an_out_of_range_code_is_refused(self, codes, position):
         table = (feynman(1, 2), not_gate(3))
         code = codes[position]

@@ -2,12 +2,14 @@ import dataclasses
 import gc
 import json
 import os
+import pickle
 import random
 import re
 import subprocess
 import sys
 import timeit
 import tracemalloc
+import weakref
 from itertools import accumulate
 from pathlib import Path
 
@@ -492,6 +494,89 @@ class TestParseJsonLabel:
         doc = json.loads(json_doc([GOOD_RECORDS[0]]))
         del doc["label"]
         assert parse_json(json.dumps(doc)) == Circuit(3, [feynman(1, 2)])
+
+
+# Records equal to a live gate's own record, or to it with one field more, that must keep their refusals.
+KNOWN_RECORDS_REFUSED = {
+    "true control": ({"gate": "cnot", "control": True, "target": 2}, "control must be an integer, got true"),
+    "float target": ({"gate": "cnot", "control": 1, "target": 2.0}, "target must be an integer, got 2.0"),
+    "true line": ({"gate": "not", "line": True}, "line must be an integer, got true"),
+    "float direction": ({"gate": "croot", "kappa": 4, "direction": -1.0, "control": 2, "target": 4},
+                        "direction must be an integer, got -1.0"),
+    "list control": ({"gate": "cnot", "control": [1], "target": 2}, "control must be an integer, got [1]"),
+    "a not gate's field": ({"gate": "cnot", "control": 1, "target": 2, "line": 2}, "cnot takes no line"),
+    "a cnot gate's field": ({"gate": "not", "line": 1, "target": 1}, "not takes no target"),
+}
+
+
+class TestKnownGateForms:
+    """A live gate's own text line and JSON record find it, and the document's checks still run on them."""
+
+    def test_a_known_line_is_checked_against_the_width_of_its_document(self):
+        line = "croot 1048576 -1 1 13"  # a gate no generator builds, kept alive by the circuit read
+        c = parse(f"circuit v1\nwidth 13\ncontrols 12\n{line}\n")
+        assert textio._LINE_GATES[line] is c.table[0]
+        with pytest.raises(ParseError) as info:
+            parse(f"circuit v1\nwidth 5\ncontrols 4\nnot 5\n{line}\nnot 5\n")
+        assert (str(info.value), info.value.line_no) == ("line 5: line 13 out of range for width 5", 5)
+
+    @pytest.mark.parametrize("lines,message", [
+        (["cnot 1 2", "circuit v1"], "expected header 'circuit v1', got 'cnot 1 2'"),
+        (["circuit v1", "cnot 1 2", "width 3", "controls 2"], "gate line before width/controls directives"),
+        (["circuit v1", "width 3", "cnot 1 2", "controls 2"], "gate line before width/controls directives"),
+        (["circuit v1", "controls 2", "not 3", "width 3"], "gate line before width/controls directives"),
+    ])
+    def test_a_known_line_before_the_directives_is_refused_at_its_line(self, lines, message):
+        gates = feynman(1, 2), not_gate(3)
+        serialize(Circuit(2, gates))
+        assert textio._LINE_GATES["cnot 1 2"] is gates[0] and textio._LINE_GATES["not 3"] is gates[1]
+        at = next(i for i, line in enumerate(lines, 1) if line.startswith(("cnot", "not")))
+        with pytest.raises(ParseError) as info:
+            parse("\n".join(lines) + "\n")
+        assert (str(info.value), info.value.line_no) == (f"line {at}: {message}", at)
+
+    @pytest.mark.parametrize("record,message", KNOWN_RECORDS_REFUSED.values(), ids=KNOWN_RECORDS_REFUSED)
+    def test_a_known_record_of_another_type_or_kind_keeps_its_refusal(self, record, message):
+        gates = feynman(1, 2), not_gate(1), not_gate(4), controlled_root(4, -1, 2, 4)
+        assert parse_json(serialize_json(Circuit(3, gates))).table == gates
+        assert all(textio._RECORD_GATES[tuple(textio._record(g).items())] is g for g in gates)
+        with pytest.raises(ParseError) as info:
+            parse_json(json_doc([GOOD_RECORDS[0], record]))
+        assert str(info.value) == f"gate 1: {message}"
+
+    def test_a_known_record_is_checked_against_the_width_of_its_document(self):
+        g = not_gate(9)
+        parse_json(serialize_json(Circuit(8, [g])))
+        assert textio._RECORD_GATES[(("gate", "not"), ("line", 9))] is g
+        with pytest.raises(ParseError) as info:
+            parse_json(json_doc([GOOD_RECORDS[0], {"gate": "not", "line": 9}]))
+        assert str(info.value) == "gate 1: line 9 out of range for width 4"
+
+    def test_the_forms_of_a_dropped_gate_are_keys_no_longer(self):
+        g = controlled_root(1 << 40, -1, 9, 3)  # no other test or generator holds this gate
+        c = Circuit(8, [g])
+        text, doc = serialize(c), serialize_json(c)
+        line, key = text.splitlines()[-1], tuple(json.loads(doc)["gates"][0].items())
+        assert line == "croot 1099511627776 -1 9 3" and textio._LINE_GATES[line] is textio._RECORD_GATES[key] is g
+        dropped = weakref.ref(g)
+        del g, c
+        gc.collect()
+        assert dropped() is None
+        assert line not in textio._LINE_GATES and key not in textio._RECORD_GATES
+        back = parse(text)  # read again by every check, which keeps the new gate's forms
+        assert back == parse_json(doc) and textio._LINE_GATES[line] is textio._RECORD_GATES[key] is back.table[0]
+
+    def test_a_gate_holding_its_forms_reprs_compares_hashes_pickles_and_replaces_as_before(self):
+        g = controlled_root(1 << 41, 1, 2, 7)
+        before = repr(g), hash(g), [pickle.dumps(g, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        assert "_line" not in vars(g) and "_record_text" not in vars(g)
+        serialize_json(Circuit(6, [g]))
+        serialize(Circuit(6, [g]))
+        assert {"_line", "_record_text"} <= vars(g).keys()
+        assert (repr(g), hash(g), [pickle.dumps(g, p) for p in range(pickle.HIGHEST_PROTOCOL + 1)]) == before
+        assert g == controlled_root(1 << 41, 1, 2, 7) and g != g.adjoint()
+        assert pickle.loads(pickle.dumps(g)) is g and dataclasses.replace(g) is g
+        assert dataclasses.asdict(g) == {"kind": g.kind, "target": 7, "control": 2, "kappa": 1 << 41, "direction": 1}
 
 
 def v3_doc(records, sequence, **fields):
@@ -1179,6 +1264,8 @@ class TestDerivedCodecs:
             words += rng.choices(ADVERSARIAL_WORDS, k=rng.random() < 0.05)
             lines.append(" ".join([name, *words[:len(words) - (rng.random() < 0.05)]]))
         texts = ["\n".join(HEADER[:3] + ["cnot 1 2", line]) + "\n" for line in lines]
+        # A live gate's own line would skip both paths: let every line be read by them.
+        monkeypatch.setattr(textio._LINE_GATES, "get", lambda key, default=None: default)
         derived = [reader_outcome(parse, text) for text in texts]
         assert 0.1 * len(texts) < sum(len(outcome) == 4 for outcome in derived) < 0.9 * len(texts)
         never = re.compile("(?!)")
